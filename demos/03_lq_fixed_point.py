@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 # Full coupled solve of the scalar quadratic game vs. the Riccati oracle.
 #
-# The damped Picard iteration maps an initial-value profile Phi to the time-0
-# slice of the value computed along the population flow it seeds; fixed
-# points are game solutions.  The oracle integrates the backward coefficient
+# The outer fixed-point iteration maps an initial-value profile Phi to the
+# time-0 slice of the value computed along the population flow it seeds;
+# fixed points are game solutions.  The oracle integrates the backward coefficient
 # system G' = G^2 + a, Th' = G(Th + beta EX') + b, z' = |Th + beta EX'|^2/2 + c
 # against the mean-coupled forward equation.
 

@@ -388,12 +388,11 @@ def emit_problem(parsed: ParsedProblem) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _meta(parsed: ParsedProblem, run: RunConfig, started: float, **extra) -> dict:
+def _meta(parsed: ParsedProblem, run: RunConfig, **extra) -> dict:
     payload = {
         "subcommand": run.subcommand,
         "seed": run.seed,
         "problem": parsed.document,
-        "wall_time_s": round(time.perf_counter() - started, 6),
         "max_workers": _thread_cap(),
     }
     payload.update(extra)
@@ -420,11 +419,12 @@ def _cmd_solve(parsed: ParsedProblem, run: RunConfig) -> int:
         _meta(
             parsed,
             run,
-            started,
             converged=sol.converged,
             iterations=sol.iterations,
+            restarts=sol.restarts,
             phi_residual=sol.final_phi_residual,
         ),
+        started,
     )
     return 0 if sol.converged else 2
 
@@ -461,7 +461,7 @@ def _cmd_oracle(parsed: ParsedProblem, run: RunConfig) -> int:
     bundles.write_residuals_csv(run.out_dir / "residuals.csv", [])
     write_coeffs(run.out_dir / "coefficients.csv", state)
     bundles.write_plot_bundle(run.out_dir / "plot", vg, traj, [])
-    bundles.write_meta(run.out_dir / "meta.json", _meta(parsed, run, started, converged=True))
+    bundles.write_meta(run.out_dir / "meta.json", _meta(parsed, run, converged=True), started)
     return 0
 
 
@@ -505,7 +505,7 @@ def _cmd_check(parsed: ParsedProblem, run: RunConfig) -> int:
         )
         combined.append(payload)
     (run.out_dir / "report.json").write_text(json.dumps(combined, indent=2, sort_keys=True) + "\n")
-    bundles.write_meta(run.out_dir / "meta.json", _meta(parsed, run, started))
+    bundles.write_meta(run.out_dir / "meta.json", _meta(parsed, run), started)
     return 0
 
 
@@ -535,7 +535,9 @@ def _cmd_master(parsed: ParsedProblem, run: RunConfig) -> int:
         + "\n"
     )
     bundles.write_meta(
-        run.out_dir / "meta.json", _meta(parsed, run, started, converged=sol.converged)
+        run.out_dir / "meta.json",
+        _meta(parsed, run, converged=sol.converged, restarts=sol.restarts),
+        started,
     )
     return 0 if sol.converged else 2
 
@@ -556,7 +558,7 @@ def _cmd_probe_uniqueness(parsed: ParsedProblem, run: RunConfig) -> int:
         )
         + "\n"
     )
-    bundles.write_meta(run.out_dir / "meta.json", _meta(parsed, run, started, status=rep.status))
+    bundles.write_meta(run.out_dir / "meta.json", _meta(parsed, run, status=rep.status), started)
     return 0 if rep.status == "conclusive" else 2
 
 

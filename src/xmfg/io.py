@@ -77,16 +77,22 @@ def write_plot_bundle(plot_dir: Path, vg: ValueGrid, traj: TrajectoryEnsemble, h
     (plot_dir / "residuals.csv").write_text("\n".join(lines) + "\n")
 
 
-def write_meta(path: Path, payload: dict) -> None:
+def write_meta(path: Path, payload: dict, started: float) -> None:
+    """Write the run summary with its clock time and elapsed seconds.
+
+    ``started`` is a ``time.perf_counter`` reading.  meta.json is the last
+    file of every bundle, so ``wall_time_s`` covers writing all the others.
+    """
     payload = dict(payload)
+    payload["wall_time_s"] = round(time.perf_counter() - started, 6)
     payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def write_solution_bundle(out_dir: Path, sol, meta: dict) -> None:
+def write_solution_bundle(out_dir: Path, sol, meta: dict, started: float) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_value_csv(out_dir / "value.csv", sol.value)
     write_trajectory_csv(out_dir / "trajectory.csv", sol.traj)
     write_residuals_csv(out_dir / "residuals.csv", sol.residual_history)
     write_plot_bundle(out_dir / "plot", sol.value, sol.traj, sol.residual_history)
-    write_meta(out_dir / "meta.json", meta)
+    write_meta(out_dir / "meta.json", meta, started)

@@ -9,20 +9,22 @@ population trajectory that Phi seeds:
         and u solves the backward equation along (X, X').
 
 Solutions of the coupled game are fixed points of F.  They are searched by
-damped Picard iteration; existence theory guarantees a fixed point but no
-contraction rate, so non-convergence is a reportable outcome, never hidden.
+safeguarded Anderson mixing of damped Picard steps; existence theory
+guarantees a fixed point but no contraction rate, so non-convergence is a
+reportable outcome, never hidden.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .ensembles import Ensemble, TrajectoryEnsemble, ensemble_distance
-from .errors import XmfgError
-from .families import HamiltonianFamily, solve_velocity
+from .errors import ControlSaturationError, DomainTooSmallError, FlowBlowupError, XmfgError
+from .families import HamiltonianFamily
 from .flow import integrate_flow
 from .hjb import (
     AnalyticSlice,
@@ -47,6 +49,13 @@ __all__ = [
     "UniquenessProbeResult",
 ]
 
+#: residual differences kept by the Anderson mixing of the outer iteration
+ANDERSON_MEMORY = 5
+#: Tikhonov weight of the Anderson normal equations on unit-norm columns
+ANDERSON_REGULARIZATION = 1e-10
+#: errors that drop an extrapolated Phi for the damped step instead of ending the solve
+_EXTRAPOLATION_FAILURES = (ControlSaturationError, DomainTooSmallError, FlowBlowupError)
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -65,6 +74,8 @@ class SolverConfig:
     def __post_init__(self):
         if min(self.n_particles, self.nx, self.time_steps, self.nv, self.max_outer) < 1:
             raise ValueError("all solver sizes must be positive")
+        if self.nx < 3 or self.nv < 2:
+            raise ValueError("the grid needs nx >= 3 and nv >= 2")
         if not (0.0 < self.damping <= 1.0):
             raise ValueError("damping must lie in (0, 1]")
         if self.v_max is not None and self.v_max <= 0:
@@ -93,7 +104,11 @@ class ProblemSpec:
 
 @dataclass
 class MfgSolution:
-    """Best iterate of the damped Picard run plus its full residual record."""
+    """Best iterate of the outer iteration plus its full residual record.
+
+    ``residual_history`` rows are (k, ||F(Phi_k) - Phi_k||_inf, trajectory
+    W_q to the previous iterate); ``restarts`` counts safeguard fallbacks.
+    """
 
     value: ValueGrid
     traj: TrajectoryEnsemble
@@ -102,6 +117,7 @@ class MfgSolution:
     final_phi_residual: float
     final_traj_residual: float
     iterations: int
+    restarts: int
     regularity_history: list[RegularityReport] = field(default_factory=list)
 
     @property
@@ -200,51 +216,18 @@ def _compose_once(
     traj = integrate_flow(
         problem.family, problem.initial, phi, problem.horizon, cfg.time_steps
     )
+    if _state_dependent(problem.family):
+        # dx/dt = v/x is only defined for x > 0; a crossing is no trajectory
+        crossed = np.flatnonzero(np.min(traj.states[:, :, 0], axis=1) <= 0.0)
+        if crossed.size:
+            m = int(crossed[0])
+            raise FlowBlowupError(
+                f"state-scaled flow crossed x <= 0 advancing step {m - 1} -> {m} "
+                f"(t={traj.times[m - 1]:.4g})",
+                step=m - 1,
+            )
     vg = solve_backward(problem.family, traj, grid)
     return vg, traj
-
-
-def _reintegrate_feedback(
-    problem: ProblemSpec, vg: ValueGrid, cfg: SolverConfig
-) -> TrajectoryEnsemble:
-    """Forward sweep of the feedback dynamics along a frozen value grid.
-
-    Plays the optimal control read off the solved value function:
-    X' = G(X, Du(X, t), X), with the gradient rows interpolated linearly in
-    time for the RK4 stages.
-    """
-    fam = problem.family
-    x0 = problem.initial
-    steps = cfg.time_steps
-    times = np.linspace(0.0, problem.horizon, steps + 1)
-    dt = problem.horizon / steps
-    n = x0.n
-    states = np.empty((steps + 1, n, 1))
-    velocities = np.empty_like(states)
-    costates = np.empty_like(states)
-    x = x0.samples[:, 0].copy()
-
-    def rate(xa, m_lo, w):
-        grad_row = (1 - w) * vg.grad[m_lo] + w * vg.grad[min(m_lo + 1, steps)]
-        p = np.interp(xa, vg.nodes, grad_row)
-        z = solve_velocity(fam, xa, Ensemble(p, q=problem.q), Ensemble(xa, q=problem.q))
-        return z.samples[:, 0], p
-
-    for m in range(steps + 1):
-        z, p = rate(x, m, 0.0)
-        states[m, :, 0] = x
-        velocities[m, :, 0] = z
-        costates[m, :, 0] = p
-        if m == steps:
-            break
-        k1, _ = rate(x, m, 0.0)
-        k2, _ = rate(x + 0.5 * dt * k1, m, 0.5)
-        k3, _ = rate(x + 0.5 * dt * k2, m, 0.5)
-        k4, _ = rate(x + dt * k3, m, 1.0)
-        x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return TrajectoryEnsemble(
-        times=times, states=states, velocities=velocities, costates=costates, q=problem.q
-    )
 
 
 def apply_F(problem: ProblemSpec, phi, cfg: SolverConfig) -> ValueSlice:
@@ -268,28 +251,54 @@ def _trajectory_gap(a: TrajectoryEnsemble, b: TrajectoryEnsemble, q: float) -> f
     return float(max(gaps))
 
 
+def _anderson_step(
+    phi: np.ndarray, f: np.ndarray, d_phi, d_f, lam: float
+) -> np.ndarray:
+    """Type-II Anderson update of Phi from its residual f = F(Phi) - Phi.
+
+    ``d_phi``/``d_f`` hold the differences of the last accepted iterates and
+    of their residuals.  gamma minimizes ||f - dF gamma||_2 through the
+    regularized normal equations (at most ANDERSON_MEMORY unknowns), and the
+    step is Phi + lam f - (dPhi + lam dF) gamma.  Without history this is
+    the damped Picard step Phi + lam f.
+    """
+    step = phi + lam * f
+    if not d_f:
+        return step
+    df = np.array(d_f)
+    # unit-norm columns keep the regularization relative to every column,
+    # not just to the oldest and largest residual differences
+    norms = np.sqrt(np.einsum("ij,ij->i", df, df))
+    norms[norms == 0.0] = 1.0
+    unit = df / norms[:, None]
+    gram = unit @ unit.T
+    gram[np.diag_indices_from(gram)] += ANDERSON_REGULARIZATION
+    gamma = np.linalg.solve(gram, unit @ f) / norms
+    return step - gamma @ (np.array(d_phi) + lam * df)
+
+
 def solve_mfg(
     problem: ProblemSpec,
     cfg: SolverConfig,
     phi0=None,
     include: tuple[float, float] | None = None,
-    strategy: str = "value",
 ) -> MfgSolution:
-    """Damped Picard iteration Phi_{k+1} = (1 - lam) Phi_k + lam F(Phi_k).
+    """Safeguarded Anderson iteration on the fixed point Phi = F(Phi).
 
     Starts from Phi_0 = psi(., X_0) unless ``phi0`` (array on the canonical
-    nodes, or callable of the nodes) is supplied.  Convergence requires both
-    the fixed-point residual ||F(Phi_k) - Phi_k||_inf <= tol_fix and the
-    trajectory residual max_t W_q(X_k, X_{k-1}) <= tol_traj; reaching
-    max_outer first returns the best iterate with ``converged=False``.
+    nodes, or callable of the nodes) is supplied.  Each step mixes the last
+    ANDERSON_MEMORY residuals f = F(Phi) - Phi with weight ``cfg.damping``
+    (see :func:`_anderson_step`).  An extrapolated Phi is dropped for the
+    damped step Phi_a + lam f_a from the last accepted iterate, with the
+    history cleared, when its residual ||f||_inf exceeds that of Phi_a or
+    when the flow or the backward sweep rejects it; ``restarts`` counts these
+    fallbacks.  A damped step is always accepted and its errors propagate.
 
-    ``strategy="trajectory"`` switches to the fallback iteration that holds
-    the population path fixed, solves the value equation along it, then
-    replays the feedback dynamics; it can stabilize problems for which the
-    profile iteration stalls.
+    Convergence requires, from the second iterate on, both the fixed-point
+    residual ||F(Phi_k) - Phi_k||_inf <= tol_fix and the trajectory residual
+    max_t W_q(X_k, X_{k-1}) <= tol_traj; reaching max_outer first returns the
+    best iterate with ``converged=False``.
     """
-    if strategy not in ("value", "trajectory"):
-        raise ValueError("strategy must be 'value' or 'trajectory'")
     fam = problem.family
     grid = canonical_grid(problem, cfg, include=include)
     nodes = grid.nodes()
@@ -302,57 +311,57 @@ def solve_mfg(
         if phi_vals.shape != nodes.shape:
             raise ValueError("phi0 array must match the canonical grid nodes")
 
+    lam = cfg.damping
     history: list[tuple[int, float, float]] = []
     reg_history: list[RegularityReport] = []
     best = None
     best_score = math.inf
     prev_traj = None
-    prev_slice = None
     converged = False
-    fix_res = math.inf
-    traj_res = math.inf
-    iterations = 0
-    traj = None
+    d_phi: deque[np.ndarray] = deque(maxlen=ANDERSON_MEMORY)
+    d_f: deque[np.ndarray] = deque(maxlen=ANDERSON_MEMORY)
+    accepted = None  # (phi, f, ||f||_inf) of the last accepted iterate
+    extrapolated = False
+    restarts = 0
+    k = 0
 
-    for k in range(1, cfg.max_outer + 1):
-        iterations = k
-        if strategy == "value":
-            phi_slice = ValueSlice(nodes, phi_vals)
-            vg, traj = _compose_once(problem, phi_slice, grid, cfg)
-            fix_res = float(np.max(np.abs(vg.u[0] - phi_vals)))
+    while k < cfg.max_outer:
+        try:
+            vg, traj = _compose_once(problem, ValueSlice(nodes, phi_vals), grid, cfg)
+        except _EXTRAPOLATION_FAILURES:
+            if not extrapolated:
+                raise
+            rejected = True
         else:
-            if traj is None:
-                seed = ValueSlice(nodes, phi_vals)
-                traj = integrate_flow(fam, problem.initial, seed, problem.horizon, cfg.time_steps)
-            vg = solve_backward(fam, traj, grid)
-            fix_res = (
-                float(np.max(np.abs(vg.u[0] - prev_slice))) if prev_slice is not None else math.inf
+            k += 1
+            f = vg.u[0] - phi_vals
+            fix_res = float(np.max(np.abs(f)))
+            traj_res = (
+                _trajectory_gap(traj, prev_traj, problem.q) if prev_traj is not None else math.nan
             )
-            prev_slice = vg.u[0]
-        traj_res = (
-            _trajectory_gap(traj, prev_traj, problem.q) if prev_traj is not None else math.nan
-        )
-        history.append((k, cfg.damping * fix_res if strategy == "value" else fix_res, traj_res))
-        reg_history.append(regularity_report(vg))
-        if fix_res <= best_score:
-            best_score = fix_res
-            best = (vg, traj, fix_res, traj_res)
-        if k >= 2 and fix_res <= cfg.tol_fix and traj_res <= cfg.tol_traj:
-            converged = True
-            break
-        prev_traj = traj
-        if strategy == "value":
-            phi_vals = (1.0 - cfg.damping) * phi_vals + cfg.damping * vg.u[0]
-        else:
-            replay = _reintegrate_feedback(problem, vg, cfg)
-            lam = cfg.damping
-            traj = TrajectoryEnsemble(
-                times=replay.times,
-                states=(1 - lam) * traj.states + lam * replay.states,
-                velocities=(1 - lam) * traj.velocities + lam * replay.velocities,
-                costates=(1 - lam) * traj.costates + lam * replay.costates,
-                q=problem.q,
-            )
+            history.append((k, fix_res, traj_res))
+            reg_history.append(regularity_report(vg))
+            if fix_res <= best_score:
+                best_score = fix_res
+                best = (vg, traj, fix_res, traj_res)
+            if k >= 2 and fix_res <= cfg.tol_fix and traj_res <= cfg.tol_traj:
+                converged = True
+                break
+            prev_traj = traj
+            rejected = extrapolated and fix_res > accepted[2]
+        if rejected:
+            restarts += 1
+            d_phi.clear()
+            d_f.clear()
+            phi_vals = accepted[0] + lam * accepted[1]
+            extrapolated = False
+            continue
+        if accepted is not None:
+            d_phi.append(phi_vals - accepted[0])
+            d_f.append(f - accepted[1])
+        accepted = (phi_vals, f, fix_res)
+        phi_vals = _anderson_step(phi_vals, f, d_phi, d_f, lam)
+        extrapolated = bool(d_f)
 
     vg, traj, fix_res, traj_res = best
     return MfgSolution(
@@ -362,30 +371,41 @@ def solve_mfg(
         converged=converged,
         final_phi_residual=fix_res,
         final_traj_residual=traj_res,
-        iterations=iterations,
+        iterations=k,
+        restarts=restarts,
         regularity_history=reg_history,
     )
 
 
-def master_value(problem: ProblemSpec, x: float, y: Ensemble, t: float, cfg: SolverConfig):
-    """Candidate master-equation value: solve the game on [t, T] from Y.
-
-    The restart time snaps to the solver time grid so the sub-problem shares
-    the step size; the value is read at x on the time-t slice (time 0 of the
-    sub-problem).  At t -> T this reproduces the terminal cost.
-    """
+def _restart_problem(
+    problem: ProblemSpec, y: Ensemble, t: float, cfg: SolverConfig
+) -> tuple[ProblemSpec, SolverConfig]:
+    """The game on [t, T] from population Y, with t snapped to the time grid."""
     if not (0.0 <= t < problem.horizon):
         raise ValueError("master evaluation requires 0 <= t < horizon")
     dt = problem.horizon / cfg.time_steps
     m_t = min(int(round(t / dt)), cfg.time_steps - 1)
     sub_steps = cfg.time_steps - m_t
-    sub_horizon = sub_steps * dt
     sub_problem = ProblemSpec(
-        family=problem.family, horizon=sub_horizon, initial=y, q=problem.q
+        family=problem.family, horizon=sub_steps * dt, initial=y, q=problem.q
     )
-    sub_cfg = replace(cfg, time_steps=sub_steps)
-    sol = solve_mfg(sub_problem, sub_cfg, include=(x, x))
-    return float(sol.value.value_at(np.asarray([x], dtype=float), 0)[0])
+    return sub_problem, replace(cfg, time_steps=sub_steps)
+
+
+def master_value(problem: ProblemSpec, x, y: Ensemble, t: float, cfg: SolverConfig):
+    """Candidate master-equation value: solve the game on [t, T] from Y.
+
+    The restart time snaps to the solver time grid so the sub-problem shares
+    the step size; the value is read at x on the time-t slice (time 0 of the
+    sub-problem).  At t -> T this reproduces the terminal cost.  ``x`` may be
+    a float (a float is returned) or an array, read off one sub-solve whose
+    grid covers every point.
+    """
+    xs = np.asarray(x, dtype=float)
+    sub_problem, sub_cfg = _restart_problem(problem, y, t, cfg)
+    sol = solve_mfg(sub_problem, sub_cfg, include=(float(np.min(xs)), float(np.max(xs))))
+    values = sol.value.value_at(xs, 0)
+    return float(values) if xs.ndim == 0 else values
 
 
 def master_consistency_residual(
@@ -395,16 +415,23 @@ def master_consistency_residual(
 
     Both sides approximate the same value, one through the full-horizon
     solve, the other through a restart at time t from the solved population
-    state; the gap stacks the two discretizations.
+    state; the gap stacks the two discretizations.  Probes that share the
+    restart index and the grid their restart would be solved on are read off
+    one sub-solve.
     """
     dt = problem.horizon / cfg.time_steps
-    worst = 0.0
+    groups: dict[tuple[int, GridConfig], list[float]] = {}
     for x, t in probe_points:
         m_t = min(int(round(float(t) / dt)), cfg.time_steps - 1)
-        t_snap = m_t * dt
-        u_here = float(sol.value.value_at(np.asarray([x], dtype=float), m_t)[0])
-        v_here = master_value(problem, float(x), sol.traj.ensemble(m_t), t_snap, cfg)
-        worst = max(worst, abs(u_here - v_here))
+        sub_problem, sub_cfg = _restart_problem(problem, sol.traj.ensemble(m_t), m_t * dt, cfg)
+        grid = canonical_grid(sub_problem, sub_cfg, include=(float(x), float(x)))
+        groups.setdefault((m_t, grid), []).append(float(x))
+    worst = 0.0
+    for (m_t, _), xs in groups.items():
+        xs = np.asarray(xs)
+        u_here = sol.value.value_at(xs, m_t)
+        v_here = master_value(problem, xs, sol.traj.ensemble(m_t), m_t * dt, cfg)
+        worst = max(worst, float(np.max(np.abs(u_here - v_here))))
     return worst
 
 

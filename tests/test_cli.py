@@ -1,9 +1,11 @@
 import json
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xmfg.io
 from xmfg.cli import (
     RunConfig,
     emit_problem,
@@ -78,6 +80,16 @@ def test_nested_unknown_key_and_bad_values(tmp_path):
     bad3["beta"] = -1.0
     with pytest.raises(SchemaError):
         parse_problem(write_doc(tmp_path, bad3))
+
+
+def test_too_small_solver_grid_is_schema_error(tmp_path, capsys):
+    cfg_path = write_doc(tmp_path, ZERO_DOC)
+    for override in ("solver.nx=2", "solver.nv=1"):
+        argv = ["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                "--override", override]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR SCHEMA:"), err
 
 
 def test_quartic_schema_rules(tmp_path):
@@ -156,6 +168,20 @@ def test_solve_zero_problem_writes_bundle(tmp_path):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["converged"] is True
     assert meta["subcommand"] == "solve"
+    assert meta["restarts"] == 0
+
+
+def test_meta_wall_time_covers_the_bundle_write(tmp_path, monkeypatch):
+    real = xmfg.io.write_value_csv
+
+    def slow_write(*args):
+        time.sleep(0.3)
+        real(*args)
+
+    monkeypatch.setattr(xmfg.io, "write_value_csv", slow_write)
+    out = tmp_path / "out"
+    assert run(RunConfig("solve", write_doc(tmp_path, ZERO_DOC), out, seed=0)) == 0
+    assert json.loads((out / "meta.json").read_text())["wall_time_s"] >= 0.3
 
 
 def test_main_entry_and_exit_codes(tmp_path, capsys):

@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import xmfg.mfg as mfg
 from xmfg.analytic import LQCoefficients, lq_solve
 from xmfg.ensembles import Ensemble, wasserstein_1d
+from xmfg.errors import ControlSaturationError, FlowBlowupError
 from xmfg.families import (
     LQFamily,
     MomentQuadraticPotential,
     QuadraticCoupledFamily,
     QuadraticFormPotential,
+    QuarticFamily,
 )
-from xmfg.hjb import AnalyticSlice
+from xmfg.hjb import AnalyticSlice, ValueSlice
 from xmfg.mfg import (
     ProblemSpec,
     SolverConfig,
@@ -157,6 +160,30 @@ def test_master_value_matches_lq_oracle():
     assert val == pytest.approx(oracle, abs=0.05)
 
 
+def test_master_probes_at_one_time_share_one_subsolve(monkeypatch):
+    problem = lq_problem()
+    sol = solve_mfg(problem, SMALL)
+    m = SMALL.time_steps // 2
+    t = m * problem.horizon / SMALL.time_steps
+    xs = np.quantile(sol.traj.states[m, :, 0], [0.2, 0.4, 0.6, 0.8])
+    separate = max(
+        abs(float(sol.value.value_at(np.array([x]), m)[0])
+            - master_value(problem, float(x), sol.traj.ensemble(m), t, SMALL))
+        for x in xs
+    )
+    calls = []
+    real = mfg.solve_mfg
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mfg, "solve_mfg", counting)
+    residual = master_consistency_residual(sol, problem, SMALL, [(float(x), t) for x in xs])
+    assert len(calls) == 1
+    assert residual == separate
+
+
 def test_master_consistency_residual_zero_problem():
     problem = zero_problem()
     sol = solve_mfg(problem, SMALL)
@@ -188,6 +215,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(nx=0)
     with pytest.raises(ValueError):
+        SolverConfig(nx=2)
+    with pytest.raises(ValueError):
+        SolverConfig(nv=1)
+    with pytest.raises(ValueError):
         SolverConfig(v_max=-1.0)
     with pytest.raises(ValueError):
         ProblemSpec(QuadraticCoupledFamily(), horizon=-1.0, initial=spread_ensemble(4))
@@ -199,26 +230,6 @@ def test_trajectory_residual_uses_wasserstein():
     sol = solve_mfg(lq_problem(beta=0.5), SMALL)
     a = sol.traj.ensemble(10)
     assert wasserstein_1d(a, a, 2.0) == 0.0
-
-
-def test_trajectory_strategy_matches_value_strategy():
-    problem = lq_problem(beta=0.5)
-    cfg = SolverConfig(
-        n_particles=16, nx=81, time_steps=60, nv=81, v_max=4.0, tol_fix=1e-4, tol_traj=1e-4
-    )
-    by_value = solve_mfg(problem, cfg)
-    by_traj = solve_mfg(problem, cfg, strategy="trajectory")
-    assert by_traj.converged
-    nodes = by_value.value.x
-    core = np.abs(nodes) <= 1.5
-    gap = np.max(np.abs(by_value.value.u[0][core] - by_traj.value.u[0][core]))
-    assert gap <= 5e-3
-    # the replayed feedback path reads grid gradients at every step, so it
-    # carries a different discretization error than the profile-seeded flow
-    w = wasserstein_1d(by_value.traj.ensemble(60), by_traj.traj.ensemble(60), 2.0)
-    assert w <= 2e-2
-    with pytest.raises(ValueError):
-        solve_mfg(problem, cfg, strategy="bogus")
 
 
 def test_residuals_improve_on_all_shipped_problems(
@@ -251,3 +262,79 @@ def test_value_bounds_with_reference_constants():
     assert rep.max_abs <= 1.5 * (c1 * problem.horizon + psi_sup)
     assert rep.lip_const <= 1.5 * psi_lip
     assert rep.semiconcavity_const <= 1.5 * 1.0  # terminal curvature m = 1
+
+
+def offcentre_lq_problem():
+    # population on [0.5, 1.5]: E X' is far from 0, so beta really couples
+    fam = LQFamily(beta=0.5, b=0.3, m=1.0, n=0.2)
+    return ProblemSpec(fam, horizon=1.0, initial=spread_ensemble(16, 0.5, 1.5))
+
+
+def test_offcentre_coupled_lq_converges_fast_to_the_oracle():
+    problem = offcentre_lq_problem()
+    sol = solve_mfg(problem, SMALL)
+    assert sol.converged
+    assert sol.iterations <= 10  # damped Picard alone needs 29
+    mean_speed = float(np.mean(sol.traj.velocities[0]))
+    assert mean_speed < -0.2
+    state, _ = lq_solve(
+        LQCoefficients(b=0.3, m=1.0, n=0.2), problem.initial, 0.5, 1.0, SMALL.time_steps
+    )
+    x = sol.value.x
+    lo, hi = sol.value.config.core_interval()
+    core = (x >= lo) & (x <= hi)
+    # the core is the authoritative part of the grid; the belt is padding
+    err = np.max(np.abs(sol.value.u - state.value_table(x))[:, core])
+    assert err <= 5e-2
+    again = apply_F(problem, sol.phi, SMALL)
+    assert np.max(np.abs(again.u - sol.phi.u)) <= SMALL.tol_fix
+
+
+@pytest.mark.parametrize("fault", ["raise", "grow"])
+def test_rejected_extrapolation_falls_back_to_damped_step(monkeypatch, fault):
+    problem = offcentre_lq_problem()
+    plain = solve_mfg(problem, SMALL)
+    real = mfg._compose_once
+    calls = []
+
+    def faulty(*args):
+        calls.append(args)
+        vg, traj = real(*args)
+        # calls 1 and 2 evaluate Phi_0 and the damped step Phi_1; the third
+        # Phi is the first one extrapolated from a residual difference
+        if len(calls) == 3:
+            if fault == "raise":
+                raise ControlSaturationError("injected")
+            vg.u[0] += 100.0  # residual far above the last accepted one
+        return vg, traj
+
+    monkeypatch.setattr(mfg, "_compose_once", faulty)
+    sol = solve_mfg(problem, SMALL)
+    assert sol.converged
+    assert sol.restarts >= 1
+    assert plain.restarts == 0
+    assert np.max(np.abs(sol.phi.u - plain.phi.u)) <= 10 * SMALL.tol_fix
+
+
+def test_state_scaled_solve_never_accepts_a_flow_through_zero():
+    # a coarse quartic oracle problem whose damped iterates cross x = 0,
+    # where the state-scaled dynamics dx/dt = v/x stop being defined
+    problem = ProblemSpec(
+        QuarticFamily(1 / (2 * math.sqrt(2))), horizon=0.5, initial=spread_ensemble(16, 0.5, 1.5)
+    )
+    cfg = SolverConfig(n_particles=16, nx=61, time_steps=40, nv=61)
+    try:
+        sol = solve_mfg(problem, cfg)
+    except FlowBlowupError:
+        return
+    assert sol.converged
+    assert float(np.min(sol.traj.states)) > 0.0
+
+
+def test_residual_history_records_the_undamped_residual():
+    problem = offcentre_lq_problem()
+    sol = solve_mfg(problem, SMALL)
+    nodes = canonical_grid(problem, SMALL).nodes()
+    phi0 = problem.family.terminal(nodes, problem.initial)
+    out = apply_F(problem, ValueSlice(nodes, phi0), SMALL)
+    assert sol.residual_history[0][1] == float(np.max(np.abs(out.u - phi0)))
