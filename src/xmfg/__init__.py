@@ -20,8 +20,6 @@ from .ensembles import (
     PairedEnsemble,
     TrajectoryEnsemble,
     ensemble_distance,
-    mean,
-    moment,
     moment_distance,
     wasserstein_1d,
 )
@@ -39,7 +37,6 @@ from .hjb import (
     GridConfig,
     ValueGrid,
     ValueSlice,
-    gradient_at,
     regularity_report,
     solve_backward,
 )

@@ -5,9 +5,6 @@ errors, numbers must be finite) and canonicalized, so parse(emit(parse(f)))
 is the identity.  Exit codes: 0 success, 2 ran-but-did-not-converge (an
 expected scientific outcome), 1 hard error; errors print one
 machine-parseable line ``ERROR <code>: <message>`` on stderr.
-
-The environment variable MFG_THREADS caps worker parallelism; execution is
-currently single-threaded, which never exceeds the cap.
 """
 
 from __future__ import annotations
@@ -15,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -393,21 +389,9 @@ def _meta(parsed: ParsedProblem, run: RunConfig, **extra) -> dict:
         "subcommand": run.subcommand,
         "seed": run.seed,
         "problem": parsed.document,
-        "max_workers": _thread_cap(),
     }
     payload.update(extra)
     return payload
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("MFG_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise SchemaError("MFG_THREADS", f"expected a positive integer, got {raw!r}") from exc
-    if cap < 1:
-        raise SchemaError("MFG_THREADS", "expected a positive integer")
-    return cap
 
 
 def _cmd_solve(parsed: ParsedProblem, run: RunConfig) -> int:
@@ -574,7 +558,6 @@ _HANDLERS = {
 def run(cfg: RunConfig) -> int:
     """Execute one subcommand; returns the process exit status."""
     try:
-        _thread_cap()
         parsed = parse_problem(cfg.config_path, cfg.overrides)
         canonical = parse_problem_document(json.loads(emit_problem(parsed)))
         if canonical.document != parsed.document:

@@ -25,7 +25,6 @@ from .families import HamiltonianFamily, QuadraticCoupledFamily
 __all__ = [
     "MonotonicityReport",
     "monotonicity_gap",
-    "terminal_monotonicity_gap",
     "lagrangian_monotonicity_gap",
     "lmon_reduction_gap",
     "check_V_monotone",
@@ -65,9 +64,6 @@ def monotonicity_gap(potential, x_ens: Ensemble, xt_ens: Ensemble) -> float:
     term = float(np.mean(potential(x, x_ens)) - np.mean(potential(x, xt_ens)))
     term += float(np.mean(potential(xt, xt_ens)) - np.mean(potential(xt, x_ens)))
     return term
-
-
-terminal_monotonicity_gap = monotonicity_gap
 
 
 def lagrangian_monotonicity_gap(

@@ -33,6 +33,11 @@ def _as_samples(samples) -> np.ndarray:
     return arr
 
 
+def _check_q(q: float) -> None:
+    if not (q >= 1.0 and np.isfinite(q)):
+        raise ValueError("moment exponent q must be a finite real >= 1")
+
+
 @dataclass(frozen=True)
 class Ensemble:
     """Equal-weight empirical law: N points in R^d plus a moment exponent q."""
@@ -42,8 +47,21 @@ class Ensemble:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", _as_samples(self.samples))
-        if not (self.q >= 1.0 and np.isfinite(self.q)):
-            raise ValueError("moment exponent q must be a finite real >= 1")
+        _check_q(self.q)
+
+    @classmethod
+    def _view(cls, samples: np.ndarray, q: float) -> "Ensemble":
+        """Wrap an (N, d) float array the caller has already validated.
+
+        No copy and no checks: the ensemble holds a read-only view of the
+        caller's data.  Hot loops use this; the public constructor validates.
+        """
+        view = samples.view()
+        view.flags.writeable = False
+        ens = object.__new__(cls)
+        object.__setattr__(ens, "samples", view)
+        object.__setattr__(ens, "q", q)
+        return ens
 
     @property
     def n(self) -> int:
@@ -141,14 +159,6 @@ class PairedEnsemble:
         return buf.getvalue()
 
 
-def moment(e: Ensemble, r: float) -> float:
-    return e.moment(r)
-
-
-def mean(e: Ensemble) -> np.ndarray:
-    return e.mean()
-
-
 def wasserstein_1d(a: Ensemble, b: Ensemble, r: float = 2.0) -> float:
     """Exact order-r Wasserstein distance between two 1-d empirical laws.
 
@@ -210,21 +220,26 @@ class TrajectoryEnsemble:
         times = np.asarray(self.times, dtype=float)
         states = np.asarray(self.states, dtype=float)
         velocities = np.asarray(self.velocities, dtype=float)
-        if states.ndim != 3 or states.shape != velocities.shape:
-            raise ValueError("states and velocities must share shape (M+1, N, d)")
+        if states.ndim != 3 or states.shape != velocities.shape or min(states.shape) < 1:
+            raise ValueError("states and velocities must share shape (M+1, N, d), N, d >= 1")
         if times.ndim != 1 or times.shape[0] != states.shape[0]:
             raise ValueError("time grid length must match the state path")
-        for arr in (times, states, velocities):
-            arr.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "velocities", velocities)
+        paths = [states, velocities]
         if self.costates is not None:
             costates = np.asarray(self.costates, dtype=float)
             if costates.shape != states.shape:
                 raise ValueError("costates must share shape with states")
-            costates.flags.writeable = False
+            paths.append(costates)
             object.__setattr__(self, "costates", costates)
+        # checked once here, so the per-time slices below are unchecked views
+        if not all(np.isfinite(arr).all() for arr in paths):
+            raise ValueError("every sample coordinate must be finite")
+        _check_q(self.q)
+        for arr in (times, *paths):
+            arr.flags.writeable = False
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "velocities", velocities)
 
     @property
     def steps(self) -> int:
@@ -247,32 +262,29 @@ class TrajectoryEnsemble:
         return float(self.times[-1] - self.times[0])
 
     def ensemble(self, m: int) -> Ensemble:
-        return Ensemble(self.states[m], q=self.q)
+        return Ensemble._view(self.states[m], self.q)
 
     def velocity_ensemble(self, m: int) -> Ensemble:
-        return Ensemble(self.velocities[m], q=self.q)
+        return Ensemble._view(self.velocities[m], self.q)
 
     def costate_ensemble(self, m: int) -> Ensemble:
         if self.costates is None:
             raise ValueError("trajectory carries no costate record")
-        return Ensemble(self.costates[m], q=self.q)
+        return Ensemble._view(self.costates[m], self.q)
 
-    def to_csv(self) -> str:
+    def csv_lines(self):
+        """Yield the trajectory CSV (t, sample_index, x, v, p) one time slice
+        at a time; p is ``nan`` when there is no costate record."""
         if self.dim != 1:
             raise UnsupportedDimensionError("trajectory CSV export is 1-d only")
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["t", "sample_index", "x", "v", "p"])
-        p = self.costates
-        for m, t in enumerate(self.times):
-            for i in range(self.n):
-                writer.writerow(
-                    [
-                        FLOAT_FMT % t,
-                        str(i),
-                        FLOAT_FMT % self.states[m, i, 0],
-                        FLOAT_FMT % self.velocities[m, i, 0],
-                        FLOAT_FMT % (p[m, i, 0] if p is not None else float("nan")),
-                    ]
-                )
-        return buf.getvalue()
+        yield "t,sample_index,x,v,p\n"
+        nan_column = [float("nan")] * self.n
+        for m, t in enumerate(self.times.tolist()):
+            row = f"{FLOAT_FMT % t},%d,{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}\n"
+            x = self.states[m, :, 0].tolist()
+            v = self.velocities[m, :, 0].tolist()
+            p = nan_column if self.costates is None else self.costates[m, :, 0].tolist()
+            yield "".join(row % cells for cells in zip(range(self.n), x, v, p))
+
+    def to_csv(self) -> str:
+        return "".join(self.csv_lines())

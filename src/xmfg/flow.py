@@ -36,8 +36,10 @@ _OVERFLOW_GUARD = 1e12
 
 
 def _stage_rates(fam: HamiltonianFamily, x: np.ndarray, p: np.ndarray, q: float):
-    x_ens = Ensemble(x, q=q)
-    p_ens = Ensemble(p, q=q)
+    # Unchecked views: a non-finite stage rate carries into the step sum,
+    # which integrate_flow tests after every step.
+    x_ens = Ensemble._view(x[:, None], q)
+    p_ens = Ensemble._view(p[:, None], q)
     z_ens = solve_velocity(fam, x, p_ens, x_ens)
     z = z_ens.samples[:, 0]
     dp = np.asarray(fam.dx_hamiltonian(x, p, x_ens, z_ens), dtype=float)
@@ -85,6 +87,10 @@ def integrate_flow(
         costates[m, :, 0] = p
         velocities[m, :, 0] = k1x
         if m == steps:
+            if not np.all(np.isfinite(k1x)):
+                raise FlowBlowupError(
+                    f"flow velocity is not finite at the final time t={times[m]:.4g}", step=m
+                )
             break
         k2x, k2p = _stage_rates(fam, x + 0.5 * dt * k1x, p + 0.5 * dt * k1p, q)
         k3x, k3p = _stage_rates(fam, x + 0.5 * dt * k2x, p + 0.5 * dt * k2p, q)

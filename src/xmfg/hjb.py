@@ -33,8 +33,6 @@ __all__ = [
     "AnalyticSlice",
     "ValueGrid",
     "solve_backward",
-    "gradient_at",
-    "value_at",
     "regularity_report",
     "RegularityReport",
 ]
@@ -204,15 +202,6 @@ class ValueGrid:
 
     def gradient_at(self, xq, t_index: int):
         return _interp_clamped(xq, self.nodes, self.grad[t_index], self.stats)
-
-
-def gradient_at(vg: ValueGrid, x, t_index: int):
-    """Linear interpolation of the stored gradient row at x (clamped)."""
-    return vg.gradient_at(x, t_index)
-
-
-def value_at(vg: ValueGrid, x, t_index: int):
-    return vg.value_at(x, t_index)
 
 
 def solve_backward(

@@ -11,10 +11,8 @@ import json
 import time
 from pathlib import Path
 
-from .ensembles import TrajectoryEnsemble
+from .ensembles import FLOAT_FMT, TrajectoryEnsemble
 from .hjb import ValueGrid
-
-FLOAT_FMT = "%.17g"
 
 
 def _fmt(x) -> str:
@@ -22,16 +20,19 @@ def _fmt(x) -> str:
 
 
 def write_value_csv(path: Path, vg: ValueGrid) -> None:
-    lines = ["t,x,u,du_dx"]
-    for m, t in enumerate(vg.times):
-        ts = _fmt(t)
-        for i, x in enumerate(vg.nodes):
-            lines.append(f"{ts},{_fmt(x)},{_fmt(vg.u[m, i])},{_fmt(vg.grad[m, i])}")
-    path.write_text("\n".join(lines) + "\n")
+    """Stream t,x,u,du_dx one time slice at a time."""
+    nodes = [FLOAT_FMT % x for x in vg.nodes.tolist()]
+    with path.open("w") as out:
+        out.write("t,x,u,du_dx\n")
+        for m, t in enumerate(vg.times.tolist()):
+            row = f"{FLOAT_FMT % t},%s,{FLOAT_FMT},{FLOAT_FMT}\n"
+            cells = zip(nodes, vg.u[m].tolist(), vg.grad[m].tolist())
+            out.write("".join(row % c for c in cells))
 
 
 def write_trajectory_csv(path: Path, traj: TrajectoryEnsemble) -> None:
-    path.write_text(traj.to_csv())
+    with path.open("w") as out:
+        out.writelines(traj.csv_lines())
 
 
 def write_residuals_csv(path: Path, history) -> None:

@@ -32,6 +32,17 @@ LQ_DOC = {
     "solver": {"nx": 61, "M": 40, "nv": 61, "v_max": 4.0, "tol_fix": 1e-4, "tol_traj": 1e-4},
 }
 
+# the off-centre coupled LQ game with a running cost that overflows the flow
+BLOWUP_DOC = {
+    "family": "lq",
+    "beta": 0.5,
+    "T": 1.0,
+    "potential": {"kind": "lq_running", "params": {"A": 1e305, "B": 0.3, "C": 0.0}},
+    "terminal": {"kind": "lq_terminal", "params": {"M": 1.0, "N": 0.2, "Q": 0.0}},
+    "initial": {"kind": "uniform", "params": {"lo": 0.5, "hi": 1.5}, "N": 64},
+    "solver": {"nx": 41, "M": 20, "nv": 41, "v_max": 4.0},
+}
+
 
 def write_doc(tmp_path, doc, name="problem.json"):
     path = tmp_path / name
@@ -270,10 +281,10 @@ def test_csv_outputs_byte_identical_across_runs(tmp_path):
         assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
 
 
-def test_thread_cap_env_validation(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MFG_THREADS", "banana")
-    cfg_path = write_doc(tmp_path, ZERO_DOC)
-    assert run(RunConfig("solve", cfg_path, tmp_path / "o", seed=0)) == 1
-    assert "MFG_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("MFG_THREADS", "4")
-    assert run(RunConfig("solve", cfg_path, tmp_path / "o2", seed=0)) == 0
+
+def test_flow_blowup_is_one_error_line(tmp_path, capsys):
+    cfg_path = write_doc(tmp_path, BLOWUP_DOC)
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("ERROR")]
+    assert len(errors) == 1
+    assert errors[0].startswith("ERROR FLOW_BLOWUP:")

@@ -8,8 +8,6 @@ from xmfg.ensembles import (
     PairedEnsemble,
     TrajectoryEnsemble,
     ensemble_distance,
-    mean,
-    moment,
     moment_distance,
     wasserstein_1d,
 )
@@ -20,23 +18,23 @@ sample_lists = st.lists(finite, min_size=1, max_size=12)
 
 
 def test_moment_symmetric_pair():
-    assert moment(Ensemble([1.0, -1.0]), 2.0) == pytest.approx(1.0, abs=0)
+    assert Ensemble([1.0, -1.0]).moment(2.0) == pytest.approx(1.0, abs=0)
 
 
 def test_moment_zero_sample():
     for r in (1.0, 2.0, 3.5):
-        assert moment(Ensemble([0.0]), r) == 0.0
+        assert Ensemble([0.0]).moment(r) == 0.0
 
 
 def test_moment_hand_sum():
     # (1 + 2 + 3) / 3
-    assert moment(Ensemble([1.0, 2.0, 3.0]), 1.0) == pytest.approx(2.0)
+    assert Ensemble([1.0, 2.0, 3.0]).moment(1.0) == pytest.approx(2.0)
 
 
 def test_mean_examples():
-    assert mean(Ensemble([1.0, 2.0, 3.0])) == pytest.approx([2.0])
-    assert mean(Ensemble([[0.0, 1.0], [2.0, 3.0]])) == pytest.approx([1.0, 2.0])
-    assert mean(Ensemble([-5.0])) == pytest.approx([-5.0])
+    assert Ensemble([1.0, 2.0, 3.0]).mean() == pytest.approx([2.0])
+    assert Ensemble([[0.0, 1.0], [2.0, 3.0]]).mean() == pytest.approx([1.0, 2.0])
+    assert Ensemble([-5.0]).mean() == pytest.approx([-5.0])
 
 
 def test_wasserstein_point_masses():
@@ -158,3 +156,26 @@ def test_trajectory_validation_and_export():
         TrajectoryEnsemble(times, states, np.ones((3, 3, 1)))
     with pytest.raises(ValueError):
         TrajectoryEnsemble(times[:2], states, vel)
+
+
+@pytest.mark.parametrize("path", ["states", "velocities", "costates"])
+def test_trajectory_rejects_non_finite_paths(path):
+    paths = {name: np.zeros((3, 2, 1)) for name in ("states", "velocities", "costates")}
+    paths[path][1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        TrajectoryEnsemble(np.linspace(0, 1, 3), **paths)
+
+
+def test_trajectory_slices_are_read_only_views():
+    states = np.arange(6.0).reshape(3, 2, 1)
+    traj = TrajectoryEnsemble(np.linspace(0, 1, 3), states, states + 1.0, -states)
+    for ens, path in (
+        (traj.ensemble(1), traj.states),
+        (traj.velocity_ensemble(1), traj.velocities),
+        (traj.costate_ensemble(1), traj.costates),
+    ):
+        assert np.shares_memory(ens.samples, path)
+        np.testing.assert_array_equal(ens.samples, path[1])
+        assert ens.q == traj.q
+        with pytest.raises(ValueError):
+            ens.samples[0, 0] = 5.0

@@ -129,6 +129,27 @@ def test_velocity_residual_property(beta, ps):
     assert np.sqrt(np.mean(resid**2)) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "fam, x_lo",
+    [
+        (LQFamily(beta=0.5, a=1.0, b=0.3, m=1.0), -3.0),
+        (LQFamily(beta=-0.5, b=0.3, m=1.0), -3.0),
+        (QuarticFamily(0.4), 0.5),  # state-scaled: x away from 0
+    ],
+)
+def test_closed_form_velocity_residual_on_request(fam, x_lo):
+    # the closed form's residual is computed only when asked for; pin it here
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n = int(rng.integers(1, 40))
+        x = rng.uniform(x_lo, 3.0, n)
+        P = Ensemble(rng.normal(scale=3.0, size=n))
+        z, info = solve_velocity(fam, x, P, Ensemble(x), return_info=True)
+        assert info["iterations"] == 0
+        assert info["residual"] <= 1e-12
+        assert z.samples.shape == (n, 1)
+
+
 def test_custom_family_requires_valid_rho():
     with pytest.raises(ValueError):
         CustomVelocityFamily(lambda x, p, y, z: p, rho=1.0)

@@ -8,6 +8,7 @@ from xmfg.families import (
     LQFamily,
     MomentQuadraticPotential,
     QuadraticCoupledFamily,
+    QuarticFamily,
     solve_velocity,
 )
 from xmfg.flow import gronwall_envelope, integrate_flow, separation_diagnostic
@@ -57,6 +58,20 @@ def test_velocity_record_matches_recomputation():
     for m in (0, 11, 30):
         z = solve_velocity(fam, traj.states[m, :, 0], traj.costate_ensemble(m), traj.ensemble(m))
         np.testing.assert_array_equal(traj.velocities[m], z.samples)
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [LQFamily(beta=0.5, b=0.3, m=1.0), LQFamily(beta=-0.5, a=1.0, n=0.2), QuarticFamily(0.4)],
+)
+def test_recorded_velocities_solve_the_velocity_equation(fam):
+    # the flow does not evaluate this residual per RK stage, so check it here
+    x0 = spread_ensemble(16, 0.5, 1.5)
+    traj = integrate_flow(fam, x0, AnalyticSlice(lambda x: 0.2 * x), 0.5, 40)
+    for m in range(traj.steps + 1):
+        x_ens, z_ens = traj.ensemble(m), traj.velocity_ensemble(m)
+        dp = fam.dp_hamiltonian(x_ens.samples[:, 0], traj.costates[m, :, 0], x_ens, z_ens)
+        np.testing.assert_allclose(z_ens.samples[:, 0], -dp, rtol=0, atol=1e-12)
 
 
 def test_finite_difference_consistency_is_first_order():
@@ -148,6 +163,26 @@ def test_flow_blowup_reports_step():
     with pytest.raises(FlowBlowupError) as err:
         integrate_flow(fam, x0, phi, 1.0, 50)
     assert err.value.step is not None
+
+
+def test_non_finite_final_velocity_is_a_flow_blowup():
+    # RK4 solves the velocity equation 4 times per step and once more at the
+    # final time; only that last velocity escapes the per-step state test
+    steps = 10
+
+    class LastVelocityOverflows(QuadraticCoupledFamily):
+        calls = 0
+
+        def velocity_closed_form(self, x, p, y_ens):
+            self.calls += 1
+            z = super().velocity_closed_form(x, p, y_ens)
+            return z if self.calls <= 4 * steps else np.full_like(z, np.inf)
+
+    with pytest.raises(FlowBlowupError) as err:
+        integrate_flow(
+            LastVelocityOverflows(), spread_ensemble(3), AnalyticSlice(lambda x: x), 1.0, steps
+        )
+    assert err.value.step == steps
 
 
 def test_flow_input_validation():

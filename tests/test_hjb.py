@@ -16,7 +16,6 @@ from xmfg.hjb import (
     GridConfig,
     ValueGrid,
     ValueSlice,
-    gradient_at,
     regularity_report,
     solve_backward,
 )
@@ -77,20 +76,20 @@ def test_terminal_slice_exact():
 
 def test_gradient_at_examples():
     zero = static_grid(np.zeros(41))
-    assert gradient_at(zero, 0.37, 0) == 0.0
+    assert zero.gradient_at(0.37, 0) == 0.0
     lin = static_grid(0.8 * np.linspace(-1, 1, 41))
-    assert gradient_at(lin, 0.2, 1) == pytest.approx(0.8)
+    assert lin.gradient_at(0.2, 1) == pytest.approx(0.8)
     x = np.linspace(-1, 1, 41)
     quad = static_grid(x**2)
-    assert gradient_at(quad, 0.0, 0) == pytest.approx(0.0, abs=1e-12)
+    assert quad.gradient_at(0.0, 0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gradient_query_clamps_then_escalates():
     lin = static_grid(np.linspace(-1, 1, 41))
-    assert gradient_at(lin, 5.0, 0) == pytest.approx(1.0)  # clamped, tolerated
+    assert lin.gradient_at(5.0, 0) == pytest.approx(1.0)  # clamped, tolerated
     with pytest.raises(DomainTooSmallError):
         for _ in range(200):
-            gradient_at(lin, 5.0, 0)
+            lin.gradient_at(5.0, 0)
 
 
 def test_regularity_report_zero():

@@ -338,3 +338,12 @@ def test_residual_history_records_the_undamped_residual():
     phi0 = problem.family.terminal(nodes, problem.initial)
     out = apply_F(problem, ValueSlice(nodes, phi0), SMALL)
     assert sol.residual_history[0][1] == float(np.max(np.abs(out.u - phi0)))
+
+
+def test_non_finite_stage_rate_is_a_flow_blowup():
+    # a huge running cost overflows the costate rate inside the first RK step
+    fam = LQFamily(beta=0.5, a=1e305, b=0.3, m=1.0, n=0.2)
+    problem = ProblemSpec(fam, horizon=1.0, initial=spread_ensemble(64, 0.5, 1.5))
+    cfg = SolverConfig(n_particles=64, nx=41, time_steps=20, nv=41, v_max=4.0)
+    with pytest.raises(FlowBlowupError):
+        solve_mfg(problem, cfg)
