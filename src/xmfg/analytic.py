@@ -51,7 +51,6 @@ __all__ = [
     "quartic_solve",
     "quartic_p_closed_form",
     "quartic_coefficient_constant",
-    "quartic_separable_state_formula",
 ]
 
 _GAMMA_GUARD = 1e9
@@ -319,19 +318,6 @@ def quartic_p_closed_form(c: float, t):
     return (1.0 + e) / (2.0 * SQRT2 * (1.0 - e))
 
 
-def quartic_separable_state_formula(c: float, t, x0_samples: np.ndarray) -> np.ndarray:
-    """Candidate separable expression for the state path.
-
-    Kept for cross-checking only: its sign pattern disagrees with direct
-    integration of X' = -4 p X (compare ``QuarticState.state_formula_gap``),
-    so the ODE-integrated trajectory is the path of record.
-    """
-    t = np.asarray(t, dtype=float)
-    bracket = (c * np.exp(4.0 * SQRT2 * t) - 1.0) / (c - 1.0)
-    factor = bracket ** (-0.5) * np.exp(SQRT2 * t)
-    return factor[:, None] * np.asarray(x0_samples, dtype=float)[None, :]
-
-
 @dataclass
 class QuarticState:
     """Quartic value coefficients p, q on the solver grid plus cross-checks."""
@@ -342,7 +328,6 @@ class QuarticState:
     c: float
     p_ode: np.ndarray
     p_cross_check_gap: float
-    state_formula_gap: float
 
     def value(self, x, t_index: int):
         x = np.asarray(x, dtype=float)
@@ -441,13 +426,6 @@ def quartic_solve(
     for m in range(steps - 1, -1, -1):
         q_path[m] = q_path[m + 1] + 0.5 * dt * (u_vals[m] + u_vals[m + 1])
 
-    formula = quartic_separable_state_formula(c, times, x_init) if abs(c - 1.0) > 1e-12 else None
-    if formula is None:
-        formula_gap = float("nan")
-    else:
-        scale = max(float(np.max(np.abs(states))), 1e-30)
-        formula_gap = float(np.max(np.abs(formula - states)) / scale)
-
     traj = TrajectoryEnsemble(
         times=times,
         states=states[:, :, None],
@@ -462,6 +440,5 @@ def quartic_solve(
         c=c,
         p_ode=p_ode,
         p_cross_check_gap=cross_gap,
-        state_formula_gap=formula_gap,
     )
     return state, traj

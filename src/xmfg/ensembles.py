@@ -87,12 +87,6 @@ class Ensemble:
         norms = np.linalg.norm(self.samples, axis=1)
         return float(np.mean(norms**r))
 
-    def lq_norm(self, r: float | None = None) -> float:
-        """Empirical L^r norm (E |x|^r)^(1/r); defaults to the stored q."""
-        r = self.q if r is None else r
-        m = self.moment(r)
-        return float(m ** (1.0 / r))
-
     def permuted(self, perm) -> "Ensemble":
         return Ensemble(self.samples[np.asarray(perm)], q=self.q)
 

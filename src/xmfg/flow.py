@@ -81,28 +81,28 @@ def integrate_flow(
     costates = np.empty_like(states)
     velocities = np.empty_like(states)
 
-    for m in range(steps + 1):
-        k1x, k1p = _stage_rates(fam, x, p, q)
-        states[m, :, 0] = x
-        costates[m, :, 0] = p
-        velocities[m, :, 0] = k1x
-        if m == steps:
-            if not np.all(np.isfinite(k1x)):
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values fail the guards
+        for m in range(steps + 1):
+            k1x, k1p = _stage_rates(fam, x, p, q)
+            states[m, :, 0] = x
+            costates[m, :, 0] = p
+            velocities[m, :, 0] = k1x
+            if m == steps:
+                if not np.all(np.isfinite(k1x)):
+                    raise FlowBlowupError(
+                        f"flow velocity is not finite at the final time t={times[m]:.4g}", step=m
+                    )
+                break
+            k2x, k2p = _stage_rates(fam, x + 0.5 * dt * k1x, p + 0.5 * dt * k1p, q)
+            k3x, k3p = _stage_rates(fam, x + 0.5 * dt * k2x, p + 0.5 * dt * k2p, q)
+            k4x, k4p = _stage_rates(fam, x + dt * k3x, p + dt * k3p, q)
+            x = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
+            p = p + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
+            if not (np.max(np.abs(x)) <= _OVERFLOW_GUARD and np.max(np.abs(p)) <= _OVERFLOW_GUARD):
                 raise FlowBlowupError(
-                    f"flow velocity is not finite at the final time t={times[m]:.4g}", step=m
+                    f"flow blew up advancing step {m} -> {m + 1} (t={times[m]:.4g})",
+                    step=m,
                 )
-            break
-        k2x, k2p = _stage_rates(fam, x + 0.5 * dt * k1x, p + 0.5 * dt * k1p, q)
-        k3x, k3p = _stage_rates(fam, x + 0.5 * dt * k2x, p + 0.5 * dt * k2p, q)
-        k4x, k4p = _stage_rates(fam, x + dt * k3x, p + dt * k3p, q)
-        x = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        p = p + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        bad = ~np.isfinite(x) | ~np.isfinite(p)
-        if np.any(bad) or np.max(np.abs(x)) > _OVERFLOW_GUARD or np.max(np.abs(p)) > _OVERFLOW_GUARD:
-            raise FlowBlowupError(
-                f"flow blew up advancing step {m} -> {m + 1} (t={times[m]:.4g})",
-                step=m,
-            )
 
     return TrajectoryEnsemble(
         times=times, states=states, velocities=velocities, costates=costates, q=q

@@ -11,6 +11,10 @@ on a 1-d grid.  Each backward step minimizes over a finite control set
 with piecewise-linear interpolation I clamped at the domain edges and ties
 broken toward the smallest control index.  The scheme is monotone: raising
 the terminal data can never lower any value.
+
+The feet x_i + f(x_i, v) dt are fixed, so the interpolation stencil is built
+once per sweep: rows sharing a cell shift read shifted slices, other rows are
+gathered by cell index, and the values are ``np.interp``'s bit for bit.
 """
 
 from __future__ import annotations
@@ -204,6 +208,42 @@ class ValueGrid:
         return _interp_clamped(xq, self.nodes, self.grad[t_index], self.stats)
 
 
+def _shift_stencil(x: np.ndarray, feet: np.ndarray):
+    """``interp(y)``: ``np.interp(feet, x, y)`` bit for bit; the next call may overwrite it."""
+    nv, nx = feet.shape
+    j = np.clip(np.searchsorted(x, feet, "right") - 1, 0, nx - 2)  # x[j] <= foot < x[j+1]
+    low, high = feet < x[0], feet >= x[-1]  # np.interp reads y[0], y[-1] there
+    offset = np.where(low | high, 0.0, feet - x[j])  # NaN feet stay NaN, as np.interp's
+    copy = low | high | (offset == 0.0)  # a node hit reads y[j], so -0.0 survives
+    shift = np.median(j - np.arange(nx), axis=1).astype(int)  # row k: mostly cell i + s_k
+    whole = np.any(~copy & (j != np.arange(nx) + shift[:, None]), axis=1)  # rows off their shift
+    shift[whole] = nx  # such rows are read through their cells j, in blocks of their own
+    copy = np.flatnonzero(copy)
+    node = np.where(low, 0, np.where(high, nx - 1, j)).ravel()[copy]
+    slope_pad, y_pad = np.zeros(3 * nx), np.zeros(3 * nx)  # |shift| < nx; only copies read pads
+    slope, dx, out = slope_pad[nx : 2 * nx - 1], np.diff(x), np.empty((nv, nx))
+    starts = np.flatnonzero(np.diff(shift, prepend=shift[0] - 1))  # rows of one shift
+    blocks = [(k0, k1, nx + shift[k0]) for k0, k1 in zip(starts, [*starts[1:], nv])]
+
+    def interp(y: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):  # np.interp raises no floating-point warnings
+            np.divide(np.subtract(y[1:], y[:-1], out=slope), dx, out=slope)
+            if not np.isfinite(slope).all():  # np.interp has a NaN fallback
+                return np.interp(feet, x, y)
+            y_pad[nx : 2 * nx] = y
+            for k0, k1, a in blocks:
+                if whole[k0]:
+                    np.multiply(offset[k0:k1], slope.take(j[k0:k1]), out=out[k0:k1])
+                    out[k0:k1] += y.take(j[k0:k1])
+                else:
+                    np.multiply(offset[k0:k1], slope_pad[a : a + nx], out=out[k0:k1])
+                    out[k0:k1] += y_pad[a : a + nx]
+            out.reshape(-1)[copy] = y[node]
+        return out
+
+    return interp
+
+
 def solve_backward(
     fam: HamiltonianFamily, traj: TrajectoryEnsemble, cfg: GridConfig
 ) -> ValueGrid:
@@ -220,8 +260,8 @@ def solve_backward(
     u = np.empty((steps + 1, cfg.nx))
     u[steps] = fam.terminal(x, traj.ensemble(steps))
 
-    speed = fam.control_speed(x[None, :], controls[:, None])  # (nv, nx)
-    feet = (x[None, :] + dt * speed).ravel()
+    interp = _shift_stencil(x, x[None, :] + dt * fam.control_speed(x[None, :], controls[:, None]))
+    cost = np.empty((cfg.nv, cfg.nx))
     core_lo, core_hi = cfg.core_interval()
     core = (x >= core_lo) & (x <= core_hi)
     core[[0, -1]] = False
@@ -231,7 +271,8 @@ def solve_backward(
         x_ens = traj.ensemble(m)
         z_ens = traj.velocity_ensemble(m)
         running = fam.lagrangian(x[None, :], controls[:, None], x_ens, z_ens)
-        cost = dt * running + np.interp(feet, x, u[m + 1]).reshape(cfg.nv, cfg.nx)
+        np.multiply(running, dt, out=cost)
+        cost += interp(u[m + 1])
         best = np.argmin(cost, axis=0)  # first minimum = smallest control
         u[m] = cost[best, np.arange(cfg.nx)]
         pinned = ((best == 0) | (best == cfg.nv - 1)) & core

@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -284,7 +285,12 @@ def test_csv_outputs_byte_identical_across_runs(tmp_path):
 
 def test_flow_blowup_is_one_error_line(tmp_path, capsys):
     cfg_path = write_doc(tmp_path, BLOWUP_DOC)
-    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
-    errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("ERROR")]
-    assert len(errors) == 1
-    assert errors[0].startswith("ERROR FLOW_BLOWUP:")
+    # record warnings instead of printing them: outside pytest they would
+    # reach stderr ahead of the error line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert [str(w.message) for w in caught] == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("ERROR FLOW_BLOWUP:")
