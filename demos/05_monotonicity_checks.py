@@ -19,7 +19,7 @@ for name, pot in (("+E|x-X|^2", attractive), ("-E|x-X|^2", repulsive)):
     rep = check_V_monotone(pot, trials=4000, rng_seed=7)
     print(f"potential {name:11s}: {rep.verdict:9s} (min certified value {rep.min_value:+.3e})")
     if rep.verdict == "violated":
-        a, b = rep.certificate_ensembles()
+        a, b = rep.certificate
         print("  certificate re-evaluates to", -monotonicity_gap(pot, a, b))
 
 rep = check_psi_monotone(repulsive, trials=4000, rng_seed=7)

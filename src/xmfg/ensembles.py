@@ -125,6 +125,7 @@ class PairedEnsemble:
         object.__setattr__(self, "z", _as_samples(self.z))
         if self.x.shape != self.z.shape:
             raise ValueError("paired components must share N and d")
+        _check_q(self.q)
 
     @property
     def n(self) -> int:
@@ -134,11 +135,12 @@ class PairedEnsemble:
     def dim(self) -> int:
         return self.x.shape[1]
 
+    # checked once in __post_init__, so the marginals are unchecked views
     def state(self) -> Ensemble:
-        return Ensemble(self.x, q=self.q)
+        return Ensemble._view(self.x, self.q)
 
     def velocity(self) -> Ensemble:
-        return Ensemble(self.z, q=self.q)
+        return Ensemble._view(self.z, self.q)
 
     def permuted(self, perm) -> "PairedEnsemble":
         perm = np.asarray(perm)

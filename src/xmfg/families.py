@@ -66,18 +66,33 @@ class ZeroPotential:
 
 
 class MomentQuadraticPotential:
-    """V(x, X) = scale * E|x - X|^2, the workhorse interaction cost."""
+    """V(x, X) = scale * E|x - X|^2, the workhorse interaction cost.
+
+    Evaluated through centred moments, scale * (|x - EX|^2 + E|X - EX|^2),
+    in O(|x| + N).  EX is carried as the rounded mean plus the mean of the
+    samples' residuals about it, so x inside a tight cloud far from 0 keeps
+    the accuracy of the direct average (the expanded x^2 - 2 x EX + E X^2
+    would cancel catastrophically).
+    """
 
     def __init__(self, scale: float = 1.0):
         self.scale = float(scale)
 
     def __call__(self, x, ens: Ensemble):
         x = np.asarray(x, dtype=float)
-        if ens.dim == 1:
-            s = ens.samples[:, 0]
-            return self.scale * np.mean((x[..., None] - s) ** 2, axis=-1)
-        diff = x[..., None, :] - ens.samples
-        return self.scale * np.mean(np.sum(diff**2, axis=-1), axis=-1)
+        samples = ens.samples[:, 0] if ens.dim == 1 else ens.samples
+        n = ens.n
+        mean = np.add.reduce(samples) / n
+        spread = samples - mean
+        residual = np.add.reduce(spread) / n  # EX = mean + residual
+        spread -= residual
+        spread *= spread
+        variance = np.add.reduce(spread.ravel()) / n  # E|X - EX|^2
+        gap = (x - mean) - residual
+        gap *= gap
+        if ens.dim > 1:
+            gap = np.add.reduce(gap, axis=-1)
+        return self.scale * (gap + variance)
 
     def gradient(self, x, ens: Ensemble):
         x = np.asarray(x, dtype=float)

@@ -20,7 +20,7 @@ gathered by cell index, and the values are ``np.interp``'s bit for bit.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "GridConfig",
-    "ClampStats",
     "ValueSlice",
     "AnalyticSlice",
     "ValueGrid",
@@ -41,9 +40,9 @@ __all__ = [
     "RegularityReport",
 ]
 
-#: queries may clamp on at most this fraction of calls before escalating
+#: a query call may clamp at most this fraction of its points before escalating
 CLAMP_ESCALATION_FRACTION = 0.01
-#: clamp bookkeeping only escalates once at least this many queries were seen
+#: a query call escalates only if it has at least this many points
 CLAMP_ESCALATION_FLOOR = 100
 #: per-slice saturation threshold on core nodes
 SATURATION_FRACTION = 0.01
@@ -91,34 +90,20 @@ class GridConfig:
         return lo, hi
 
 
-class ClampStats:
-    """Counts out-of-domain queries and escalates past the tolerated share."""
-
-    def __init__(self, label: str):
-        self.label = label
-        self.queries = 0
-        self.clamped = 0
-
-    def record(self, n_queries: int, n_clamped: int):
-        if n_clamped and not self.clamped:
-            logger.warning("%s: query outside the grid, clamping to the edge", self.label)
-        self.queries += int(n_queries)
-        self.clamped += int(n_clamped)
-        if (
-            self.queries >= CLAMP_ESCALATION_FLOOR
-            and self.clamped > CLAMP_ESCALATION_FRACTION * self.queries
-        ):
-            raise DomainTooSmallError(
-                f"{self.label}: {self.clamped}/{self.queries} queries fell outside "
-                "the grid; enlarge the spatial domain"
-            )
-
-
-def _interp_clamped(xq: np.ndarray, x: np.ndarray, y: np.ndarray, stats: ClampStats | None):
+def _interp_clamped(xq, x: np.ndarray, y: np.ndarray, label: str):
+    """``np.interp`` that judges each call on its own queries: a few outside
+    the grid read the edge values, too many mean the domain is too small."""
     xq = np.asarray(xq, dtype=float)
-    if stats is not None:
-        outside = np.count_nonzero((xq < x[0]) | (xq > x[-1]))
-        stats.record(xq.size, outside)
+    clamped = np.count_nonzero((xq < x[0]) | (xq > x[-1]))
+    if clamped:
+        if xq.size >= CLAMP_ESCALATION_FLOOR and clamped > CLAMP_ESCALATION_FRACTION * xq.size:
+            raise DomainTooSmallError(
+                f"{label}: {clamped}/{xq.size} queries fell outside the grid; "
+                "enlarge the spatial domain"
+            )
+        logger.warning(
+            "%s: %d/%d queries outside the grid, clamped to the edge", label, clamped, xq.size
+        )
     return np.interp(xq, x, y)
 
 
@@ -138,7 +123,6 @@ class ValueSlice:
     x: np.ndarray
     u: np.ndarray
     grad: np.ndarray | None = None
-    stats: ClampStats = field(default_factory=lambda: ClampStats("value slice"))
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -149,10 +133,10 @@ class ValueSlice:
             self.grad = np.asarray(self.grad, dtype=float)
 
     def value_at(self, xq):
-        return _interp_clamped(xq, self.x, self.u, self.stats)
+        return _interp_clamped(xq, self.x, self.u, "value slice")
 
     def gradient_at(self, xq):
-        return _interp_clamped(xq, self.x, self.grad, self.stats)
+        return _interp_clamped(xq, self.x, self.grad, "value slice")
 
     def blend(self, other: "ValueSlice", weight: float) -> "ValueSlice":
         """(1 - weight) * self + weight * other on shared nodes."""
@@ -184,7 +168,6 @@ class ValueGrid:
     times: np.ndarray
     u: np.ndarray
     grad: np.ndarray
-    stats: ClampStats = field(default_factory=lambda: ClampStats("value grid"))
 
     @property
     def x(self) -> np.ndarray:
@@ -199,13 +182,13 @@ class ValueGrid:
         return float(self.times[-1] - self.times[0])
 
     def time_slice(self, m: int) -> ValueSlice:
-        return ValueSlice(self.nodes, self.u[m], self.grad[m], stats=self.stats)
+        return ValueSlice(self.nodes, self.u[m], self.grad[m])
 
     def value_at(self, xq, t_index: int):
-        return _interp_clamped(xq, self.nodes, self.u[t_index], self.stats)
+        return _interp_clamped(xq, self.nodes, self.u[t_index], "value grid")
 
     def gradient_at(self, xq, t_index: int):
-        return _interp_clamped(xq, self.nodes, self.grad[t_index], self.stats)
+        return _interp_clamped(xq, self.nodes, self.grad[t_index], "value grid")
 
 
 def _shift_stencil(x: np.ndarray, feet: np.ndarray):

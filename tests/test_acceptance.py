@@ -115,7 +115,7 @@ def test_criterion_5_regularity_envelope(lq_setup, lq_coupled_setup, quartic_set
 def test_criterion_6_monotonicity_certificates():
     repulsive = MomentQuadraticPotential(-1.0)
     rep_bad = check_V_monotone(repulsive, trials=2000, rng_seed=61)
-    a, b = rep_bad.certificate_ensembles()
+    a, b = rep_bad.certificate
     reeval_gap = abs(-monotonicity_gap(repulsive, a, b) - rep_bad.min_value)
 
     rep_good = check_V_monotone(MomentQuadraticPotential(1.0), trials=10_000, rng_seed=62)

@@ -14,9 +14,11 @@ from xmfg.ensembles import Ensemble, PairedEnsemble
 from xmfg.errors import NonSmoothProbeError
 from xmfg.families import (
     CustomVelocityFamily,
+    LQFamily,
     MomentQuadraticPotential,
     QuadraticCoupledFamily,
     QuadraticFormPotential,
+    QuadraticTerminal,
 )
 
 POINT_0 = Ensemble([0.0])
@@ -46,7 +48,7 @@ def test_check_v_monotone_violated_with_reproducible_certificate():
     potential = MomentQuadraticPotential(-1.0)
     rep = check_V_monotone(potential, trials=500, rng_seed=5)
     assert rep.verdict == "violated"
-    a, b = rep.certificate_ensembles()
+    a, b = rep.certificate
     again = -monotonicity_gap(potential, a, b)
     assert abs(again - rep.min_value) <= 1e-10
 
@@ -70,7 +72,7 @@ def test_check_psi_monotone_variants():
     assert flat.min_value == pytest.approx(0.0, abs=1e-12)
     bad = check_psi_monotone(MomentQuadraticPotential(1.0), trials=500, rng_seed=2)
     assert bad.verdict == "violated"
-    a, b = bad.certificate_ensembles()
+    a, b = bad.certificate
     assert abs(monotonicity_gap(MomentQuadraticPotential(1.0), a, b) - bad.min_value) <= 1e-10
 
 
@@ -168,3 +170,118 @@ def test_second_derivative_form_detects_kink():
     dirs = (Ensemble([0.0]), Ensemble([1.0]))
     with pytest.raises(NonSmoothProbeError):
         second_derivative_form(fam, probe, dirs, step=step)
+
+
+# --- parity of the trial loop with the per-trial reference -----------------
+#
+# The reference below is the trial loop as it was written before the checks
+# were made lean: rng.choice for the sizes, validated Ensemble and
+# PairedEnsemble objects for every trial law, four evaluator calls per trial
+# and np.mean.  The lean loop must reproduce its stream and its numbers.
+
+
+def reference_ensemble(rng, dim, n=None):
+    n = int(rng.choice((1, 2, 8, 64))) if n is None else n
+    style = rng.integers(0, 3)
+    if style == 0:
+        samples = np.tile(rng.uniform(-2.0, 2.0, size=dim), (n, 1))
+    elif style == 1:
+        samples = rng.uniform(-2.0, 2.0, size=dim) + rng.uniform(-1.0, 1.0, size=(n, dim))
+    else:
+        centers = rng.uniform(-2.0, 2.0, size=(2, dim))
+        pick = rng.integers(0, 2, size=n)
+        samples = centers[pick] + 0.2 * rng.standard_normal((n, dim))
+    return Ensemble(samples)
+
+
+def reference_gap(potential, a, b):
+    x = a.samples[:, 0] if a.dim == 1 else a.samples
+    xt = b.samples[:, 0] if b.dim == 1 else b.samples
+    term = float(np.mean(potential(x, a)) - np.mean(potential(x, b)))
+    term += float(np.mean(potential(xt, b)) - np.mean(potential(xt, a)))
+    return term
+
+
+def reference_lagrangian_gap(fam, pair, pair_t):
+    def el(points, law):
+        state, velocity = Ensemble(law.x, q=law.q), Ensemble(law.z, q=law.q)
+        return float(np.mean(fam.lagrangian(points.x[:, 0], points.z[:, 0], state, velocity)))
+
+    return el(pair, pair) - el(pair_t, pair) + el(pair_t, pair_t) - el(pair, pair_t)
+
+
+def reference_paired(rng):
+    n = int(rng.choice((1, 2, 8, 64)))
+    return PairedEnsemble(reference_ensemble(rng, 1, n).samples, reference_ensemble(rng, 1, n).samples)
+
+
+def reference_check(kind, evaluator, dim, trials, seed):
+    """(min_value, certificate, evaluated trials) of the reference loop."""
+    rng = np.random.default_rng(seed)
+    best, cert, evaluated = np.inf, None, []
+    for _ in range(trials):
+        if kind == "L":
+            a, b = reference_paired(rng), reference_paired(rng)
+            if a.n == b.n:
+                oa, ob = np.lexsort((a.z[:, 0], a.x[:, 0])), np.lexsort((b.z[:, 0], b.x[:, 0]))
+                if np.array_equal(a.x[oa], b.x[ob]) and np.array_equal(a.z[oa], b.z[ob]):
+                    continue
+            value = reference_lagrangian_gap(evaluator, a, b)
+        else:
+            a, b = reference_ensemble(rng, dim), reference_ensemble(rng, dim)
+            if kind == "V":
+                if a.n == b.n and np.array_equal(np.sort(a.samples, 0), np.sort(b.samples, 0)):
+                    continue
+                value = -reference_gap(evaluator, a, b)
+            else:
+                value = reference_gap(evaluator, a, b)
+        evaluated.append((a, b, value))
+        if value < best:
+            best, cert = float(value), (a, b)
+    return best, cert, evaluated
+
+
+def certificate_bytes(cert):
+    parts = []
+    for law in cert:
+        if isinstance(law, PairedEnsemble):
+            parts += [law.x.tobytes(), law.z.tobytes()]
+        else:
+            parts.append(law.samples.tobytes())
+    return parts
+
+
+PARITY_CASES = [
+    ("V", MomentQuadraticPotential(1.0), 1),
+    ("V", MomentQuadraticPotential(-1.0), 1),
+    ("V", MomentQuadraticPotential(1.0), 2),
+    ("V", QuadraticFormPotential(a=1.0, b=lambda ens: -float(ens.samples.mean()), c=0.3), 1),
+    ("psi", QuadraticTerminal(m=1.0, n=lambda ens: 0.2 + float(ens.samples.mean())), 1),
+    ("L", LQFamily(beta=0.5, b=0.3, m=1.0, n=0.2), 1),
+    ("L", QuadraticCoupledFamily(beta=0.5, potential=MomentQuadraticPotential(0.5)), 1),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 901])
+@pytest.mark.parametrize("kind, evaluator, dim", PARITY_CASES)
+def test_check_matches_the_per_trial_reference(kind, evaluator, dim, seed):
+    trials = 300
+    if kind == "V":
+        rep = check_V_monotone(evaluator, dim=dim, trials=trials, rng_seed=seed)
+    elif kind == "psi":
+        rep = check_psi_monotone(evaluator, dim=dim, trials=trials, rng_seed=seed)
+    else:
+        rep = check_L_monotone(evaluator, trials=trials, rng_seed=seed)
+    best, cert, evaluated = reference_check(kind, evaluator, dim, trials, seed)
+    assert rep.trials == trials
+    assert rep.min_value == best
+    strict = kind != "psi"
+    ok = best > 0.0 if strict else best >= 0.0
+    assert rep.verdict == ("satisfied" if ok else "violated")
+    assert certificate_bytes(rep.certificate) == certificate_bytes(cert)
+    # every trial value, not only the minimum, has the reference's bits
+    for a, b, value in evaluated:
+        if kind == "L":
+            assert lagrangian_monotonicity_gap(evaluator, a, b) == value
+        else:
+            assert monotonicity_gap(evaluator, a, b) == (-value if kind == "V" else value)

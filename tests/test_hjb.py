@@ -139,10 +139,28 @@ def test_gradient_at_examples():
 
 def test_gradient_query_clamps_then_escalates():
     lin = static_grid(np.linspace(-1, 1, 41))
-    assert lin.gradient_at(5.0, 0) == pytest.approx(1.0)  # clamped, tolerated
-    with pytest.raises(DomainTooSmallError):
-        for _ in range(200):
-            lin.gradient_at(5.0, 0)
+    for _ in range(200):  # each call is judged on its own queries
+        assert lin.gradient_at(5.0, 0) == pytest.approx(1.0)  # clamped, tolerated
+    inside = np.linspace(-1.0, 1.0, 150)
+    np.testing.assert_allclose(lin.gradient_at(np.append(inside, 5.0), 0), 1.0)  # 1/151
+    with pytest.raises(DomainTooSmallError, match="200/200 queries"):
+        lin.gradient_at(np.full(200, 5.0), 0)
+    with pytest.raises(DomainTooSmallError, match="2/150 queries"):
+        lin.time_slice(1).value_at(np.append(inside[:148], [-3.0, 3.0]))
+
+
+@pytest.mark.parametrize("outside_first", [True, False])
+def test_clamp_outcome_is_independent_of_query_history(outside_first):
+    vg = static_grid(np.linspace(0.0, 1.0, 11) ** 2, x_lo=0.0, x_hi=1.0)
+    edge = lambda: vg.value_at(np.array([2.0, 3.0]), 0)  # noqa: E731
+    inside = lambda: vg.time_slice(0).value_at(np.linspace(0.0, 1.0, 150))  # noqa: E731
+    if outside_first:
+        np.testing.assert_array_equal(edge(), [1.0, 1.0])
+        np.testing.assert_allclose(inside(), np.linspace(0.0, 1.0, 150) ** 2, atol=3e-3)
+    else:
+        np.testing.assert_allclose(inside(), np.linspace(0.0, 1.0, 150) ** 2, atol=3e-3)
+        np.testing.assert_array_equal(edge(), [1.0, 1.0])
+    assert not hasattr(vg, "stats") and not hasattr(vg.time_slice(0), "stats")
 
 
 def test_regularity_report_zero():

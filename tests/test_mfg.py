@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xmfg.mfg as mfg
 from xmfg.analytic import LQCoefficients, lq_solve
@@ -288,6 +291,29 @@ def test_offcentre_coupled_lq_converges_fast_to_the_oracle():
     assert err <= 5e-2
     again = apply_F(problem, sol.phi, SMALL)
     assert np.max(np.abs(again.u - sol.phi.u)) <= SMALL.tol_fix
+
+
+PERMUTATION_CFG = SolverConfig(n_particles=16, nx=61, time_steps=40, nv=61, v_max=4.0)
+
+
+@functools.lru_cache(maxsize=1)
+def offcentre_solution_in_sample_order():
+    return solve_mfg(offcentre_lq_problem(), PERMUTATION_CFG)
+
+
+@settings(max_examples=5, deadline=None)
+@given(perm=st.permutations(range(16)))
+def test_solve_is_invariant_under_sample_permutation(perm):
+    # the game sees the initial samples only through their empirical law
+    base = offcentre_solution_in_sample_order()
+    problem = offcentre_lq_problem()
+    shuffled = ProblemSpec(problem.family, horizon=1.0, initial=problem.initial.permuted(perm))
+    sol = solve_mfg(shuffled, PERMUTATION_CFG)
+    assert sol.converged and base.converged
+    assert sol.iterations == base.iterations
+    assert np.max(np.abs(sol.value.u - base.value.u)) <= 10 * PERMUTATION_CFG.tol_fix
+    gap = np.sort(sol.traj.states, axis=1) - np.sort(base.traj.states, axis=1)
+    assert np.max(np.abs(gap)) <= 10 * PERMUTATION_CFG.tol_traj
 
 
 @pytest.mark.parametrize("fault", ["raise", "grow"])
