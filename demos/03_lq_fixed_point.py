@@ -24,7 +24,7 @@ x0 = Ensemble(-1 + 2 * (np.arange(N) + 0.5) / N)  # uniform quantiles on [-1, 1]
 beta = 0.5
 
 problem = ProblemSpec(LQFamily(beta=beta, m=1.0), horizon=1.0, initial=x0)
-cfg = SolverConfig(n_particles=N, nx=201, time_steps=200, nv=201, v_max=4.0)
+cfg = SolverConfig(nx=201, time_steps=200, nv=201, v_max=4.0)
 sol = solve_mfg(problem, cfg)
 print(f"converged={sol.converged} after {sol.iterations} sweeps, "
       f"fixed-point residual {sol.final_phi_residual:.2e}")

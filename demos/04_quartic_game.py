@@ -20,7 +20,7 @@ print("steady coefficient p:", state.p[0], " (8 p^2 - 1 =", 8 * state.p[0] ** 2 
 print("closed-form vs backward-RK4 gap:", f"{state.p_cross_check_gap:.2e}")
 
 problem = ProblemSpec(QuarticFamily(A), horizon=0.5, initial=x0)
-cfg = SolverConfig(n_particles=32, nx=201, time_steps=200, nv=201)
+cfg = SolverConfig(nx=201, time_steps=200, nv=201)
 sol = solve_mfg(problem, cfg)
 x = sol.value.x
 band = (x >= 0.6) & (x <= 1.4)

@@ -12,7 +12,7 @@ from xmfg.mfg import master_consistency_residual, master_value
 N = 32
 x0 = Ensemble(-1 + 2 * (np.arange(N) + 0.5) / N)
 problem = ProblemSpec(LQFamily(beta=0.0, m=1.0), horizon=1.0, initial=x0)
-cfg = SolverConfig(n_particles=N, nx=101, time_steps=100, nv=101, v_max=4.0, damping=1.0)
+cfg = SolverConfig(nx=101, time_steps=100, nv=101, v_max=4.0, damping=1.0)
 
 sol = solve_mfg(problem, cfg)
 print("main solve converged:", sol.converged)

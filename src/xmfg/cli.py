@@ -26,13 +26,14 @@ from .ensembles import Ensemble
 from .errors import SchemaError, XmfgError
 from .families import (
     LinearTerminal,
-    LQFamily,
     MeanSquareVelocityCoupling,
     MomentQuadraticPotential,
     QuadraticCoupledFamily,
     QuadraticFormPotential,
     QuadraticTerminal,
     QuarticFamily,
+    QuarticTerminal,
+    ZeroCoupling,
     ZeroPotential,
 )
 from .hjb import ValueGrid
@@ -48,7 +49,6 @@ from .mfg import (
 SUBCOMMANDS = ("solve", "oracle", "check", "master", "probe-uniqueness")
 
 _SOLVER_KEYS = {
-    "N": ("n_particles", int),
     "nx": ("nx", int),
     "M": ("time_steps", int),
     "nv": ("nv", int),
@@ -59,22 +59,37 @@ _SOLVER_KEYS = {
     "max_outer": ("max_outer", int),
 }
 
-_POTENTIAL_KINDS = {
-    "quadratic": {"zero": (), "moment_quadratic": ("scale",), "quadratic_form": ("a", "b", "c")},
-    "lq": {"lq_running": ("A", "B", "C")},
-    "quartic": {"zero": (), "mean_square_velocity": ("scale",)},
+#: family -> slot -> kind -> (constructor, parameter names in argument order);
+#: the first kind of a slot is its default, and a missing parameter reads 0
+KINDS = {
+    "quadratic": {
+        "potential": {
+            "zero": (ZeroPotential, ()),
+            "moment_quadratic": (MomentQuadraticPotential, ("scale",)),
+            "quadratic_form": (QuadraticFormPotential, ("a", "b", "c")),
+        },
+        "terminal": {
+            "zero": (ZeroPotential, ()),
+            "quadratic": (QuadraticTerminal, ("m", "n", "q0")),
+            "linear": (LinearTerminal, ("slope", "offset")),
+            "moment_quadratic": (MomentQuadraticPotential, ("scale",)),
+        },
+    },
+    "lq": {
+        "potential": {"lq_running": (QuadraticFormPotential, ("A", "B", "C"))},
+        "terminal": {"lq_terminal": (QuadraticTerminal, ("M", "N", "Q"))},
+    },
+    "quartic": {
+        "potential": {
+            "zero": (ZeroCoupling, ()),
+            "mean_square_velocity": (MeanSquareVelocityCoupling, ("scale",)),
+        },
+        "terminal": {"quartic": (QuarticTerminal, ("A", "B"))},
+    },
 }
 
-_TERMINAL_KINDS = {
-    "quadratic": {
-        "zero": (),
-        "quadratic": ("m", "n", "q0"),
-        "linear": ("slope", "offset"),
-        "moment_quadratic": ("scale",),
-    },
-    "lq": {"lq_terminal": ("M", "N", "Q")},
-    "quartic": {"quartic": ("A", "B")},
-}
+#: sample count of a generated initial law whose document gives no N
+DEFAULT_SAMPLE_COUNT = 64
 
 
 @dataclass(frozen=True)
@@ -120,24 +135,27 @@ def _reject_unknown(obj: dict, allowed, where: str) -> None:
             raise SchemaError(f"{where}.{key}" if where else key, "unknown key")
 
 
-def _validate_block(block, family_kind, table, where) -> dict:
+def _validate_block(raw: dict, family_kind: str, slot: str) -> tuple[dict, object]:
+    """Canonical ``{kind, params}`` of one cost slot and the cost it builds."""
+    kinds = KINDS[family_kind][slot]
+    block = raw.get(slot, {"kind": next(iter(kinds))})
     if not isinstance(block, dict):
-        raise SchemaError(where, "expected an object {kind, params}")
-    _reject_unknown(block, ("kind", "params"), where)
-    kinds = table[family_kind]
+        raise SchemaError(slot, "expected an object {kind, params}")
+    _reject_unknown(block, ("kind", "params"), slot)
     kind = block.get("kind")
-    if kind not in kinds:
+    if not isinstance(kind, str) or kind not in kinds:
         raise SchemaError(
-            f"{where}.kind", f"expected one of {sorted(kinds)} for family {family_kind!r}"
+            f"{slot}.kind", f"expected one of {sorted(kinds)} for family {family_kind!r}"
         )
     params = block.get("params", {})
     if not isinstance(params, dict):
-        raise SchemaError(f"{where}.params", "expected an object")
-    _reject_unknown(params, kinds[kind], f"{where}.params")
+        raise SchemaError(f"{slot}.params", "expected an object")
+    constructor, names = kinds[kind]
+    _reject_unknown(params, names, f"{slot}.params")
     canonical = {}
-    for name in kinds[kind]:
-        canonical[name] = _require_finite_number(params.get(name, 0.0), f"{where}.params.{name}")
-    return {"kind": kind, "params": canonical}
+    for name in names:
+        canonical[name] = _require_finite_number(params.get(name, 0.0), f"{slot}.params.{name}")
+    return {"kind": kind, "params": canonical}, constructor(*canonical.values())
 
 
 def _norm_ppf(u: np.ndarray) -> np.ndarray:
@@ -172,7 +190,7 @@ def _norm_ppf(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _validate_initial(block, base_dir: Path, default_n: int, where="initial") -> tuple[dict, np.ndarray]:
+def _validate_initial(block, base_dir: Path, where="initial") -> tuple[dict, np.ndarray]:
     if not isinstance(block, dict):
         raise SchemaError(where, "expected an object {kind, params[, N]}")
     _reject_unknown(block, ("kind", "params", "N"), where)
@@ -193,17 +211,22 @@ def _validate_initial(block, base_dir: Path, default_n: int, where="initial") ->
             path = base_dir / str(params["path"])
             if not path.exists():
                 raise SchemaError(f"{where}.params.path", f"file not found: {path}")
-            loaded = Ensemble.from_csv(path.read_text())
+            try:
+                loaded = Ensemble.from_csv(path.read_text())
+            except ValueError as exc:
+                raise SchemaError(f"{where}.params.path", f"malformed sample file: {exc}") from exc
             if loaded.dim != 1:
                 raise SchemaError(f"{where}.params.path", "expected a 1-column sample file")
             samples = loaded.samples[:, 0]
         else:
             raise SchemaError(f"{where}.params", "samples need either values or path")
         n = samples.size
+        if "N" in block and _require_int(block["N"], f"{where}.N") != n:
+            raise SchemaError(f"{where}.N", f"expected {n}, the number of samples")
         canonical = {"kind": "samples", "params": {"values": [float(v) for v in samples]}, "N": n}
         return canonical, samples
     if kind in ("uniform", "gaussian_like"):
-        n = _require_int(block.get("N", default_n), f"{where}.N")
+        n = _require_int(block.get("N", DEFAULT_SAMPLE_COUNT), f"{where}.N")
         if n < 1:
             raise SchemaError(f"{where}.N", "expected a positive sample count")
         quantiles = (np.arange(n) + 0.5) / n
@@ -227,28 +250,6 @@ def _validate_initial(block, base_dir: Path, default_n: int, where="initial") ->
     raise SchemaError(f"{where}.kind", "expected one of ['samples', 'uniform', 'gaussian_like']")
 
 
-def _build_potential(kind: str, params: dict):
-    if kind == "zero":
-        return ZeroPotential()
-    if kind == "moment_quadratic":
-        return MomentQuadraticPotential(params["scale"])
-    if kind == "quadratic_form":
-        return QuadraticFormPotential(params["a"], params["b"], params["c"])
-    raise AssertionError(kind)
-
-
-def _build_terminal(kind: str, params: dict):
-    if kind == "zero":
-        return ZeroPotential()
-    if kind == "quadratic":
-        return QuadraticTerminal(params["m"], params["n"], params["q0"])
-    if kind == "linear":
-        return LinearTerminal(params["slope"], params["offset"])
-    if kind == "moment_quadratic":
-        return MomentQuadraticPotential(params["scale"])
-    raise AssertionError(kind)
-
-
 def parse_problem_document(raw: dict, base_dir: Path = Path(".")) -> ParsedProblem:
     if not isinstance(raw, dict):
         raise SchemaError("<root>", "expected a JSON object")
@@ -256,8 +257,8 @@ def parse_problem_document(raw: dict, base_dir: Path = Path(".")) -> ParsedProbl
         raw, ("family", "beta", "T", "q", "potential", "terminal", "initial", "solver"), ""
     )
     family_kind = raw.get("family")
-    if family_kind not in ("quadratic", "lq", "quartic"):
-        raise SchemaError("family", "expected one of ['quadratic', 'lq', 'quartic']")
+    if not isinstance(family_kind, str) or family_kind not in KINDS:
+        raise SchemaError("family", f"expected one of {list(KINDS)}")
     horizon = _require_finite_number(raw.get("T", None), "T") if "T" in raw else None
     if horizon is None or horizon <= 0:
         raise SchemaError("T", "expected a positive horizon")
@@ -271,18 +272,8 @@ def parse_problem_document(raw: dict, base_dir: Path = Path(".")) -> ParsedProbl
     if family_kind in ("quadratic", "lq") and beta == -1.0:
         raise SchemaError("beta", "beta = -1 makes the velocity equation singular")
 
-    default_potential = {"lq": {"kind": "lq_running"}, "quartic": {"kind": "zero"}}.get(
-        family_kind, {"kind": "zero"}
-    )
-    default_terminal = {"lq": {"kind": "lq_terminal"}, "quartic": {"kind": "quartic"}}.get(
-        family_kind, {"kind": "zero"}
-    )
-    potential_doc = _validate_block(
-        raw.get("potential", default_potential), family_kind, _POTENTIAL_KINDS, "potential"
-    )
-    terminal_doc = _validate_block(
-        raw.get("terminal", default_terminal), family_kind, _TERMINAL_KINDS, "terminal"
-    )
+    potential_doc, potential = _validate_block(raw, family_kind, "potential")
+    terminal_doc, terminal = _validate_block(raw, family_kind, "terminal")
     solver_raw = raw.get("solver", {})
     if not isinstance(solver_raw, dict):
         raise SchemaError("solver", "expected an object")
@@ -307,29 +298,15 @@ def parse_problem_document(raw: dict, base_dir: Path = Path(".")) -> ParsedProbl
 
     if "initial" not in raw:
         raise SchemaError("initial", "required")
-    initial_doc, samples = _validate_initial(raw["initial"], base_dir, solver.n_particles)
+    initial_doc, samples = _validate_initial(raw["initial"], base_dir)
 
-    if family_kind == "quadratic":
-        family = QuadraticCoupledFamily(
-            beta=beta,
-            potential=_build_potential(potential_doc["kind"], potential_doc["params"]),
-            terminal=_build_terminal(terminal_doc["kind"], terminal_doc["params"]),
-        )
-    elif family_kind == "lq":
-        p, t = potential_doc["params"], terminal_doc["params"]
-        family = LQFamily(
-            beta=beta, a=p["A"], b=p["B"], c=p["C"], m=t["M"], n=t["N"], q0=t["Q"]
-        )
-    else:
-        t = terminal_doc["params"]
-        coupling = (
-            MeanSquareVelocityCoupling(potential_doc["params"]["scale"])
-            if potential_doc["kind"] == "mean_square_velocity"
-            else None
-        )
-        family = QuarticFamily(a=t["A"], b=t["B"], coupling=coupling)
+    if family_kind == "quartic":
+        # the potential slot of the quartic family holds its coupling U(X, Z)
+        family = QuarticFamily(terminal.a, terminal.b, coupling=potential)
         if np.min(samples) <= 0:
             raise SchemaError("initial", "quartic family needs samples strictly above 0")
+    else:
+        family = QuadraticCoupledFamily(beta, potential, terminal)
 
     document = {
         "family": family_kind,
@@ -424,9 +401,8 @@ def _cmd_oracle(parsed: ParsedProblem, run: RunConfig) -> int:
         write_coeffs = bundles.write_lq_coefficients_csv
     elif parsed.family_kind == "quartic":
         t = doc["terminal"]["params"]
-        coupling = parsed.problem.family.coupling if doc["potential"]["kind"] != "zero" else None
         state, traj = quartic_solve(
-            t["A"], t["B"], coupling, parsed.problem.initial, doc["T"], steps
+            t["A"], t["B"], parsed.problem.family.coupling, parsed.problem.initial, doc["T"], steps
         )
         write_coeffs = bundles.write_quartic_coefficients_csv
     else:

@@ -53,7 +53,8 @@ def as_coefficient(value):
 
 
 # ---------------------------------------------------------------------------
-# potential / terminal evaluators (law-dependent through expectations)
+# potentials and terminals: __call__(x, ens) and gradient(x, ens), law-dependent
+# through expectations
 # ---------------------------------------------------------------------------
 
 
@@ -204,10 +205,7 @@ class MeanSquareVelocityCoupling:
 class HamiltonianFamily:
     """Base interface; concrete families fill in L, H and the derivatives."""
 
-    tag = "custom"
     beta = 0.0
-    #: contraction modulus of Z -> -D_pH(., ., ., Z); None means closed form.
-    contraction_rho = None
 
     def lagrangian(self, x, v, x_ens: Ensemble, z_ens: Ensemble):
         raise NotImplementedError
@@ -227,20 +225,10 @@ class HamiltonianFamily:
         return (self.terminal(x + h, x_ens) - self.terminal(x - h, x_ens)) / (2 * h)
 
     def dp_hamiltonian(self, x, p, y_ens: Ensemble, z_ens: Ensemble):
-        x = np.asarray(x, dtype=float)
-        p = np.asarray(p, dtype=float)
-        h = _FD_STEP
-        return (
-            self.hamiltonian(x, p + h, y_ens, z_ens) - self.hamiltonian(x, p - h, y_ens, z_ens)
-        ) / (2 * h)
+        raise NotImplementedError
 
     def dx_hamiltonian(self, x, p, x_ens: Ensemble, z_ens: Ensemble):
-        x = np.asarray(x, dtype=float)
-        p = np.asarray(p, dtype=float)
-        h = _FD_STEP
-        return (
-            self.hamiltonian(x + h, p, x_ens, z_ens) - self.hamiltonian(x - h, p, x_ens, z_ens)
-        ) / (2 * h)
+        raise NotImplementedError
 
     def control_speed(self, x, v):
         """Player dynamics dx/dt = f(x, v); identity unless overridden."""
@@ -259,8 +247,6 @@ class QuadraticCoupledFamily(HamiltonianFamily):
     beta > 0 it rewards moving against the population's mean velocity.
     """
 
-    tag = "quadratic"
-
     def __init__(self, beta: float = 0.0, potential=None, terminal=None):
         self.beta = float(beta)
         self._potential = potential if potential is not None else ZeroPotential()
@@ -270,19 +256,13 @@ class QuadraticCoupledFamily(HamiltonianFamily):
         return self._potential(x, x_ens)
 
     def potential_gradient(self, x, x_ens: Ensemble):
-        if hasattr(self._potential, "gradient"):
-            return self._potential.gradient(x, x_ens)
-        x = np.asarray(x, dtype=float)
-        h = _FD_STEP
-        return (self._potential(x + h, x_ens) - self._potential(x - h, x_ens)) / (2 * h)
+        return self._potential.gradient(x, x_ens)
 
     def terminal(self, x, x_ens: Ensemble):
         return self._terminal(x, x_ens)
 
     def terminal_gradient(self, x, x_ens: Ensemble):
-        if hasattr(self._terminal, "gradient"):
-            return self._terminal.gradient(x, x_ens)
-        return super().terminal_gradient(x, x_ens)
+        return self._terminal.gradient(x, x_ens)
 
     def lagrangian(self, x, v, x_ens: Ensemble, z_ens: Ensemble):
         v = np.asarray(v, dtype=float)
@@ -317,20 +297,12 @@ class LQFamily(QuadraticCoupledFamily):
     coefficient map is expected.
     """
 
-    tag = "lq"
-
     def __init__(self, beta=0.0, a=0.0, b=0.0, c=0.0, m=0.0, n=0.0, q0=0.0):
         super().__init__(
             beta=beta,
             potential=QuadraticFormPotential(a, b, c),
             terminal=QuadraticTerminal(m, n, q0),
         )
-        self.a = as_coefficient(a)
-        self.b = as_coefficient(b)
-        self.c = as_coefficient(c)
-        self.m = as_coefficient(m)
-        self.n = as_coefficient(n)
-        self.q0 = as_coefficient(q0)
 
 
 class QuarticFamily(HamiltonianFamily):
@@ -342,12 +314,8 @@ class QuarticFamily(HamiltonianFamily):
     Only x bounded away from 0 is supported.
     """
 
-    tag = "quartic"
-
     def __init__(self, a, b=0.0, coupling=None):
         self._terminal = QuarticTerminal(a, b)
-        self.a = self._terminal.a
-        self.b = self._terminal.b
         self.coupling = coupling if coupling is not None else ZeroCoupling()
 
     def terminal(self, x, x_ens: Ensemble):
@@ -383,19 +351,14 @@ class QuarticFamily(HamiltonianFamily):
 
 
 class CustomVelocityFamily(HamiltonianFamily):
-    """User-supplied D_pH with a declared contraction modulus rho < 1.
+    """User-supplied D_pH, solved for Z by fixed-point iteration.
 
-    ``dp_h(x, p, y_ens, z_ens) -> array`` must contract in the Z slot with
-    modulus rho so the velocity fixed point converges; the solver measures
-    the realized rate and reports it alongside the result.
+    ``dp_h(x, p, y_ens, z_ens) -> array`` must contract in the Z slot so the
+    velocity fixed point converges; ``solve_velocity(..., return_info=True)``
+    returns the realized step ratios.
     """
 
-    tag = "custom"
-
-    def __init__(self, dp_h, rho, dx_h=None, lagrangian=None, terminal=None):
-        if not (0.0 <= rho < 1.0):
-            raise ValueError("declared contraction modulus rho must lie in [0, 1)")
-        self.contraction_rho = float(rho)
+    def __init__(self, dp_h, dx_h=None, lagrangian=None, terminal=None):
         self._dp_h = dp_h
         self._dx_h = dx_h
         self._lagrangian = lagrangian
@@ -437,10 +400,10 @@ def solve_velocity(
     ``x`` may be a single point or a per-sample array aligned with the
     costate ensemble.  Families with an explicit solution short-circuit; the
     rest run the fixed-point iteration Z_{k+1} = -D_pH(x, p, Y, Z_k) from
-    Z_0 = -p, which converges geometrically under the declared contraction
-    modulus.  The returned ensemble satisfies
-    ||Z + D_pH(x, p, Y, Z)||_{L^q} <= 10 * tol; for a closed form that
-    residual is computed only when ``return_info`` asks for it.
+    Z_0 = -p, which converges geometrically when D_pH contracts in Z.  The
+    returned ensemble satisfies ||Z + D_pH(x, p, Y, Z)||_{L^q} <= 10 * tol;
+    for a closed form that residual is computed only when ``return_info``
+    asks for it.
     """
     if p_ensemble.dim != 1:
         raise UnsupportedDimensionError("velocity solver operates on 1-d ensembles")

@@ -138,10 +138,6 @@ class ValueSlice:
     def gradient_at(self, xq):
         return _interp_clamped(xq, self.x, self.grad, "value slice")
 
-    def blend(self, other: "ValueSlice", weight: float) -> "ValueSlice":
-        """(1 - weight) * self + weight * other on shared nodes."""
-        return ValueSlice(self.x, (1.0 - weight) * self.u + weight * other.u)
-
 
 class AnalyticSlice:
     """Duck-typed value slice backed by callables; handy seed for the flow."""
@@ -169,12 +165,8 @@ class ValueGrid:
     u: np.ndarray
     grad: np.ndarray
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.nodes
-
     def __post_init__(self):
-        self.nodes = self.config.nodes()
+        self.x = self.config.nodes()
         self.times = np.asarray(self.times, dtype=float)
 
     @property
@@ -182,13 +174,13 @@ class ValueGrid:
         return float(self.times[-1] - self.times[0])
 
     def time_slice(self, m: int) -> ValueSlice:
-        return ValueSlice(self.nodes, self.u[m], self.grad[m])
+        return ValueSlice(self.x, self.u[m], self.grad[m])
 
     def value_at(self, xq, t_index: int):
-        return _interp_clamped(xq, self.nodes, self.u[t_index], "value grid")
+        return _interp_clamped(xq, self.x, self.u[t_index], "value grid")
 
     def gradient_at(self, xq, t_index: int):
-        return _interp_clamped(xq, self.nodes, self.grad[t_index], "value grid")
+        return _interp_clamped(xq, self.x, self.grad[t_index], "value grid")
 
 
 def _shift_stencil(x: np.ndarray, feet: np.ndarray):

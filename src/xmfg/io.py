@@ -21,7 +21,7 @@ def _fmt(x) -> str:
 
 def write_value_csv(path: Path, vg: ValueGrid) -> None:
     """Stream t,x,u,du_dx one time slice at a time."""
-    nodes = [FLOAT_FMT % x for x in vg.nodes.tolist()]
+    nodes = [FLOAT_FMT % x for x in vg.x.tolist()]
     with path.open("w") as out:
         out.write("t,x,u,du_dx\n")
         for m, t in enumerate(vg.times.tolist()):
@@ -62,7 +62,7 @@ def write_plot_bundle(plot_dir: Path, vg: ValueGrid, traj: TrajectoryEnsemble, h
     """Two-column CSVs any plotting tool can ingest directly."""
     plot_dir.mkdir(parents=True, exist_ok=True)
     lines = ["x,u"]
-    for i, x in enumerate(vg.nodes):
+    for i, x in enumerate(vg.x):
         lines.append(f"{_fmt(x)},{_fmt(vg.u[0, i])}")
     (plot_dir / "u_vs_x_at_t0.csv").write_text("\n".join(lines) + "\n")
 

@@ -61,7 +61,6 @@ _EXTRAPOLATION_FAILURES = (ControlSaturationError, DomainTooSmallError, FlowBlow
 class SolverConfig:
     """Discretization and outer-iteration knobs."""
 
-    n_particles: int = 64
     nx: int = 201
     time_steps: int = 200
     nv: int = 201
@@ -72,7 +71,7 @@ class SolverConfig:
     max_outer: int = 60
 
     def __post_init__(self):
-        if min(self.n_particles, self.nx, self.time_steps, self.nv, self.max_outer) < 1:
+        if min(self.nx, self.time_steps, self.nv, self.max_outer) < 1:
             raise ValueError("all solver sizes must be positive")
         if self.nx < 3 or self.nv < 2:
             raise ValueError("the grid needs nx >= 3 and nv >= 2")

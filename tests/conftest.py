@@ -13,7 +13,7 @@ def uniform_quantiles(n, lo, hi):
     return Ensemble(lo + (hi - lo) * (np.arange(n) + 0.5) / n)
 
 
-PINNED_LQ_CFG = SolverConfig(n_particles=64, nx=201, time_steps=200, nv=201, v_max=4.0)
+PINNED_LQ_CFG = SolverConfig(nx=201, time_steps=200, nv=201, v_max=4.0)
 
 
 @pytest.fixture(scope="session")
@@ -42,7 +42,7 @@ def quartic_setup():
     a = 1.0 / (2 * SQRT2)
     x0 = uniform_quantiles(32, 0.5, 1.5)
     problem = ProblemSpec(QuarticFamily(a), horizon=0.5, initial=x0)
-    cfg = SolverConfig(n_particles=32, nx=201, time_steps=200, nv=201)
+    cfg = SolverConfig(nx=201, time_steps=200, nv=201)
     sol = solve_mfg(problem, cfg)
     oracle_state, oracle_traj = quartic_solve(a, 0.0, None, x0, 0.5, 200)
     return problem, cfg, sol, oracle_state, oracle_traj
@@ -53,6 +53,6 @@ def zero_setup():
     problem = ProblemSpec(
         QuadraticCoupledFamily(beta=0.0), horizon=1.0, initial=uniform_quantiles(32, -1.0, 1.0)
     )
-    cfg = SolverConfig(n_particles=32, nx=101, time_steps=100, nv=101, v_max=3.0)
+    cfg = SolverConfig(nx=101, time_steps=100, nv=101, v_max=3.0)
     sol = solve_mfg(problem, cfg)
     return problem, cfg, sol

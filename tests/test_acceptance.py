@@ -77,9 +77,7 @@ def test_criterion_4_velocity_equation():
         resid = z.samples[:, 0] + fam.dp_hamiltonian(0.0, p.samples[:, 0], p, z)
         worst = max(worst, float(np.sqrt(np.mean(resid**2))))
 
-    contraction = CustomVelocityFamily(
-        lambda x, p, y, z: 0.5 * z.mean_scalar() + p, rho=0.5
-    )
+    contraction = CustomVelocityFamily(lambda x, p, y, z: 0.5 * z.mean_scalar() + p)
     _, info = solve_velocity(
         contraction, 0.0, Ensemble([3.0, 1.0, -2.0]), Ensemble(np.zeros(3)), return_info=True
     )

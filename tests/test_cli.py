@@ -8,6 +8,7 @@ import pytest
 
 import xmfg.io
 from xmfg.cli import (
+    KINDS,
     RunConfig,
     emit_problem,
     main,
@@ -15,7 +16,18 @@ from xmfg.cli import (
     parse_problem_document,
     run,
 )
+from xmfg.ensembles import Ensemble
 from xmfg.errors import SchemaError
+from xmfg.families import (
+    LinearTerminal,
+    MeanSquareVelocityCoupling,
+    MomentQuadraticPotential,
+    QuadraticFormPotential,
+    QuadraticTerminal,
+    QuarticTerminal,
+    ZeroCoupling,
+    ZeroPotential,
+)
 
 ZERO_DOC = {
     "family": "quadratic",
@@ -65,7 +77,6 @@ def test_parse_minimal_zero_problem(tmp_path):
 def test_parse_lq_document_matches_scalar_riccati_problem(tmp_path):
     parsed = parse_problem(write_doc(tmp_path, LQ_DOC))
     fam = parsed.problem.family
-    assert fam.tag == "lq"
     x0 = parsed.problem.initial
     assert fam.terminal(2.0, x0) == pytest.approx(2.0)  # m x^2 / 2
     assert fam.potential(2.0, x0) == 0.0
@@ -104,6 +115,15 @@ def test_too_small_solver_grid_is_schema_error(tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("ERROR SCHEMA:"), err
 
 
+@pytest.mark.parametrize("override", ['family=["lq"]', 'potential.kind=["zero"]'])
+def test_unhashable_kind_is_schema_error(tmp_path, capsys, override):
+    cfg_path = write_doc(tmp_path, ZERO_DOC)
+    argv = ["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--override", override]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR SCHEMA:"), err
+
+
 def test_quartic_schema_rules(tmp_path):
     doc = {
         "family": "quartic",
@@ -125,8 +145,13 @@ def test_initial_count_defaults_from_solver(tmp_path):
     doc = json.loads(json.dumps(ZERO_DOC))
     del doc["initial"]["N"]
     doc["solver"]["N"] = 24
+    with pytest.raises(SchemaError) as err:
+        parse_problem(write_doc(tmp_path, doc))
+    assert err.value.field == "solver.N" and err.value.expectation == "unknown key"
+    del doc["solver"]["N"]
     parsed = parse_problem(write_doc(tmp_path, doc))
-    assert parsed.problem.initial.n == 24
+    assert parsed.problem.initial.n == 64
+    assert parsed.document["initial"]["N"] == 64
 
 
 def test_round_trip_is_identity(tmp_path):
@@ -144,6 +169,116 @@ def test_samples_inlined_on_canonicalization(tmp_path):
     parsed = parse_problem(write_doc(tmp_path, doc))
     assert parsed.document["initial"]["params"]["values"] == [0.25, 0.75]
     assert parsed.document["initial"]["N"] == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x0\n0.25\nabc\n",  # non-numeric cell
+        "x\n0.25\n0.75\n",  # header other than x0
+        "x0\n0.25\ninf\n",  # non-finite value
+        "x0\n0.25\n0.5,0.75\n",  # ragged row
+    ],
+    ids=["non-numeric", "header", "inf", "ragged"],
+)
+def test_malformed_sample_file_is_one_schema_line(tmp_path, capsys, text):
+    (tmp_path / "x0.csv").write_text(text)
+    doc = dict(ZERO_DOC, initial={"kind": "samples", "params": {"path": "x0.csv"}})
+    argv = ["solve", "--config", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR SCHEMA:"), lines
+    assert "initial.params.path" in lines[0]
+
+
+def test_sample_count_must_match_the_samples(tmp_path):
+    doc = dict(ZERO_DOC, initial={"kind": "samples", "params": {"values": [0.25, 0.75]}, "N": 5})
+    with pytest.raises(SchemaError) as err:
+        parse_problem(write_doc(tmp_path, doc))
+    assert err.value.field == "initial.N"
+    doc["initial"]["N"] = 2
+    parsed = parse_problem(write_doc(tmp_path, doc))
+    assert parsed.document["initial"]["N"] == 2
+    assert parse_problem_document(json.loads(emit_problem(parsed))).document == parsed.document
+
+
+# every kind of the CLI table, constructed by hand with keyword arguments
+DIRECT_COSTS = {
+    ("quadratic", "potential", "zero"): lambda p: ZeroPotential(),
+    ("quadratic", "potential", "moment_quadratic"): lambda p: MomentQuadraticPotential(
+        scale=p["scale"]
+    ),
+    ("quadratic", "potential", "quadratic_form"): lambda p: QuadraticFormPotential(
+        a=p["a"], b=p["b"], c=p["c"]
+    ),
+    ("quadratic", "terminal", "zero"): lambda p: ZeroPotential(),
+    ("quadratic", "terminal", "quadratic"): lambda p: QuadraticTerminal(
+        m=p["m"], n=p["n"], q0=p["q0"]
+    ),
+    ("quadratic", "terminal", "linear"): lambda p: LinearTerminal(
+        slope=p["slope"], offset=p["offset"]
+    ),
+    ("quadratic", "terminal", "moment_quadratic"): lambda p: MomentQuadraticPotential(
+        scale=p["scale"]
+    ),
+    ("lq", "potential", "lq_running"): lambda p: QuadraticFormPotential(
+        a=p["A"], b=p["B"], c=p["C"]
+    ),
+    ("lq", "terminal", "lq_terminal"): lambda p: QuadraticTerminal(m=p["M"], n=p["N"], q0=p["Q"]),
+    ("quartic", "potential", "zero"): lambda p: ZeroCoupling(),
+    ("quartic", "potential", "mean_square_velocity"): lambda p: MeanSquareVelocityCoupling(
+        scale=p["scale"]
+    ),
+    ("quartic", "terminal", "quartic"): lambda p: QuarticTerminal(a=p["A"], b=p["B"]),
+}
+
+TABLE_ENTRIES = [
+    (family, slot, kind)
+    for family, slots in KINDS.items()
+    for slot, kinds in slots.items()
+    for kind in kinds
+]
+
+
+def test_every_table_kind_has_a_direct_construction():
+    assert set(TABLE_ENTRIES) == set(DIRECT_COSTS)
+
+
+@pytest.mark.parametrize("family, slot, kind", TABLE_ENTRIES, ids=map("-".join, TABLE_ENTRIES))
+def test_table_kind_round_trips_and_builds_its_cost(tmp_path, family, slot, kind):
+    names = KINDS[family][slot][kind][1]
+    params = {name: value for name, value in zip(names, (0.7, -0.4, 1.3))}
+    doc = {
+        "family": family,
+        "T": 1.0,
+        slot: {"kind": kind, "params": params},
+        "initial": {"kind": "uniform", "params": {"lo": 0.5, "hi": 1.5}, "N": 8},
+    }
+    parsed = parse_problem(write_doc(tmp_path, doc))
+    assert parsed.document[slot] == {"kind": kind, "params": params}
+    again = parse_problem_document(json.loads(emit_problem(parsed)))
+    assert again.document == parsed.document
+    assert emit_problem(again) == emit_problem(parsed)
+
+    fam = parsed.problem.family
+    direct = DIRECT_COSTS[family, slot, kind](params)
+    xs = np.array([0.6, 0.9, 1.7])
+    ens = Ensemble([0.5, 1.2, 1.4])
+    if family == "quartic" and slot == "potential":
+        z_ens = Ensemble([-0.3, 0.8, 2.0])
+        assert fam.coupling(ens, z_ens) == direct(ens, z_ens)
+    elif slot == "potential":
+        np.testing.assert_array_equal(fam.potential(xs, ens), direct(xs, ens))
+        np.testing.assert_array_equal(fam.potential_gradient(xs, ens), direct.gradient(xs, ens))
+    else:
+        np.testing.assert_array_equal(fam.terminal(xs, ens), direct(xs, ens))
+        np.testing.assert_array_equal(fam.terminal_gradient(xs, ens), direct.gradient(xs, ens))
+    if kind == next(iter(KINDS[family][slot])):  # the first kind is the slot's default
+        del doc[slot]
+        default = parse_problem(write_doc(tmp_path, doc)).document[slot]
+        assert default == {"kind": kind, "params": dict.fromkeys(names, 0.0)}
 
 
 def test_overrides_apply_before_validation(tmp_path):

@@ -163,7 +163,6 @@ def test_second_derivative_form_detects_kink():
     step = 1e-4
     fam = CustomVelocityFamily(
         dp_h=lambda x, p, y, z: p,
-        rho=0.0,
         lagrangian=lambda x, v, X, Z: np.abs(v) * Z.mean_scalar(),
     )
     probe = (0.0, 0.6 * step, Ensemble([0.0]), Ensemble([0.0]))

@@ -89,7 +89,7 @@ def test_velocity_coupled_deterministic():
 
 def test_velocity_custom_contraction():
     # solve Z = -(0.5 EZ + p) with p = 3: 1.5 EZ = -3, Z = -2
-    fam = CustomVelocityFamily(lambda x, p, y, z: 0.5 * z.mean_scalar() + p, rho=0.5)
+    fam = CustomVelocityFamily(lambda x, p, y, z: 0.5 * z.mean_scalar() + p)
     z, info = solve_velocity(fam, 0.0, deterministic(3.0), deterministic(0.0), return_info=True)
     np.testing.assert_allclose(z.samples, -2.0, atol=1e-11)
     assert info["residual"] <= 1e-11
@@ -104,14 +104,14 @@ def test_velocity_singular_coupling():
 
 def test_velocity_contraction_failure_carries_residual():
     # expansion instead of contraction: iteration drifts and must fail loudly
-    fam = CustomVelocityFamily(lambda x, p, y, z: 1.5 * z.mean_scalar() + p, rho=0.9)
+    fam = CustomVelocityFamily(lambda x, p, y, z: 1.5 * z.mean_scalar() + p)
     with pytest.raises(ContractionFailureError) as err:
         solve_velocity(fam, 0.0, deterministic(1.0), deterministic(0.0), max_iter=30)
     assert err.value.residual is None or err.value.residual > 0
 
 
 def test_velocity_max_iter_too_small():
-    fam = CustomVelocityFamily(lambda x, p, y, z: 0.99 * z.mean_scalar() + p, rho=0.99)
+    fam = CustomVelocityFamily(lambda x, p, y, z: 0.99 * z.mean_scalar() + p)
     with pytest.raises(ContractionFailureError):
         solve_velocity(fam, 0.0, deterministic(1.0), deterministic(0.0), max_iter=3)
 
@@ -148,11 +148,6 @@ def test_closed_form_velocity_residual_on_request(fam, x_lo):
         assert info["iterations"] == 0
         assert info["residual"] <= 1e-12
         assert z.samples.shape == (n, 1)
-
-
-def test_custom_family_requires_valid_rho():
-    with pytest.raises(ValueError):
-        CustomVelocityFamily(lambda x, p, y, z: p, rho=1.0)
 
 
 def test_quartic_family_structure():

@@ -115,7 +115,7 @@ def test_separation_translation_flow():
 def test_separation_contracting_linear_flow():
     # dX/dt = -X via a velocity equation with no costate feedback
     fam = CustomVelocityFamily(
-        dp_h=lambda x, p, y, z: x, rho=0.0, dx_h=lambda x, p, X, Z: np.zeros_like(x)
+        dp_h=lambda x, p, y, z: x, dx_h=lambda x, p, X, Z: np.zeros_like(x)
     )
     x0 = spread_ensemble(4)
     phi = AnalyticSlice(lambda x: np.zeros_like(x))
@@ -155,7 +155,6 @@ def test_gronwall_envelope_within_slack():
 def test_flow_blowup_reports_step():
     fam = CustomVelocityFamily(
         dp_h=lambda x, p, y, z: np.zeros_like(x),
-        rho=0.0,
         dx_h=lambda x, p, X, Z: 1e3 * p**2,
     )
     x0 = spread_ensemble(3)

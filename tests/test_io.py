@@ -22,7 +22,7 @@ def reference_value_csv(vg):
     lines = ["t,x,u,du_dx"]
     for m, t in enumerate(vg.times):
         ts = fmt(t)
-        for i, x in enumerate(vg.nodes):
+        for i, x in enumerate(vg.x):
             lines.append(f"{ts},{fmt(x)},{fmt(vg.u[m, i])},{fmt(vg.grad[m, i])}")
     return "\n".join(lines) + "\n"
 

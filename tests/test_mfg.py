@@ -29,7 +29,7 @@ from xmfg.mfg import (
     uniqueness_probe,
 )
 
-SMALL = SolverConfig(n_particles=16, nx=81, time_steps=60, nv=81, v_max=4.0)
+SMALL = SolverConfig(nx=81, time_steps=60, nv=81, v_max=4.0)
 
 
 def spread_ensemble(n=16, lo=-1.0, hi=1.0):
@@ -100,7 +100,7 @@ def test_solution_value_and_trajectory_mutually_consistent():
 
 
 def test_solve_mfg_idempotence_at_convergence():
-    cfg = SolverConfig(n_particles=16, nx=81, time_steps=60, nv=81, v_max=4.0, tol_fix=1e-5, tol_traj=1e-5)
+    cfg = SolverConfig(nx=81, time_steps=60, nv=81, v_max=4.0, tol_fix=1e-5, tol_traj=1e-5)
     sol = solve_mfg(lq_problem(beta=0.5), cfg)
     assert sol.converged
     assert sol.final_phi_residual <= 1e-5
@@ -128,9 +128,7 @@ def test_regularity_history_within_slack_of_first_iterate():
 
 
 def test_non_convergence_reported_not_raised():
-    cfg = SolverConfig(
-        n_particles=8, nx=41, time_steps=30, nv=41, v_max=4.0, max_outer=1
-    )
+    cfg = SolverConfig(nx=41, time_steps=30, nv=41, v_max=4.0, max_outer=1)
     sol = solve_mfg(lq_problem(), cfg)
     assert not sol.converged
     assert sol.iterations == 1
@@ -204,9 +202,7 @@ def test_uniqueness_probe_reports_on_nonmonotone_potential():
     # repulsive interaction: no uniqueness claim, probe must still report
     fam = QuadraticCoupledFamily(beta=0.0, potential=MomentQuadraticPotential(-1.0))
     problem = ProblemSpec(fam, horizon=1.0, initial=spread_ensemble())
-    cfg = SolverConfig(
-        n_particles=16, nx=61, time_steps=40, nv=61, v_max=4.0, max_outer=8
-    )
+    cfg = SolverConfig(nx=61, time_steps=40, nv=61, v_max=4.0, max_outer=8)
     rep = uniqueness_probe(problem, cfg, k=2, rng_seed=3)
     assert rep.status in ("conclusive", "inconclusive")
     assert len(rep.run_residuals) >= 1
@@ -293,7 +289,7 @@ def test_offcentre_coupled_lq_converges_fast_to_the_oracle():
     assert np.max(np.abs(again.u - sol.phi.u)) <= SMALL.tol_fix
 
 
-PERMUTATION_CFG = SolverConfig(n_particles=16, nx=61, time_steps=40, nv=61, v_max=4.0)
+PERMUTATION_CFG = SolverConfig(nx=61, time_steps=40, nv=61, v_max=4.0)
 
 
 @functools.lru_cache(maxsize=1)
@@ -348,7 +344,7 @@ def test_state_scaled_solve_never_accepts_a_flow_through_zero():
     problem = ProblemSpec(
         QuarticFamily(1 / (2 * math.sqrt(2))), horizon=0.5, initial=spread_ensemble(16, 0.5, 1.5)
     )
-    cfg = SolverConfig(n_particles=16, nx=61, time_steps=40, nv=61)
+    cfg = SolverConfig(nx=61, time_steps=40, nv=61)
     try:
         sol = solve_mfg(problem, cfg)
     except FlowBlowupError:
@@ -370,6 +366,6 @@ def test_non_finite_stage_rate_is_a_flow_blowup():
     # a huge running cost overflows the costate rate inside the first RK step
     fam = LQFamily(beta=0.5, a=1e305, b=0.3, m=1.0, n=0.2)
     problem = ProblemSpec(fam, horizon=1.0, initial=spread_ensemble(64, 0.5, 1.5))
-    cfg = SolverConfig(n_particles=64, nx=41, time_steps=20, nv=41, v_max=4.0)
+    cfg = SolverConfig(nx=41, time_steps=20, nv=41, v_max=4.0)
     with pytest.raises(FlowBlowupError):
         solve_mfg(problem, cfg)
