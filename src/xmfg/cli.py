@@ -545,6 +545,9 @@ def run(cfg: RunConfig) -> int:
     except OSError as exc:
         print(f"ERROR IO: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"ERROR MEMORY: {exc}", file=sys.stderr)
+        return 1
 
 
 def main(argv=None) -> int:

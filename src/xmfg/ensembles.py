@@ -127,6 +127,13 @@ class PairedEnsemble:
             raise ValueError("paired components must share N and d")
         _check_q(self.q)
 
+    @classmethod
+    def _view(cls, x: np.ndarray, z: np.ndarray, q: float) -> "PairedEnsemble":
+        """Pair two read-only (N, d) arrays the caller has already validated."""
+        pair = object.__new__(cls)
+        pair.__dict__.update(x=x, z=z, q=q)
+        return pair
+
     @property
     def n(self) -> int:
         return self.x.shape[0]

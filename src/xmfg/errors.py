@@ -30,7 +30,7 @@ class ContractionFailureError(XmfgError):
 
 
 class ControlSaturationError(XmfgError):
-    """Control-grid argmin pinned at +-v_max on too many core nodes."""
+    """Minimizing control pinned at +-v_max on too many core nodes."""
 
     code = "CONTROL_SATURATION"
 
@@ -49,6 +49,12 @@ class FlowBlowupError(XmfgError):
     def __init__(self, message, step=None):
         super().__init__(message)
         self.step = step
+
+
+class ValueBlowupError(FlowBlowupError):
+    """The backward value sweep produced a non-finite value."""
+
+    code = "VALUE_BLOWUP"
 
 
 class RiccatiBlowupError(XmfgError):

@@ -34,7 +34,6 @@ __all__ = [
     "QuadraticFormPotential",
     "QuadraticTerminal",
     "LinearTerminal",
-    "TabulatedTerminal",
     "QuarticTerminal",
     "ZeroCoupling",
     "MeanSquareVelocityCoupling",
@@ -148,22 +147,6 @@ class LinearTerminal:
         return np.full_like(np.asarray(x, dtype=float), self.slope)
 
 
-class TabulatedTerminal:
-    """Piecewise-linear terminal cost from node/value tables (test helper)."""
-
-    def __init__(self, nodes, values):
-        self.nodes = np.asarray(nodes, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-
-    def __call__(self, x, ens: Ensemble):
-        return np.interp(np.asarray(x, dtype=float), self.nodes, self.values)
-
-    def gradient(self, x, ens: Ensemble):
-        x = np.asarray(x, dtype=float)
-        h = _FD_STEP
-        return (self(x + h, ens) - self(x - h, ens)) / (2 * h)
-
-
 class QuarticTerminal:
     """psi(x, X) = a(X) x^4 + b(X)."""
 
@@ -230,8 +213,12 @@ class HamiltonianFamily:
     def dx_hamiltonian(self, x, p, x_ens: Ensemble, z_ens: Ensemble):
         raise NotImplementedError
 
+    def control_cost(self, x, x_ens: Ensemble, z_ens: Ensemble):
+        """(b, c) with L(x, v, X, Z) = v^2/2 + b v + c: what the backward sweep needs."""
+        raise NotImplementedError
+
     def control_speed(self, x, v):
-        """Player dynamics dx/dt = f(x, v); identity unless overridden."""
+        """Player dynamics dx/dt = f(x, v), linear in v; identity unless overridden."""
         del x
         return np.asarray(v, dtype=float)
 
@@ -268,6 +255,9 @@ class QuadraticCoupledFamily(HamiltonianFamily):
         v = np.asarray(v, dtype=float)
         ez = z_ens.mean_scalar()
         return 0.5 * v**2 + self.beta * v * ez - self.potential(x, x_ens)
+
+    def control_cost(self, x, x_ens: Ensemble, z_ens: Ensemble):
+        return self.beta * z_ens.mean_scalar(), -self.potential(x, x_ens)
 
     def hamiltonian(self, x, p, x_ens: Ensemble, z_ens: Ensemble):
         p = np.asarray(p, dtype=float)
@@ -328,6 +318,9 @@ class QuarticFamily(HamiltonianFamily):
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
         return 0.5 * v**2 + x**4 + self.coupling(x_ens, z_ens)
+
+    def control_cost(self, x, x_ens: Ensemble, z_ens: Ensemble):
+        return 0.0, np.asarray(x, dtype=float) ** 4 + self.coupling(x_ens, z_ens)
 
     def hamiltonian(self, x, p, x_ens: Ensemble, z_ens: Ensemble):
         x = np.asarray(x, dtype=float)

@@ -4,17 +4,17 @@ Along a given population trajectory (X(t), X'(t)) the value function solves
 
     -u_t + H(x, u_x, X(t), X'(t)) = 0,   u(., T) = psi(., X(T)),
 
-on a 1-d grid.  Each backward step minimizes over a finite control set
+on a 1-d grid.  Each backward step minimizes over the control box
 
-    u[m][i] = min_v  dt * L(x_i, v, X[m], V[m]) + I[u[m+1]](x_i + f(x_i, v) dt)
+    u[m][i] = min_{|v| <= v_max}  dt * L(x_i, v, X[m], V[m]) + I[u[m+1]](x_i + g(x_i) v dt)
 
-with piecewise-linear interpolation I clamped at the domain edges and ties
-broken toward the smallest control index.  The scheme is monotone: raising
-the terminal data can never lower any value.
-
-The feet x_i + f(x_i, v) dt are fixed, so the interpolation stencil is built
-once per sweep: rows sharing a cell shift read shifted slices, other rows are
-gathered by cell index, and the values are ``np.interp``'s bit for bit.
+with piecewise-linear interpolation I clamped at the domain edges.  The
+minimum is exact: the running cost is v^2/2 + b v + c (the family's
+``control_cost``) and the foot is linear in v, so on a piece of I of slope s
+the objective is a convex quadratic minimised at v = -(b + s g), clipped to
+the controls whose foot lands on that piece.  The pieces each node reaches
+are found once per sweep.  The scheme is monotone: raising the terminal data
+can never lower any value.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import TrajectoryEnsemble
-from .errors import ControlSaturationError, DomainTooSmallError
+from .errors import ControlSaturationError, DomainTooSmallError, ValueBlowupError
 from .families import HamiltonianFamily
 
 logger = logging.getLogger(__name__)
@@ -50,12 +50,13 @@ SATURATION_FRACTION = 0.01
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Spatial grid plus control-set discretization for the backward sweep.
+    """Spatial grid and control box ``[-v_max, v_max]`` of the backward sweep.
 
-    ``core_lo``/``core_hi`` mark the sub-interval whose values are considered
-    authoritative; the belt outside it is sacrificial padding where the
-    control box may pinch without invalidating the solve.  They default to
-    the full domain.
+    ``nv`` is validated (``nv >= 2``) but changes no number: the sweep
+    minimizes over the whole box.  ``core_lo``/``core_hi`` mark the
+    sub-interval whose values are considered authoritative; the belt outside
+    it is sacrificial padding where the control box may pinch without
+    invalidating the solve.  They default to the full domain.
     """
 
     x_lo: float
@@ -80,9 +81,6 @@ class GridConfig:
 
     def nodes(self) -> np.ndarray:
         return np.linspace(self.x_lo, self.x_hi, self.nx)
-
-    def controls(self) -> np.ndarray:
-        return np.linspace(-self.v_max, self.v_max, self.nv)
 
     def core_interval(self) -> tuple[float, float]:
         lo = self.x_lo if self.core_lo is None else self.core_lo
@@ -183,40 +181,38 @@ class ValueGrid:
         return _interp_clamped(xq, self.x, self.grad[t_index], "value grid")
 
 
-def _shift_stencil(x: np.ndarray, feet: np.ndarray):
-    """``interp(y)``: ``np.interp(feet, x, y)`` bit for bit; the next call may overwrite it."""
-    nv, nx = feet.shape
-    j = np.clip(np.searchsorted(x, feet, "right") - 1, 0, nx - 2)  # x[j] <= foot < x[j+1]
-    low, high = feet < x[0], feet >= x[-1]  # np.interp reads y[0], y[-1] there
-    offset = np.where(low | high, 0.0, feet - x[j])  # NaN feet stay NaN, as np.interp's
-    copy = low | high | (offset == 0.0)  # a node hit reads y[j], so -0.0 survives
-    shift = np.median(j - np.arange(nx), axis=1).astype(int)  # row k: mostly cell i + s_k
-    whole = np.any(~copy & (j != np.arange(nx) + shift[:, None]), axis=1)  # rows off their shift
-    shift[whole] = nx  # such rows are read through their cells j, in blocks of their own
-    copy = np.flatnonzero(copy)
-    node = np.where(low, 0, np.where(high, nx - 1, j)).ravel()[copy]
-    slope_pad, y_pad = np.zeros(3 * nx), np.zeros(3 * nx)  # |shift| < nx; only copies read pads
-    slope, dx, out = slope_pad[nx : 2 * nx - 1], np.diff(x), np.empty((nv, nx))
-    starts = np.flatnonzero(np.diff(shift, prepend=shift[0] - 1))  # rows of one shift
-    blocks = [(k0, k1, nx + shift[k0]) for k0, k1 in zip(starts, [*starts[1:], nv])]
+def _exact_minimiser(x: np.ndarray, g, dt: float, v_max: float):
+    """``step(y, b, c) -> (u, v)``: per node ``i``, the minimum over
+    ``|v| <= v_max`` of ``dt (v^2/2 + b v + c) + I[y](x_i + dt g_i v)`` and
+    the control that attains it.
 
-    def interp(y: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):  # np.interp raises no floating-point warnings
-            np.divide(np.subtract(y[1:], y[:-1], out=slope), dx, out=slope)
-            if not np.isfinite(slope).all():  # np.interp has a NaN fallback
-                return np.interp(feet, x, y)
-            y_pad[nx : 2 * nx] = y
-            for k0, k1, a in blocks:
-                if whole[k0]:
-                    np.multiply(offset[k0:k1], slope.take(j[k0:k1]), out=out[k0:k1])
-                    out[k0:k1] += y.take(j[k0:k1])
-                else:
-                    np.multiply(offset[k0:k1], slope_pad[a : a + nx], out=out[k0:k1])
-                    out[k0:k1] += y_pad[a : a + nx]
-            out.reshape(-1)[copy] = y[node]
-        return out
+    Piece ``p`` of the interpolation ``I`` spans ``[x[p], x[p + 1]]``; the
+    edge pieces ``p = -1`` and ``p = nx - 1`` reach out to -inf and +inf and
+    read ``y[0]`` and ``y[-1]``.  Each node tries the pieces its feet reach.
+    """
+    nx = x.size
+    speed = dt * np.asarray(g, dtype=float)  # d(foot)/dv
+    reach = np.abs(speed) * v_max
+    first = np.searchsorted(x, x - reach, "right") - 1
+    last = np.searchsorted(x, x + reach, "right") - 1
+    piece = np.minimum(first + np.arange(np.max(last - first) + 1)[:, None], last)
+    edges = np.concatenate(([-np.inf], x, [np.inf]))
+    ends = (edges[piece + 1] - x) / speed, (edges[piece + 2] - x) / speed
+    lo = np.maximum(np.minimum(*ends), -v_max)  # controls whose foot lands on the piece
+    hi = np.minimum(np.maximum(*ends), v_max)
+    anchor = np.clip(piece, 0, nx - 1)
+    offset = x - x[anchor]  # foot - x[anchor] = offset + speed v
+    slopes, width, cols = np.zeros(nx + 1), np.diff(x), np.arange(nx)  # edge pieces are flat
 
-    return interp
+    def step(y: np.ndarray, b, c):
+        np.divide(np.subtract(y[1:], y[:-1], out=slopes[1:-1]), width, out=slopes[1:-1])
+        s = slopes.take(piece + 1)
+        v = np.minimum(np.maximum(-(s * g + b), lo), hi)
+        cost = (s * (offset + speed * v) + y.take(anchor)) + dt * (0.5 * v + b) * v
+        best = cost.argmin(axis=0)
+        return cost[best, cols] + dt * c, v[best, cols]
+
+    return step
 
 
 def solve_backward(
@@ -224,39 +220,34 @@ def solve_backward(
 ) -> ValueGrid:
     """Backward semi-Lagrangian sweep along the frozen population trajectory.
 
-    Raises :class:`ControlSaturationError` when the control argmin sits at
+    The family must provide ``control_cost``.  Raises
+    :class:`ControlSaturationError` when the minimizing control reaches
     +-v_max on more than 1% of the core nodes of any slice, which signals a
-    control box too small for the problem.
+    control box too small for the problem, and :class:`ValueBlowupError`
+    when a value is not finite.
     """
     x = cfg.nodes()
-    controls = cfg.controls()
     steps = traj.steps
-    dt = traj.dt
     u = np.empty((steps + 1, cfg.nx))
-    u[steps] = fam.terminal(x, traj.ensemble(steps))
-
-    interp = _shift_stencil(x, x[None, :] + dt * fam.control_speed(x[None, :], controls[:, None]))
-    cost = np.empty((cfg.nv, cfg.nx))
     core_lo, core_hi = cfg.core_interval()
     core = (x >= core_lo) & (x <= core_hi)
     core[[0, -1]] = False
     n_core = max(int(np.count_nonzero(core)), 1)
 
-    for m in range(steps - 1, -1, -1):
-        x_ens = traj.ensemble(m)
-        z_ens = traj.velocity_ensemble(m)
-        running = fam.lagrangian(x[None, :], controls[:, None], x_ens, z_ens)
-        np.multiply(running, dt, out=cost)
-        cost += interp(u[m + 1])
-        best = np.argmin(cost, axis=0)  # first minimum = smallest control
-        u[m] = cost[best, np.arange(cfg.nx)]
-        pinned = ((best == 0) | (best == cfg.nv - 1)) & core
-        frac = np.count_nonzero(pinned) / n_core
-        if frac > SATURATION_FRACTION:
-            raise ControlSaturationError(
-                f"control argmin pinned at +-v_max on {frac:.1%} of core nodes "
-                f"at t={traj.times[m]:.4g}; increase v_max beyond {cfg.v_max:g}"
-            )
+    with np.errstate(all="ignore"):  # non-finite values are tested for below
+        u[steps] = fam.terminal(x, traj.ensemble(steps))
+        step = _exact_minimiser(x, fam.control_speed(x, 1.0), traj.dt, cfg.v_max)
+        for m in range(steps - 1, -1, -1):
+            b, c = fam.control_cost(x, traj.ensemble(m), traj.velocity_ensemble(m))
+            u[m], v = step(u[m + 1], b, c)
+            frac = np.count_nonzero((np.abs(v) >= cfg.v_max) & core) / n_core
+            if frac > SATURATION_FRACTION:
+                raise ControlSaturationError(
+                    f"control argmin pinned at +-v_max on {frac:.1%} of core nodes "
+                    f"at t={traj.times[m]:.4g}; increase v_max beyond {cfg.v_max:g}"
+                )
+    if not np.isfinite(u).all():
+        raise ValueBlowupError("backward sweep produced a non-finite value")
 
     grad = _central_gradient(x, u)
     return ValueGrid(config=cfg, times=traj.times, u=u, grad=grad)

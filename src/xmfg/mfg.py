@@ -63,7 +63,7 @@ class SolverConfig:
 
     nx: int = 201
     time_steps: int = 200
-    nv: int = 201
+    nv: int = 201  # validated (nv >= 2); changes no number
     v_max: float | None = None  # None selects from coercivity
     damping: float = 0.5
     tol_fix: float = 1e-6
@@ -176,6 +176,8 @@ def canonical_grid(
     if not _state_dependent(fam):
         pad = v_max * problem.horizon
         dx0 = (hi - lo + 2 * pad) / (cfg.nx - 1)
+        if not math.isfinite(dx0):
+            raise XmfgError(f"grid padding v_max * T = {pad:g} overflows; reduce v_max or T")
         pad += 3 * dx0
         return GridConfig(
             x_lo=lo - pad,

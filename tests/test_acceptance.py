@@ -198,6 +198,16 @@ def test_criterion_9_separation_diagnostic(lq_setup, lq_coupled_setup, quartic_s
     assert report(9, "separation-diagnostic", ok, ", ".join(details))
 
 
+def test_quartic_separation_tracks_the_oracle(quartic_setup):
+    # the solver's characteristics keep the oracle's spacing, not just a
+    # positive one: the ratio of criterion 9 within 10% of the oracle's
+    problem, _, sol, _, oracle_traj = quartic_setup
+    t_max = 0.9 * problem.horizon
+    solved = separation_diagnostic(sol.traj, t_max=t_max).min_ratio
+    oracle = separation_diagnostic(oracle_traj, t_max=t_max).min_ratio
+    assert abs(solved - oracle) <= 0.1 * oracle, (solved, oracle)
+
+
 def test_criterion_10_determinism(tmp_path):
     doc = {
         "family": "lq",

@@ -281,6 +281,31 @@ def test_table_kind_round_trips_and_builds_its_cost(tmp_path, family, slot, kind
         assert default == {"kind": kind, "params": dict.fromkeys(names, 0.0)}
 
 
+POTENTIAL_ENTRIES = [(family, kind) for family, slot, kind in TABLE_ENTRIES if slot == "potential"]
+
+
+@pytest.mark.parametrize("family, kind", POTENTIAL_ENTRIES, ids=map("-".join, POTENTIAL_ENTRIES))
+def test_control_cost_is_the_lagrangian(family, kind):
+    # the backward sweep reads L through control_cost: v^2/2 + b v + c
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        params = {name: rng.uniform(-2, 2) for name in KINDS[family]["potential"][kind][1]}
+        doc = {
+            "family": family,
+            "beta": 0.0 if family == "quartic" else rng.uniform(-0.9, 3.0),
+            "T": 1.0,
+            "potential": {"kind": kind, "params": params},
+            "initial": {"kind": "uniform", "params": {"lo": 0.5, "hi": 1.5}, "N": 8},
+        }
+        fam = parse_problem_document(doc).problem.family
+        n = int(rng.integers(1, 9))
+        x_ens, z_ens = Ensemble(rng.uniform(0.2, 2.0, n)), Ensemble(rng.normal(0.0, 2.0, n))
+        x, v = rng.uniform(0.2, 2.0, 16), rng.uniform(-5.0, 5.0, 16)
+        b, c = fam.control_cost(x, x_ens, z_ens)
+        gap = 0.5 * v**2 + b * v + c - fam.lagrangian(x, v, x_ens, z_ens)
+        assert np.all(np.abs(gap) <= 1e-12 * (0.5 * v**2 + np.abs(b * v) + np.abs(c)))
+
+
 def test_overrides_apply_before_validation(tmp_path):
     path = write_doc(tmp_path, ZERO_DOC)
     parsed = parse_problem(path, overrides=("solver.nx=21", "T=0.5"))
@@ -429,3 +454,38 @@ def test_flow_blowup_is_one_error_line(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("ERROR FLOW_BLOWUP:")
+
+
+# a small quadratic game with the mean-velocity coupling and an interaction cost
+QUADRATIC_DOC = {
+    "family": "quadratic",
+    "beta": 0.5,
+    "T": 1.0,
+    "potential": {"kind": "moment_quadratic", "params": {"scale": 0.5}},
+    "terminal": {"kind": "quadratic", "params": {"m": 1.0, "n": 0.3}},
+    "initial": {"kind": "uniform", "params": {"lo": 0.0, "hi": 1.0}, "N": 8},
+    "solver": {"nx": 41, "M": 20, "nv": 41, "v_max": 4.0},
+}
+
+
+@pytest.mark.parametrize("override", ["T=1e308", "solver.v_max=1e308", "beta=1e308"])
+def test_overflowing_inputs_print_only_the_error_line(tmp_path, capsys, override):
+    cfg_path = write_doc(tmp_path, QUADRATIC_DOC)
+    argv = ["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--override", override]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR "), err
+
+
+# 10**15 floats are 8 PB, beyond any 64-bit user address space: the
+# allocation fails whatever the overcommit setting
+@pytest.mark.parametrize("override", ["solver.nx=1000000000000000", "initial.N=1000000000000000"])
+def test_oversized_arrays_are_one_memory_line(tmp_path, capsys, override):
+    cfg_path = write_doc(tmp_path, QUADRATIC_DOC)
+    argv = ["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--override", override]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR MEMORY:"), err

@@ -1,5 +1,4 @@
 import copy
-import re
 
 import numpy as np
 import pytest
@@ -16,14 +15,13 @@ from xmfg.families import (
     QuadraticFormPotential,
     QuadraticTerminal,
     QuarticFamily,
-    TabulatedTerminal,
 )
 from xmfg.hjb import (
     SATURATION_FRACTION,
     GridConfig,
     ValueGrid,
     ValueSlice,
-    _shift_stencil,
+    _exact_minimiser,
     regularity_report,
     solve_backward,
 )
@@ -47,37 +45,8 @@ def moving_population(rng, steps, n=8, horizon=1.0, lo=-0.5, hi=0.5):
 def with_table(fam, nodes, values):
     """A copy of ``fam`` whose terminal cost is a piecewise-linear table."""
     fam = copy.copy(fam)
-    fam.terminal = TabulatedTerminal(nodes, values)
+    fam.terminal = lambda x, ens: np.interp(x, nodes, values)
     return fam
-
-
-def reference_sweep(fam, traj, cfg):
-    """The backward sweep with ``np.interp`` called at every step."""
-    x = cfg.nodes()
-    controls = cfg.controls()
-    steps, dt = traj.steps, traj.dt
-    u = np.empty((steps + 1, cfg.nx))
-    u[steps] = fam.terminal(x, traj.ensemble(steps))
-    feet = (x[None, :] + dt * fam.control_speed(x[None, :], controls[:, None])).ravel()
-    core_lo, core_hi = cfg.core_interval()
-    core = (x >= core_lo) & (x <= core_hi)
-    core[[0, -1]] = False
-    n_core = max(int(np.count_nonzero(core)), 1)
-    for m in range(steps - 1, -1, -1):
-        running = fam.lagrangian(
-            x[None, :], controls[:, None], traj.ensemble(m), traj.velocity_ensemble(m)
-        )
-        cost = dt * running + np.interp(feet, x, u[m + 1]).reshape(cfg.nv, cfg.nx)
-        best = np.argmin(cost, axis=0)
-        u[m] = cost[best, np.arange(cfg.nx)]
-        pinned = ((best == 0) | (best == cfg.nv - 1)) & core
-        frac = np.count_nonzero(pinned) / n_core
-        if frac > SATURATION_FRACTION:
-            raise ControlSaturationError(
-                f"control argmin pinned at +-v_max on {frac:.1%} of core nodes "
-                f"at t={traj.times[m]:.4g}; increase v_max beyond {cfg.v_max:g}"
-            )
-    return u
 
 
 def static_grid(u_row, x_lo=-1.0, x_hi=1.0, slices=3):
@@ -217,61 +186,44 @@ def test_comparison_principle(seed):
         assert np.all(u_hi >= u_lo - 1e-12), name
 
 
-#: terminal entries that stress the sweep: signed zeros, slopes that overflow
-#: (so np.interp's NaN fallback is needed) and slopes that stay just finite
-SPECIAL_TERMINALS = [-0.0, 0.0, 1e308, -1e308, np.inf, -np.inf, 1e306, -1e306]
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_sweep_matches_np_interp_reference(data):
-    nx = data.draw(st.integers(3, 60), label="nx")
-    nv = data.draw(st.integers(2, 60), label="nv")
-    steps = data.draw(st.integers(1, 15), label="steps")
-    ratio = data.draw(st.floats(0.1, 3.5), label="dt*v_max/dx")
-    quartic = data.draw(st.booleans(), label="quartic")
+def test_exact_minimum_matches_dense_controls(data):
+    # one step against a brute force over >= 2001 controls plus every control
+    # whose foot lands on a node (the domain edges included) and +-v_max
+    nx = data.draw(st.integers(3, 40), label="nx")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    x_lo, x_hi = (0.5, 1.5) if quartic else (-1.0, 1.0)
-    v_max = 4.0
-    dx = (x_hi - x_lo) / (nx - 1)
-    traj_kw = dict(lo=0.8, hi=1.2) if quartic else {}
-    traj = moving_population(rng, steps, horizon=steps * ratio * dx / v_max, **traj_kw)
-    cfg = GridConfig(x_lo, x_hi, nx, nv, v_max)
-    x = cfg.nodes()
-    psi = rng.uniform(-1, 1) * x + rng.uniform(-1, 1) * x**2 + rng.normal(0, 0.01, nx)
-    for _ in range(data.draw(st.integers(0, 3), label="specials")):
-        psi[rng.integers(nx)] = data.draw(st.sampled_from(SPECIAL_TERMINALS))
-    if quartic:
-        fam = QuarticFamily(0.2, coupling=MeanSquareVelocityCoupling(0.3))
-    else:
-        fam = LQFamily(beta=0.5, a=rng.uniform(0, 2), b=rng.uniform(-1, 1))
-    fam = with_table(fam, x, psi)
+    x_lo = rng.uniform(-2.0, 2.0)
+    x = np.linspace(x_lo, x_lo + rng.uniform(0.2, 4.0), nx)
+    dt = data.draw(st.floats(1e-3, 0.5), label="dt")
+    v_max = data.draw(st.floats(0.1, 20.0), label="v_max")
+    speed = data.draw(st.sampled_from(["unit", "state-scaled", "signed"]), label="g")
+    g = {
+        "unit": np.ones(nx),
+        "state-scaled": 1.0 / (x - x_lo + rng.uniform(0.2, 2.0)),
+        "signed": rng.choice([-1.0, 1.0], nx) * rng.uniform(0.2, 3.0, nx),
+    }[speed]
+    b = rng.normal(0.0, 2.0, nx) if data.draw(st.booleans(), label="b per node") else rng.normal()
+    c = rng.normal(0.0, 1.0, nx)
+    y = rng.uniform(0.1, 10.0) * rng.normal(size=nx)  # convex or not
+    u, v = _exact_minimiser(x, g, dt, v_max)(y, b, c)
 
-    # single interpolations, compared bit for bit, so signed zeros count
-    feet = x[None, :] + traj.dt * fam.control_speed(x[None, :], cfg.controls()[:, None])
-    interp = _shift_stencil(x, feet)
-    for y in (psi, np.full(nx, -0.0)):
-        assert interp(y).tobytes() == np.interp(feet, x, y).tobytes()
+    bb, cc, gg = np.broadcast_to(b, (nx,))[:, None], c[:, None], g[:, None]
+    dense = np.broadcast_to(np.linspace(-v_max, v_max, 2001), (nx, 2001))
+    on_nodes = np.clip((x[None, :] - x[:, None]) / (dt * gg), -v_max, v_max)
+    controls = np.hstack([dense, on_nodes, np.full((nx, 2), [-v_max, v_max])])
 
-    with np.errstate(all="ignore"):
-        try:
-            expected = reference_sweep(fam, traj, cfg)
-        except ControlSaturationError as err:
-            with pytest.raises(ControlSaturationError, match=re.escape(str(err))):
-                solve_backward(fam, traj, cfg)
-            return
-        assert solve_backward(fam, traj, cfg).u.tobytes() == expected.tobytes()
+    def objective(w):
+        feet = x[:, None] + dt * gg * w
+        return dt * (0.5 * w**2 + bb * w + cc) + np.interp(feet, x, y)
 
-
-def test_sweep_matches_reference_on_nan_feet():
-    # the state-scaled speed v/x at x = 0 puts feet at NaN (v = 0) and +-inf;
-    # one step, since the NaN value at x = 0 pins the argmin on the next one
-    fam = QuarticFamily(0.2)
-    traj = resting_population(steps=1, level=0.5)
-    cfg = GridConfig(0.0, 1.0, 11, 5, 1.0)
-    with np.errstate(all="ignore"):
-        expected = reference_sweep(fam, traj, cfg)
-        assert solve_backward(fam, traj, cfg).u.tobytes() == expected.tobytes()
+    brute = objective(controls).min(axis=1)
+    scale = 1.0 + np.max(np.abs(y)) + dt * (0.5 * v_max**2 + np.max(np.abs(b)) * v_max + np.max(np.abs(c)))
+    dv = 2.0 * v_max / 2000
+    assert np.all(u <= brute + 1e-12 * scale)
+    assert np.all(brute - u <= dt * dv**2 / 8 + 1e-12 * scale)
+    assert np.all(np.abs(v) <= v_max)
+    np.testing.assert_allclose(objective(v[:, None])[:, 0], u, rtol=0, atol=1e-12 * scale)
 
 
 def test_consistency_under_refinement():
