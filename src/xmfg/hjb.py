@@ -11,7 +11,7 @@ on a 1-d grid.  Each backward step minimizes over the control box
 with piecewise-linear interpolation I clamped at the domain edges.  The
 minimum is exact: the running cost is v^2/2 + b v + c (the family's
 ``control_cost``) and the foot is linear in v, so on a piece of I of slope s
-the objective is a convex quadratic minimised at v = -(b + s g), clipped to
+the objective is a convex quadratic minimized at v = -(b + s g), clipped to
 the controls whose foot lands on that piece.  The pieces each node reaches
 are found once per sweep.  The scheme is monotone: raising the terminal data
 can never lower any value.
@@ -181,7 +181,7 @@ class ValueGrid:
         return _interp_clamped(xq, self.x, self.grad[t_index], "value grid")
 
 
-def _exact_minimiser(x: np.ndarray, g, dt: float, v_max: float):
+def _exact_minimizer(x: np.ndarray, g, dt: float, v_max: float):
     """``step(y, b, c) -> (u, v)``: per node ``i``, the minimum over
     ``|v| <= v_max`` of ``dt (v^2/2 + b v + c) + I[y](x_i + dt g_i v)`` and
     the control that attains it.
@@ -236,7 +236,7 @@ def solve_backward(
 
     with np.errstate(all="ignore"):  # non-finite values are tested for below
         u[steps] = fam.terminal(x, traj.ensemble(steps))
-        step = _exact_minimiser(x, fam.control_speed(x, 1.0), traj.dt, cfg.v_max)
+        step = _exact_minimizer(x, fam.control_speed(x, 1.0), traj.dt, cfg.v_max)
         for m in range(steps - 1, -1, -1):
             b, c = fam.control_cost(x, traj.ensemble(m), traj.velocity_ensemble(m))
             u[m], v = step(u[m + 1], b, c)

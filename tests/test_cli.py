@@ -468,8 +468,19 @@ QUADRATIC_DOC = {
 }
 
 
-@pytest.mark.parametrize("override", ["T=1e308", "solver.v_max=1e308", "beta=1e308"])
-def test_overflowing_inputs_print_only_the_error_line(tmp_path, capsys, override):
+# 10**15 floats are 8 PB, beyond any 64-bit user address space: that
+# allocation fails whatever the overcommit setting
+@pytest.mark.parametrize(
+    "override, code",
+    [
+        ("T=1e308", "XMFG"),
+        ("solver.v_max=1e308", "XMFG"),
+        ("beta=1e308", "CONTROL_SATURATION"),
+        ("solver.nx=1000000000000000", "MEMORY"),
+        ("initial.N=1000000000000000", "MEMORY"),
+    ],
+)
+def test_extreme_inputs_print_only_the_error_line(tmp_path, capsys, override, code):
     cfg_path = write_doc(tmp_path, QUADRATIC_DOC)
     argv = ["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--override", override]
     with warnings.catch_warnings(record=True) as caught:
@@ -477,15 +488,4 @@ def test_overflowing_inputs_print_only_the_error_line(tmp_path, capsys, override
         assert main(argv) == 1
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("ERROR "), err
-
-
-# 10**15 floats are 8 PB, beyond any 64-bit user address space: the
-# allocation fails whatever the overcommit setting
-@pytest.mark.parametrize("override", ["solver.nx=1000000000000000", "initial.N=1000000000000000"])
-def test_oversized_arrays_are_one_memory_line(tmp_path, capsys, override):
-    cfg_path = write_doc(tmp_path, QUADRATIC_DOC)
-    argv = ["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--override", override]
-    assert main(argv) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("ERROR MEMORY:"), err
+    assert len(err) == 1 and err[0].startswith(f"ERROR {code}:"), err
