@@ -223,15 +223,7 @@ def _lq_paths(coeffs_fns, x0, beta, horizon, steps, sub, max_passes, tol):
             break
 
     node_ix = np.arange(0, k_fine + 1, sub)
-    return (
-        times,
-        gamma_f[node_ix],
-        theta_f[node_ix],
-        zeta_f[node_ix],
-        states,
-        converged,
-        passes,
-    )
+    return times, gamma_f[node_ix], theta_f[node_ix], zeta_f[node_ix], states, converged, passes
 
 
 def lq_solve(
@@ -338,6 +330,7 @@ class QuarticState:
         return self.p[:, None] * nodes[None, :] ** 4 + self.q[:, None]
 
 
+@np.errstate(all="ignore")  # a non-finite closed form raises below
 def quartic_solve(
     a_terminal: float,
     b_terminal,
@@ -404,6 +397,8 @@ def quartic_solve(
         states[m + 1] = x
     velocities = -4.0 * p_nodes[:, None] * states
     costates = 4.0 * p_nodes[:, None] * states**3
+    if not (np.all(np.isfinite(p_fine)) and np.all(np.isfinite(costates))):
+        raise RootSolveError(f"quartic closed form is not finite on the horizon T={horizon:g}")
 
     # q' = -U(X, X') integrated backward with trapezoid on the solver grid
     b_fn = as_coefficient(b_terminal)

@@ -353,7 +353,7 @@ def parse_problem(path, overrides: tuple[str, ...] = ()) -> ParsedProblem:
 
 def emit_problem(parsed: ParsedProblem) -> str:
     """Canonical serialization; parsing it again reproduces the document."""
-    return json.dumps(parsed.document, sort_keys=True, indent=2) + "\n"
+    return json.dumps(parsed.document, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +435,7 @@ def _report_payload(report, out_dir: Path, tag: str) -> dict:
     payload = {
         "condition": report.condition,
         "trials": report.trials,
-        "min_value": report.min_value,
+        "min_value": report.min_value if math.isfinite(report.min_value) else None,
         "verdict": report.verdict,
         "certificate_files": cert_files,
     }
@@ -460,11 +460,9 @@ def _cmd_check(parsed: ParsedProblem, run: RunConfig) -> int:
     combined = []
     for tag, rep in reports:
         payload = _report_payload(rep, run.out_dir, tag)
-        (run.out_dir / f"check_{tag}.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
+        bundles.write_json(run.out_dir / f"check_{tag}.json", payload)
         combined.append(payload)
-    (run.out_dir / "report.json").write_text(json.dumps(combined, indent=2, sort_keys=True) + "\n")
+    bundles.write_json(run.out_dir / "report.json", combined)
     bundles.write_meta(run.out_dir / "meta.json", _meta(parsed, run), started)
     return 0
 
@@ -486,13 +484,9 @@ def _cmd_master(parsed: ParsedProblem, run: RunConfig) -> int:
     lines = ["x,t"]
     lines += [f"{bundles._fmt(x)},{bundles._fmt(t)}" for x, t in probes]
     (run.out_dir / "probes.csv").write_text("\n".join(lines) + "\n")
-    (run.out_dir / "master.json").write_text(
-        json.dumps(
-            {"residual": residual, "n_probes": len(probes), "converged": sol.converged},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
+    bundles.write_json(
+        run.out_dir / "master.json",
+        {"residual": residual, "n_probes": len(probes), "converged": sol.converged},
     )
     bundles.write_meta(
         run.out_dir / "meta.json",
@@ -506,17 +500,13 @@ def _cmd_probe_uniqueness(parsed: ParsedProblem, run: RunConfig) -> int:
     started = time.perf_counter()
     rep = uniqueness_probe(parsed.problem, parsed.solver, k=3, rng_seed=run.seed)
     run.out_dir.mkdir(parents=True, exist_ok=True)
-    (run.out_dir / "uniqueness.json").write_text(
-        json.dumps(
-            {
-                "status": rep.status,
-                "max_pairwise": None if math.isnan(rep.max_pairwise) else rep.max_pairwise,
-                "run_residuals": rep.run_residuals,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
+    bundles.write_json(
+        run.out_dir / "uniqueness.json",
+        {
+            "status": rep.status,
+            "max_pairwise": None if math.isnan(rep.max_pairwise) else rep.max_pairwise,
+            "run_residuals": [r if math.isfinite(r) else None for r in rep.run_residuals],
+        },
     )
     bundles.write_meta(run.out_dir / "meta.json", _meta(parsed, run, status=rep.status), started)
     return 0 if rep.status == "conclusive" else 2

@@ -131,6 +131,7 @@ def _random_ensemble(rng, dim: int, n: int | None = None) -> Ensemble:
     return Ensemble._view(samples, 2.0)  # finite by construction
 
 
+@np.errstate(all="ignore")  # a non-finite trial ends the check as inconclusive
 def _run_check(condition, evaluate, sample_pair, trials, rng_seed, strict, skip_equal):
     rng = np.random.default_rng(rng_seed)
     min_value = np.inf

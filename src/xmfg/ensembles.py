@@ -78,7 +78,7 @@ class Ensemble:
         """Mean of a 1-d ensemble as a plain float."""
         if self.dim != 1:
             raise UnsupportedDimensionError("mean_scalar requires dim == 1")
-        return float(self.samples.mean())
+        return float(np.add.reduce(self.samples, axis=None) / self.n)  # np.mean's bits
 
     def moment(self, r: float) -> float:
         """(1/N) sum |x_i|^r with the Euclidean norm per sample."""

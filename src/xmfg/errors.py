@@ -52,7 +52,7 @@ class FlowBlowupError(XmfgError):
 
 
 class ValueBlowupError(FlowBlowupError):
-    """The backward value sweep produced a non-finite value."""
+    """The backward value sweep or its starting profile is not finite."""
 
     code = "VALUE_BLOWUP"
 
@@ -74,7 +74,7 @@ class SingularDenominatorError(XmfgError):
 
 
 class RootSolveError(XmfgError):
-    """Terminal condition is outside the range of the closed form."""
+    """Terminal condition or horizon is outside the range of the closed form."""
 
     code = "ROOT_SOLVE"
 

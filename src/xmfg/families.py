@@ -276,7 +276,7 @@ class QuadraticCoupledFamily(HamiltonianFamily):
             raise SingularCouplingError(
                 "velocity equation Z = -beta EZ - P is singular at beta = -1"
             )
-        return self.beta / (1.0 + self.beta) * p.mean(axis=0) - p
+        return self.beta / (1.0 + self.beta) * (np.add.reduce(p) / p.shape[0]) - p
 
 
 class LQFamily(QuadraticCoupledFamily):
@@ -402,24 +402,23 @@ def solve_velocity(
         raise UnsupportedDimensionError("velocity solver operates on 1-d ensembles")
     p = p_ensemble.samples[:, 0]
     q = p_ensemble.q
+    closed = fam.velocity_closed_form(x, p, y)
+    if closed is not None and not return_info:
+        # unchecked: a non-finite closed form reaches the flow's per-step test
+        return Ensemble._view(np.asarray(closed, dtype=float).reshape(-1, 1), q)
     x = np.broadcast_to(np.asarray(x, dtype=float), p.shape)
 
     def as_ensemble(z_arr):
-        # unchecked: the iteration tests its iterates, and a non-finite closed
-        # form reaches the flow's per-step test through the state update
+        # unchecked: the iteration tests its iterates
         return Ensemble._view(z_arr.reshape(-1, 1), q)
 
     def residual_norm(z_arr):
         r = z_arr + np.asarray(fam.dp_hamiltonian(x, p, y, as_ensemble(z_arr)), dtype=float)
         return float(np.mean(np.abs(r) ** q) ** (1.0 / q))
 
-    closed = fam.velocity_closed_form(x, p, y)
-    info = {"iterations": 0, "step_norms": [], "rates": [], "residual": 0.0}
     if closed is not None:
         z = np.asarray(closed, dtype=float)
-        if not return_info:
-            return as_ensemble(z)
-        info["residual"] = residual_norm(z)
+        info = {"iterations": 0, "step_norms": [], "rates": [], "residual": residual_norm(z)}
         return as_ensemble(z), info
 
     z = -p.copy()
@@ -450,11 +449,7 @@ def solve_velocity(
             f"exceeds 10*tol={10 * tol:g}",
             residual=res,
         )
-    info.update(
-        iterations=len(steps),
-        step_norms=steps,
-        rates=[b / a for a, b in zip(steps, steps[1:]) if a > 0],
-        residual=res,
-    )
+    rates = [b / a for a, b in zip(steps, steps[1:]) if a > 0]
+    info = {"iterations": len(steps), "step_norms": steps, "rates": rates, "residual": res}
     out = as_ensemble(z)
     return (out, info) if return_info else out

@@ -35,15 +35,17 @@ __all__ = [
 _OVERFLOW_GUARD = 1e12
 
 
-def _stage_rates(fam: HamiltonianFamily, x: np.ndarray, p: np.ndarray, q: float):
-    # Unchecked views: a non-finite stage rate carries into the step sum,
-    # which integrate_flow tests after every step.
+def _stage_rates(fam: HamiltonianFamily, y: np.ndarray, q: float) -> np.ndarray:
+    # (z, D_xH) at y = (x, p) on unchecked views: a non-finite stage rate
+    # carries into the step sum, which integrate_flow tests after every step.
+    x, p = y
     x_ens = Ensemble._view(x[:, None], q)
     p_ens = Ensemble._view(p[:, None], q)
     z_ens = solve_velocity(fam, x, p_ens, x_ens)
-    z = z_ens.samples[:, 0]
-    dp = np.asarray(fam.dx_hamiltonian(x, p, x_ens, z_ens), dtype=float)
-    return z, np.broadcast_to(dp, p.shape)
+    rates = np.empty_like(y)
+    rates[0] = z_ens.samples[:, 0]
+    rates[1] = fam.dx_hamiltonian(x, p, x_ens, z_ens)  # a scalar broadcasts here
+    return rates
 
 
 def integrate_flow(
@@ -74,36 +76,34 @@ def integrate_flow(
     dt = horizon / steps
     times = np.linspace(0.0, horizon, steps + 1)
 
-    x = x0.samples[:, 0].copy()
-    p = np.asarray(phi.gradient_at(x), dtype=float).copy()
-
-    states = np.empty((steps + 1, n, 1))
-    costates = np.empty_like(states)
-    velocities = np.empty_like(states)
+    # y stacks states and costates, so each RK combination is one ufunc
+    y = np.empty((2, n))
+    y[0] = x0.samples[:, 0]
+    y[1] = phi.gradient_at(y[0])
+    path = np.empty((3, steps + 1, n))
 
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values fail the guards
         for m in range(steps + 1):
-            k1x, k1p = _stage_rates(fam, x, p, q)
-            states[m, :, 0] = x
-            costates[m, :, 0] = p
-            velocities[m, :, 0] = k1x
+            k1 = _stage_rates(fam, y, q)
+            path[:2, m] = y
+            path[2, m] = k1[0]
             if m == steps:
-                if not np.all(np.isfinite(k1x)):
+                if not np.all(np.isfinite(k1[0])):
                     raise FlowBlowupError(
                         f"flow velocity is not finite at the final time t={times[m]:.4g}", step=m
                     )
                 break
-            k2x, k2p = _stage_rates(fam, x + 0.5 * dt * k1x, p + 0.5 * dt * k1p, q)
-            k3x, k3p = _stage_rates(fam, x + 0.5 * dt * k2x, p + 0.5 * dt * k2p, q)
-            k4x, k4p = _stage_rates(fam, x + dt * k3x, p + dt * k3p, q)
-            x = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-            p = p + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-            if not (np.max(np.abs(x)) <= _OVERFLOW_GUARD and np.max(np.abs(p)) <= _OVERFLOW_GUARD):
+            k2 = _stage_rates(fam, y + 0.5 * dt * k1, q)
+            k3 = _stage_rates(fam, y + 0.5 * dt * k2, q)
+            k4 = _stage_rates(fam, y + dt * k3, q)
+            y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not np.max(np.abs(y)) <= _OVERFLOW_GUARD:  # NaN fails it too
                 raise FlowBlowupError(
                     f"flow blew up advancing step {m} -> {m + 1} (t={times[m]:.4g})",
                     step=m,
                 )
 
+    states, costates, velocities = path[..., None]
     return TrajectoryEnsemble(
         times=times, states=states, velocities=velocities, costates=costates, q=q
     )

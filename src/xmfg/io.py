@@ -87,7 +87,12 @@ def write_meta(path: Path, payload: dict, started: float) -> None:
     payload = dict(payload)
     payload["wall_time_s"] = round(time.perf_counter() - started, 6)
     payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, payload)
+
+
+def write_json(path: Path, payload) -> None:
+    """Strict JSON: a NaN or inf raises, so callers write null for a missing number."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def write_solution_bundle(out_dir: Path, sol, meta: dict, started: float) -> None:

@@ -468,24 +468,81 @@ QUADRATIC_DOC = {
 }
 
 
+# the steady quartic game: p(t) = A = 1/(2 sqrt 2) for every horizon
+QUARTIC_DOC = {
+    "family": "quartic",
+    "T": 0.5,
+    "terminal": {"kind": "quartic", "params": {"A": 1 / (2 * np.sqrt(2.0))}},
+    "initial": {"kind": "uniform", "params": {"lo": 0.5, "hi": 1.5}, "N": 16},
+    "solver": {"nx": 41, "M": 20, "nv": 41},
+}
+
+# (command, override, code); `oracle` runs on QUARTIC_DOC, `solve` on QUADRATIC_DOC.
 # 10**15 floats are 8 PB, beyond any 64-bit user address space: that
 # allocation fails whatever the overcommit setting
+EXTREME_INPUTS = [
+    ("solve", "T=1e308", "XMFG"),
+    ("solve", "solver.v_max=1e308", "XMFG"),
+    ("solve", "beta=1e308", "CONTROL_SATURATION"),
+    ("solve", "solver.nx=1000000000000000", "MEMORY"),
+    ("solve", "initial.N=1000000000000000", "MEMORY"),
+    ("solve", "terminal.params.m=1e308", "VALUE_BLOWUP"),
+    ("oracle", "T=1e308", "ROOT_SOLVE"),
+]
+
+
 @pytest.mark.parametrize(
-    "override, code",
-    [
-        ("T=1e308", "XMFG"),
-        ("solver.v_max=1e308", "XMFG"),
-        ("beta=1e308", "CONTROL_SATURATION"),
-        ("solver.nx=1000000000000000", "MEMORY"),
-        ("initial.N=1000000000000000", "MEMORY"),
-    ],
+    "command, override, code",
+    EXTREME_INPUTS,
+    ids=[f"{o}-{c}" if cmd == "solve" else f"{cmd}-{o}-{c}" for cmd, o, c in EXTREME_INPUTS],
 )
-def test_extreme_inputs_print_only_the_error_line(tmp_path, capsys, override, code):
-    cfg_path = write_doc(tmp_path, QUADRATIC_DOC)
-    argv = ["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--override", override]
+def test_extreme_inputs_print_only_the_error_line(tmp_path, capsys, command, override, code):
+    cfg_path = write_doc(tmp_path, QUARTIC_DOC if command == "oracle" else QUADRATIC_DOC)
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--override", override]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv) == 1
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"ERROR {code}:"), err
+
+
+def strict_json(path):
+    def reject(constant):
+        raise ValueError(f"{path.name} holds {constant}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_quartic_oracle_document_runs(tmp_path):
+    cfg_path = write_doc(tmp_path, QUARTIC_DOC)
+    assert main(["oracle", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_non_finite_results_are_written_as_null(tmp_path, capsys):
+    cfg_path = write_doc(tmp_path, QUADRATIC_DOC)
+    check = tmp_path / "check"
+    argv = ["check", "--config", str(cfg_path), "--out", str(check), "--override", "beta=1e308"]
+    # a trial whose cost overflows ends the Lagrangian check as inconclusive
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    assert [str(w.message) for w in caught] == []
+    lagrangian = strict_json(check / "check_lagrangian.json")
+    assert lagrangian["verdict"] == "inconclusive" and lagrangian["min_value"] is None
+    assert lagrangian in strict_json(check / "report.json")
+    strict_json(check / "meta.json")
+    # every run of the probe saturates its controls, so its residual is missing
+    probe = tmp_path / "probe"
+    argv = ["probe-uniqueness", "--config", str(cfg_path), "--out", str(probe)]
+    assert main(argv + ["--override", "solver.v_max=0.01"]) == 2
+    uniqueness = strict_json(probe / "uniqueness.json")
+    assert uniqueness["status"] == "inconclusive"
+    assert uniqueness["max_pairwise"] is None and uniqueness["run_residuals"] == [None]
+    strict_json(probe / "meta.json")
+    assert capsys.readouterr().err == ""
+
+
+def test_bundle_json_refuses_non_finite_numbers(tmp_path):
+    with pytest.raises(ValueError):
+        xmfg.io.write_json(tmp_path / "bad.json", {"residual": float("nan")})

@@ -226,3 +226,19 @@ def test_moment_potential_keeps_point_shapes():
     plane = Ensemble([[0.0, 0.0], [2.0, 2.0]])
     assert pot(np.array([1.0, 1.0]), plane) == 2.0 * 2.0
     assert pot(np.zeros((3, 4, 2)), plane).shape == (3, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 4099),
+    exponent=st.integers(-5, 5),
+    beta=st.sampled_from([-0.5, 0.0, 0.5, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_wrapper_free_means_have_the_bits_of_np_mean(n, exponent, beta, seed):
+    samples = 10.0**exponent * np.random.default_rng(seed).standard_normal(n)
+    ens = Ensemble(samples)
+    assert np.float64(ens.mean_scalar()).tobytes() == np.mean(samples).tobytes()
+    fam = QuadraticCoupledFamily(beta)
+    closed = fam.velocity_closed_form(samples, samples, ens)
+    assert closed.tobytes() == (beta / (1.0 + beta) * samples.mean(axis=0) - samples).tobytes()

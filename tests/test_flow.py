@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xmfg.ensembles import Ensemble
+from xmfg.ensembles import Ensemble, TrajectoryEnsemble
 from xmfg.errors import FlowBlowupError
 from xmfg.families import (
     CustomVelocityFamily,
     LQFamily,
     MomentQuadraticPotential,
     QuadraticCoupledFamily,
+    QuadraticFormPotential,
     QuarticFamily,
     solve_velocity,
 )
@@ -164,23 +167,27 @@ def test_flow_blowup_reports_step():
     assert err.value.step is not None
 
 
+class FinalVelocityOverflows(QuadraticCoupledFamily):
+    """Finite until the velocity solve after ``finite_calls`` returns inf."""
+
+    def __init__(self, beta, finite_calls):
+        super().__init__(beta)
+        self.finite_calls = finite_calls
+        self.calls = 0
+
+    def velocity_closed_form(self, x, p, y_ens):
+        self.calls += 1
+        z = super().velocity_closed_form(x, p, y_ens)
+        return z if self.calls <= self.finite_calls else np.full_like(z, np.inf)
+
+
 def test_non_finite_final_velocity_is_a_flow_blowup():
     # RK4 solves the velocity equation 4 times per step and once more at the
     # final time; only that last velocity escapes the per-step state test
     steps = 10
-
-    class LastVelocityOverflows(QuadraticCoupledFamily):
-        calls = 0
-
-        def velocity_closed_form(self, x, p, y_ens):
-            self.calls += 1
-            z = super().velocity_closed_form(x, p, y_ens)
-            return z if self.calls <= 4 * steps else np.full_like(z, np.inf)
-
+    fam = FinalVelocityOverflows(0.0, 4 * steps)
     with pytest.raises(FlowBlowupError) as err:
-        integrate_flow(
-            LastVelocityOverflows(), spread_ensemble(3), AnalyticSlice(lambda x: x), 1.0, steps
-        )
+        integrate_flow(fam, spread_ensemble(3), AnalyticSlice(lambda x: x), 1.0, steps)
     assert err.value.step == steps
 
 
@@ -191,3 +198,113 @@ def test_flow_input_validation():
         integrate_flow(fam, spread_ensemble(3), phi, 0.0, 10)
     with pytest.raises(ValueError):
         integrate_flow(fam, Ensemble([[1.0, 2.0]]), phi, 1.0, 10)
+
+
+# ---------------------------------------------------------------------------
+# bit parity with the unstacked flow
+# ---------------------------------------------------------------------------
+
+
+def reference_flow(fam, x0, phi, horizon, steps):
+    """The flow as it was before the stacked state: separate x and p arrays,
+    broadcast stage rates, and the velocity solver's fully built path."""
+
+    def stage_rates(x, p):
+        x_ens = Ensemble._view(x[:, None], q)
+        p_ens = Ensemble._view(p[:, None], q)
+        z_ens = solve_velocity(fam, x, p_ens, x_ens, return_info=True)[0]
+        dp = np.asarray(fam.dx_hamiltonian(x, p, x_ens, z_ens), dtype=float)
+        return z_ens.samples[:, 0], np.broadcast_to(dp, p.shape)
+
+    q, n, dt = x0.q, x0.n, horizon / steps
+    times = np.linspace(0.0, horizon, steps + 1)
+    x = x0.samples[:, 0].copy()
+    p = np.asarray(phi.gradient_at(x), dtype=float).copy()
+    states = np.empty((steps + 1, n, 1))
+    costates = np.empty_like(states)
+    velocities = np.empty_like(states)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(steps + 1):
+            k1x, k1p = stage_rates(x, p)
+            states[m, :, 0] = x
+            costates[m, :, 0] = p
+            velocities[m, :, 0] = k1x
+            if m == steps:
+                if not np.all(np.isfinite(k1x)):
+                    raise FlowBlowupError(
+                        f"flow velocity is not finite at the final time t={times[m]:.4g}", step=m
+                    )
+                break
+            k2x, k2p = stage_rates(x + 0.5 * dt * k1x, p + 0.5 * dt * k1p)
+            k3x, k3p = stage_rates(x + 0.5 * dt * k2x, p + 0.5 * dt * k2p)
+            k4x, k4p = stage_rates(x + dt * k3x, p + dt * k3p)
+            x = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
+            p = p + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
+            if not (np.max(np.abs(x)) <= 1e12 and np.max(np.abs(p)) <= 1e12):
+                raise FlowBlowupError(
+                    f"flow blew up advancing step {m} -> {m + 1} (t={times[m]:.4g})", step=m
+                )
+    return TrajectoryEnsemble(
+        times=times, states=states, velocities=velocities, costates=costates, q=q
+    )
+
+
+BETAS = st.sampled_from([-0.5, 0.0, 0.5])
+COEFF = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def flow_problems(draw):
+    """(kind, family factory, samples, phi slope and offset, horizon, steps)."""
+    kind = draw(
+        st.sampled_from(["lq", "moment", "quartic", "iterative", "overflow", "final"])
+    )
+    n = draw(st.integers(1, 12))
+    steps = draw(st.integers(1, 12))
+    lo = 0.5 if kind in ("quartic", "overflow") else -2.0
+    samples = draw(st.lists(st.floats(lo, 2.0), min_size=n, max_size=n))
+    beta = draw(BETAS)
+    if kind == "lq":
+        a, b, m = draw(COEFF), draw(COEFF), draw(COEFF)
+        make = lambda: LQFamily(beta=beta, a=a, b=b, m=m)  # noqa: E731
+    elif kind == "moment":
+        scale = draw(st.floats(0.0, 2.0))
+        make = lambda: QuadraticCoupledFamily(beta, MomentQuadraticPotential(scale))  # noqa: E731
+    elif kind == "quartic":
+        a = draw(st.floats(0.1, 1.0))
+        make = lambda: QuarticFamily(a)  # noqa: E731
+    elif kind == "iterative":
+        weight = draw(st.floats(-0.6, 0.6))
+        shift = draw(COEFF)
+        make = lambda: CustomVelocityFamily(  # noqa: E731
+            dp_h=lambda x, p, y, z: weight * z.mean_scalar() + p,
+            dx_h=lambda x, p, X, Z: shift * X.mean_scalar(),  # a scalar rate
+        )
+    elif kind == "overflow":
+        # D_xH = huge (x + 1) is far from 0 on samples above 0: the flow must blow up
+        huge = draw(st.sampled_from([1e200, 1e305, -1e305]))
+        potential = QuadraticFormPotential(a=huge, b=huge)
+        make = lambda: QuadraticCoupledFamily(beta, potential)  # noqa: E731
+    else:
+        make = lambda: FinalVelocityOverflows(beta, 4 * steps)  # noqa: E731
+    slope, offset = draw(COEFF), draw(COEFF)
+    return kind, make, samples, slope, offset, draw(st.floats(0.1, 2.0)), steps
+
+
+def run_flow(flow, make, samples, slope, offset, horizon, steps):
+    phi = AnalyticSlice(lambda x: slope * x + offset)
+    try:
+        traj = flow(make(), Ensemble(samples), phi, horizon, steps)
+    except FlowBlowupError as exc:
+        return str(exc), exc.step
+    return tuple(a.tobytes() for a in (traj.states, traj.velocities, traj.costates))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=flow_problems())
+def test_stacked_flow_is_bit_identical_to_the_unstacked_flow(case):
+    kind, *args = case
+    new = run_flow(integrate_flow, *args)
+    assert new == run_flow(reference_flow, *args)
+    if kind in ("overflow", "final"):
+        assert isinstance(new[0], str)  # the case really is non-finite

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import xmfg.mfg as mfg
 from xmfg.analytic import LQCoefficients, lq_solve
-from xmfg.ensembles import Ensemble, wasserstein_1d
+from xmfg.ensembles import Ensemble, TrajectoryEnsemble, ensemble_distance, wasserstein_1d
 from xmfg.errors import ControlSaturationError, FlowBlowupError
 from xmfg.families import (
     LQFamily,
@@ -289,6 +289,20 @@ def test_offcentre_coupled_lq_converges_fast_to_the_oracle():
     assert np.max(np.abs(again.u - sol.phi.u)) <= SMALL.tol_fix
 
 
+def test_offcentre_core_error_falls_under_grid_refinement():
+    # the coupled game, not just its symmetric shadow, must converge in dx
+    problem = offcentre_lq_problem()
+    state, _ = lq_solve(LQCoefficients(b=0.3, m=1.0, n=0.2), problem.initial, 0.5, 1.0, 200)
+    errors = []
+    for nx in (201, 401):
+        sol = solve_mfg(problem, SolverConfig(nx=nx, time_steps=200, nv=nx, v_max=4.0))
+        x = sol.value.x
+        lo, hi = sol.value.config.core_interval()
+        core = (x >= lo) & (x <= hi)
+        errors.append(np.max(np.abs(sol.value.u - state.value_table(x))[:, core]))
+    assert errors[1] <= 0.6 * errors[0]  # measured 1.19e-2 -> 4.65e-3
+
+
 PERMUTATION_CFG = SolverConfig(nx=61, time_steps=40, nv=61, v_max=4.0)
 
 
@@ -369,3 +383,39 @@ def test_non_finite_stage_rate_is_a_flow_blowup():
     cfg = SolverConfig(nx=41, time_steps=20, nv=41, v_max=4.0)
     with pytest.raises(FlowBlowupError):
         solve_mfg(problem, cfg)
+
+
+def reference_gap(a, b, q):
+    """The trajectory gap as it was: one exact W_q per time, then the max."""
+    gaps = [ensemble_distance(a.ensemble(m), b.ensemble(m), r=q) for m in range(a.steps + 1)]
+    return float(max(gaps))
+
+
+def random_path(rng, steps, n, scale):
+    states = scale * rng.standard_normal((steps + 1, n, 1))
+    return TrajectoryEnsemble(np.linspace(0.0, 1.0, steps + 1), states, np.zeros_like(states))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    q=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    n=st.integers(1, 40),
+    steps=st.integers(1, 30),
+    scale=st.sampled_from([1e-5, 1.0, 1e5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sorted_trajectory_gap_is_bit_identical_to_the_per_time_max(q, n, steps, scale, seed):
+    rng = np.random.default_rng(seed)
+    a, b = random_path(rng, steps, n, scale), random_path(rng, steps, n, scale)
+    assert mfg._trajectory_gap(a, b, q) == reference_gap(a, b, q)
+    assert mfg._trajectory_gap(a, a, q) == 0.0  # identical trajectories
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+def test_trajectory_gap_of_single_samples(q):
+    rng = np.random.default_rng(int(2 * q))
+    a, b = random_path(rng, 5, 1, 1.0), random_path(rng, 5, 1, 1.0)
+    gap = mfg._trajectory_gap(a, b, q)
+    assert gap == reference_gap(a, b, q)
+    # W_q of two point masses is their distance
+    assert gap == pytest.approx(np.max(np.abs(a.states - b.states)), rel=1e-14)
