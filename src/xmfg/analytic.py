@@ -29,6 +29,7 @@ from solver error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,46 +113,39 @@ def riccati_closed_form(m: float, horizon: float, t):
 
 
 def _rk4_backward_lq(fine_times, a_vals, b_vals, c_vals, beta, m_path, terminal):
-    """Integrate (G, Th, z) from T down to 0 on the fine grid."""
+    """Integrate (G, Th, z) from T down to 0 on the fine grid.
+
+    The loop runs on Python floats: every operation is the IEEE one numpy
+    would do on the 3-vector, in the same order, without the per-stage arrays.
+    """
     k = len(fine_times) - 1
-    h = fine_times[1] - fine_times[0]
-    gamma = np.empty(k + 1)
-    theta = np.empty(k + 1)
-    zeta = np.empty(k + 1)
-    gamma[k], theta[k], zeta[k] = terminal
+    h = float(fine_times[1] - fine_times[0])
+    # tabulated (a, b, c, E X) at the fine nodes and, averaged, at their midpoints
+    data = np.stack([a_vals, b_vals, c_vals, m_path], axis=1)
+    nodes, mids = data.tolist(), (0.5 * data[:-1] + 0.5 * data[1:]).tolist()
+    out = np.empty((k + 1, 3))
+    out[k] = terminal
 
-    def rhs(j_lo, w, y):
-        # linear interpolation of tabulated data at fine node j_lo + w
-        def tab(vals):
-            if w == 0.0:
-                return vals[j_lo]
-            return (1 - w) * vals[j_lo] + w * vals[j_lo + 1]
-
+    def rhs(y, tab):
         g, th, _ = y
-        exdot = -(g * tab(m_path) + th) / (1.0 + beta)
+        exdot = -(g * tab[3] + th) / (1.0 + beta)
         drift = th + beta * exdot
-        return np.array(
-            [
-                g * g + tab(a_vals),
-                g * drift + tab(b_vals),
-                0.5 * drift**2 + tab(c_vals),
-            ]
-        )
+        return g * g + tab[0], g * drift + tab[1], 0.5 * drift**2 + tab[2]
 
-    y = np.array([gamma[k], theta[k], zeta[k]])
+    y = out[k].tolist()
     for j in range(k, 0, -1):
-        k1 = rhs(j, 0.0, y)
-        k2 = rhs(j - 1, 0.5, y - 0.5 * h * k1)
-        k3 = rhs(j - 1, 0.5, y - 0.5 * h * k2)
-        k4 = rhs(j - 1, 0.0, y - h * k3)
-        y = y - h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(y)) or abs(y[0]) > _GAMMA_GUARD:
+        k1 = rhs(y, nodes[j])
+        k2 = rhs([yi - 0.5 * h * ki for yi, ki in zip(y, k1)], mids[j - 1])
+        k3 = rhs([yi - 0.5 * h * ki for yi, ki in zip(y, k2)], mids[j - 1])
+        k4 = rhs([yi - h * ki for yi, ki in zip(y, k3)], nodes[j - 1])
+        y = [yi - h / 6.0 * (a + 2 * b + 2 * c + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+        if not all(map(math.isfinite, y)) or abs(y[0]) > _GAMMA_GUARD:
             raise RiccatiBlowupError(
                 f"Riccati path escaped before t=0 (around t={fine_times[j - 1]:.6g})",
                 blowup_time=float(fine_times[j - 1]),
             )
-        gamma[j - 1], theta[j - 1], zeta[j - 1] = y
-    return gamma, theta, zeta
+        out[j - 1] = y
+    return out[:, 0], out[:, 1], out[:, 2]
 
 
 def _rk4_forward_states(times, sub, gamma_f, theta_f, beta, x_init):
@@ -198,19 +192,15 @@ def _lq_paths(coeffs_fns, x0, beta, horizon, steps, sub, max_passes, tol):
         lo = np.minimum(idx.astype(int), steps - 1)
         w = idx - lo
         fine_states = (1 - w)[:, None] * states[lo] + w[:, None] * states[lo + 1]
-        ens_cache = {}
-
-        def ens_at(j):
-            if j not in ens_cache:
-                ens_cache[j] = Ensemble(fine_states[j], q=x0.q)
-            return ens_cache[j]
-
-        a_vals = np.array([a_fn(ens_at(j)) for j in range(k_fine + 1)])
-        b_vals = np.array([b_fn(ens_at(j)) for j in range(k_fine + 1)])
-        c_vals = np.array([c_fn(ens_at(j)) for j in range(k_fine + 1)])
+        # checked once per pass; the coefficient maps read unchecked views
+        if not np.all(np.isfinite(fine_states)):
+            raise ValueError("every sample coordinate must be finite")
+        ens = [Ensemble._view(row, x0.q) for row in fine_states[:, :, None]]
+        a_vals = np.array([a_fn(e) for e in ens])
+        b_vals = np.array([b_fn(e) for e in ens])
+        c_vals = np.array([c_fn(e) for e in ens])
         m_path = fine_states.mean(axis=1)
-        terminal_ens = ens_at(k_fine)
-        terminal = (m_fn(terminal_ens), n_fn(terminal_ens), q_fn(terminal_ens))
+        terminal = (m_fn(ens[-1]), n_fn(ens[-1]), q_fn(ens[-1]))
 
         gamma_f, theta_f, zeta_f = _rk4_backward_lq(
             fine_times, a_vals, b_vals, c_vals, beta, m_path, terminal

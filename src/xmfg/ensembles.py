@@ -281,13 +281,14 @@ class TrajectoryEnsemble:
         if self.dim != 1:
             raise UnsupportedDimensionError("trajectory CSV export is 1-d only")
         yield "t,sample_index,x,v,p\n"
-        nan_column = [float("nan")] * self.n
+        # one % per slice: the time cell joins row tails that carry the sample index
+        tails = [f",{i},{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}\n" for i in range(self.n)]
+        nan_column = np.full(self.n, np.nan)
         for m, t in enumerate(self.times.tolist()):
-            row = f"{FLOAT_FMT % t},%d,{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}\n"
-            x = self.states[m, :, 0].tolist()
-            v = self.velocities[m, :, 0].tolist()
-            p = nan_column if self.costates is None else self.costates[m, :, 0].tolist()
-            yield "".join(row % cells for cells in zip(range(self.n), x, v, p))
+            p = nan_column if self.costates is None else self.costates[m, :, 0]
+            cells = np.stack((self.states[m, :, 0], self.velocities[m, :, 0], p), axis=1)
+            t_cell = FLOAT_FMT % t
+            yield (t_cell + t_cell.join(tails)) % tuple(cells.ravel().tolist())
 
     def to_csv(self) -> str:
         return "".join(self.csv_lines())

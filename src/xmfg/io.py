@@ -11,6 +11,8 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .ensembles import FLOAT_FMT, TrajectoryEnsemble
 from .hjb import ValueGrid
 
@@ -20,14 +22,15 @@ def _fmt(x) -> str:
 
 
 def write_value_csv(path: Path, vg: ValueGrid) -> None:
-    """Stream t,x,u,du_dx one time slice at a time."""
-    nodes = [FLOAT_FMT % x for x in vg.x.tolist()]
+    """Stream t,x,u,du_dx one time slice at a time, one ``%`` per slice: the
+    time cell joins row tails that carry the node."""
+    tails = [f",{FLOAT_FMT % x},{FLOAT_FMT},{FLOAT_FMT}\n" for x in vg.x.tolist()]
     with path.open("w") as out:
         out.write("t,x,u,du_dx\n")
         for m, t in enumerate(vg.times.tolist()):
-            row = f"{FLOAT_FMT % t},%s,{FLOAT_FMT},{FLOAT_FMT}\n"
-            cells = zip(nodes, vg.u[m].tolist(), vg.grad[m].tolist())
-            out.write("".join(row % c for c in cells))
+            cells = np.stack((vg.u[m], vg.grad[m]), axis=1).ravel().tolist()
+            t_cell = FLOAT_FMT % t
+            out.write((t_cell + t_cell.join(tails)) % tuple(cells))
 
 
 def write_trajectory_csv(path: Path, traj: TrajectoryEnsemble) -> None:

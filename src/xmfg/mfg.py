@@ -142,16 +142,18 @@ def _auto_v_max(fam: HamiltonianFamily, x0: Ensemble) -> float:
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     half = max(half, 0.5)
     probes = np.linspace(center - 1.5 * half, center + 1.5 * half, 9)
-    psi_vals = np.asarray(fam.terminal(probes, x0), dtype=float)
-    lip = float(np.max(np.abs(np.diff(psi_vals))) / (probes[1] - probes[0]))
-    lip = max(lip, 1e-6)
     rest = Ensemble(np.zeros_like(x0.samples), q=x0.q)
-    base = np.asarray(fam.lagrangian(probes, 0.0, x0, rest), dtype=float)
-    for v in np.geomspace(1e-3, 1e6, 400):
-        cost = np.asarray(fam.lagrangian(probes, v, x0, rest), dtype=float)
-        cost_neg = np.asarray(fam.lagrangian(probes, -v, x0, rest), dtype=float)
-        if np.all(cost >= base + lip * v) and np.all(cost_neg >= base + lip * v):
-            return 2.0 * v
+    with np.errstate(all="ignore"):  # a slope that overflows against every speed raises below
+        psi_vals = np.asarray(fam.terminal(probes, x0), dtype=float)
+        if not np.all(np.isfinite(psi_vals)):
+            raise XmfgError("the terminal cost is not finite near X_0; declare v_max explicitly")
+        lip = max(float(np.max(np.abs(np.diff(psi_vals))) / (probes[1] - probes[0])), 1e-6)
+        base = np.asarray(fam.lagrangian(probes, 0.0, x0, rest), dtype=float)
+        for v in np.geomspace(1e-3, 1e6, 400):
+            cost = np.asarray(fam.lagrangian(probes, v, x0, rest), dtype=float)
+            cost_neg = np.asarray(fam.lagrangian(probes, -v, x0, rest), dtype=float)
+            if np.all(cost >= base + lip * v) and np.all(cost_neg >= base + lip * v):
+                return 2.0 * v
     raise XmfgError("could not select v_max from coercivity; declare it explicitly")
 
 
@@ -306,7 +308,8 @@ def solve_mfg(
     Convergence requires, from the second iterate on, both the fixed-point
     residual ||F(Phi_k) - Phi_k||_inf <= tol_fix and the trajectory residual
     max_t W_q(X_k, X_{k-1}) <= tol_traj; reaching max_outer first returns the
-    best iterate with ``converged=False``.
+    best iterate with ``converged=False``.  F is deterministic, so an iterate
+    equal to the last one evaluated reuses that flow and sweep.
     """
     fam = problem.family
     grid = canonical_grid(problem, cfg, include=include)
@@ -336,10 +339,13 @@ def solve_mfg(
     extrapolated = False
     restarts = 0
     k = 0
+    last = None  # (phi, vg, traj) of the last evaluation of F, which is deterministic
 
     while k < cfg.max_outer:
         try:
-            vg, traj = _compose_once(problem, ValueSlice(nodes, phi_vals), grid, cfg)
+            if last is None or not np.array_equal(last[0], phi_vals):
+                last = (phi_vals, *_compose_once(problem, ValueSlice(nodes, phi_vals), grid, cfg))
+            _, vg, traj = last
         except _EXTRAPOLATION_FAILURES:
             if not extrapolated:
                 raise

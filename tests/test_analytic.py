@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import xmfg.analytic as analytic
 from xmfg.analytic import (
     LQCoefficients,
     lq_solve,
@@ -229,3 +232,89 @@ def test_quartic_family_consistent_with_oracle_dynamics():
         traj.velocities[m, :, 0],
         atol=1e-12,
     )
+
+
+def former_rk4_backward_lq(fine_times, a_vals, b_vals, c_vals, beta, m_path, terminal):
+    """The numpy 3-vector loop the Python-float one replaced, kept as the reference."""
+    k = len(fine_times) - 1
+    h = fine_times[1] - fine_times[0]
+    gamma, theta, zeta = np.empty(k + 1), np.empty(k + 1), np.empty(k + 1)
+    gamma[k], theta[k], zeta[k] = terminal
+
+    def rhs(j_lo, w, y):
+        def tab(vals):
+            if w == 0.0:
+                return vals[j_lo]
+            return (1 - w) * vals[j_lo] + w * vals[j_lo + 1]
+
+        g, th, _ = y
+        exdot = -(g * tab(m_path) + th) / (1.0 + beta)
+        drift = th + beta * exdot
+        return np.array(
+            [g * g + tab(a_vals), g * drift + tab(b_vals), 0.5 * drift**2 + tab(c_vals)]
+        )
+
+    y = np.array([gamma[k], theta[k], zeta[k]])
+    for j in range(k, 0, -1):
+        k1 = rhs(j, 0.0, y)
+        k2 = rhs(j - 1, 0.5, y - 0.5 * h * k1)
+        k3 = rhs(j - 1, 0.5, y - 0.5 * h * k2)
+        k4 = rhs(j - 1, 0.0, y - h * k3)
+        y = y - h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(y)) or abs(y[0]) > analytic._GAMMA_GUARD:
+            raise RiccatiBlowupError(
+                f"Riccati path escaped before t=0 (around t={fine_times[j - 1]:.6g})",
+                blowup_time=float(fine_times[j - 1]),
+            )
+        gamma[j - 1], theta[j - 1], zeta[j - 1] = y
+    return gamma, theta, zeta
+
+
+def lq_outcome(coeffs, x0, beta, horizon, steps):
+    """Every output of lq_solve as bytes, or the error it ends in."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an overflowing forward path warns
+            state, traj = lq_solve(coeffs, x0, beta, horizon, steps)
+    except (RiccatiBlowupError, ValueError) as exc:
+        return type(exc), str(exc)
+    arrays = (state.gamma, state.theta, state.zeta, traj.states, traj.velocities, traj.costates)
+    return [a.tobytes() for a in arrays], state.passes, state.converged, state.refinement_gap
+
+
+LQ_PARITY_CASES = {
+    "offcentre": (LQCoefficients(b=0.3, m=1.0, n=0.2), (16, 0.5, 1.5), 0.5, 1.0, 40),
+    "ensemble-maps": (
+        LQCoefficients(
+            a=lambda e: 0.1 * e.mean_scalar() ** 2,
+            b=lambda e: -0.2 * e.mean_scalar(),
+            c=lambda e: 0.1 * e.moment(2.0),
+            m=0.7,
+            n=lambda e: 0.1 * e.mean_scalar(),
+        ),
+        (12, -0.3, 1.1),
+        -0.4,
+        1.0,
+        20,
+    ),
+    "terminal-moment": (
+        LQCoefficients(a=0.2, m=lambda e: e.moment(2.0), n=0.1, q0=0.3),
+        (8, 0.5, 1.5),
+        0.4,
+        0.8,
+        20,
+    ),
+    "riccati-blowup": (LQCoefficients(a=-25.0, m=-10.0), (4, -1.0, 1.0), 0.0, 1.0, 50),
+    "non-finite-path": (LQCoefficients(a=-1e8, m=-1e4), (6, 0.5, 1.5), 0.0, 1.0, 40),
+}
+
+
+@pytest.mark.parametrize("case", LQ_PARITY_CASES.values(), ids=LQ_PARITY_CASES.keys())
+def test_lq_oracle_keeps_the_former_bits(monkeypatch, case):
+    coeffs, (n, lo, hi), beta, horizon, steps = case
+    x0 = spread_ensemble(n, lo, hi)
+    fast = lq_outcome(coeffs, x0, beta, horizon, steps)
+    # the former oracle: the numpy loop, and a validated copy for every fine node
+    monkeypatch.setattr(analytic, "_rk4_backward_lq", former_rk4_backward_lq)
+    monkeypatch.setattr(Ensemble, "_view", classmethod(lambda cls, samples, q: cls(samples, q)))
+    assert fast == lq_outcome(coeffs, x0, beta, horizon, steps)

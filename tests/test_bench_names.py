@@ -9,7 +9,12 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import xmfg.mfg as mfg
+from xmfg.ensembles import Ensemble
+from xmfg.families import LQFamily
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
@@ -27,3 +32,24 @@ NAMES = [(module_name, attr) for module_name, attr, _ in load_layers()._SPANNED]
 @pytest.mark.parametrize("module_name, attr", NAMES, ids=[f"{m}:{a}" for m, a in NAMES])
 def test_traced_names_are_bound(module_name, attr):
     assert attr in importlib.import_module(module_name).__dict__
+
+
+def test_trace_counts_one_sweep_per_evaluation_of_the_fixed_point_map():
+    # a law-free game repeats its third iterate, which reuses the second
+    # evaluation: three iterations, two flows and two sweeps in the trace
+    layers = load_layers()
+    problem = mfg.ProblemSpec(
+        LQFamily(beta=0.0, m=1.0), horizon=1.0, initial=Ensemble(np.linspace(-1.0, 1.0, 16))
+    )
+    cfg = mfg.SolverConfig(nx=41, time_steps=20, nv=41, v_max=4.0, damping=1.0)
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        sol = mfg.solve_mfg(problem, cfg)
+    finally:
+        tracer.uninstall()
+    metrics, _ = layers.layer_metrics(tracer)
+    assert sol.converged and sol.iterations == 3
+    assert metrics["hjb.sweeps"] == 2
+    assert metrics["mfg.outer_iterations"] == 2  # counts evaluations of F, not iterations
+    assert metrics["flow.rk_stages"] == 2 * (4 * cfg.time_steps + 1)

@@ -477,28 +477,37 @@ QUARTIC_DOC = {
     "solver": {"nx": 41, "M": 20, "nv": 41},
 }
 
-# (command, override, code); `oracle` runs on QUARTIC_DOC, `solve` on QUADRATIC_DOC.
+# (command, overrides, code); `oracle` runs on QUARTIC_DOC, `solve` on QUADRATIC_DOC.
 # 10**15 floats are 8 PB, beyond any 64-bit user address space: that
 # allocation fails whatever the overcommit setting
 EXTREME_INPUTS = [
-    ("solve", "T=1e308", "XMFG"),
-    ("solve", "solver.v_max=1e308", "XMFG"),
-    ("solve", "beta=1e308", "CONTROL_SATURATION"),
-    ("solve", "solver.nx=1000000000000000", "MEMORY"),
-    ("solve", "initial.N=1000000000000000", "MEMORY"),
-    ("solve", "terminal.params.m=1e308", "VALUE_BLOWUP"),
-    ("oracle", "T=1e308", "ROOT_SOLVE"),
+    ("solve", ("T=1e308",), "XMFG"),
+    ("solve", ("solver.v_max=1e308",), "XMFG"),
+    ("solve", ("beta=1e308",), "CONTROL_SATURATION"),
+    ("solve", ("solver.nx=1000000000000000",), "MEMORY"),
+    ("solve", ("initial.N=1000000000000000",), "MEMORY"),
+    ("solve", ("terminal.params.m=1e308",), "VALUE_BLOWUP"),
+    # v_max selected from a terminal slope that overflows against every speed,
+    # then from a terminal cost that overflows on the probes
+    ("solve", ("terminal.params.m=1e308", "solver.v_max=null"), "XMFG"),
+    ("solve", ("terminal.params.m=1e308", "solver.v_max=null", "initial.params.hi=3"), "XMFG"),
+    ("oracle", ("T=1e308",), "ROOT_SOLVE"),
 ]
 
 
+def _extreme_id(command, overrides, code):
+    joined = "+".join(overrides)
+    return f"{joined}-{code}" if command == "solve" else f"{command}-{joined}-{code}"
+
+
 @pytest.mark.parametrize(
-    "command, override, code",
-    EXTREME_INPUTS,
-    ids=[f"{o}-{c}" if cmd == "solve" else f"{cmd}-{o}-{c}" for cmd, o, c in EXTREME_INPUTS],
+    "command, overrides, code", EXTREME_INPUTS, ids=[_extreme_id(*case) for case in EXTREME_INPUTS]
 )
-def test_extreme_inputs_print_only_the_error_line(tmp_path, capsys, command, override, code):
+def test_extreme_inputs_print_only_the_error_line(tmp_path, capsys, command, overrides, code):
     cfg_path = write_doc(tmp_path, QUARTIC_DOC if command == "oracle" else QUADRATIC_DOC)
-    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--override", override]
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+    for override in overrides:
+        argv += ["--override", override]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv) == 1

@@ -69,3 +69,14 @@ def test_streamed_trajectory_csv_matches_row_writer(tmp_path, with_costates):
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(path, traj)
     assert path.read_bytes() == expected.encode()
+
+
+def test_value_csv_writes_non_finite_and_subnormal_cells(tmp_path):
+    cfg = GridConfig(-1.0, 1.0, 6, 2, 1.0)
+    u = np.array([[np.nan, np.inf, -np.inf, 5e-324, -0.0, 1.0 / 3.0]] * 2)
+    vg = ValueGrid(config=cfg, times=np.array([0.0, 0.5]), u=u, grad=u[:, ::-1])
+    path = tmp_path / "value.csv"
+    write_value_csv(path, vg)
+    assert path.read_bytes() == reference_value_csv(vg).encode()
+    data = path.read_bytes()
+    assert b",-0,inf\n" in data and b",-inf,4.9406564584124654e-324\n" in data

@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -414,3 +415,73 @@ def test_sorted_trajectory_gap_is_bit_identical_to_the_per_time_max(q, n, steps,
     assert mfg._trajectory_gap(a, b, q) == reference_gap(a, b, q)
     assert mfg._trajectory_gap(a, a, q) == 0.0  # identical trajectories
 
+
+
+def count_flows(monkeypatch, fail_at=None):
+    """Record every flow the solver integrates; call ``fail_at`` raises instead."""
+    calls = []
+    real = mfg.integrate_flow
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == fail_at:
+            raise ControlSaturationError("injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mfg, "integrate_flow", counting)
+    return calls
+
+
+def test_a_repeated_iterate_reuses_the_last_evaluation(monkeypatch):
+    # without a law in the costs F does not depend on Phi: the undamped step
+    # lands on the fixed point, so the third iterate repeats the second bit for bit
+    calls = count_flows(monkeypatch)
+    sol = solve_mfg(lq_problem(), replace(SMALL, damping=1.0))
+    assert sol.converged and sol.iterations == 3
+    assert len(calls) == 2
+    assert sol.residual_history[2] == (3, sol.residual_history[1][1], 0.0)
+    assert len(sol.regularity_history) == 3
+
+
+@pytest.mark.parametrize("fail_at", [None, 3], ids=["plain", "failed-extrapolation"])
+def test_every_distinct_iterate_is_evaluated(monkeypatch, fail_at):
+    # the coupled game never repeats an iterate; at these tolerances its last
+    # iterates differ by about 1e-10, so only an exact comparison may reuse F
+    calls = count_flows(monkeypatch, fail_at)
+    sol = solve_mfg(offcentre_lq_problem(), replace(SMALL, tol_fix=1e-10, tol_traj=1e-10))
+    failed = int(fail_at is not None)
+    assert sol.converged and sol.restarts == failed
+    assert len(calls) == sol.iterations + failed
+    assert [row[0] for row in sol.residual_history] == list(range(1, sol.iterations + 1))
+
+
+@functools.lru_cache(maxsize=2)
+def solution_and_oracle_error(beta):
+    if beta == 0.0:
+        problem, sol = lq_problem(), solve_mfg(lq_problem(), PERMUTATION_CFG)
+    else:
+        problem, sol = offcentre_lq_problem(), offcentre_solution_in_sample_order()
+    coeffs = LQCoefficients(m=1.0) if beta == 0.0 else LQCoefficients(b=0.3, m=1.0, n=0.2)
+    state, _ = lq_solve(coeffs, problem.initial, beta, 1.0, PERMUTATION_CFG.time_steps)
+    x = sol.value.x
+    lo, hi = sol.value.config.core_interval()
+    core = (x >= lo) & (x <= hi)
+    return problem, sol, float(np.max(np.abs(sol.value.u - state.value_table(x))[:, core]))
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    beta=st.sampled_from([0.0, 0.5]),
+    m=st.integers(0, PERMUTATION_CFG.time_steps - 1),
+    where=st.floats(0.0, 1.0),
+)
+def test_master_value_matches_the_solution_within_the_discretization_gap(beta, m, where):
+    # V(x, X(t), t) re-solves the game on [t, T] from the solved population;
+    # it must agree with u(x, t) to within the solve's own error against the oracle
+    problem, sol, oracle_err = solution_and_oracle_error(beta)
+    lo, hi = np.min(sol.traj.states[m]), np.max(sol.traj.states[m])
+    x = float(lo + where * (hi - lo))
+    t = m * problem.horizon / PERMUTATION_CFG.time_steps
+    v = master_value(problem, x, sol.traj.ensemble(m), t, PERMUTATION_CFG)
+    u = float(sol.value.value_at(np.array([x]), m)[0])
+    assert abs(u - v) <= oracle_err  # measured: at most 0.37 of it
