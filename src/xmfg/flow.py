@@ -35,19 +35,6 @@ __all__ = [
 _OVERFLOW_GUARD = 1e12
 
 
-def _stage_rates(fam: HamiltonianFamily, y: np.ndarray, q: float) -> np.ndarray:
-    # (z, D_xH) at y = (x, p) on unchecked views: a non-finite stage rate
-    # carries into the step sum, which integrate_flow tests after every step.
-    x, p = y
-    x_ens = Ensemble._view(x[:, None], q)
-    p_ens = Ensemble._view(p[:, None], q)
-    z_ens = solve_velocity(fam, x, p_ens, x_ens)
-    rates = np.empty_like(y)
-    rates[0] = z_ens.samples[:, 0]
-    rates[1] = fam.dx_hamiltonian(x, p, x_ens, z_ens)  # a scalar broadcasts here
-    return rates
-
-
 def integrate_flow(
     fam: HamiltonianFamily,
     x0: Ensemble,
@@ -71,33 +58,51 @@ def integrate_flow(
         # atoms in the initial law: legal, but separation diagnostics will
         # skip the coincident pairs
         logger.warning("initial ensemble carries %d duplicate sample(s)", n_dup)
-    q = x0.q
-    n = x0.n
+    q, n = x0.q, x0.n
     dt = horizon / steps
     times = np.linspace(0.0, horizon, steps + 1)
 
-    # y stacks states and costates, so each RK combination is one ufunc
-    y = np.empty((2, n))
-    y[0] = x0.samples[:, 0]
-    y[1] = phi.gradient_at(y[0])
+    # The RK stage input (x, p) lives in one (2, N) buffer; the state and
+    # costate laws are read-only views of it, built once per call and valid
+    # for a family only during the call they are passed to.
+    stage = np.empty((2, n))
+    stage[0] = x0.samples[:, 0]
+    stage[1] = phi.gradient_at(stage[0])
+    x_ens = Ensemble._view(stage[0][:, None], q)
+    p_ens = Ensemble._view(stage[1][:, None], q)
+    x, p = x_ens.samples[:, 0], p_ens.samples[:, 0]
+    # stage rates (z, D_xH), unchecked: a non-finite rate carries into the
+    # step, whose test turns it into FlowBlowupError
+    k = np.empty((4, 2, n))
     path = np.empty((3, steps + 1, n))
+
+    def rates(out):
+        z_ens = solve_velocity(fam, x, p_ens, x_ens)
+        out[0] = z_ens.samples[:, 0]
+        out[1] = fam.dx_hamiltonian(x, p, x_ens, z_ens)  # a scalar broadcasts here
 
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values fail the guards
         for m in range(steps + 1):
-            k1 = _stage_rates(fam, y, q)
-            path[:2, m] = y
-            path[2, m] = k1[0]
+            y = path[:2, m]
+            y[...] = stage
+            rates(k[0])
+            path[2, m] = k[0, 0]
             if m == steps:
-                if not np.all(np.isfinite(k1[0])):
+                if not np.all(np.isfinite(k[0, 0])):
                     raise FlowBlowupError(
                         f"flow velocity is not finite at the final time t={times[m]:.4g}", step=m
                     )
                 break
-            k2 = _stage_rates(fam, y + 0.5 * dt * k1, q)
-            k3 = _stage_rates(fam, y + 0.5 * dt * k2, q)
-            k4 = _stage_rates(fam, y + dt * k3, q)
-            y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.max(np.abs(y)) <= _OVERFLOW_GUARD:  # NaN fails it too
+            for i, c in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt)):
+                np.multiply(k[i - 1], c, out=stage)
+                np.add(y, stage, out=stage)
+                rates(k[i])
+            k[1:3] *= 2  # y + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order
+            for k_i in k[1:]:
+                k[0] += k_i
+            k[0] *= dt / 6.0
+            np.add(y, k[0], out=stage)
+            if not np.abs(stage, out=k[0]).max() <= _OVERFLOW_GUARD:  # NaN fails it too
                 raise FlowBlowupError(
                     f"flow blew up advancing step {m} -> {m + 1} (t={times[m]:.4g})",
                     step=m,

@@ -280,7 +280,9 @@ def regularity_report(vg: ValueGrid, t1: float | None = None) -> RegularityRepor
     if not np.any(window):
         window = vg.times == vg.times[0]
     uu = vg.u[window]
-    second = (uu[:, 2:] + uu[:, :-2] - 2.0 * uu[:, 1:-1]) / dx**2
+    # dx**2 as a Python float raises OverflowError; an extreme dx reports 0, inf or nan instead
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        second = (uu[:, 2:] + uu[:, :-2] - 2.0 * uu[:, 1:-1]) / np.float64(dx) ** 2
     return RegularityReport(
         max_abs=max_abs,
         lip_const=lip,

@@ -187,6 +187,8 @@ def canonical_grid(
         dx0 = (hi - lo + 2 * pad) / (cfg.nx - 1)
         if not math.isfinite(dx0):
             raise XmfgError(f"grid padding v_max * T = {pad:g} overflows; reduce v_max or T")
+        if not dx0 > 2 * np.spacing(max(-lo, hi) + pad):  # else the nodes would coincide
+            raise XmfgError(f"grid spacing {dx0:g} does not resolve x near {max(-lo, hi):g}")
         pad += 3 * dx0
         return GridConfig(
             x_lo=lo - pad,

@@ -53,3 +53,5 @@ def test_trace_counts_one_sweep_per_evaluation_of_the_fixed_point_map():
     assert metrics["hjb.sweeps"] == 2
     assert metrics["mfg.outer_iterations"] == 2  # counts evaluations of F, not iterations
     assert metrics["flow.rk_stages"] == 2 * (4 * cfg.time_steps + 1)
+    # every RK stage solves the velocity equation through the traced name
+    assert metrics["families.velocity_calls"] == metrics["flow.rk_stages"]

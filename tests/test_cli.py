@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import logging
+import re
+import tempfile
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import xmfg.io
 from xmfg.cli import (
@@ -555,3 +562,65 @@ def test_non_finite_results_are_written_as_null(tmp_path, capsys):
 def test_bundle_json_refuses_non_finite_numbers(tmp_path):
     with pytest.raises(ValueError):
         xmfg.io.write_json(tmp_path / "bad.json", {"residual": float("nan")})
+
+
+# ---------------------------------------------------------------------------
+# fuzzed overrides: any document ends in exit 0, 1 or 2 and never a traceback
+# ---------------------------------------------------------------------------
+
+EXTREMES = [0, -1, 1e300, -1e300, 1e-300, -1e-300]
+FUZZ_VALUES = {
+    "beta": [0.5, -0.5, -1.0, *EXTREMES],
+    "T": [0.5, 2.0, *EXTREMES],
+    "solver.v_max": [2.0, None, *EXTREMES],
+    "solver.damping": [0.5, 1.0, 2.0, *EXTREMES],
+    "solver.tol_fix": [1e-8, *EXTREMES],
+    # integer keys stay small: a float such as 1e300 is a schema error
+    "solver.max_outer": [1, 3, 8, 0, -1, 1e300],
+    "initial.N": [1, 2, 16, 0, -1, 1e300],
+    "initial.params.lo": [0.5, 1.0, *EXTREMES],
+    "initial.params.hi": [-1.0, 1.5, *EXTREMES],
+    "initial.params.mean": [0.0],
+}
+
+
+@st.composite
+def fuzzed_runs(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(FUZZ_VALUES)), min_size=1, max_size=3, unique=True))
+    overrides = tuple(f"{k}={json.dumps(draw(st.sampled_from(FUZZ_VALUES[k])))}" for k in keys)
+    return draw(st.sampled_from(["solve", "master"])), draw(st.sampled_from(["lq", "zero"])), overrides
+
+
+# both documents run at most 8 outer iterations on grids of at most 61 x 40
+FUZZ_DOCS = {"lq": {**LQ_DOC, "solver": {**LQ_DOC["solver"], "max_outer": 8}}, "zero": ZERO_DOC}
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=fuzzed_runs())
+# a lone sample at 5e299 (its grid nodes coincided) and a grid with dx = 5e298
+# (the semiconcavity constant's dx**2 overflowed) each raised a traceback
+@example(case=("solve", "zero", ("initial.N=1", "initial.params.hi=1e+300")))
+@example(case=("solve", "zero", ("solver.v_max=1e+300",)))
+def test_fuzzed_overrides_end_in_a_documented_exit(case):
+    command, doc, overrides = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = write_doc(Path(tmp), FUZZ_DOCS[doc])
+        argv = [command, "--config", str(cfg_path), "--out", str(Path(tmp) / "o")]
+        for override in overrides:
+            argv += ["--override", override]
+        # outside pytest, log records and warnings reach stderr too
+        stderr = io.StringIO()
+        handler = logging.StreamHandler(stderr)
+        logging.getLogger("xmfg").addHandler(handler)
+        try:
+            with contextlib.redirect_stderr(stderr), warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(argv)
+        finally:
+            logging.getLogger("xmfg").removeHandler(handler)
+    err = stderr.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        lines = err.splitlines() + [str(w.message) for w in caught]
+        assert len(lines) == 1 and re.match(r"^ERROR [A-Z_]+: ", lines[0]), lines

@@ -191,6 +191,22 @@ def test_non_finite_final_velocity_is_a_flow_blowup():
     assert err.value.step == steps
 
 
+def test_law_views_are_built_once_per_integration(monkeypatch):
+    real = Ensemble._view.__func__
+    calls = []
+
+    def counting_view(cls, samples, q):
+        calls.append(samples.shape)
+        return real(cls, samples, q)
+
+    monkeypatch.setattr(Ensemble, "_view", classmethod(counting_view))
+    steps = 10
+    fam = LQFamily(beta=0.5, a=1.0, b=0.3, m=1.0)
+    integrate_flow(fam, spread_ensemble(8), AnalyticSlice(lambda x: x), 1.0, steps)
+    # the state and costate laws once per call, at most one velocity per RK stage
+    assert 0 < len(calls) <= 2 + (4 * steps + 1)
+
+
 def test_flow_input_validation():
     fam = QuadraticCoupledFamily(beta=0.0)
     phi = AnalyticSlice(lambda x: x)
@@ -257,7 +273,7 @@ COEFF = st.floats(-2.0, 2.0, allow_nan=False)
 def flow_problems(draw):
     """(kind, family factory, samples, phi slope and offset, horizon, steps)."""
     kind = draw(
-        st.sampled_from(["lq", "moment", "quartic", "iterative", "overflow", "final"])
+        st.sampled_from(["lq", "lq-law", "moment", "quartic", "iterative", "overflow", "final"])
     )
     n = draw(st.integers(1, 12))
     steps = draw(st.integers(1, 12))
@@ -267,6 +283,16 @@ def flow_problems(draw):
     if kind == "lq":
         a, b, m = draw(COEFF), draw(COEFF), draw(COEFF)
         make = lambda: LQFamily(beta=beta, a=a, b=b, m=m)  # noqa: E731
+    elif kind == "lq-law":
+        # coefficient maps read the law, which the flow hands over as a view
+        # of a buffer it reuses from stage to stage
+        a, b, m = draw(COEFF), draw(COEFF), draw(COEFF)
+        make = lambda: LQFamily(  # noqa: E731
+            beta,
+            a=lambda ens: a + ens.mean_scalar(),
+            b=lambda ens: b * float(np.mean(ens.samples**2)),
+            m=m,
+        )
     elif kind == "moment":
         scale = draw(st.floats(0.0, 2.0))
         make = lambda: QuadraticCoupledFamily(beta, MomentQuadraticPotential(scale))  # noqa: E731
