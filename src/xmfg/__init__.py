@@ -1,13 +1,6 @@
 """Particle-ensemble solvers for deterministic mean-field games whose costs
 couple to the population's joint state/velocity law."""
 
-from .analytic import (
-    LQCoefficients,
-    LQState,
-    QuarticState,
-    lq_solve,
-    quartic_solve,
-)
 from .diagnostics import (
     MonotonicityReport,
     check_L_monotone,
@@ -32,7 +25,7 @@ from .families import (
     QuarticFamily,
     solve_velocity,
 )
-from .flow import gronwall_envelope, integrate_flow, separation_diagnostic
+from .flow import integrate_flow, separation_diagnostic
 from .hjb import (
     GridConfig,
     ValueGrid,
@@ -54,4 +47,17 @@ from .mfg import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+#: the oracle module and its names load on first use, so the solver and the
+#: CLI start without them
+_ORACLE_NAMES = ("LQCoefficients", "LQState", "QuarticState", "lq_solve", "quartic_solve")
+
+__all__ = [name for name in dir() if not name.startswith("_")] + ["analytic", *_ORACLE_NAMES]
+
+
+def __getattr__(name):
+    if name == "analytic" or name in _ORACLE_NAMES:
+        from importlib import import_module  # ``from . import`` would recurse into here
+
+        analytic = import_module(".analytic", __name__)
+        return analytic if name == "analytic" else getattr(analytic, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

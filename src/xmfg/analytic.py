@@ -130,7 +130,11 @@ def _rk4_backward_lq(fine_times, a_vals, b_vals, c_vals, beta, m_path, terminal)
         g, th, _ = y
         exdot = -(g * tab[3] + th) / (1.0 + beta)
         drift = th + beta * exdot
-        return g * g + tab[0], g * drift + tab[1], 0.5 * drift**2 + tab[2]
+        try:
+            square = drift**2
+        except OverflowError:  # a Python float power raises where numpy gives inf
+            square = math.inf  # which fails the guard below
+        return g * g + tab[0], g * drift + tab[1], 0.5 * square + tab[2]
 
     y = out[k].tolist()
     for j in range(k, 0, -1):

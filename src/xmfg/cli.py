@@ -9,7 +9,6 @@ machine-parseable line ``ERROR <code>: <message>`` on stderr.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -20,10 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import io as bundles
-from .analytic import LQCoefficients, lq_solve, quartic_solve
 from .diagnostics import check_L_monotone, check_psi_monotone, check_V_monotone
 from .ensembles import Ensemble
-from .errors import SchemaError, XmfgError
+from .errors import SchemaError, ValueBlowupError, XmfgError
 from .families import (
     LinearTerminal,
     MeanSquareVelocityCoupling,
@@ -391,6 +389,8 @@ def _cmd_solve(parsed: ParsedProblem, run: RunConfig) -> int:
 
 
 def _cmd_oracle(parsed: ParsedProblem, run: RunConfig) -> int:
+    from .analytic import LQCoefficients, lq_solve, quartic_solve  # only this command needs them
+
     started = time.perf_counter()
     doc = parsed.document
     steps = parsed.solver.time_steps
@@ -409,12 +409,12 @@ def _cmd_oracle(parsed: ParsedProblem, run: RunConfig) -> int:
         raise XmfgError("oracle subcommand needs family 'lq' or 'quartic'")
 
     grid = canonical_grid(parsed.problem, parsed.solver)
-    vg = ValueGrid(
-        config=grid,
-        times=state.times,
-        u=state.value_table(grid.nodes()),
-        grad=np.gradient(state.value_table(grid.nodes()), grid.dx, axis=1),
-    )
+    with np.errstate(all="ignore"):  # a non-finite table raises below
+        table = state.value_table(grid.nodes())
+        grad = np.gradient(table, grid.dx, axis=1)
+    if not (np.isfinite(table).all() and np.isfinite(grad).all()):
+        raise ValueBlowupError("the oracle value table is not finite on the grid")
+    vg = ValueGrid(config=grid, times=state.times, u=table, grad=grad)
     run.out_dir.mkdir(parents=True, exist_ok=True)
     bundles.write_value_csv(run.out_dir / "value.csv", vg)
     bundles.write_trajectory_csv(run.out_dir / "trajectory.csv", traj)
@@ -541,6 +541,8 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
+    import argparse  # kept off the import path of the library and of run()
+
     parser = argparse.ArgumentParser(
         prog="xmfg", description="Batch solver for velocity-coupled mean-field games"
     )

@@ -53,14 +53,15 @@ class Ensemble:
     def _view(cls, samples: np.ndarray, q: float) -> "Ensemble":
         """Wrap an (N, d) float array the caller has already validated.
 
-        No copy and no checks: the ensemble holds a read-only view of the
-        caller's data.  Hot loops use this; the public constructor validates.
+        No copy and no checks: the ensemble holds a read-only source as it
+        is, and a read-only view of a writable one.  Hot loops use this; the
+        public constructor validates.
         """
-        view = samples.view()
-        view.flags.writeable = False
+        if samples.flags.writeable:
+            samples = samples.view()
+            samples.flags.writeable = False
         ens = object.__new__(cls)
-        object.__setattr__(ens, "samples", view)
-        object.__setattr__(ens, "q", q)
+        ens.__dict__.update(samples=samples, q=q)
         return ens
 
     @property

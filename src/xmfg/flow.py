@@ -28,8 +28,6 @@ __all__ = [
     "integrate_flow",
     "separation_diagnostic",
     "SeparationReport",
-    "gronwall_envelope",
-    "GronwallReport",
 ]
 
 _OVERFLOW_GUARD = 1e12
@@ -152,32 +150,3 @@ def separation_diagnostic(
     m, k = np.unravel_index(flat, gaps.shape)
     pair = (int(iu[valid][k]), int(ju[valid][k]))
     return SeparationReport(float(gaps[m, k]), pair, int(m), skipped)
-
-
-@dataclass(frozen=True)
-class GronwallReport:
-    """Measured growth envelope ||(X,P)(t)|| <= C (1 + ||(X,P)(0)||)."""
-
-    c_half: float
-    c_full: float
-    within_envelope: bool
-
-
-def gronwall_envelope(traj: TrajectoryEnsemble, slack: float = 10.0) -> GronwallReport:
-    """Fit the growth constant on the first half horizon and check the rest.
-
-    The joint norm is the empirical L^q norm of (X, P).  ``within_envelope``
-    reports whether the full-horizon constant stays within ``slack`` times
-    the half-horizon fit.
-    """
-    if traj.costates is None:
-        raise ValueError("gronwall envelope needs the costate record")
-    q = traj.q
-    joint = np.abs(traj.states[:, :, 0]) ** q + np.abs(traj.costates[:, :, 0]) ** q
-    norms = np.mean(joint, axis=1) ** (1.0 / q)
-    denom = 1.0 + norms[0]
-    cs = norms / denom
-    half = traj.times <= traj.times[0] + 0.5 * traj.horizon + 1e-12
-    c_half = float(np.max(cs[half]))
-    c_full = float(np.max(cs))
-    return GronwallReport(c_half, c_full, c_full <= slack * max(c_half, 1e-30))

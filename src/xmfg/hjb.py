@@ -189,6 +189,8 @@ def _exact_minimizer(x: np.ndarray, g, dt: float, v_max: float):
     Piece ``p`` of the interpolation ``I`` spans ``[x[p], x[p + 1]]``; the
     edge pieces ``p = -1`` and ``p = nx - 1`` reach out to -inf and +inf and
     read ``y[0]`` and ``y[-1]``.  Each node tries the pieces its feet reach.
+    The per-piece work arrays live as long as the sweep; ``step`` returns
+    fresh arrays, never one of them.
     """
     nx = x.size
     speed = dt * np.asarray(g, dtype=float)  # d(foot)/dv
@@ -203,12 +205,21 @@ def _exact_minimizer(x: np.ndarray, g, dt: float, v_max: float):
     anchor = np.clip(piece, 0, nx - 1)
     offset = x - x[anchor]  # foot - x[anchor] = offset + speed v
     slopes, width, cols = np.zeros(nx + 1), np.diff(x), np.arange(nx)  # edge pieces are flat
+    inner, slope_index = slopes[1:-1], piece + 1
+    s, v, cost, work = np.empty((4, *piece.shape))
 
     def step(y: np.ndarray, b, c):
-        np.divide(np.subtract(y[1:], y[:-1], out=slopes[1:-1]), width, out=slopes[1:-1])
-        s = slopes.take(piece + 1)
-        v = np.minimum(np.maximum(-(s * g + b), lo), hi)
-        cost = (s * (offset + speed * v) + y.take(anchor)) + dt * (0.5 * v + b) * v
+        np.divide(np.subtract(y[1:], y[:-1], out=inner), width, out=inner)
+        slopes.take(slope_index, out=s, mode="clip")  # indices in range: "clip" skips a copy
+        # v = clip(-(s g + b), lo, hi)
+        np.negative(np.add(np.multiply(s, g, out=v), b, out=v), out=v)
+        np.minimum(np.maximum(v, lo, out=v), hi, out=v)
+        # cost = ((speed v + offset) s + y[anchor]) + ((v/2 + b) dt) v, which is
+        # (s (offset + speed v) + y[anchor]) + dt (v/2 + b) v: IEEE + and * commute
+        np.multiply(np.add(np.multiply(speed, v, out=cost), offset, out=cost), s, out=cost)
+        np.add(cost, y.take(anchor, out=work, mode="clip"), out=cost)
+        np.add(np.multiply(v, 0.5, out=work), b, out=work)
+        np.add(cost, np.multiply(np.multiply(work, dt, out=work), v, out=work), out=cost)
         best = cost.argmin(axis=0)
         return cost[best, cols] + dt * c, v[best, cols]
 
@@ -223,12 +234,14 @@ def solve_backward(
     The family must provide ``control_cost``.  Raises
     :class:`ControlSaturationError` when the minimizing control reaches
     +-v_max on more than 1% of the core nodes of any slice, which signals a
-    control box too small for the problem, and :class:`ValueBlowupError`
-    when a value is not finite.
+    control box too small for the problem (tested once the sweep is done,
+    naming the latest such slice), and :class:`ValueBlowupError` when a
+    value is not finite.
     """
     x = cfg.nodes()
     steps = traj.steps
     u = np.empty((steps + 1, cfg.nx))
+    controls = np.empty((steps, cfg.nx))
     core_lo, core_hi = cfg.core_interval()
     core = (x >= core_lo) & (x <= core_hi)
     core[[0, -1]] = False
@@ -239,13 +252,16 @@ def solve_backward(
         step = _exact_minimizer(x, fam.control_speed(x, 1.0), traj.dt, cfg.v_max)
         for m in range(steps - 1, -1, -1):
             b, c = fam.control_cost(x, traj.ensemble(m), traj.velocity_ensemble(m))
-            u[m], v = step(u[m + 1], b, c)
-            frac = np.count_nonzero((np.abs(v) >= cfg.v_max) & core) / n_core
-            if frac > SATURATION_FRACTION:
-                raise ControlSaturationError(
-                    f"control argmin pinned at +-v_max on {frac:.1%} of core nodes "
-                    f"at t={traj.times[m]:.4g}; increase v_max beyond {cfg.v_max:g}"
-                )
+            u[m], controls[m] = step(u[m + 1], b, c)
+        # the latest pinned slice is reported: it is the first the backward sweep meets
+        frac = np.count_nonzero((np.abs(controls) >= cfg.v_max) & core, axis=1) / n_core
+    saturated = np.flatnonzero(frac > SATURATION_FRACTION)
+    if saturated.size:
+        m = saturated[-1]
+        raise ControlSaturationError(
+            f"control argmin pinned at +-v_max on {frac[m]:.1%} of core nodes "
+            f"at t={traj.times[m]:.4g}; increase v_max beyond {cfg.v_max:g}"
+        )
     if not np.isfinite(u).all():
         raise ValueBlowupError("backward sweep produced a non-finite value")
 

@@ -341,13 +341,14 @@ def solve_mfg(
     extrapolated = False
     restarts = 0
     k = 0
-    last = None  # (phi, vg, traj) of the last evaluation of F, which is deterministic
+    last = None  # (phi, vg, traj, report) of the last evaluation of F, which is deterministic
 
     while k < cfg.max_outer:
         try:
             if last is None or not np.array_equal(last[0], phi_vals):
-                last = (phi_vals, *_compose_once(problem, ValueSlice(nodes, phi_vals), grid, cfg))
-            _, vg, traj = last
+                vg, traj = _compose_once(problem, ValueSlice(nodes, phi_vals), grid, cfg)
+                last = (phi_vals, vg, traj, regularity_report(vg))
+            _, vg, traj, report = last
         except _EXTRAPOLATION_FAILURES:
             if not extrapolated:
                 raise
@@ -360,7 +361,7 @@ def solve_mfg(
                 _trajectory_gap(traj, prev_traj, problem.q) if prev_traj is not None else math.nan
             )
             history.append((k, fix_res, traj_res))
-            reg_history.append(regularity_report(vg))
+            reg_history.append(report)
             if fix_res <= best_score:
                 best_score = fix_res
                 best = (vg, traj, fix_res, traj_res)

@@ -110,6 +110,18 @@ def test_ensemble_samples_frozen():
         e.samples[0, 0] = 5.0
 
 
+def test_view_holds_a_read_only_source_as_it_is():
+    source = np.arange(4.0)[:, None]
+    source.flags.writeable = False
+    assert Ensemble._view(source, 2.0).samples is source
+    writable = np.arange(4.0)[:, None]
+    ens = Ensemble._view(writable, 3.0)
+    assert writable.flags.writeable and not ens.samples.flags.writeable
+    assert np.shares_memory(ens.samples, writable) and ens.q == 3.0
+    writable[0, 0] = -1.0  # the caller's buffer stays the caller's
+    assert ens.samples[0, 0] == -1.0
+
+
 def test_ensemble_csv_round_trip():
     e = Ensemble([[0.1, -2.0], [1e-17, 3.5]])
     back = Ensemble.from_csv(e.to_csv())

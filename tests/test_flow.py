@@ -14,7 +14,7 @@ from xmfg.families import (
     QuarticFamily,
     solve_velocity,
 )
-from xmfg.flow import gronwall_envelope, integrate_flow, separation_diagnostic
+from xmfg.flow import integrate_flow, separation_diagnostic
 from xmfg.hjb import AnalyticSlice
 
 
@@ -143,16 +143,6 @@ def test_separation_positive_on_lq_defaults():
     phi = AnalyticSlice(lambda x: 0.5 * x)
     traj = integrate_flow(fam, x0, phi, 1.0, 100)
     assert separation_diagnostic(traj).min_ratio > 0
-
-
-def test_gronwall_envelope_within_slack():
-    fam = LQFamily(beta=0.3, a=0.5, m=1.0)
-    x0 = spread_ensemble(8)
-    phi = AnalyticSlice(lambda x: x)
-    traj = integrate_flow(fam, x0, phi, 1.0, 80)
-    rep = gronwall_envelope(traj)
-    assert rep.within_envelope
-    assert rep.c_full >= rep.c_half > 0
 
 
 def test_flow_blowup_reports_step():

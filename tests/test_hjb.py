@@ -262,6 +262,62 @@ def test_saturation_tolerated_in_padding_belt():
         solve_backward(fam, traj, GridConfig(-6, 6, 121, 81, 2.0))
 
 
+def test_a_step_keeps_its_results_through_the_next_step():
+    # the kernel refills its work arrays on every row; what it returned for one
+    # row must not change when it computes the next
+    rng = np.random.default_rng(11)
+    x = np.linspace(-1.0, 1.0, 21)
+    step = _exact_minimizer(x, np.ones(21), 0.05, 2.0)
+    u, v = step(rng.normal(size=21), 0.3, rng.normal(size=21))
+    kept = u.copy(), v.copy()
+    step(10.0 * rng.normal(size=21), -0.7, rng.normal(size=21))
+    np.testing.assert_array_equal(u, kept[0])
+    np.testing.assert_array_equal(v, kept[1])
+
+
+def row_by_row_saturation(fam, traj, cfg):
+    """The sweep with a saturation test after every row, going backward:
+    the pinned rows and the message of the first one met."""
+    x = cfg.nodes()
+    core_lo, core_hi = cfg.core_interval()
+    core = (x >= core_lo) & (x <= core_hi)
+    core[[0, -1]] = False
+    n_core = max(int(np.count_nonzero(core)), 1)
+    step = _exact_minimizer(x, fam.control_speed(x, 1.0), traj.dt, cfg.v_max)
+    u = fam.terminal(x, traj.ensemble(traj.steps))
+    pinned, message = [], None
+    for m in range(traj.steps - 1, -1, -1):
+        b, c = fam.control_cost(x, traj.ensemble(m), traj.velocity_ensemble(m))
+        u, v = step(u, b, c)
+        frac = np.count_nonzero((np.abs(v) >= cfg.v_max) & core) / n_core
+        if frac > 0.01:
+            pinned.append(m)
+            message = message or (
+                f"control argmin pinned at +-v_max on {frac:.1%} of core nodes "
+                f"at t={traj.times[m]:.4g}; increase v_max beyond {cfg.v_max:g}"
+            )
+    return pinned, message
+
+
+def test_saturation_names_the_latest_pinned_row():
+    # beta E Z = 3 on rows 5..12 pushes the minimizer past v_max = 1 there only;
+    # going backward, row 12 (t = 0.6) is met first
+    steps, n = 20, 8
+    times = np.linspace(0.0, 1.0, steps + 1)
+    states = np.zeros((steps + 1, n, 1))
+    velocities = np.zeros_like(states)
+    velocities[5:13] = 3.0
+    traj = TrajectoryEnsemble(times, states, velocities)
+    fam = QuadraticCoupledFamily(beta=1.0, terminal=QuadraticTerminal(m=1.0))
+    cfg = GridConfig(-2.0, 2.0, 41, 11, 1.0, core_lo=-0.5, core_hi=0.5)
+    pinned, message = row_by_row_saturation(fam, traj, cfg)
+    assert pinned == list(range(12, 4, -1))
+    with pytest.raises(ControlSaturationError) as err:
+        solve_backward(fam, traj, cfg)
+    assert str(err.value) == message
+    assert "t=0.6;" in message
+
+
 def test_value_slice_blend_and_gradient():
     x = np.linspace(-1, 1, 21)
     mid = ValueSlice(x, 0.5 * x**2)
