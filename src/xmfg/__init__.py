@@ -12,8 +12,6 @@ from .ensembles import (
     Ensemble,
     PairedEnsemble,
     TrajectoryEnsemble,
-    ensemble_distance,
-    moment_distance,
     wasserstein_1d,
 )
 from .families import (

@@ -213,8 +213,6 @@ def _validate_initial(block, base_dir: Path, where="initial") -> tuple[dict, np.
                 loaded = Ensemble.from_csv(path.read_text())
             except ValueError as exc:
                 raise SchemaError(f"{where}.params.path", f"malformed sample file: {exc}") from exc
-            if loaded.dim != 1:
-                raise SchemaError(f"{where}.params.path", "expected a 1-column sample file")
             samples = loaded.samples[:, 0]
         else:
             raise SchemaError(f"{where}.params", "samples need either values or path")

@@ -68,8 +68,7 @@ def monotonicity_gap(potential, x_ens: Ensemble, xt_ens: Ensemble) -> float:
     ``potential`` is pointwise in x, so each law is evaluated once on the
     stacked samples of both.
     """
-    points = np.concatenate((x_ens.samples, xt_ens.samples))
-    points = points[:, 0] if x_ens.dim == 1 else points
+    points = np.concatenate((x_ens.samples[:, 0], xt_ens.samples[:, 0]))
     x_on_x, xt_on_x = _split_means(potential(points, x_ens), x_ens.n)
     x_on_xt, xt_on_xt = _split_means(potential(points, xt_ens), x_ens.n)
     term = float(x_on_x - x_on_xt)
@@ -105,30 +104,31 @@ def lmon_reduction_gap(
     return abs(full - (fam.beta * (ez - ezt) ** 2 - v_gap))
 
 
-def _law_dependence_spot_check(evaluator, dim: int, rng) -> bool:
+def _law_dependence_spot_check(evaluator, rng) -> bool:
     # a spread cloud, so that permuting samples is a real reordering
-    ens = Ensemble(rng.normal(size=(8, dim)))
-    probe = rng.normal(size=(5, dim))
-    probe = probe[:, 0] if dim == 1 else probe
+    ens = Ensemble(rng.normal(size=8))
+    probe = rng.normal(size=5)
     before = np.asarray(evaluator(probe, ens), dtype=float)
     after = np.asarray(evaluator(probe, ens.permuted(rng.permutation(8))), dtype=float)
     return bool(np.allclose(before, after, atol=1e-10))
 
 
-def _random_ensemble(rng, dim: int, n: int | None = None) -> Ensemble:
+def _random_ensemble(rng, n: int | None = None) -> Ensemble:
     n = _ENSEMBLE_SIZES[rng.integers(0, len(_ENSEMBLE_SIZES))] if n is None else n
     style = rng.integers(0, 3)
     if style == 0:  # point mass
-        point = rng.uniform(-2.0, 2.0, size=dim)
-        samples = np.full((n, dim), point)
+        samples = np.full((n, 1), rng.uniform(-2.0, 2.0))
     elif style == 1:  # uniform cloud
-        center = rng.uniform(-2.0, 2.0, size=dim)
-        samples = center + rng.uniform(-1.0, 1.0, size=(n, dim))
+        samples = rng.uniform(-2.0, 2.0) + rng.uniform(-1.0, 1.0, size=(n, 1))
     else:  # two clusters
-        centers = rng.uniform(-2.0, 2.0, size=(2, dim))
+        centers = rng.uniform(-2.0, 2.0, size=(2, 1))
         pick = rng.integers(0, 2, size=n)
-        samples = centers[pick] + 0.2 * rng.standard_normal((n, dim))
+        samples = centers[pick] + 0.2 * rng.standard_normal((n, 1))
     return Ensemble._view(samples, 2.0)  # finite by construction
+
+
+def _random_pair(rng) -> tuple[Ensemble, Ensemble]:
+    return _random_ensemble(rng), _random_ensemble(rng)
 
 
 @np.errstate(all="ignore")  # a non-finite trial ends the check as inconclusive
@@ -154,9 +154,7 @@ def _run_check(condition, evaluate, sample_pair, trials, rng_seed, strict, skip_
     )
 
 
-def check_V_monotone(
-    potential, dim: int = 1, trials: int = 1000, rng_seed: int = 0
-) -> MonotonicityReport:
+def check_V_monotone(potential, trials: int = 1000, rng_seed: int = 0) -> MonotonicityReport:
     """Probe the strict potential condition (< 0) over random ensemble pairs.
 
     ``min_value`` stores the minimum of the negated expression, so a
@@ -164,11 +162,8 @@ def check_V_monotone(
     expression.
     """
     rng = np.random.default_rng(rng_seed + 987)
-    if not _law_dependence_spot_check(potential, dim, rng):
+    if not _law_dependence_spot_check(potential, rng):
         raise ValueError("potential is not law-dependent: permuting samples changed it")
-
-    def sample(r):
-        return _random_ensemble(r, dim), _random_ensemble(r, dim)
 
     def equal(a, b):
         return a.n == b.n and np.array_equal(np.sort(a.samples, 0), np.sort(b.samples, 0))
@@ -176,7 +171,7 @@ def check_V_monotone(
     return _run_check(
         "potential-strict",
         lambda a, b: -monotonicity_gap(potential, a, b),
-        sample,
+        _random_pair,
         trials,
         rng_seed,
         strict=True,
@@ -184,21 +179,16 @@ def check_V_monotone(
     )
 
 
-def check_psi_monotone(
-    terminal, dim: int = 1, trials: int = 1000, rng_seed: int = 0
-) -> MonotonicityReport:
+def check_psi_monotone(terminal, trials: int = 1000, rng_seed: int = 0) -> MonotonicityReport:
     """Probe the non-strict terminal condition (>= 0); min_value is the raw expression."""
     rng = np.random.default_rng(rng_seed + 987)
-    if not _law_dependence_spot_check(terminal, dim, rng):
+    if not _law_dependence_spot_check(terminal, rng):
         raise ValueError("terminal cost is not law-dependent: permuting samples changed it")
-
-    def sample(r):
-        return _random_ensemble(r, dim), _random_ensemble(r, dim)
 
     return _run_check(
         "terminal-nonstrict",
         lambda a, b: monotonicity_gap(terminal, a, b),
-        sample,
+        _random_pair,
         trials,
         rng_seed,
         strict=False,
@@ -214,7 +204,7 @@ def check_L_monotone(
     def sample(r):
         def pair():  # unchecked, like the views of _random_ensemble
             n = _ENSEMBLE_SIZES[r.integers(0, len(_ENSEMBLE_SIZES))]
-            x, z = _random_ensemble(r, 1, n).samples, _random_ensemble(r, 1, n).samples
+            x, z = _random_ensemble(r, n).samples, _random_ensemble(r, n).samples
             return PairedEnsemble._view(x, z, 2.0)
 
         return pair(), pair()

@@ -1,9 +1,11 @@
-"""Empirical random variables: equal-weight particle ensembles in R^d.
+"""Empirical random variables: equal-weight particle ensembles on the line.
 
-An :class:`Ensemble` stands for a random variable known through N samples,
-each carrying weight 1/N.  Every expectation in the solver becomes a finite
-average over samples, and two ensembles with the same sorted sample list
-represent the same 1-d law.
+An :class:`Ensemble` stands for a real random variable known through N
+samples, each carrying weight 1/N.  Every expectation in the solver becomes a
+finite average over samples, and two ensembles with the same sorted sample
+list represent the same law.  The state space is one-dimensional: the
+constructors take a scalar, an (N,) array or an (N, 1) column and store the
+column; anything wider is rejected there, so nothing downstream re-checks it.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedDimensionError
-
 FLOAT_FMT = "%.17g"
 
 
@@ -25,8 +25,8 @@ def _as_samples(samples) -> np.ndarray:
         arr = arr.reshape(1, 1)
     elif arr.ndim == 1:
         arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"samples must have shape (N, d) with N, d >= 1, got {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] != 1:
+        raise ValueError(f"samples must have shape (N,) or (N, 1) with N >= 1, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("every sample coordinate must be finite")
     arr.flags.writeable = False
@@ -40,7 +40,7 @@ def _check_q(q: float) -> None:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Equal-weight empirical law: N points in R^d plus a moment exponent q."""
+    """Equal-weight empirical law: N points on the line plus a moment exponent q."""
 
     samples: np.ndarray
     q: float = 2.0
@@ -51,7 +51,7 @@ class Ensemble:
 
     @classmethod
     def _view(cls, samples: np.ndarray, q: float) -> "Ensemble":
-        """Wrap an (N, d) float array the caller has already validated.
+        """Wrap an (N, 1) float array the caller has already validated.
 
         No copy and no checks: the ensemble holds a read-only source as it
         is, and a read-only view of a writable one.  Hot loops use this; the
@@ -68,49 +68,38 @@ class Ensemble:
     def n(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.samples.shape[1]
-
-    def mean(self) -> np.ndarray:
-        return self.samples.mean(axis=0)
-
     def mean_scalar(self) -> float:
-        """Mean of a 1-d ensemble as a plain float."""
-        if self.dim != 1:
-            raise UnsupportedDimensionError("mean_scalar requires dim == 1")
+        """Mean of the ensemble as a plain float."""
         return float(np.add.reduce(self.samples, axis=None) / self.n)  # np.mean's bits
 
     def moment(self, r: float) -> float:
-        """(1/N) sum |x_i|^r with the Euclidean norm per sample."""
+        """(1/N) sum |x_i|^r."""
         if r < 1:
             raise ValueError("moment order r must be >= 1")
-        norms = np.linalg.norm(self.samples, axis=1)
-        return float(np.mean(norms**r))
+        return float(np.mean(np.abs(self.samples[:, 0]) ** r))
 
     def permuted(self, perm) -> "Ensemble":
         return Ensemble(self.samples[np.asarray(perm)], q=self.q)
 
     def sorted_1d(self) -> np.ndarray:
-        if self.dim != 1:
-            raise UnsupportedDimensionError("sorted_1d requires dim == 1")
         return np.sort(self.samples[:, 0])
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([f"x{k}" for k in range(self.dim)])
-        for row in self.samples:
-            writer.writerow([FLOAT_FMT % v for v in row])
+        writer.writerow(["x0"])
+        for v in self.samples[:, 0]:
+            writer.writerow([FLOAT_FMT % v])
         return buf.getvalue()
 
     @staticmethod
     def from_csv(text: str, q: float = 2.0) -> "Ensemble":
         rows = list(csv.reader(io.StringIO(text)))
-        if not rows or not rows[0] or rows[0][0] != "x0":
-            raise ValueError("ensemble CSV must start with header x0,...,x{d-1}")
-        data = [[float(v) for v in row] for row in rows[1:] if row]
-        return Ensemble(np.array(data), q=q)
+        if not rows or rows[0] != ["x0"]:
+            raise ValueError("ensemble CSV must start with the header x0")
+        if any(len(row) > 1 for row in rows[1:]):
+            raise ValueError("ensemble CSV rows must hold exactly one cell")
+        return Ensemble([float(row[0]) for row in rows[1:] if row], q=q)
 
 
 @dataclass(frozen=True)
@@ -125,12 +114,12 @@ class PairedEnsemble:
         object.__setattr__(self, "x", _as_samples(self.x))
         object.__setattr__(self, "z", _as_samples(self.z))
         if self.x.shape != self.z.shape:
-            raise ValueError("paired components must share N and d")
+            raise ValueError("paired components must share N")
         _check_q(self.q)
 
     @classmethod
     def _view(cls, x: np.ndarray, z: np.ndarray, q: float) -> "PairedEnsemble":
-        """Pair two read-only (N, d) arrays the caller has already validated."""
+        """Pair two read-only (N, 1) arrays the caller has already validated."""
         pair = object.__new__(cls)
         pair.__dict__.update(x=x, z=z, q=q)
         return pair
@@ -138,10 +127,6 @@ class PairedEnsemble:
     @property
     def n(self) -> int:
         return self.x.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.x.shape[1]
 
     # checked once in __post_init__, so the marginals are unchecked views
     def state(self) -> Ensemble:
@@ -157,22 +142,18 @@ class PairedEnsemble:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([f"x{k}" for k in range(self.dim)] + [f"z{k}" for k in range(self.dim)])
-        for xr, zr in zip(self.x, self.z):
-            writer.writerow([FLOAT_FMT % v for v in xr] + [FLOAT_FMT % v for v in zr])
+        writer.writerow(["x0", "z0"])
+        for x, z in zip(self.x[:, 0], self.z[:, 0]):
+            writer.writerow([FLOAT_FMT % x, FLOAT_FMT % z])
         return buf.getvalue()
 
 
 def wasserstein_1d(a: Ensemble, b: Ensemble, r: float = 2.0) -> float:
-    """Exact order-r Wasserstein distance between two 1-d empirical laws.
+    """Exact order-r Wasserstein distance between two empirical laws.
 
     Equal sample counts reduce to the sorted coupling; unequal counts are
     handled exactly on the common refinement of the two quantile grids.
     """
-    if a.dim != 1 or b.dim != 1:
-        raise UnsupportedDimensionError(
-            f"exact Wasserstein distance is 1-d only (got dims {a.dim}, {b.dim})"
-        )
     if r < 1:
         raise ValueError("Wasserstein order r must be >= 1")
     xs, ys = a.sorted_1d(), b.sorted_1d()
@@ -187,29 +168,11 @@ def wasserstein_1d(a: Ensemble, b: Ensemble, r: float = 2.0) -> float:
     return float(np.sum(weights * np.abs(qa - qb) ** r) ** (1.0 / r))
 
 
-def moment_distance(a: Ensemble, b: Ensemble) -> float:
-    """Cheap proxy distance for d >= 2: gap between low-order moment vectors.
-
-    Not a transport distance; used only where the exact 1-d metric does not
-    apply (the PDE grid itself is 1-d).
-    """
-    first = np.linalg.norm(a.mean() - b.mean())
-    second = np.linalg.norm((a.samples**2).mean(axis=0) - (b.samples**2).mean(axis=0))
-    return float(first + np.sqrt(second))
-
-
-def ensemble_distance(a: Ensemble, b: Ensemble, r: float = 2.0) -> float:
-    """Exact W_r in 1-d, moment proxy otherwise."""
-    if a.dim == 1 and b.dim == 1:
-        return wasserstein_1d(a, b, r)
-    return moment_distance(a, b)
-
-
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
     """Time-indexed ensemble path with per-step velocities (and costates).
 
-    states, velocities and costates have shape (M+1, N, d) on the shared
+    states, velocities and costates have shape (M+1, N, 1) on the shared
     uniform time grid; velocities[m] holds the self-consistent d/dt of the
     population at times[m].
     """
@@ -224,8 +187,9 @@ class TrajectoryEnsemble:
         times = np.asarray(self.times, dtype=float)
         states = np.asarray(self.states, dtype=float)
         velocities = np.asarray(self.velocities, dtype=float)
-        if states.ndim != 3 or states.shape != velocities.shape or min(states.shape) < 1:
-            raise ValueError("states and velocities must share shape (M+1, N, d), N, d >= 1")
+        shape = states.shape
+        if len(shape) != 3 or shape[2] != 1 or min(shape) < 1 or velocities.shape != shape:
+            raise ValueError(f"states and velocities must share shape (M+1, N, 1), got {shape}")
         if times.ndim != 1 or times.shape[0] != states.shape[0]:
             raise ValueError("time grid length must match the state path")
         paths = [states, velocities]
@@ -254,10 +218,6 @@ class TrajectoryEnsemble:
         return self.states.shape[1]
 
     @property
-    def dim(self) -> int:
-        return self.states.shape[2]
-
-    @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
@@ -279,8 +239,6 @@ class TrajectoryEnsemble:
     def csv_lines(self):
         """Yield the trajectory CSV (t, sample_index, x, v, p) one time slice
         at a time; p is ``nan`` when there is no costate record."""
-        if self.dim != 1:
-            raise UnsupportedDimensionError("trajectory CSV export is 1-d only")
         yield "t,sample_index,x,v,p\n"
         # one % per slice: the time cell joins row tails that carry the sample index
         tails = [f",{i},{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}\n" for i in range(self.n)]

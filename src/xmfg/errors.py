@@ -7,12 +7,6 @@ class XmfgError(Exception):
     code = "XMFG"
 
 
-class UnsupportedDimensionError(XmfgError):
-    """Raised when an exact 1-d operation is asked for in dimension > 1."""
-
-    code = "DIMENSION"
-
-
 class SingularCouplingError(XmfgError):
     """Velocity equation has no solution (coupling coefficient equals -1)."""
 

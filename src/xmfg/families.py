@@ -7,9 +7,7 @@ map of the player dynamics.  Law arguments are :class:`Ensemble` objects and
 enter only through empirical expectations, so evaluations are invariant under
 sample permutation by construction.
 
-The spatial state is scalar: the grid solver and the worked families are
-one-dimensional.  Ensembles of higher dimension are accepted by the generic
-potential evaluators for diagnostic use.
+The spatial state is scalar, like the ensembles that carry the laws.
 """
 
 from __future__ import annotations
@@ -17,11 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ensembles import Ensemble
-from .errors import (
-    ContractionFailureError,
-    SingularCouplingError,
-    UnsupportedDimensionError,
-)
+from .errors import ContractionFailureError, SingularCouplingError
 
 __all__ = [
     "HamiltonianFamily",
@@ -39,8 +33,6 @@ __all__ = [
     "MeanSquareVelocityCoupling",
     "solve_velocity",
 ]
-
-_FD_STEP = 1e-6
 
 
 def as_coefficient(value):
@@ -80,25 +72,21 @@ class MomentQuadraticPotential:
 
     def __call__(self, x, ens: Ensemble):
         x = np.asarray(x, dtype=float)
-        samples = ens.samples[:, 0] if ens.dim == 1 else ens.samples
+        samples = ens.samples[:, 0]
         n = ens.n
         mean = np.add.reduce(samples) / n
         spread = samples - mean
         residual = np.add.reduce(spread) / n  # EX = mean + residual
         spread -= residual
         spread *= spread
-        variance = np.add.reduce(spread.ravel()) / n  # E|X - EX|^2
+        variance = np.add.reduce(spread) / n  # E|X - EX|^2
         gap = (x - mean) - residual
         gap *= gap
-        if ens.dim > 1:
-            gap = np.add.reduce(gap, axis=-1)
         return self.scale * (gap + variance)
 
     def gradient(self, x, ens: Ensemble):
         x = np.asarray(x, dtype=float)
-        if ens.dim == 1:
-            return 2.0 * self.scale * (x - ens.mean_scalar())
-        return 2.0 * self.scale * (x - ens.mean())
+        return 2.0 * self.scale * (x - ens.mean_scalar())
 
 
 class QuadraticFormPotential:
@@ -203,9 +191,7 @@ class HamiltonianFamily:
         raise NotImplementedError
 
     def terminal_gradient(self, x, x_ens: Ensemble):
-        x = np.asarray(x, dtype=float)
-        h = _FD_STEP
-        return (self.terminal(x + h, x_ens) - self.terminal(x - h, x_ens)) / (2 * h)
+        raise NotImplementedError
 
     def dp_hamiltonian(self, x, p, y_ens: Ensemble, z_ens: Ensemble):
         raise NotImplementedError
@@ -398,8 +384,6 @@ def solve_velocity(
     for a closed form that residual is computed only when ``return_info``
     asks for it.
     """
-    if p_ensemble.dim != 1:
-        raise UnsupportedDimensionError("velocity solver operates on 1-d ensembles")
     p = p_ensemble.samples[:, 0]
     q = p_ensemble.q
     closed = fam.velocity_closed_form(x, p, y)

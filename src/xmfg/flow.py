@@ -47,8 +47,6 @@ def integrate_flow(
     legal - they ride identical characteristics - and are merely worth
     knowing about when reading separation diagnostics downstream.
     """
-    if x0.dim != 1:
-        raise ValueError("flow integration operates on 1-d ensembles")
     if steps < 1 or horizon <= 0:
         raise ValueError("flow requires steps >= 1 and a positive horizon")
     n_dup = x0.n - np.unique(x0.samples[:, 0]).size
@@ -132,8 +130,6 @@ def separation_diagnostic(
     Pairs that start at identical positions are excluded from the ratio and
     counted in ``skipped_pairs``.
     """
-    if traj.dim != 1:
-        raise ValueError("separation diagnostic is 1-d only")
     xs = traj.states[:, :, 0]
     if t_max is not None:
         keep = traj.times <= t_max + 1e-12

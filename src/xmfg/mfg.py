@@ -22,8 +22,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .ensembles import Ensemble, TrajectoryEnsemble
+
 # unused here, but perfbench/layers.py traces the gap layer under this name
-from .ensembles import Ensemble, TrajectoryEnsemble, ensemble_distance  # noqa: F401
+from .ensembles import wasserstein_1d as ensemble_distance  # noqa: F401
 from .errors import (
     ControlSaturationError,
     DomainTooSmallError,
@@ -102,8 +104,6 @@ class ProblemSpec:
     def __post_init__(self):
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        if self.initial.dim != 1:
-            raise ValueError("solver grid is 1-d; initial ensemble must have dim 1")
         if self.initial.q != self.q:
             object.__setattr__(self, "initial", Ensemble(self.initial.samples, q=self.q))
 

@@ -1,12 +1,15 @@
-"""The benchmark's layer trace wraps module attributes by name.
+"""What the benchmark reads of the program, by name and by layout.
 
 ``perfbench/layers.py`` replaces ``module.__dict__[attr]`` for every entry of
 its ``_SPANNED`` table; a name the program stops binding would break a traced
-run with a ``KeyError`` while every other test still passes.
+run with a ``KeyError`` while every other test still passes.  Likewise
+``perfbench/run.py`` builds its oracles from the ``(N, 1)`` sample column of
+an ensemble and the ``(M+1, N, 1)`` state path of a trajectory.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -17,14 +20,18 @@ from xmfg.ensembles import Ensemble
 from xmfg.families import LQFamily
 from xmfg.hjb import regularity_report
 
-LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_layers():
+    return load_perfbench("layers")
 
 
 NAMES = [(module_name, attr) for module_name, attr, _ in load_layers()._SPANNED]
@@ -73,3 +80,41 @@ def test_a_reused_evaluation_reuses_its_regularity_report(monkeypatch):
     assert sol.iterations == 3 and len(calls) == 2
     assert len(sol.regularity_history) == 3
     assert sol.regularity_history[1] == sol.regularity_history[2]
+
+
+# small versions of the benchmark's games: 16 samples, M = 20
+ORACLE_DOCS = {
+    "crowd": {
+        "family": "quadratic",
+        "beta": 0.5,
+        "T": 1.0,
+        "potential": {"kind": "moment_quadratic", "params": {"scale": 0.5}},
+        "terminal": {"kind": "quadratic", "params": {"m": 1.0, "n": 0.2, "q0": 0.0}},
+        "initial": {"kind": "gaussian_like", "params": {"mean": 0.5, "std": 0.5}, "N": 16},
+        "solver": {"nx": 41, "nv": 41, "M": 20, "v_max": 4.0},
+    },
+    "master": {
+        "family": "lq",
+        "beta": 0.0,
+        "T": 1.0,
+        "potential": {"kind": "lq_running", "params": {"A": 0.0, "B": 0.0, "C": 0.0}},
+        "terminal": {"kind": "lq_terminal", "params": {"M": 1.0, "N": 0.0, "Q": 0.0}},
+        "initial": {"kind": "uniform", "params": {"lo": -1.0, "hi": 1.0}, "N": 16},
+        "solver": {"nx": 41, "nv": 41, "M": 20, "v_max": 4.0, "damping": 1.0},
+    },
+}
+
+
+@pytest.mark.parametrize("workload", sorted(ORACLE_DOCS))
+def test_benchmark_oracle_reads_the_ensemble_layout(tmp_path, monkeypatch, workload):
+    # run.py imports its siblings by bare name, as it does when run as a script
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = load_perfbench("run")
+    doc_path = tmp_path / "problem.json"
+    doc_path.write_text(json.dumps(ORACLE_DOCS[workload]))
+    oracle = run.build_oracle(workload, doc_path)
+    assert oracle["states"].shape == (21, 16)
+    assert np.all(np.diff(oracle["states"], axis=1) >= 0.0)
+    assert oracle["u"].shape == (21, oracle["nodes"].size)
+    assert np.all(np.isfinite(oracle["u"])) and np.any(oracle["core"])
+    assert oracle["dt"] == 1.0 / 20

@@ -188,8 +188,10 @@ def test_samples_inlined_on_canonicalization(tmp_path):
         "x\n0.25\n0.75\n",  # header other than x0
         "x0\n0.25\ninf\n",  # non-finite value
         "x0\n0.25\n0.5,0.75\n",  # ragged row
+        "x0,x1\n1\n",  # a 2-column header over 1-cell rows
+        "x0,x1\n1,2\n3,4\n",  # two columns
     ],
-    ids=["non-numeric", "header", "inf", "ragged"],
+    ids=["non-numeric", "header", "inf", "ragged", "two-column-header", "two-columns"],
 )
 def test_malformed_sample_file_is_one_schema_line(tmp_path, capsys, text):
     (tmp_path / "x0.csv").write_text(text)

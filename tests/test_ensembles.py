@@ -7,11 +7,8 @@ from xmfg.ensembles import (
     Ensemble,
     PairedEnsemble,
     TrajectoryEnsemble,
-    ensemble_distance,
-    moment_distance,
     wasserstein_1d,
 )
-from xmfg.errors import UnsupportedDimensionError
 
 finite = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
 sample_lists = st.lists(finite, min_size=1, max_size=12)
@@ -32,9 +29,9 @@ def test_moment_hand_sum():
 
 
 def test_mean_examples():
-    assert Ensemble([1.0, 2.0, 3.0]).mean() == pytest.approx([2.0])
-    assert Ensemble([[0.0, 1.0], [2.0, 3.0]]).mean() == pytest.approx([1.0, 2.0])
-    assert Ensemble([-5.0]).mean() == pytest.approx([-5.0])
+    assert Ensemble([1.0, 2.0, 3.0]).mean_scalar() == pytest.approx(2.0)
+    assert Ensemble([[0.0], [2.0]]).mean_scalar() == pytest.approx(1.0)
+    assert Ensemble([-5.0]).mean_scalar() == pytest.approx(-5.0)
 
 
 def test_wasserstein_point_masses():
@@ -51,10 +48,24 @@ def test_wasserstein_sorted_coupling():
     assert wasserstein_1d(Ensemble([0.0, 2.0]), Ensemble([1.0, 3.0]), 2.0) == pytest.approx(1.0)
 
 
-def test_wasserstein_rejects_higher_dim():
-    a = Ensemble([[0.0, 0.0], [1.0, 1.0]])
-    with pytest.raises(UnsupportedDimensionError):
-        wasserstein_1d(a, a, 2.0)
+def test_containers_reject_wider_samples_at_construction():
+    wide = [[0.0, 0.0], [1.0, 1.0]]
+    with pytest.raises(ValueError, match="shape"):
+        Ensemble(wide)
+    with pytest.raises(ValueError, match="shape"):
+        Ensemble(np.zeros((2, 1, 1)))
+    with pytest.raises(ValueError, match="shape"):
+        PairedEnsemble(wide, wide)
+    with pytest.raises(ValueError, match="shape"):
+        TrajectoryEnsemble(np.linspace(0, 1, 3), np.zeros((3, 2, 2)), np.zeros((3, 2, 2)))
+    with pytest.raises(ValueError, match="shape"):
+        TrajectoryEnsemble(np.linspace(0, 1, 3), np.zeros((3, 2)), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="one cell"):
+        Ensemble.from_csv("x0\n1,2\n")
+    # a scalar, a list and a column all become the same (N, 1) column
+    assert Ensemble(1.5).samples.shape == (1, 1)
+    np.testing.assert_array_equal(Ensemble([1.0, 2.0]).samples, Ensemble([[1.0], [2.0]]).samples)
+    assert PairedEnsemble([1.0, 2.0], [[3.0], [4.0]]).z.shape == (2, 1)
 
 
 def test_wasserstein_unequal_sizes_against_dense_quantile_oracle():
@@ -123,9 +134,9 @@ def test_view_holds_a_read_only_source_as_it_is():
 
 
 def test_ensemble_csv_round_trip():
-    e = Ensemble([[0.1, -2.0], [1e-17, 3.5]])
+    e = Ensemble([[0.1], [-2.0], [1e-17], [3.5]])
     back = Ensemble.from_csv(e.to_csv())
-    assert back.to_csv().splitlines()[0] == "x0,x1"
+    assert back.to_csv().splitlines()[0] == "x0"
     np.testing.assert_array_equal(back.samples, e.samples)
 
 
@@ -145,22 +156,12 @@ def test_paired_joint_permutation():
     np.testing.assert_array_equal(shuffled.z[:, 0], [6.0, 4.0, 5.0])
 
 
-def test_moment_distance_proxy_and_dispatch():
-    a = Ensemble([[0.0, 0.0], [2.0, 2.0]])
-    b = Ensemble([[1.0, 1.0], [3.0, 3.0]])
-    assert moment_distance(a, a) == 0.0
-    assert moment_distance(a, b) > 0.0
-    assert ensemble_distance(a, b) == moment_distance(a, b)
-    a1, b1 = Ensemble([0.0, 2.0]), Ensemble([1.0, 3.0])
-    assert ensemble_distance(a1, b1, 2.0) == wasserstein_1d(a1, b1, 2.0)
-
-
 def test_trajectory_validation_and_export():
     times = np.linspace(0, 1, 3)
     states = np.zeros((3, 2, 1))
     vel = np.ones_like(states)
     traj = TrajectoryEnsemble(times, states, vel)
-    assert traj.steps == 2 and traj.n == 2 and traj.dim == 1
+    assert traj.steps == 2 and traj.n == 2
     lines = traj.to_csv().splitlines()
     assert lines[0] == "t,sample_index,x,v,p"
     assert len(lines) == 1 + 3 * 2

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import xmfg.mfg as mfg
 from xmfg.analytic import LQCoefficients, lq_solve
-from xmfg.ensembles import Ensemble, TrajectoryEnsemble, ensemble_distance, wasserstein_1d
+from xmfg.ensembles import Ensemble, TrajectoryEnsemble, wasserstein_1d
 from xmfg.errors import ControlSaturationError, FlowBlowupError
 from xmfg.families import (
     LQFamily,
@@ -388,7 +388,7 @@ def test_non_finite_stage_rate_is_a_flow_blowup():
 
 def reference_gap(a, b, q):
     """The trajectory gap as it was: one exact W_q per time, then the max."""
-    gaps = [ensemble_distance(a.ensemble(m), b.ensemble(m), r=q) for m in range(a.steps + 1)]
+    gaps = [wasserstein_1d(a.ensemble(m), b.ensemble(m), r=q) for m in range(a.steps + 1)]
     return float(max(gaps))
 
 
