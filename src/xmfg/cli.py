@@ -396,13 +396,13 @@ def _cmd_oracle(parsed: ParsedProblem, run: RunConfig) -> int:
         p, t = doc["potential"]["params"], doc["terminal"]["params"]
         coeffs = LQCoefficients(a=p["A"], b=p["B"], c=p["C"], m=t["M"], n=t["N"], q0=t["Q"])
         state, traj = lq_solve(coeffs, parsed.problem.initial, doc["beta"], doc["T"], steps)
-        write_coeffs = bundles.write_lq_coefficients_csv
+        header, columns = "t,gamma,theta,zeta", (state.times, state.gamma, state.theta, state.zeta)
     elif parsed.family_kind == "quartic":
         t = doc["terminal"]["params"]
         state, traj = quartic_solve(
             t["A"], t["B"], parsed.problem.family.coupling, parsed.problem.initial, doc["T"], steps
         )
-        write_coeffs = bundles.write_quartic_coefficients_csv
+        header, columns = "t,p,q", (state.times, state.p, state.q)
     else:
         raise XmfgError("oracle subcommand needs family 'lq' or 'quartic'")
 
@@ -417,7 +417,7 @@ def _cmd_oracle(parsed: ParsedProblem, run: RunConfig) -> int:
     bundles.write_value_csv(run.out_dir / "value.csv", vg)
     bundles.write_trajectory_csv(run.out_dir / "trajectory.csv", traj)
     bundles.write_residuals_csv(run.out_dir / "residuals.csv", [])
-    write_coeffs(run.out_dir / "coefficients.csv", state)
+    bundles.write_csv(run.out_dir / "coefficients.csv", header, np.stack(columns, axis=1))
     bundles.write_plot_bundle(run.out_dir / "plot", vg, traj, [])
     bundles.write_meta(run.out_dir / "meta.json", _meta(parsed, run, converged=True), started)
     return 0
@@ -479,9 +479,7 @@ def _cmd_master(parsed: ParsedProblem, run: RunConfig) -> int:
     residual = master_consistency_residual(sol, parsed.problem, cfg, probes)
 
     run.out_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["x,t"]
-    lines += [f"{bundles._fmt(x)},{bundles._fmt(t)}" for x, t in probes]
-    (run.out_dir / "probes.csv").write_text("\n".join(lines) + "\n")
+    bundles.write_csv(run.out_dir / "probes.csv", "x,t", probes)
     bundles.write_json(
         run.out_dir / "master.json",
         {"residual": residual, "n_probes": len(probes), "converged": sol.converged},

@@ -11,12 +11,13 @@ column; anything wider is rejected there, so nothing downstream re-checks it.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass
 
 import numpy as np
 
-FLOAT_FMT = "%.17g"
+from ._cells import csv_rows, int_text, slice_rows
 
 
 def _as_samples(samples) -> np.ndarray:
@@ -85,12 +86,7 @@ class Ensemble:
         return np.sort(self.samples[:, 0])
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["x0"])
-        for v in self.samples[:, 0]:
-            writer.writerow([FLOAT_FMT % v])
-        return buf.getvalue()
+        return (b"x0\n" + csv_rows(self.samples)).decode()
 
     @staticmethod
     def from_csv(text: str, q: float = 2.0) -> "Ensemble":
@@ -140,12 +136,7 @@ class PairedEnsemble:
         return PairedEnsemble(self.x[perm], self.z[perm], q=self.q)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["x0", "z0"])
-        for x, z in zip(self.x[:, 0], self.z[:, 0]):
-            writer.writerow([FLOAT_FMT % x, FLOAT_FMT % z])
-        return buf.getvalue()
+        return (b"x0,z0\n" + csv_rows(np.hstack((self.x, self.z)))).decode()
 
 
 def wasserstein_1d(a: Ensemble, b: Ensemble, r: float = 2.0) -> float:
@@ -236,18 +227,18 @@ class TrajectoryEnsemble:
             raise ValueError("trajectory carries no costate record")
         return Ensemble._view(self.costates[m], self.q)
 
+    @functools.cached_property
+    def sorted_states(self) -> np.ndarray:
+        """The (M+1, N) states, sorted over the samples at each time."""
+        return np.sort(self.states[:, :, 0], axis=1)
+
     def csv_lines(self):
-        """Yield the trajectory CSV (t, sample_index, x, v, p) one time slice
-        at a time; p is ``nan`` when there is no costate record."""
-        yield "t,sample_index,x,v,p\n"
-        # one % per slice: the time cell joins row tails that carry the sample index
-        tails = [f",{i},{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}\n" for i in range(self.n)]
-        nan_column = np.full(self.n, np.nan)
-        for m, t in enumerate(self.times.tolist()):
-            p = nan_column if self.costates is None else self.costates[m, :, 0]
-            cells = np.stack((self.states[m, :, 0], self.velocities[m, :, 0], p), axis=1)
-            t_cell = FLOAT_FMT % t
-            yield (t_cell + t_cell.join(tails)) % tuple(cells.ravel().tolist())
+        """Yield the trajectory CSV (t, sample_index, x, v, p) as bytes, a few
+        time slices at a time; p is ``nan`` when there is no costate record."""
+        yield b"t,sample_index,x,v,p\n"
+        p = np.full(self.states.shape, np.nan) if self.costates is None else self.costates
+        columns = (self.states, self.velocities, p)
+        yield from slice_rows(self.times, int_text(range(self.n)), columns)
 
     def to_csv(self) -> str:
-        return "".join(self.csv_lines())
+        return b"".join(self.csv_lines()).decode()

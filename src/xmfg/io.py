@@ -13,72 +13,46 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensembles import FLOAT_FMT, TrajectoryEnsemble
+from ._cells import cell_text, csv_rows, int_text, slice_rows
+from .ensembles import TrajectoryEnsemble
 from .hjb import ValueGrid
 
 
-def _fmt(x) -> str:
-    return FLOAT_FMT % float(x)
+def write_csv(path: Path, header: str, cells, *texts) -> None:
+    """One header line, then rows of the text columns and the float cells."""
+    path.write_bytes(header.encode() + b"\n" + csv_rows(cells, *texts))
 
 
 def write_value_csv(path: Path, vg: ValueGrid) -> None:
-    """Stream t,x,u,du_dx one time slice at a time, one ``%`` per slice: the
-    time cell joins row tails that carry the node."""
-    tails = [f",{FLOAT_FMT % x},{FLOAT_FMT},{FLOAT_FMT}\n" for x in vg.x.tolist()]
-    with path.open("w") as out:
-        out.write("t,x,u,du_dx\n")
-        for m, t in enumerate(vg.times.tolist()):
-            cells = np.stack((vg.u[m], vg.grad[m]), axis=1).ravel().tolist()
-            t_cell = FLOAT_FMT % t
-            out.write((t_cell + t_cell.join(tails)) % tuple(cells))
+    """Stream t,x,u,du_dx a few time slices at a time."""
+    with path.open("wb") as out:
+        out.write(b"t,x,u,du_dx\n")
+        out.writelines(slice_rows(vg.times, cell_text(vg.x), (vg.u, vg.grad)))
 
 
 def write_trajectory_csv(path: Path, traj: TrajectoryEnsemble) -> None:
-    with path.open("w") as out:
+    with path.open("wb") as out:
         out.writelines(traj.csv_lines())
 
 
+def _history_columns(history):
+    """The iteration numbers as text and the (phi, traj) residuals as cells."""
+    cells = np.array([row[1:] for row in history], dtype=float).reshape(-1, 2)
+    return cells, int_text([row[0] for row in history])
+
+
 def write_residuals_csv(path: Path, history) -> None:
-    lines = ["iter,phi_residual,traj_residual"]
-    for k, phi_res, traj_res in history:
-        lines.append(f"{k},{_fmt(phi_res)},{_fmt(traj_res)}")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def write_lq_coefficients_csv(path: Path, state) -> None:
-    lines = ["t,gamma,theta,zeta"]
-    for m, t in enumerate(state.times):
-        lines.append(
-            f"{_fmt(t)},{_fmt(state.gamma[m])},{_fmt(state.theta[m])},{_fmt(state.zeta[m])}"
-        )
-    path.write_text("\n".join(lines) + "\n")
-
-
-def write_quartic_coefficients_csv(path: Path, state) -> None:
-    lines = ["t,p,q"]
-    for m, t in enumerate(state.times):
-        lines.append(f"{_fmt(t)},{_fmt(state.p[m])},{_fmt(state.q[m])}")
-    path.write_text("\n".join(lines) + "\n")
+    write_csv(path, "iter,phi_residual,traj_residual", *_history_columns(history))
 
 
 def write_plot_bundle(plot_dir: Path, vg: ValueGrid, traj: TrajectoryEnsemble, history) -> None:
     """Two-column CSVs any plotting tool can ingest directly."""
     plot_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["x,u"]
-    for i, x in enumerate(vg.x):
-        lines.append(f"{_fmt(x)},{_fmt(vg.u[0, i])}")
-    (plot_dir / "u_vs_x_at_t0.csv").write_text("\n".join(lines) + "\n")
-
+    write_csv(plot_dir / "u_vs_x_at_t0.csv", "x,u", np.stack((vg.x, vg.u[0]), axis=1))
     means = traj.states[:, :, 0].mean(axis=1)
-    lines = ["t,mean_x"]
-    for t, mval in zip(traj.times, means):
-        lines.append(f"{_fmt(t)},{_fmt(mval)}")
-    (plot_dir / "mean_trajectory.csv").write_text("\n".join(lines) + "\n")
-
-    lines = ["iter,phi_residual"]
-    for k, phi_res, _ in history:
-        lines.append(f"{k},{_fmt(phi_res)}")
-    (plot_dir / "residuals.csv").write_text("\n".join(lines) + "\n")
+    write_csv(plot_dir / "mean_trajectory.csv", "t,mean_x", np.stack((traj.times, means), axis=1))
+    cells, iters = _history_columns(history)
+    write_csv(plot_dir / "residuals.csv", "iter,phi_residual", cells[:, :1], iters)
 
 
 def write_meta(path: Path, payload: dict, started: float) -> None:

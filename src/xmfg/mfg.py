@@ -258,9 +258,9 @@ def apply_F(problem: ProblemSpec, phi, cfg: SolverConfig) -> ValueSlice:
 
 def _trajectory_gap(a: TrajectoryEnsemble, b: TrajectoryEnsemble, q: float) -> float:
     # max over times of W_q between sorted 1-d paths; the root is monotone, so
-    # taking it after the max keeps the bits of the per-time distances' max
-    xs = np.sort(a.states[:, :, 0], axis=1)
-    ys = np.sort(b.states[:, :, 0], axis=1)
+    # taking it after the max keeps the bits of the per-time distances' max;
+    # each path is sorted once, when it is first compared
+    xs, ys = a.sorted_states, b.sorted_states
     return float(np.max(np.mean(np.abs(xs - ys) ** q, axis=1)) ** (1.0 / q))
 
 

@@ -1,0 +1,96 @@
+"""The vectorized cell formatter against Python's own ``'%.17g'``."""
+
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from xmfg._cells import BLOCK_CELLS, cell_text, csv_rows, int_text
+
+
+def texts(values):
+    return [bytes(row).rstrip(b"\0") for row in cell_text(values)]
+
+
+def reference(values):
+    return [b"%.17g" % v for v in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+def assert_matches(values):
+    got, want = texts(values), reference(values)
+    wrong = [(v, g, w) for v, g, w in zip(np.ravel(values).tolist(), got, want) if g != w]
+    assert not wrong, wrong[:5]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+@example([0.0, -0.0, float("nan"), float("inf"), float("-inf")])
+@example([1e-11, 2.0**53, 2.0**53 - 1, 5e-324, -1.7976931348623157e308])
+def test_any_floats_are_written_as_percent_17g(values):
+    assert_matches(values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+@example([0x7FF8000000000001, 0xFFF0000000000001, 0x8000000000000001, 0x0010000000000000])
+def test_any_64_bit_patterns_are_written_as_percent_17g(patterns):
+    assert_matches(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+
+def half_even_ties(rng, per_scale):
+    """Doubles in the exact range with exactly 18 significant digits, the last
+    a 5: N / 2**j with N odd and N 5**j of 18 digits.  Rounding them to 17
+    digits is a tie."""
+    ties = []
+    for j in range(2, 40):
+        lo, hi = -(-(10**17) // 5**j), min(10**18 // 5**j, 2**53)
+        if lo < hi:
+            odd = rng.integers(lo, hi, per_scale) | 1
+            ties += [n / 2.0**j for n in odd.tolist() if n < hi]
+    assert all(len(Decimal(x).as_tuple().digits) == 18 for x in ties)
+    assert min(ties) > 1e-11 and len(ties) >= 10 * per_scale
+    return np.array(ties)
+
+
+def carries():
+    """Doubles just below a power of ten whose 17-digit rounding carries into
+    the next decade (1e-14, 1e-305, ...); none of them is in the exact range."""
+    found = []
+    for k in range(-323, 309):
+        x = float(f"1e{k}")
+        for v in (x, np.nextafter(x, 0.0)):
+            mantissa = (b"%.17g" % v).split(b"e")[0].replace(b".", b"").strip(b"0")
+            if mantissa == b"1" and Fraction(float(v)) < Fraction(10) ** k:
+                found.append(v)
+    assert len(found) >= 10
+    return np.array(found)
+
+
+def test_every_decimal_exponent_and_the_awkward_values():
+    rng = np.random.default_rng(20240613)
+    parts = []
+    for k in range(-330, 309):
+        power = float(f"1e{k}")  # 0.0 below the subnormals
+        near = [power, np.nextafter(power, 0.0), np.nextafter(power, np.inf)]
+        if k > -308:
+            decade = rng.uniform(1.0, 10.0 if k < 308 else 1.79, 12) * power
+        else:  # subnormals
+            decade = rng.uniform(0, 2**52, 12) * 5e-324
+        parts += [near, decade, -decade]
+    parts += [carries(), half_even_ties(rng, 50)]
+    parts += [[2.0**53 - 1, 2.0**53, 1e-11, np.nextafter(1e-11, 1.0), 0.0, -0.0, np.nan, np.inf]]
+    values = np.concatenate([np.ravel(p) for p in parts])
+    rng.shuffle(values)  # every block mixes exact lanes with the % lanes
+    assert values.size > 2 * BLOCK_CELLS
+    assert_matches(values)
+
+
+def test_csv_rows_join_text_columns_and_cells():
+    cells = np.array([[0.5, -0.0], [np.nan, 1e300]])
+    rows = csv_rows(cells, cell_text([0.1, 0.2]), int_text([7, 12]))
+    assert rows == (
+        b"0.10000000000000001,7,0.5,-0\n0.20000000000000001,12,nan,1.0000000000000001e+300\n"
+    )
+    assert csv_rows(np.empty((0, 2)), int_text([])) == b""

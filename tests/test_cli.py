@@ -38,6 +38,7 @@ from xmfg.families import (
     ZeroCoupling,
     ZeroPotential,
 )
+from xmfg.mfg import solve_mfg
 
 ZERO_DOC = {
     "family": "quadratic",
@@ -401,6 +402,7 @@ COLD_START = """
 import sys
 import xmfg.cli
 print(sorted({"xmfg.analytic", "argparse"} & set(sys.modules)))
+print(xmfg._cells._tables.cache_info().currsize)  # no formatter table built yet
 import xmfg
 from xmfg import lq_solve
 served = {"LQCoefficients", "LQState", "QuarticState", "lq_solve", "quartic_solve"}
@@ -414,7 +416,7 @@ def test_the_cli_imports_neither_the_oracles_nor_argparse():
     out = subprocess.run(
         [sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.splitlines() == ["[]", "xmfg.analytic True"]
+    assert out.stdout.splitlines() == ["[]", "0", "xmfg.analytic True"]
 
 
 def test_oracle_requires_closed_form_family(tmp_path, capsys):
@@ -587,6 +589,65 @@ def test_non_finite_results_are_written_as_null(tmp_path, capsys):
 def test_bundle_json_refuses_non_finite_numbers(tmp_path):
     with pytest.raises(ValueError):
         xmfg.io.write_json(tmp_path / "bad.json", {"residual": float("nan")})
+
+
+def percent_reference(path):
+    """The file as a ``%``-based writer prints the values it holds: '%.17g'
+    for every float cell and '%d' for the iteration and sample columns."""
+    header, *rows = path.read_text().splitlines()
+    ints = [name in ("iter", "sample_index") for name in header.split(",")]
+    lines = [header]
+    for row in rows:
+        cells = zip(row.split(","), ints, strict=True)
+        lines.append(",".join("%d" % int(c) if i else "%.17g" % float(c) for c, i in cells))
+    return "".join(line + "\n" for line in lines).encode()
+
+
+VIOLATED_DOC = dict(ZERO_DOC, potential={"kind": "moment_quadratic", "params": {"scale": -1.0}})
+SMALL_LQ_DOC = dict(LQ_DOC, solver=dict(LQ_DOC["solver"], nx=41, M=20, nv=41, damping=1.0))
+SOLVABLE_QUARTIC_DOC = dict(QUARTIC_DOC, solver={"nx": 61, "M": 40, "nv": 61})
+CSV_CASES = [
+    ("solve", LQ_DOC),
+    ("solve", QUADRATIC_DOC),
+    ("solve", SOLVABLE_QUARTIC_DOC),
+    ("oracle", LQ_DOC),
+    ("oracle", QUARTIC_DOC),
+    ("check", QUADRATIC_DOC),
+    ("check", QUARTIC_DOC),
+    ("check", VIOLATED_DOC),
+    ("master", SMALL_LQ_DOC),
+    ("master", QUADRATIC_DOC),
+    ("master", SOLVABLE_QUARTIC_DOC),
+]
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    CSV_CASES,
+    ids=[f"{command}-{doc['family']}-{i}" for i, (command, doc) in enumerate(CSV_CASES)],
+)
+def test_every_cli_csv_matches_a_percent_writer(tmp_path, command, doc):
+    out = tmp_path / "out"
+    assert run(RunConfig(command, write_doc(tmp_path, doc), out, seed=1)) in (0, 2)
+    files = sorted(out.rglob("*.csv"))
+    assert files
+    for path in files:
+        assert path.read_bytes() == percent_reference(path), path.relative_to(out)
+
+
+def test_solve_bundle_matches_the_reference_writers(tmp_path):
+    from test_io import reference_trajectory_csv, reference_value_csv
+
+    cfg_path = write_doc(tmp_path, QUADRATIC_DOC)
+    assert run(RunConfig("solve", cfg_path, tmp_path / "out", seed=1)) == 0
+    parsed = parse_problem(cfg_path)
+    sol = solve_mfg(parsed.problem, parsed.solver)
+    assert (tmp_path / "out" / "value.csv").read_text() == reference_value_csv(sol.value)
+    assert (tmp_path / "out" / "trajectory.csv").read_text() == reference_trajectory_csv(sol.traj)
+    rows = [f"{k},{'%.17g' % phi},{'%.17g' % traj}" for k, phi, traj in sol.residual_history]
+    expected = "\n".join(["iter,phi_residual,traj_residual", *rows]) + "\n"
+    assert (tmp_path / "out" / "residuals.csv").read_text() == expected
+    assert ",nan\n" in expected
 
 
 # ---------------------------------------------------------------------------

@@ -443,6 +443,25 @@ def test_a_repeated_iterate_reuses_the_last_evaluation(monkeypatch):
     assert len(sol.regularity_history) == 3
 
 
+def test_each_trajectory_is_sorted_once(monkeypatch):
+    # the gaps compare (2nd, 1st) and then (2nd reused, 2nd): two paths, two sorts
+    sorted_paths = []
+    real = TrajectoryEnsemble.sorted_states.func
+
+    def counting(traj):
+        sorted_paths.append(traj)
+        return real(traj)
+
+    counted = functools.cached_property(counting)
+    counted.__set_name__(TrajectoryEnsemble, "sorted_states")
+    monkeypatch.setattr(TrajectoryEnsemble, "sorted_states", counted)
+    calls = count_flows(monkeypatch)
+    sol = solve_mfg(lq_problem(), replace(SMALL, damping=1.0))
+    assert sol.iterations == 3 and len(calls) == 2
+    assert len(sorted_paths) == 2 and sorted_paths[0] is not sorted_paths[1]
+    np.testing.assert_array_equal(sol.traj.sorted_states, np.sort(sol.traj.states[:, :, 0], axis=1))
+
+
 @pytest.mark.parametrize("fail_at", [None, 3], ids=["plain", "failed-extrapolation"])
 def test_every_distinct_iterate_is_evaluated(monkeypatch, fail_at):
     # the coupled game never repeats an iterate; at these tolerances its last
