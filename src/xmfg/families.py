@@ -1,13 +1,12 @@
 """Hamiltonian/Lagrangian families with law-dependent coupling.
 
-Every family exposes the convex-dual pair (L, H), the terminal cost, and the
-pieces the solvers need: D_pH for the self-consistent velocity equation
-Z = -D_pH(x, p, Y, Z), D_xH for the costate sweep, and the control-to-speed
-map of the player dynamics.  Law arguments are :class:`Ensemble` objects and
+A family declares its running cost L(x, v, X, Z) = |v|^2/2 + b(X, Z) v -
+W(x, X, Z) and its dynamics dx/dt = g(x) v once; the base class derives H,
+D_pH for the velocity equation Z = -D_pH(x, p, Y, Z) and D_xH for the costate
+flow.  Cost objects carry ``__call__(x, ens)`` and ``gradient(x, ens)`` and
+are plain family attributes.  Law arguments are :class:`Ensemble` objects and
 enter only through empirical expectations, so evaluations are invariant under
-sample permutation by construction.
-
-The spatial state is scalar, like the ensembles that carry the laws.
+sample permutation by construction.  The spatial state is scalar.
 """
 
 from __future__ import annotations
@@ -174,39 +173,57 @@ class MeanSquareVelocityCoupling:
 
 
 class HamiltonianFamily:
-    """Base interface; concrete families fill in L, H and the derivatives."""
+    """Running cost L(x,v,X,Z) = |v|^2/2 + b(X,Z) v - W(x,X,Z) under dx/dt = g(x) v.
 
-    beta = 0.0
+    A family declares the drift b (``drift``), the potential W with its
+    x-gradient (``running_potential``, ``dx_running_potential``) and, for
+    state-scaled dynamics, g with g' (``speed``, ``dx_speed``).  ``speed`` is
+    None for the linear dynamics dx/dt = v.  The rest is derived here from the
+    Legendre dual H = sup_v (-p g v - L), attained at v = -(b + p g):
+
+        H = (b + p g)^2/2 + W,   D_pH = g (b + p g),   D_xH = D_xW + p g' (b + p g).
+
+    b does not depend on x, and under linear dynamics D_xH is D_xW itself.
+    """
+
+    #: g(x) and g'(x) of state-scaled dynamics; None declares dx/dt = v
+    speed = None
+    dx_speed = None
+
+    def drift(self, x_ens: Ensemble, z_ens: Ensemble):
+        """b(X, Z), the coefficient of v in L; 0 unless a family declares it."""
+        return 0.0
+
+    def running_potential(self, x, x_ens: Ensemble, z_ens: Ensemble):
+        """W(x, X, Z), which L subtracts and H adds."""
+        raise NotImplementedError
+
+    def dx_running_potential(self, x, x_ens: Ensemble, z_ens: Ensemble):
+        raise NotImplementedError
+
+    def _shift(self, x, p, x_ens: Ensemble, z_ens: Ensemble):
+        """(g, b + p g): the speed and the negated minimizing control."""
+        g = 1.0 if self.speed is None else self.speed(x)
+        return g, self.drift(x_ens, z_ens) + np.asarray(p, dtype=float) * g  # p * 1.0 is p
 
     def lagrangian(self, x, v, x_ens: Ensemble, z_ens: Ensemble):
-        raise NotImplementedError
+        v = np.asarray(v, dtype=float)
+        return 0.5 * v**2 + self.drift(x_ens, z_ens) * v - self.running_potential(x, x_ens, z_ens)
 
     def hamiltonian(self, x, p, x_ens: Ensemble, z_ens: Ensemble):
-        raise NotImplementedError
-
-    def potential(self, x, x_ens: Ensemble):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def terminal(self, x, x_ens: Ensemble):
-        raise NotImplementedError
-
-    def terminal_gradient(self, x, x_ens: Ensemble):
-        raise NotImplementedError
+        _, shift = self._shift(x, p, x_ens, z_ens)
+        return 0.5 * shift**2 + self.running_potential(x, x_ens, z_ens)
 
     def dp_hamiltonian(self, x, p, y_ens: Ensemble, z_ens: Ensemble):
-        raise NotImplementedError
+        g, shift = self._shift(x, p, y_ens, z_ens)
+        return g * shift
 
     def dx_hamiltonian(self, x, p, x_ens: Ensemble, z_ens: Ensemble):
-        raise NotImplementedError
-
-    def control_cost(self, x, x_ens: Ensemble, z_ens: Ensemble):
-        """(b, c) with L(x, v, X, Z) = v^2/2 + b v + c: what the backward sweep needs."""
-        raise NotImplementedError
-
-    def control_speed(self, x, v):
-        """Player dynamics dx/dt = f(x, v), linear in v; identity unless overridden."""
-        del x
-        return np.asarray(v, dtype=float)
+        grad = self.dx_running_potential(x, x_ens, z_ens)
+        if self.speed is None:  # g' = 0: the flow's costate rate is the gradient call alone
+            return grad
+        _, shift = self._shift(x, p, x_ens, z_ens)
+        return grad + p * self.dx_speed(x) * shift
 
     def velocity_closed_form(self, x, p: np.ndarray, y_ens: Ensemble):
         """Samplewise solution of Z = -D_pH, or None to use iteration."""
@@ -216,45 +233,24 @@ class HamiltonianFamily:
 class QuadraticCoupledFamily(HamiltonianFamily):
     """H(x,p,X,Z) = |beta EZ + p|^2 / 2 + V(x,X), the mean-velocity coupling.
 
-    The dual running cost is L(x,v,X,Z) = |v|^2/2 + beta v EZ - V(x,X): for
-    beta > 0 it rewards moving against the population's mean velocity.
+    The running cost is L(x,v,X,Z) = |v|^2/2 + beta v EZ - V(x,X), so b =
+    beta EZ and W = V under dx/dt = v: for beta > 0 it rewards moving against
+    the population's mean velocity.
     """
 
     def __init__(self, beta: float = 0.0, potential=None, terminal=None):
         self.beta = float(beta)
-        self._potential = potential if potential is not None else ZeroPotential()
-        self._terminal = terminal if terminal is not None else ZeroPotential()
+        self.potential = potential if potential is not None else ZeroPotential()
+        self.terminal = terminal if terminal is not None else ZeroPotential()
 
-    def potential(self, x, x_ens: Ensemble):
-        return self._potential(x, x_ens)
+    def drift(self, x_ens: Ensemble, z_ens: Ensemble):
+        return self.beta * z_ens.mean_scalar()
 
-    def potential_gradient(self, x, x_ens: Ensemble):
-        return self._potential.gradient(x, x_ens)
+    def running_potential(self, x, x_ens: Ensemble, z_ens: Ensemble):
+        return self.potential(x, x_ens)
 
-    def terminal(self, x, x_ens: Ensemble):
-        return self._terminal(x, x_ens)
-
-    def terminal_gradient(self, x, x_ens: Ensemble):
-        return self._terminal.gradient(x, x_ens)
-
-    def lagrangian(self, x, v, x_ens: Ensemble, z_ens: Ensemble):
-        v = np.asarray(v, dtype=float)
-        ez = z_ens.mean_scalar()
-        return 0.5 * v**2 + self.beta * v * ez - self.potential(x, x_ens)
-
-    def control_cost(self, x, x_ens: Ensemble, z_ens: Ensemble):
-        return self.beta * z_ens.mean_scalar(), -self.potential(x, x_ens)
-
-    def hamiltonian(self, x, p, x_ens: Ensemble, z_ens: Ensemble):
-        p = np.asarray(p, dtype=float)
-        ez = z_ens.mean_scalar()
-        return 0.5 * (self.beta * ez + p) ** 2 + self.potential(x, x_ens)
-
-    def dp_hamiltonian(self, x, p, y_ens: Ensemble, z_ens: Ensemble):
-        return np.asarray(p, dtype=float) + self.beta * z_ens.mean_scalar()
-
-    def dx_hamiltonian(self, x, p, x_ens: Ensemble, z_ens: Ensemble):
-        return self.potential_gradient(x, x_ens)
+    def dx_running_potential(self, x, x_ens: Ensemble, z_ens: Ensemble):
+        return self.potential.gradient(x, x_ens)
 
     def velocity_closed_form(self, x, p: np.ndarray, y_ens: Ensemble):
         # Z = -beta EZ - P gives EZ = -EP/(1+beta), hence the mean correction.
@@ -284,46 +280,28 @@ class LQFamily(QuadraticCoupledFamily):
 class QuarticFamily(HamiltonianFamily):
     """Quartic value structure under the state-scaled dynamics dx/dt = v/x.
 
-    L(x,v,X,Z) = |v|^2/2 + x^4 + U(X,Z), psi(x,X) = a(X) x^4 + b(X), giving
+    L(x,v,X,Z) = |v|^2/2 + x^4 + U(X,Z), i.e. b = 0, W = -(x^4 + U) and
+    g(x) = 1/x, and psi(x,X) = a(X) x^4 + b(X), giving
     H(x,p,X,Z) = |p|^2/(2 x^2) - x^4 - U(X,Z).  The coupling U is a pure
     additive cost, so D_pH is Z-free and the velocity equation is explicit.
     Only x bounded away from 0 is supported.
     """
 
     def __init__(self, a, b=0.0, coupling=None):
-        self._terminal = QuarticTerminal(a, b)
+        self.terminal = QuarticTerminal(a, b)
         self.coupling = coupling if coupling is not None else ZeroCoupling()
 
-    def terminal(self, x, x_ens: Ensemble):
-        return self._terminal(x, x_ens)
+    def running_potential(self, x, x_ens: Ensemble, z_ens: Ensemble):
+        return -(np.asarray(x, dtype=float) ** 4 + self.coupling(x_ens, z_ens))
 
-    def terminal_gradient(self, x, x_ens: Ensemble):
-        return self._terminal.gradient(x, x_ens)
+    def dx_running_potential(self, x, x_ens: Ensemble, z_ens: Ensemble):
+        return -4.0 * np.asarray(x, dtype=float) ** 3
 
-    def lagrangian(self, x, v, x_ens: Ensemble, z_ens: Ensemble):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return 0.5 * v**2 + x**4 + self.coupling(x_ens, z_ens)
+    def speed(self, x):
+        return 1.0 / np.asarray(x, dtype=float)
 
-    def control_cost(self, x, x_ens: Ensemble, z_ens: Ensemble):
-        return 0.0, np.asarray(x, dtype=float) ** 4 + self.coupling(x_ens, z_ens)
-
-    def hamiltonian(self, x, p, x_ens: Ensemble, z_ens: Ensemble):
-        x = np.asarray(x, dtype=float)
-        p = np.asarray(p, dtype=float)
-        return 0.5 * p**2 / x**2 - x**4 - self.coupling(x_ens, z_ens)
-
-    def dp_hamiltonian(self, x, p, y_ens: Ensemble, z_ens: Ensemble):
-        x = np.asarray(x, dtype=float)
-        return np.asarray(p, dtype=float) / x**2
-
-    def dx_hamiltonian(self, x, p, x_ens: Ensemble, z_ens: Ensemble):
-        x = np.asarray(x, dtype=float)
-        p = np.asarray(p, dtype=float)
-        return -(p**2) / x**3 - 4.0 * x**3
-
-    def control_speed(self, x, v):
-        return np.asarray(v, dtype=float) / np.asarray(x, dtype=float)
+    def dx_speed(self, x):
+        return -1.0 / np.asarray(x, dtype=float) ** 2
 
     def velocity_closed_form(self, x, p: np.ndarray, y_ens: Ensemble):
         return -p / np.asarray(x, dtype=float) ** 2
@@ -341,7 +319,7 @@ class CustomVelocityFamily(HamiltonianFamily):
         self._dp_h = dp_h
         self._dx_h = dx_h
         self._lagrangian = lagrangian
-        self._terminal = terminal if terminal is not None else ZeroPotential()
+        self.terminal = terminal if terminal is not None else ZeroPotential()
 
     def dp_hamiltonian(self, x, p, y_ens: Ensemble, z_ens: Ensemble):
         return self._dp_h(x, p, y_ens, z_ens)
@@ -355,9 +333,6 @@ class CustomVelocityFamily(HamiltonianFamily):
         if self._lagrangian is None:
             raise NotImplementedError("custom family declared no Lagrangian")
         return self._lagrangian(x, v, x_ens, z_ens)
-
-    def terminal(self, x, x_ens: Ensemble):
-        return self._terminal(x, x_ens)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,12 @@ on a 1-d grid.  Each backward step minimizes over the control box
     u[m][i] = min_{|v| <= v_max}  dt * L(x_i, v, X[m], V[m]) + I[u[m+1]](x_i + g(x_i) v dt)
 
 with piecewise-linear interpolation I clamped at the domain edges.  The
-minimum is exact: the running cost is v^2/2 + b v + c (the family's
-``control_cost``) and the foot is linear in v, so on a piece of I of slope s
-the objective is a convex quadratic minimized at v = -(b + s g), clipped to
-the controls whose foot lands on that piece.  The pieces each node reaches
-are found once per sweep.  The scheme is monotone: raising the terminal data
-can never lower any value.
+minimum is exact: the running cost is v^2/2 + b v - W (the family's
+``drift`` and ``running_potential``) and the foot is linear in v, so on a
+piece of I of slope s the objective is a convex quadratic minimized at
+v = -(b + s g), clipped to the controls whose foot lands on that piece.  The
+pieces each node reaches are found once per sweep.  The scheme is monotone:
+raising the terminal data can never lower any value.
 """
 
 from __future__ import annotations
@@ -182,8 +182,8 @@ class ValueGrid:
 
 
 def _exact_minimizer(x: np.ndarray, g, dt: float, v_max: float):
-    """``step(y, b, c) -> (u, v)``: per node ``i``, the minimum over
-    ``|v| <= v_max`` of ``dt (v^2/2 + b v + c) + I[y](x_i + dt g_i v)`` and
+    """``step(y, b, w) -> (u, v)``: per node ``i``, the minimum over
+    ``|v| <= v_max`` of ``dt (v^2/2 + b v - w) + I[y](x_i + dt g_i v)`` and
     the control that attains it.
 
     Piece ``p`` of the interpolation ``I`` spans ``[x[p], x[p + 1]]``; the
@@ -208,7 +208,7 @@ def _exact_minimizer(x: np.ndarray, g, dt: float, v_max: float):
     inner, slope_index = slopes[1:-1], piece + 1
     s, v, cost, work = np.empty((4, *piece.shape))
 
-    def step(y: np.ndarray, b, c):
+    def step(y: np.ndarray, b, w):
         np.divide(np.subtract(y[1:], y[:-1], out=inner), width, out=inner)
         slopes.take(slope_index, out=s, mode="clip")  # indices in range: "clip" skips a copy
         # v = clip(-(s g + b), lo, hi)
@@ -221,7 +221,7 @@ def _exact_minimizer(x: np.ndarray, g, dt: float, v_max: float):
         np.add(np.multiply(v, 0.5, out=work), b, out=work)
         np.add(cost, np.multiply(np.multiply(work, dt, out=work), v, out=work), out=cost)
         best = cost.argmin(axis=0)
-        return cost[best, cols] + dt * c, v[best, cols]
+        return cost[best, cols] - dt * w, v[best, cols]
 
     return step
 
@@ -231,11 +231,11 @@ def solve_backward(
 ) -> ValueGrid:
     """Backward semi-Lagrangian sweep along the frozen population trajectory.
 
-    The family must provide ``control_cost``.  Raises
-    :class:`ControlSaturationError` when the minimizing control reaches
-    +-v_max on more than 1% of the core nodes of any slice, which signals a
-    control box too small for the problem (tested once the sweep is done,
-    naming the latest such slice), and :class:`ValueBlowupError` when a
+    The family's ``drift``, ``running_potential`` and ``terminal`` give the
+    costs.  Raises :class:`ControlSaturationError` when the minimizing control
+    reaches +-v_max on more than 1% of the core nodes of any slice, which
+    signals a control box too small for the problem (tested once the sweep is
+    done, naming the latest such slice), and :class:`ValueBlowupError` when a
     value is not finite.
     """
     x = cfg.nodes()
@@ -249,10 +249,12 @@ def solve_backward(
 
     with np.errstate(all="ignore"):  # non-finite values are tested for below
         u[steps] = fam.terminal(x, traj.ensemble(steps))
-        step = _exact_minimizer(x, fam.control_speed(x, 1.0), traj.dt, cfg.v_max)
+        g = 1.0 if fam.speed is None else fam.speed(x)  # dx/dt = g(x) v
+        step = _exact_minimizer(x, g, traj.dt, cfg.v_max)
         for m in range(steps - 1, -1, -1):
-            b, c = fam.control_cost(x, traj.ensemble(m), traj.velocity_ensemble(m))
-            u[m], controls[m] = step(u[m + 1], b, c)
+            x_ens, z_ens = traj.ensemble(m), traj.velocity_ensemble(m)
+            b, w = fam.drift(x_ens, z_ens), fam.running_potential(x, x_ens, z_ens)
+            u[m], controls[m] = step(u[m + 1], b, w)
         # the latest pinned slice is reported: it is the first the backward sweep meets
         frac = np.count_nonzero((np.abs(controls) >= cfg.v_max) & core, axis=1) / n_core
     saturated = np.flatnonzero(frac > SATURATION_FRACTION)

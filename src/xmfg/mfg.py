@@ -157,11 +157,6 @@ def _auto_v_max(fam: HamiltonianFamily, x0: Ensemble) -> float:
     raise XmfgError("could not select v_max from coercivity; declare it explicitly")
 
 
-def _state_dependent(fam: HamiltonianFamily) -> bool:
-    probe = fam.control_speed(np.array([2.0]), np.array([1.0]))
-    return not np.allclose(probe, 1.0)
-
-
 def canonical_grid(
     problem: ProblemSpec,
     cfg: SolverConfig,
@@ -182,7 +177,7 @@ def canonical_grid(
     lo, hi = float(np.min(x0.samples)), float(np.max(x0.samples))
     if include is not None:
         lo, hi = min(lo, float(include[0])), max(hi, float(include[1]))
-    if not _state_dependent(fam):
+    if fam.speed is None:  # linear dynamics dx/dt = v
         pad = v_max * problem.horizon
         dx0 = (hi - lo + 2 * pad) / (cfg.nx - 1)
         if not math.isfinite(dx0):
@@ -200,7 +195,7 @@ def canonical_grid(
             core_hi=hi + 3 * dx0,
         )
     if traj0 is None:
-        phi0 = AnalyticSlice(lambda xq: fam.terminal_gradient(xq, x0))
+        phi0 = AnalyticSlice(lambda xq: fam.terminal.gradient(xq, x0))
         traj0 = integrate_flow(fam, x0, phi0, problem.horizon, cfg.time_steps)
     swept_lo = float(np.min(traj0.states))
     swept_hi = float(np.max(traj0.states))
@@ -228,7 +223,7 @@ def _compose_once(
     traj = integrate_flow(
         problem.family, problem.initial, phi, problem.horizon, cfg.time_steps
     )
-    if _state_dependent(problem.family):
+    if problem.family.speed is not None:
         # dx/dt = v/x is only defined for x > 0; a crossing is no trajectory
         crossed = np.flatnonzero(np.min(traj.states[:, :, 0], axis=1) <= 0.0)
         if crossed.size:

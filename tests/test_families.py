@@ -8,6 +8,7 @@ from xmfg.errors import ContractionFailureError, SingularCouplingError
 from xmfg.families import (
     CustomVelocityFamily,
     LQFamily,
+    MeanSquareVelocityCoupling,
     MomentQuadraticPotential,
     QuadraticCoupledFamily,
     QuadraticTerminal,
@@ -35,6 +36,17 @@ def test_legendre_duality_numeric_sup():
     vgrid = np.linspace(-30, 30, 120001)
     for x, p in [(0.0, 0.0), (1.3, -2.0), (-0.7, 4.0)]:
         sup = np.max(-vgrid * p - fam.lagrangian(x, vgrid, X, Z))
+        assert sup == pytest.approx(fam.hamiltonian(x, p, X, Z), abs=5e-7)
+
+
+def test_quartic_legendre_duality_numeric_sup():
+    # H = sup_v (-p g v - L) under dx/dt = g(x) v = v/x
+    fam = QuarticFamily(0.4, coupling=MeanSquareVelocityCoupling(0.3))
+    X = Ensemble([0.5, 1.0, 2.0])
+    Z = Ensemble([0.2, -0.4, 1.0])
+    vgrid = np.linspace(-30, 30, 120001)
+    for x, p in [(0.5, 0.0), (1.3, -2.0), (0.7, 4.0), (2.0, 9.0)]:
+        sup = np.max(-p * vgrid / x - fam.lagrangian(x, vgrid, X, Z))
         assert sup == pytest.approx(fam.hamiltonian(x, p, X, Z), abs=5e-7)
 
 
@@ -158,7 +170,7 @@ def test_quartic_family_structure():
     assert fam.hamiltonian(2.0, 4.0, X, Z) == pytest.approx(2.0 - 16.0)
     assert fam.dp_hamiltonian(2.0, 4.0, X, Z) == pytest.approx(1.0)
     assert fam.dx_hamiltonian(2.0, 4.0, X, Z) == pytest.approx(-16.0 / 8.0 - 32.0)
-    assert fam.control_speed(2.0, 3.0) == pytest.approx(1.5)
+    assert fam.speed(2.0) * 3.0 == pytest.approx(1.5)  # dx/dt = v/x
     assert fam.terminal(2.0, X) == pytest.approx(16.0 + 2.0)
     z = solve_velocity(fam, 2.0, deterministic(4.0), X)
     np.testing.assert_allclose(z.samples, -1.0)
@@ -168,7 +180,7 @@ def test_lq_family_potential_is_quadratic_form():
     fam = LQFamily(beta=0.0, a=2.0, b=1.0, c=-0.5, m=1.0)
     X = Ensemble([0.0])
     assert fam.potential(3.0, X) == pytest.approx(0.5 * 2 * 9 + 3 - 0.5)
-    assert fam.potential_gradient(3.0, X) == pytest.approx(2 * 3 + 1)
+    assert fam.potential.gradient(3.0, X) == pytest.approx(2 * 3 + 1)
     assert fam.terminal(3.0, X) == pytest.approx(4.5)
 
 

@@ -77,6 +77,27 @@ def test_recorded_velocities_solve_the_velocity_equation(fam):
         np.testing.assert_allclose(z_ens.samples[:, 0], -dp, rtol=0, atol=1e-12)
 
 
+def test_linear_dynamics_flow_reads_only_the_potential_gradient(monkeypatch):
+    # under dx/dt = v, D_xH is the potential's gradient call alone: evaluating
+    # the g' term with g = 1 as well made solve_mfg 21-29% slower on the three
+    # benchmark documents (2 vCPU)
+    fam = LQFamily(beta=0.5, a=1.0, b=0.3, m=1.0)
+    calls = {"drift": 0, "gradient": 0}
+
+    def counted(name, fn):
+        def spy(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return spy
+
+    monkeypatch.setattr(fam, "drift", counted("drift", fam.drift))
+    monkeypatch.setattr(fam.potential, "gradient", counted("gradient", fam.potential.gradient))
+    integrate_flow(fam, spread_ensemble(), AnalyticSlice(lambda x: 0.5 * x), 1.0, 10)
+    assert fam.speed is None and fam.dx_speed is None  # no g or g' to call
+    assert calls == {"drift": 0, "gradient": 4 * 10 + 1}  # one per RK stage
+
+
 def test_finite_difference_consistency_is_first_order():
     fam = QuadraticCoupledFamily(beta=0.5, potential=MomentQuadraticPotential(0.5))
     x0 = spread_ensemble(6)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from xmfg.ensembles import Ensemble, TrajectoryEnsemble
 from xmfg.errors import ControlSaturationError, DomainTooSmallError
 from xmfg.families import (
+    CustomVelocityFamily,
     LinearTerminal,
     LQFamily,
     MeanSquareVelocityCoupling,
@@ -203,21 +204,21 @@ def test_exact_minimum_matches_dense_controls(data):
         "signed": rng.choice([-1.0, 1.0], nx) * rng.uniform(0.2, 3.0, nx),
     }[speed]
     b = rng.normal(0.0, 2.0, nx) if data.draw(st.booleans(), label="b per node") else rng.normal()
-    c = rng.normal(0.0, 1.0, nx)
+    w = rng.normal(0.0, 1.0, nx)  # the potential W; the running cost is v^2/2 + b v - W
     y = rng.uniform(0.1, 10.0) * rng.normal(size=nx)  # convex or not
-    u, v = _exact_minimizer(x, g, dt, v_max)(y, b, c)
+    u, v = _exact_minimizer(x, g, dt, v_max)(y, b, w)
 
-    bb, cc, gg = np.broadcast_to(b, (nx,))[:, None], c[:, None], g[:, None]
+    bb, ww, gg = np.broadcast_to(b, (nx,))[:, None], w[:, None], g[:, None]
     dense = np.broadcast_to(np.linspace(-v_max, v_max, 2001), (nx, 2001))
     on_nodes = np.clip((x[None, :] - x[:, None]) / (dt * gg), -v_max, v_max)
     controls = np.hstack([dense, on_nodes, np.full((nx, 2), [-v_max, v_max])])
 
-    def objective(w):
-        feet = x[:, None] + dt * gg * w
-        return dt * (0.5 * w**2 + bb * w + cc) + np.interp(feet, x, y)
+    def objective(control):
+        feet = x[:, None] + dt * gg * control
+        return dt * (0.5 * control**2 + bb * control - ww) + np.interp(feet, x, y)
 
     brute = objective(controls).min(axis=1)
-    running = 0.5 * v_max**2 + np.max(np.abs(b)) * v_max + np.max(np.abs(c))
+    running = 0.5 * v_max**2 + np.max(np.abs(b)) * v_max + np.max(np.abs(w))
     scale = 1.0 + np.max(np.abs(y)) + dt * running
     dv = 2.0 * v_max / 2000
     assert np.all(u <= brute + 1e-12 * scale)
@@ -241,6 +242,13 @@ def test_consistency_under_refinement():
     coarse = sup_error(61, 41, 40)
     fine = sup_error(121, 81, 80)
     assert fine <= 1.1 * coarse
+
+
+def test_a_custom_family_cannot_be_swept():
+    # it supplies D_pH (and optionally D_xH and L) but declares no potential W
+    fam = CustomVelocityFamily(lambda x, p, y, z: p)
+    with pytest.raises(NotImplementedError):
+        solve_backward(fam, resting_population(steps=4), GridConfig(-1, 1, 11, 5, 1.0))
 
 
 def test_control_saturation_error():
@@ -283,12 +291,12 @@ def row_by_row_saturation(fam, traj, cfg):
     core = (x >= core_lo) & (x <= core_hi)
     core[[0, -1]] = False
     n_core = max(int(np.count_nonzero(core)), 1)
-    step = _exact_minimizer(x, fam.control_speed(x, 1.0), traj.dt, cfg.v_max)
+    step = _exact_minimizer(x, 1.0, traj.dt, cfg.v_max)  # linear dynamics
     u = fam.terminal(x, traj.ensemble(traj.steps))
     pinned, message = [], None
     for m in range(traj.steps - 1, -1, -1):
-        b, c = fam.control_cost(x, traj.ensemble(m), traj.velocity_ensemble(m))
-        u, v = step(u, b, c)
+        x_ens, z_ens = traj.ensemble(m), traj.velocity_ensemble(m)
+        u, v = step(u, fam.drift(x_ens, z_ens), fam.running_potential(x, x_ens, z_ens))
         frac = np.count_nonzero((np.abs(v) >= cfg.v_max) & core) / n_core
         if frac > 0.01:
             pinned.append(m)
