@@ -34,7 +34,7 @@ from .families import (
     ZeroCoupling,
     ZeroPotential,
 )
-from .hjb import ValueGrid
+from .hjb import ValueGrid, sweep_stride
 from .mfg import (
     ProblemSpec,
     SolverConfig,
@@ -357,12 +357,16 @@ def emit_problem(parsed: ParsedProblem) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _meta(parsed: ParsedProblem, run: RunConfig, **extra) -> dict:
+def _meta(parsed: ParsedProblem, run: RunConfig, sol=None, **extra) -> dict:
     payload = {
         "subcommand": run.subcommand,
         "seed": run.seed,
         "problem": parsed.document,
     }
+    if sol is not None:  # the sweep stride is that of the solution's own grid and time step
+        fam, grid, traj = parsed.problem.family, sol.value.config, sol.traj
+        stride = sweep_stride(fam, grid, traj.dt, traj.steps)
+        payload.update(converged=sol.converged, restarts=sol.restarts, sweep_stride=stride)
     payload.update(extra)
     return payload
 
@@ -373,14 +377,7 @@ def _cmd_solve(parsed: ParsedProblem, run: RunConfig) -> int:
     bundles.write_solution_bundle(
         run.out_dir,
         sol,
-        _meta(
-            parsed,
-            run,
-            converged=sol.converged,
-            iterations=sol.iterations,
-            restarts=sol.restarts,
-            phi_residual=sol.final_phi_residual,
-        ),
+        _meta(parsed, run, sol, iterations=sol.iterations, phi_residual=sol.final_phi_residual),
         started,
     )
     return 0 if sol.converged else 2
@@ -484,11 +481,7 @@ def _cmd_master(parsed: ParsedProblem, run: RunConfig) -> int:
         run.out_dir / "master.json",
         {"residual": residual, "n_probes": len(probes), "converged": sol.converged},
     )
-    bundles.write_meta(
-        run.out_dir / "meta.json",
-        _meta(parsed, run, converged=sol.converged, restarts=sol.restarts),
-        started,
-    )
+    bundles.write_meta(run.out_dir / "meta.json", _meta(parsed, run, sol), started)
     return 0 if sol.converged else 2
 
 

@@ -4,22 +4,28 @@ Along a given population trajectory (X(t), X'(t)) the value function solves
 
     -u_t + H(x, u_x, X(t), X'(t)) = 0,   u(., T) = psi(., X(T)),
 
-on a 1-d grid.  Each backward step minimizes over the control box
+on a 1-d grid.  Each backward step, from row m + j to row m, minimizes over
+the control box (h = j dt)
 
-    u[m][i] = min_{|v| <= v_max}  dt * L(x_i, v, X[m], V[m]) + I[u[m+1]](x_i + g(x_i) v dt)
+    u[m][i] = min_{|v| <= v_max}  h * L(x_i, v, X[m], V[m]) + I[u[m + j]](x_i + g(x_i) v h)
 
 with piecewise-linear interpolation I clamped at the domain edges.  The
 minimum is exact: the running cost is v^2/2 + b v - W (the family's
 ``drift`` and ``running_potential``) and the foot is linear in v, so on a
 piece of I of slope s the objective is a convex quadratic minimized at
 v = -(b + s g), clipped to the controls whose foot lands on that piece.  The
-pieces each node reaches are found once per sweep.  The scheme is monotone:
-raising the terminal data can never lower any value.
+pieces each node reaches are found once per step length.  A step spans
+j = k rows (:func:`sweep_stride`; the last, to row 0, may span fewer), so a
+foot moves about ``COURANT_TARGET`` cells and the interpolation's diffusion
+is paid once per k rows; the rows inside a step are linear blends in time of
+its two ends.  The scheme is monotone: raising the terminal data can never
+lower any value.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +42,7 @@ __all__ = [
     "AnalyticSlice",
     "ValueGrid",
     "solve_backward",
+    "sweep_stride",
     "regularity_report",
     "RegularityReport",
 ]
@@ -46,6 +53,8 @@ CLAMP_ESCALATION_FRACTION = 0.01
 CLAMP_ESCALATION_FLOOR = 100
 #: per-slice saturation threshold on core nodes
 SATURATION_FRACTION = 0.01
+#: Courant number ``v_max h max|g| / dx`` a sweep step of length ``h = k dt`` aims for
+COURANT_TARGET = 1.5
 
 
 @dataclass(frozen=True)
@@ -189,7 +198,7 @@ def _exact_minimizer(x: np.ndarray, g, dt: float, v_max: float):
     Piece ``p`` of the interpolation ``I`` spans ``[x[p], x[p + 1]]``; the
     edge pieces ``p = -1`` and ``p = nx - 1`` reach out to -inf and +inf and
     read ``y[0]`` and ``y[-1]``.  Each node tries the pieces its feet reach.
-    The per-piece work arrays live as long as the sweep; ``step`` returns
+    The per-piece work arrays live as long as ``step``, which returns
     fresh arrays, never one of them.
     """
     nx = x.size
@@ -226,22 +235,41 @@ def _exact_minimizer(x: np.ndarray, g, dt: float, v_max: float):
     return step
 
 
+def sweep_stride(fam: HamiltonianFamily, cfg: GridConfig, dt: float, steps: int) -> int:
+    """Output rows per step of the backward sweep: ``floor(COURANT_TARGET / C)``
+    within ``[1, steps]``, where ``C = max_i |dt g(x_i)| v_max / dx`` is the
+    Courant number of one row.  ``C = 0`` takes the horizon in one step;
+    ``C = inf`` or ``nan`` steps every row."""
+    with np.errstate(all="ignore"):
+        g = 1.0 if fam.speed is None else fam.speed(cfg.nodes())
+        courant = float(np.max(np.abs(dt * np.asarray(g, dtype=float))) * cfg.v_max / cfg.dx)
+    if courant * steps <= COURANT_TARGET:
+        return steps
+    return max(1, math.floor(COURANT_TARGET / courant)) if courant < math.inf else 1
+
+
 def solve_backward(
     fam: HamiltonianFamily, traj: TrajectoryEnsemble, cfg: GridConfig
 ) -> ValueGrid:
     """Backward semi-Lagrangian sweep along the frozen population trajectory.
 
     The family's ``drift``, ``running_potential`` and ``terminal`` give the
-    costs.  Raises :class:`ControlSaturationError` when the minimizing control
-    reaches +-v_max on more than 1% of the core nodes of any slice, which
-    signals a control box too small for the problem (tested once the sweep is
-    done, naming the latest such slice), and :class:`ValueBlowupError` when a
-    value is not finite.
+    costs.  The sweep steps from row ``M`` to rows ``M - k, M - 2k, ..., 0``
+    with ``k = sweep_stride(...)``; the last step is shorter when ``k`` does
+    not divide ``M``.  A step reads the running cost at its lower row, and
+    each row in between is the linear blend in time of the two rows around
+    it.  ``k = 1`` steps every row.  Raises :class:`ControlSaturationError`
+    when the minimizing control of a step reaches +-v_max on more than 1% of
+    the core nodes, which signals a control box too small for the problem
+    (tested once the sweep is done, naming the lower row of the latest such
+    step), and :class:`ValueBlowupError` when a value is not finite.
     """
     x = cfg.nodes()
-    steps = traj.steps
+    steps, dt = traj.steps, traj.dt
+    k = sweep_stride(fam, cfg, dt, steps)
+    lows = [*range(steps - k, 0, -k), 0]  # the lower row of each step, going backward
     u = np.empty((steps + 1, cfg.nx))
-    controls = np.empty((steps, cfg.nx))
+    controls = np.empty((len(lows), cfg.nx))
     core_lo, core_hi = cfg.core_interval()
     core = (x >= core_lo) & (x <= core_hi)
     core[[0, -1]] = False
@@ -250,19 +278,27 @@ def solve_backward(
     with np.errstate(all="ignore"):  # non-finite values are tested for below
         u[steps] = fam.terminal(x, traj.ensemble(steps))
         g = 1.0 if fam.speed is None else fam.speed(x)  # dx/dt = g(x) v
-        step = _exact_minimizer(x, g, traj.dt, cfg.v_max)
-        for m in range(steps - 1, -1, -1):
-            x_ens, z_ens = traj.ensemble(m), traj.velocity_ensemble(m)
+        step = _exact_minimizer(x, g, k * dt, cfg.v_max)
+        for j, (hi, lo) in enumerate(zip([steps, *lows], lows)):
+            if hi - lo != k:  # the last step, to row 0, is shorter
+                step = _exact_minimizer(x, g, (hi - lo) * dt, cfg.v_max)
+            x_ens, z_ens = traj.ensemble(lo), traj.velocity_ensemble(lo)
             b, w = fam.drift(x_ens, z_ens), fam.running_potential(x, x_ens, z_ens)
-            u[m], controls[m] = step(u[m + 1], b, w)
-        # the latest pinned slice is reported: it is the first the backward sweep meets
+            u[lo], controls[j] = step(u[hi], b, w)
+        if k > 1:  # a row inside a step blends the step's two ends linearly in time
+            rows = np.setdiff1d(np.arange(steps), lows)
+            upper = steps - (steps - rows) // k * k
+            lower = np.maximum(upper - k, 0)
+            theta = ((rows - lower) / (upper - lower))[:, None]
+            u[rows] = (1 - theta) * u[lower] + theta * u[upper]
+        # the latest pinned step is reported: it is the first the backward sweep meets
         frac = np.count_nonzero((np.abs(controls) >= cfg.v_max) & core, axis=1) / n_core
     saturated = np.flatnonzero(frac > SATURATION_FRACTION)
     if saturated.size:
-        m = saturated[-1]
+        j = saturated[0]
         raise ControlSaturationError(
-            f"control argmin pinned at +-v_max on {frac[m]:.1%} of core nodes "
-            f"at t={traj.times[m]:.4g}; increase v_max beyond {cfg.v_max:g}"
+            f"control argmin pinned at +-v_max on {frac[j]:.1%} of core nodes "
+            f"at t={traj.times[lows[j]]:.4g}; increase v_max beyond {cfg.v_max:g}"
         )
     if not np.isfinite(u).all():
         raise ValueBlowupError("backward sweep produced a non-finite value")

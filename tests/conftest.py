@@ -37,6 +37,17 @@ def lq_coupled_setup():
 
 
 @pytest.fixture(scope="session")
+def lq_offcentre_setup():
+    """Off-centre coupled LQ game: beta = 0.5, b = 0.3, m = 1, n = 0.2 on 64
+    samples in [0.5, 1.5], where the population moves (E X'(0) ~ -0.32)."""
+    x0 = uniform_quantiles(64, 0.5, 1.5)
+    problem = ProblemSpec(LQFamily(beta=0.5, b=0.3, m=1.0, n=0.2), horizon=1.0, initial=x0)
+    sol = solve_mfg(problem, PINNED_LQ_CFG)
+    oracle_state, oracle_traj = lq_solve(LQCoefficients(b=0.3, m=1.0, n=0.2), x0, 0.5, 1.0, 200)
+    return problem, PINNED_LQ_CFG, sol, oracle_state, oracle_traj
+
+
+@pytest.fixture(scope="session")
 def quartic_setup():
     """Steady-coefficient quartic game on 32 samples in [0.5, 1.5], T = 0.5."""
     a = 1.0 / (2 * SQRT2)

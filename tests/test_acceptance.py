@@ -20,7 +20,7 @@ from xmfg.families import (
     solve_velocity,
 )
 from xmfg.flow import separation_diagnostic
-from xmfg.mfg import master_consistency_residual, solve_mfg, uniqueness_probe
+from xmfg.mfg import canonical_grid, master_consistency_residual, solve_mfg, uniqueness_probe
 
 from conftest import PINNED_LQ_CFG, uniform_quantiles
 
@@ -227,3 +227,26 @@ def test_criterion_10_determinism(tmp_path):
     identical = all((out_a / f).read_bytes() == (out_b / f).read_bytes() for f in files)
     ok = status_a == status_b == 0 and len(files) >= 6 and identical
     assert report(10, "determinism", ok, f"{len(files)} CSVs byte-identical" if ok else "mismatch")
+
+
+def test_criterion_11_lq_with_active_coupling(lq_offcentre_setup):
+    # the population moves, so beta E X' enters every running cost; the value
+    # is measured on the core nodes, since the belt outside them is padding
+    problem, cfg, sol, oracle_state, oracle_traj = lq_offcentre_setup
+    assert sol.converged
+    mean_velocity = sol.traj.velocity_ensemble(0).mean_scalar()
+    core_lo, core_hi = canonical_grid(problem, cfg).core_interval()
+    x = sol.value.x
+    core = (x >= core_lo) & (x <= core_hi)
+    u_err = float(np.max(np.abs(sol.value.u - oracle_state.value_table(x))[:, core]))
+    w_err = max(
+        wasserstein_1d(sol.traj.ensemble(m), oracle_traj.ensemble(m), 2.0)
+        for m in range(cfg.time_steps + 1)
+    )
+    ok = mean_velocity <= -0.3 and u_err <= 1e-2 and w_err <= 4.5e-3
+    assert report(
+        11,
+        "lq-active-coupling",
+        ok,
+        f"EX'(0)={mean_velocity:.3f}, core sup|u-u*|={u_err:.3e}, maxW2={w_err:.3e}",
+    )

@@ -787,6 +787,10 @@ FUZZ_DOCS = {
 # (the semiconcavity constant's dx**2 overflowed) each raised a traceback
 @example(case=("solve", "zero", ("initial.N=1", "initial.params.hi=1e+300")))
 @example(case=("solve", "zero", ("solver.v_max=1e+300",)))
+# the sweep stride divides by the Courant number, which underflows to 0 here
+@example(case=("solve", "lq", ("T=1e-300", "solver.v_max=1e-300")))
+@example(case=("master", "lq", ("T=1e-300", "solver.v_max=1e-300")))
+@example(case=("master", "lq", ("solver.v_max=1e+300",)))
 def test_fuzzed_overrides_end_in_a_documented_exit(case):
     assert_documented_exit(*case)
 
@@ -797,6 +801,8 @@ def test_fuzzed_overrides_end_in_a_documented_exit(case):
 # oracle value table of inf and nan was written after four numpy warnings
 @example(case=("oracle", "lq", ("beta=1e+300", "initial.params.hi=1e+300")))
 @example(case=("oracle", "lq", ("solver.v_max=1e+300",)))
+@example(case=("probe-uniqueness", "lq", ("T=1e-300", "solver.v_max=1e-300")))
+@example(case=("probe-uniqueness", "lq", ("solver.v_max=1e+300",)))
 def test_fuzzed_overrides_of_the_other_commands_end_in_a_documented_exit(case):
     assert_documented_exit(*case)
 

@@ -24,6 +24,7 @@ from xmfg.hjb import (
     _exact_minimizer,
     regularity_report,
     solve_backward,
+    sweep_stride,
 )
 
 
@@ -283,20 +284,33 @@ def test_a_step_keeps_its_results_through_the_next_step():
     np.testing.assert_array_equal(v, kept[1])
 
 
+def stepped_reference(fam, traj, cfg, k):
+    """The sweep written out as a plain loop over its steps of k rows, going
+    backward from row M: the lower row, values and controls of each step."""
+    x = cfg.nodes()
+    g = 1.0 if fam.speed is None else fam.speed(x)
+    u, hi, out = fam.terminal(x, traj.ensemble(traj.steps)), traj.steps, []
+    while hi > 0:
+        lo = max(hi - k, 0)
+        step = _exact_minimizer(x, g, (hi - lo) * traj.dt, cfg.v_max)
+        x_ens, z_ens = traj.ensemble(lo), traj.velocity_ensemble(lo)
+        u, v = step(u, fam.drift(x_ens, z_ens), fam.running_potential(x, x_ens, z_ens))
+        out.append((lo, u, v))
+        hi = lo
+    return out
+
+
 def row_by_row_saturation(fam, traj, cfg):
-    """The sweep with a saturation test after every row, going backward:
-    the pinned rows and the message of the first one met."""
+    """The sweep with a saturation test after every step, going backward:
+    the lower rows of the pinned steps and the message of the first one met."""
     x = cfg.nodes()
     core_lo, core_hi = cfg.core_interval()
     core = (x >= core_lo) & (x <= core_hi)
     core[[0, -1]] = False
     n_core = max(int(np.count_nonzero(core)), 1)
-    step = _exact_minimizer(x, 1.0, traj.dt, cfg.v_max)  # linear dynamics
-    u = fam.terminal(x, traj.ensemble(traj.steps))
+    k = sweep_stride(fam, cfg, traj.dt, traj.steps)
     pinned, message = [], None
-    for m in range(traj.steps - 1, -1, -1):
-        x_ens, z_ens = traj.ensemble(m), traj.velocity_ensemble(m)
-        u, v = step(u, fam.drift(x_ens, z_ens), fam.running_potential(x, x_ens, z_ens))
+    for m, _, v in stepped_reference(fam, traj, cfg, k):
         frac = np.count_nonzero((np.abs(v) >= cfg.v_max) & core) / n_core
         if frac > 0.01:
             pinned.append(m)
@@ -309,7 +323,7 @@ def row_by_row_saturation(fam, traj, cfg):
 
 def test_saturation_names_the_latest_pinned_row():
     # beta E Z = 3 on rows 5..12 pushes the minimizer past v_max = 1 there only;
-    # going backward, row 12 (t = 0.6) is met first
+    # going backward, the step ending on the latest such row is met first
     steps, n = 20, 8
     times = np.linspace(0.0, 1.0, steps + 1)
     states = np.zeros((steps + 1, n, 1))
@@ -317,13 +331,100 @@ def test_saturation_names_the_latest_pinned_row():
     velocities[5:13] = 3.0
     traj = TrajectoryEnsemble(times, states, velocities)
     fam = QuadraticCoupledFamily(beta=1.0, terminal=QuadraticTerminal(m=1.0))
-    cfg = GridConfig(-2.0, 2.0, 41, 11, 1.0, core_lo=-0.5, core_hi=0.5)
-    pinned, message = row_by_row_saturation(fam, traj, cfg)
-    assert pinned == list(range(12, 4, -1))
-    with pytest.raises(ControlSaturationError) as err:
-        solve_backward(fam, traj, cfg)
-    assert str(err.value) == message
-    assert "t=0.6;" in message
+    for nx, stride, rows, named in [
+        (81, 1, list(range(12, 4, -1)), "t=0.6;"),  # Courant 1: every row is a step
+        (41, 3, [11, 8, 5], "t=0.55;"),  # Courant 0.5: steps end on rows 17, 14, ..., 2, 0
+    ]:
+        cfg = GridConfig(-2.0, 2.0, nx, 11, 1.0, core_lo=-0.5, core_hi=0.5)
+        assert sweep_stride(fam, cfg, traj.dt, steps) == stride
+        pinned, message = row_by_row_saturation(fam, traj, cfg)
+        assert pinned == rows
+        with pytest.raises(ControlSaturationError) as err:
+            solve_backward(fam, traj, cfg)
+        assert str(err.value) == message
+        assert named in message
+
+
+def sweep_case(name, rng, steps, courant):
+    """A coupled LQ game or a state-scaled quartic game on a grid of dx = 0.05,
+    with the horizon set so one row has the given Courant number."""
+    if name == "lq":
+        fam, max_g, lo, hi = LQFamily(beta=0.5, a=1.0, b=0.3, m=1.0, n=0.2), 1.0, -0.5, 0.5
+        cfg = GridConfig(-1.0, 1.0, 41, 5, 4.0)
+    else:  # g = 1/x peaks at the left edge
+        fam = QuarticFamily(0.2, coupling=MeanSquareVelocityCoupling(0.3))
+        max_g, lo, hi = 2.0, 0.8, 1.2
+        cfg = GridConfig(0.5, 2.5, 41, 5, 8.0)
+    horizon = steps * courant * cfg.dx / (cfg.v_max * max_g)
+    traj = moving_population(rng, steps, horizon=horizon, lo=lo, hi=hi)
+    # speeding up, so the running cost differs from row to row
+    speeding = traj.velocities * (1.0 + traj.times / horizon)[:, None, None]
+    return fam, TrajectoryEnsemble(traj.times, traj.states, speeding), cfg
+
+
+@pytest.mark.parametrize("name", ["lq", "quartic"])
+@pytest.mark.parametrize("courant", [0.8, 1.4, 40.0])
+def test_a_stride_of_one_steps_every_row(name, courant):
+    # a Courant number above 0.75 keeps the former sweep bit for bit
+    fam, traj, cfg = sweep_case(name, np.random.default_rng(5), 30, courant)
+    assert sweep_stride(fam, cfg, traj.dt, traj.steps) == 1
+    vg = solve_backward(fam, traj, cfg)
+    reference = stepped_reference(fam, traj, cfg, 1)
+    assert [m for m, _, _ in reference] == list(range(29, -1, -1))
+    for m, u, _ in reference:
+        np.testing.assert_array_equal(vg.u[m], u)
+
+
+@pytest.mark.parametrize("name", ["lq", "quartic"])
+@pytest.mark.parametrize("steps, courant, stride", [(30, 0.45, 3), (31, 0.45, 3), (30, 0.28, 5)])
+def test_coarse_steps_and_the_rows_between_them(name, steps, courant, stride):
+    fam, traj, cfg = sweep_case(name, np.random.default_rng(6), steps, courant)
+    assert sweep_stride(fam, cfg, traj.dt, steps) == stride
+    vg = solve_backward(fam, traj, cfg)
+    reference = stepped_reference(fam, traj, cfg, stride)
+    coarse = [steps, *(m for m, _, _ in reference)]
+    # steps end on rows M - k, M - 2k, ...; a k that does not divide M ends short
+    assert coarse[1:-1] == list(range(steps - stride, 0, -stride)) and coarse[-1] == 0
+    for m, u, _ in reference:
+        np.testing.assert_array_equal(vg.u[m], u)
+    for hi, lo in zip(coarse, coarse[1:]):
+        for m in range(lo + 1, hi):
+            theta = (m - lo) / (hi - lo)
+            np.testing.assert_array_equal(vg.u[m], (1 - theta) * vg.u[lo] + theta * vg.u[hi])
+
+
+def test_coarse_steps_cut_the_diffusion():
+    # the closed form of test_consistency_under_refinement at Courant 0.4:
+    # three rows per step beat one interpolation per row
+    fam = QuadraticCoupledFamily(beta=0.0, terminal=QuadraticTerminal(m=1.0))
+    traj = resting_population(steps=200, horizon=1.0)
+    cfg = GridConfig(-3, 3, 121, 5, 4.0)
+    assert sweep_stride(fam, cfg, traj.dt, traj.steps) == 3
+    x = cfg.nodes()
+    inner = np.abs(x) <= 1.0
+
+    def sup_error(u0):
+        return np.max(np.abs(u0[inner] - x[inner] ** 2 / 4.0))
+
+    row_by_row = stepped_reference(fam, traj, cfg, 1)[-1][1]
+    assert sup_error(solve_backward(fam, traj, cfg).u[0]) < sup_error(row_by_row)
+
+
+@pytest.mark.parametrize(
+    "x_hi, v_max, dt, stride",
+    [
+        (1.0, 1e-300, 1e-300, 20),  # the Courant number underflows to 0
+        (1.0, 1e300, 0.05, 1),  # ... overflows to inf
+        (1.0, np.inf, 0.0, 1),  # ... is 0 * inf = nan
+        (1e300, 1.0, 0.05, 20),  # ... is 0 on a huge grid
+        (1.0, 3.0, 0.05, 1),  # Courant 3
+        (1.0, 0.5, 0.05, 3),  # Courant 0.5
+        (1.0, 0.12, 0.05, 12),  # Courant 0.12
+    ],
+)
+def test_the_stride_stays_within_one_and_the_row_count(x_hi, v_max, dt, stride):
+    cfg = GridConfig(-1.0, x_hi, 41, 5, v_max)
+    assert sweep_stride(QuadraticCoupledFamily(beta=0.0), cfg, dt, 20) == stride
 
 
 def test_value_slice_blend_and_gradient():
