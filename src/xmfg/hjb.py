@@ -43,6 +43,7 @@ __all__ = [
     "ValueGrid",
     "solve_backward",
     "sweep_stride",
+    "stride_rows",
     "regularity_report",
     "RegularityReport",
 ]
@@ -236,7 +237,8 @@ def _exact_minimizer(x: np.ndarray, g, dt: float, v_max: float):
 
 
 def sweep_stride(fam: HamiltonianFamily, cfg: GridConfig, dt: float, steps: int) -> int:
-    """Output rows per step of the backward sweep: ``floor(COURANT_TARGET / C)``
+    """Output rows per step of the backward sweep, and of the population flow
+    that ``solve_mfg`` integrates for it: ``floor(COURANT_TARGET / C)``
     within ``[1, steps]``, where ``C = max_i |dt g(x_i)| v_max / dx`` is the
     Courant number of one row.  ``C = 0`` takes the horizon in one step;
     ``C = inf`` or ``nan`` steps every row."""
@@ -246,6 +248,13 @@ def sweep_stride(fam: HamiltonianFamily, cfg: GridConfig, dt: float, steps: int)
     if courant * steps <= COURANT_TARGET:
         return steps
     return max(1, math.floor(COURANT_TARGET / courant)) if courant < math.inf else 1
+
+
+def stride_rows(steps: int, k: int) -> list[int]:
+    """The rows a pass of stride ``k`` over rows ``0..steps`` stops on, in
+    ascending order: ``0`` and ``steps - j k`` for ``j = 0, 1, ...``.  The
+    step from row 0 is the short one when ``k`` does not divide ``steps``."""
+    return [0, *range(steps % k or k, steps + 1, k)]
 
 
 def solve_backward(
@@ -267,7 +276,7 @@ def solve_backward(
     x = cfg.nodes()
     steps, dt = traj.steps, traj.dt
     k = sweep_stride(fam, cfg, dt, steps)
-    lows = [*range(steps - k, 0, -k), 0]  # the lower row of each step, going backward
+    lows = stride_rows(steps, k)[-2::-1]  # the lower row of each step, going backward
     u = np.empty((steps + 1, cfg.nx))
     controls = np.empty((len(lows), cfg.nx))
     core_lo, core_hi = cfg.core_interval()

@@ -43,6 +43,8 @@ from .hjb import (
     ValueSlice,
     regularity_report,
     solve_backward,
+    stride_rows,
+    sweep_stride,
 )
 
 __all__ = [
@@ -220,18 +222,23 @@ def canonical_grid(
 def _compose_once(
     problem: ProblemSpec, phi: ValueSlice, grid: GridConfig, cfg: SolverConfig
 ) -> tuple[ValueGrid, TrajectoryEnsemble]:
-    traj = integrate_flow(
-        problem.family, problem.initial, phi, problem.horizon, cfg.time_steps
-    )
-    if problem.family.speed is not None:
+    # the flow steps on the rows the sweep reads
+    fam, steps = problem.family, cfg.time_steps
+    stride = sweep_stride(fam, grid, problem.horizon / steps, steps)
+    traj = integrate_flow(fam, problem.initial, phi, problem.horizon, steps, stride=stride)
+    if fam.speed is not None:
         # dx/dt = v/x is only defined for x > 0; a crossing is no trajectory
         crossed = np.flatnonzero(np.min(traj.states[:, :, 0], axis=1) <= 0.0)
         if crossed.size:
+            # name the RK step a -> b whose rows hold the first crossing
             m = int(crossed[0])
+            ends = stride_rows(steps, stride)
+            a = max((e for e in ends if e < m), default=m - 1)
+            b = min(e for e in ends if e >= m)
             raise FlowBlowupError(
-                f"state-scaled flow crossed x <= 0 advancing step {m - 1} -> {m} "
-                f"(t={traj.times[m - 1]:.4g})",
-                step=m - 1,
+                f"state-scaled flow crossed x <= 0 advancing step {a} -> {b} "
+                f"(t={traj.times[a]:.4g})",
+                step=a,
             )
     vg = solve_backward(problem.family, traj, grid)
     return vg, traj

@@ -18,7 +18,7 @@ import pytest
 import xmfg.mfg as mfg
 from xmfg.ensembles import Ensemble
 from xmfg.families import LQFamily
-from xmfg.hjb import regularity_report
+from xmfg.hjb import regularity_report, stride_rows, sweep_stride
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -64,8 +64,14 @@ def test_trace_counts_one_sweep_per_evaluation_of_the_fixed_point_map():
     assert metrics["hjb.sweeps"] == 2
     assert metrics["mfg.outer_iterations"] == 2  # counts evaluations of F, not iterations
     assert metrics["flow.rk_stages"] == 2 * (4 * cfg.time_steps + 1)
-    # every RK stage solves the velocity equation through the traced name
-    assert metrics["families.velocity_calls"] == metrics["flow.rk_stages"]
+    # every RK stage and every row inside an RK step solves the velocity
+    # equation through the traced name; the flow steps k rows at a time, so
+    # the computed flow.rk_stages (4M + 1 per flow) over-reports
+    steps = cfg.time_steps
+    k = sweep_stride(problem.family, mfg.canonical_grid(problem, cfg), 1.0 / steps, steps)
+    ends = len(stride_rows(steps, k))
+    per_flow = 4 * (ends - 1) + 1 + (steps + 1 - ends)
+    assert k == 2 and metrics["families.velocity_calls"] == 2 * per_flow
 
 
 def test_a_reused_evaluation_reuses_its_regularity_report(monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from xmfg.families import (
     solve_velocity,
 )
 from xmfg.flow import integrate_flow, separation_diagnostic
-from xmfg.hjb import AnalyticSlice
+from xmfg.hjb import AnalyticSlice, GridConfig, solve_backward, sweep_stride
 
 
 def spread_ensemble(n=8, lo=-1.0, hi=1.0):
@@ -57,10 +59,12 @@ def test_velocity_record_matches_recomputation():
     fam = QuadraticCoupledFamily(beta=0.5, potential=MomentQuadraticPotential(0.5))
     x0 = spread_ensemble(7)
     phi = AnalyticSlice(lambda x: 0.5 * x)
-    traj = integrate_flow(fam, x0, phi, 0.8, 30)
-    for m in (0, 11, 30):
-        z = solve_velocity(fam, traj.states[m, :, 0], traj.costate_ensemble(m), traj.ensemble(m))
-        np.testing.assert_array_equal(traj.velocities[m], z.samples)
+    for stride in (1, 3):  # at stride 3, row 11 lies inside a step
+        traj = integrate_flow(fam, x0, phi, 0.8, 30, stride=stride)
+        for m in (0, 11, 30):
+            x, p, y = traj.states[m, :, 0], traj.costate_ensemble(m), traj.ensemble(m)
+            z = solve_velocity(fam, x, p, y)
+            np.testing.assert_array_equal(traj.velocities[m], z.samples)
 
 
 @pytest.mark.parametrize(
@@ -68,13 +72,15 @@ def test_velocity_record_matches_recomputation():
     [LQFamily(beta=0.5, b=0.3, m=1.0), LQFamily(beta=-0.5, a=1.0, n=0.2), QuarticFamily(0.4)],
 )
 def test_recorded_velocities_solve_the_velocity_equation(fam):
-    # the flow does not evaluate this residual per RK stage, so check it here
+    # the flow does not evaluate this residual per RK stage, so check it here;
+    # at stride 3 most rows lie inside a step
     x0 = spread_ensemble(16, 0.5, 1.5)
-    traj = integrate_flow(fam, x0, AnalyticSlice(lambda x: 0.2 * x), 0.5, 40)
-    for m in range(traj.steps + 1):
-        x_ens, z_ens = traj.ensemble(m), traj.velocity_ensemble(m)
-        dp = fam.dp_hamiltonian(x_ens.samples[:, 0], traj.costates[m, :, 0], x_ens, z_ens)
-        np.testing.assert_allclose(z_ens.samples[:, 0], -dp, rtol=0, atol=1e-12)
+    for stride in (1, 3):
+        traj = integrate_flow(fam, x0, AnalyticSlice(lambda x: 0.2 * x), 0.5, 40, stride=stride)
+        for m in range(traj.steps + 1):
+            x_ens, z_ens = traj.ensemble(m), traj.velocity_ensemble(m)
+            dp = fam.dp_hamiltonian(x_ens.samples[:, 0], traj.costates[m, :, 0], x_ens, z_ens)
+            np.testing.assert_allclose(z_ens.samples[:, 0], -dp, rtol=0, atol=1e-12)
 
 
 def test_linear_dynamics_flow_reads_only_the_potential_gradient(monkeypatch):
@@ -202,6 +208,29 @@ def test_non_finite_final_velocity_is_a_flow_blowup():
     assert err.value.step == steps
 
 
+class FinalCostateRateOverflows(QuadraticCoupledFamily):
+    """Finite until the ``D_xH`` evaluation after ``finite_calls`` returns inf."""
+
+    def __init__(self, beta, finite_calls):
+        super().__init__(beta, MomentQuadraticPotential(0.5))
+        self.finite_calls = finite_calls
+        self.calls = 0
+
+    def dx_hamiltonian(self, x, p, x_ens, z_ens):
+        self.calls += 1
+        rate = super().dx_hamiltonian(x, p, x_ens, z_ens)
+        return rate if self.calls <= self.finite_calls else np.full_like(x, np.inf)
+
+
+def test_non_finite_dense_output_names_the_step_it_fills():
+    # stride 5 over 10 rows: two RK steps, then D_xH at the final time, which
+    # only the rows inside the last step read
+    fam = FinalCostateRateOverflows(0.5, 4 * 2)
+    with pytest.raises(FlowBlowupError, match=r"advancing step 5 -> 10 \(t=0\.5\)") as err:
+        integrate_flow(fam, spread_ensemble(3), AnalyticSlice(lambda x: x), 1.0, 10, stride=5)
+    assert err.value.step == 5
+
+
 def test_law_views_are_built_once_per_integration(monkeypatch):
     real = Ensemble._view.__func__
     calls = []
@@ -225,6 +254,13 @@ def test_flow_input_validation():
         integrate_flow(fam, spread_ensemble(3), phi, 0.0, 10)
     with pytest.raises(ValueError):
         integrate_flow(fam, Ensemble([[1.0, 2.0]]), phi, 1.0, 10)
+
+
+@pytest.mark.parametrize("stride", [0, -2])
+def test_flow_rejects_a_stride_below_one(stride):
+    fam = QuadraticCoupledFamily(beta=0.0)
+    with pytest.raises(ValueError, match="stride"):
+        integrate_flow(fam, spread_ensemble(3), AnalyticSlice(lambda x: x), 1.0, 10, stride=stride)
 
 
 # ---------------------------------------------------------------------------
@@ -345,3 +381,135 @@ def test_stacked_flow_is_bit_identical_to_the_unstacked_flow(case):
     assert new == run_flow(reference_flow, *args)
     if kind in ("overflow", "final"):
         assert isinstance(new[0], str)  # the case really is non-finite
+
+
+# ---------------------------------------------------------------------------
+# the strided flow: RK4 steps of k rows, Hermite dense output in between
+# ---------------------------------------------------------------------------
+
+
+def coarse_rk4(fam, x0, phi, horizon, steps, stride):
+    """An explicit RK4 loop on separate x and p arrays: a first step of
+    ``steps mod stride`` rows (none when ``stride`` divides ``steps``), then
+    steps of ``stride`` rows.  Returns the step ends and, at each, x, p and
+    the rates (z, D_xH)."""
+
+    def stage_rates(x, p):
+        x_ens = Ensemble._view(x[:, None], x0.q)
+        z_ens = solve_velocity(fam, x, Ensemble._view(p[:, None], x0.q), x_ens)
+        dp = np.asarray(fam.dx_hamiltonian(x, p, x_ens, z_ens), dtype=float)
+        return z_ens.samples[:, 0], np.broadcast_to(dp, p.shape)
+
+    lengths = [steps % stride] * (steps % stride > 0) + [stride] * (steps // stride)
+    ends = np.cumsum([0, *lengths])
+    dt = horizon / steps
+    x = x0.samples[:, 0].copy()
+    p = np.asarray(phi.gradient_at(x), dtype=float).copy()
+    record = []
+    for j in range(len(ends)):
+        k1x, k1p = stage_rates(x, p)
+        record.append((x, p, k1x, k1p.copy()))
+        if j == len(lengths):
+            break
+        h = lengths[j] * dt
+        k2x, k2p = stage_rates(x + 0.5 * h * k1x, p + 0.5 * h * k1p)
+        k3x, k3p = stage_rates(x + 0.5 * h * k2x, p + 0.5 * h * k2p)
+        k4x, k4p = stage_rates(x + h * k3x, p + h * k3p)
+        x = x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
+        p = p + h / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
+    return ends, [np.array(a) for a in zip(*record)]
+
+
+STRIDED_FAMILIES = [
+    LQFamily(beta=0.5, a=1.0, b=0.3, m=1.0),
+    LQFamily(beta=-0.5, a=1.0, n=0.2),
+    QuarticFamily(0.4),
+]
+STRIDED_GRIDS = [(30, 3), (31, 3), (30, 5), (31, 5), (12, 12)]  # (M, k): k | M, k ∤ M, k = M
+
+
+@pytest.mark.parametrize("steps, stride", STRIDED_GRIDS)
+@pytest.mark.parametrize("fam", STRIDED_FAMILIES)
+def test_strided_flow_steps_rk4_bit_for_bit_on_the_step_ends(fam, steps, stride):
+    x0, phi = spread_ensemble(9, 0.5, 1.5), AnalyticSlice(lambda x: 0.2 * x)
+    traj = integrate_flow(fam, x0, phi, 0.5, steps, stride=stride)
+    ends, (x, p, z, _) = coarse_rk4(fam, x0, phi, 0.5, steps, stride)
+    assert ends[0] == 0 and ends[-1] == steps and len(ends) == 1 + -(-steps // stride)
+    np.testing.assert_array_equal(traj.states[ends, :, 0], x)
+    np.testing.assert_array_equal(traj.costates[ends, :, 0], p)
+    np.testing.assert_array_equal(traj.velocities[ends, :, 0], z)
+
+
+@pytest.mark.parametrize("steps, stride", STRIDED_GRIDS)
+@pytest.mark.parametrize("fam", STRIDED_FAMILIES)
+def test_rows_inside_a_step_are_its_hermite_dense_output(fam, steps, stride):
+    x0, phi = spread_ensemble(9, 0.5, 1.5), AnalyticSlice(lambda x: 0.2 * x)
+    traj = integrate_flow(fam, x0, phi, 0.5, steps, stride=stride)
+    ends, (_, _, _, dxh) = coarse_rk4(fam, x0, phi, 0.5, steps, stride)
+    xs, zs, ps = (a[:, :, 0] for a in (traj.states, traj.velocities, traj.costates))
+    dt = 0.5 / steps
+    for j, (a, b) in enumerate(zip(ends, ends[1:])):
+        rows = np.arange(a + 1, b)
+        theta = ((rows - a) / (b - a))[:, None]
+        h = np.full_like(theta, (b - a) * dt)
+        h00 = (1 + 2 * theta) * (1 - theta) ** 2
+        h10 = h * theta * (1 - theta) ** 2
+        h01 = theta**2 * (3 - 2 * theta)
+        h11 = h * theta**2 * (theta - 1)
+        np.testing.assert_array_equal(
+            xs[rows], h00 * xs[a] + h10 * zs[a] + h01 * xs[b] + h11 * zs[b]
+        )
+        np.testing.assert_array_equal(
+            ps[rows], h00 * ps[a] + h10 * dxh[j] + h01 * ps[b] + h11 * dxh[j + 1]
+        )
+
+
+def test_strided_flow_error_shrinks_like_h_to_the_fourth():
+    # a curved game: the potential bends the characteristics and the law of X' feeds back
+    fam = LQFamily(beta=-0.5, a=1.0, n=0.2)
+    x0, phi = spread_ensemble(16, -1.0, 1.5), AnalyticSlice(lambda x: 0.3 * x + np.sin(x))
+    paths = [integrate_flow(fam, x0, phi, 2.0, 120, stride=s) for s in (1, 4, 8)]
+
+    def error(traj):
+        return max(
+            np.max(np.abs(getattr(traj, name) - getattr(paths[0], name)))
+            for name in ("states", "costates", "velocities")
+        )
+
+    coarse, fine = error(paths[2]), error(paths[1])
+    assert 0 < fine < 1e-5
+    assert 12.0 <= coarse / fine <= 24.0  # 2^4 = 16
+
+
+def test_the_sweep_reads_only_rk_step_ends(monkeypatch):
+    fam = LQFamily(beta=0.5, a=1.0, b=0.3, m=1.0)
+    cfg = GridConfig(x_lo=-4.0, x_hi=4.0, nx=41, nv=41, v_max=4.0)
+    steps = 31
+    k = sweep_stride(fam, cfg, 1.0 / steps, steps)
+    assert 1 < k < steps and steps % k
+    traj = integrate_flow(fam, spread_ensemble(8), AnalyticSlice(lambda x: x), 1.0, steps, stride=k)
+    read = set()
+    for name in ("ensemble", "velocity_ensemble"):
+        real = getattr(TrajectoryEnsemble, name)
+
+        def spy(self, m, real=real):
+            read.add(int(m))
+            return real(self, m)
+
+        monkeypatch.setattr(TrajectoryEnsemble, name, spy)
+    solve_backward(fam, traj, cfg)
+    ends, _ = coarse_rk4(fam, spread_ensemble(8), AnalyticSlice(lambda x: x), 1.0, steps, k)
+    assert read == set(ends.tolist())
+
+
+def test_strided_blowup_names_the_rk_step_taken():
+    fam = CustomVelocityFamily(
+        dp_h=lambda x, p, y, z: np.zeros_like(x),
+        dx_h=lambda x, p, X, Z: 1e3 * p**2,
+    )
+    with pytest.raises(FlowBlowupError) as err:
+        integrate_flow(
+            fam, spread_ensemble(3), AnalyticSlice(lambda x: np.ones_like(x)), 1.0, 53, stride=5
+        )
+    a, b = map(int, re.search(r"advancing step (\d+) -> (\d+) ", str(err.value)).groups())
+    assert err.value.step == a and (a, b) in [(0, 3), *((e, e + 5) for e in range(3, 53, 5))]

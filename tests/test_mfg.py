@@ -18,7 +18,8 @@ from xmfg.families import (
     QuadraticFormPotential,
     QuarticFamily,
 )
-from xmfg.hjb import AnalyticSlice, ValueSlice
+from xmfg.flow import integrate_flow
+from xmfg.hjb import AnalyticSlice, GridConfig, ValueSlice, stride_rows, sweep_stride
 from xmfg.mfg import (
     ProblemSpec,
     SolverConfig,
@@ -366,6 +367,32 @@ def test_state_scaled_solve_never_accepts_a_flow_through_zero():
         return
     assert sol.converged
     assert float(np.min(sol.traj.states)) > 0.0
+
+
+@pytest.mark.parametrize("nx, steps", [(41, 20), (11, 100)])
+def test_a_crossing_names_the_rk_step_that_holds_it(nx, steps):
+    # a positive seed slope drives the quartic population through x = 0; the
+    # coarse grid (nx 11, M 100) steps the flow 6 rows at a time, from row 4,
+    # and the first crossing row, 19, lies inside the step 16 -> 22
+    fam = QuarticFamily(0.4)
+    problem = ProblemSpec(fam, horizon=1.0, initial=spread_ensemble(8, 0.5, 1.5))
+    cfg = SolverConfig(nx=nx, time_steps=steps, nv=nx, v_max=1.0)
+    grid = GridConfig(x_lo=0.25, x_hi=2.0, nx=nx, nv=nx, v_max=1.0)
+    k = sweep_stride(fam, grid, 1.0 / steps, steps)
+    assert k == (1 if nx == 41 else 6)
+    phi = ValueSlice(grid.nodes(), 0.5 * grid.nodes())
+    with pytest.raises(FlowBlowupError) as err:
+        mfg._compose_once(problem, phi, grid, cfg)
+    traj = integrate_flow(fam, problem.initial, phi, 1.0, steps, stride=k)
+    m = int(np.flatnonzero(np.min(traj.states[:, :, 0], axis=1) <= 0.0)[0])
+    ends = stride_rows(steps, k)
+    b = ends[np.searchsorted(ends, m)]
+    a = ends[ends.index(b) - 1]
+    assert a < m <= b and err.value.step == a
+    assert b - a == k and (k == 1 or m > a + 1)
+    assert str(err.value) == (
+        f"state-scaled flow crossed x <= 0 advancing step {a} -> {b} (t={traj.times[a]:.4g})"
+    )
 
 
 def test_residual_history_records_the_undamped_residual():
