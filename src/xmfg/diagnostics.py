@@ -10,11 +10,16 @@ Three sign conditions are probed over randomized ensemble pairs:
 Sampling cannot prove a universally quantified statement, so a "satisfied"
 verdict means exactly "no violation found in `trials` samples"; a "violated"
 verdict ships a certificate pair that reproduces the offending value.
+
+A check first draws every trial's pair of laws as plain sample arrays, then
+evaluates a cost that declares ``stacks_laws`` once per group of trials with
+equal sample counts, on stacks of laws, and a user callable once per trial.
+Every value and certificate keeps the bits of a trial-by-trial loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,42 +60,48 @@ class MonotonicityReport:
 
 
 def _split_means(values, n: int):
-    """np.mean of values[:n] and of values[n:], bit for bit, without its wrapper."""
+    """np.mean of values[..., :n] and of values[..., n:] along the last axis, bit
+    for bit, without its wrapper."""
     values = np.asarray(values, dtype=float)
     if values.ndim == 0:  # a cost that depends on the law only
         return values, values
-    return np.add.reduce(values[:n]) / n, np.add.reduce(values[n:]) / (values.shape[0] - n)
+    rest = values.shape[-1] - n
+    return np.add.reduce(values[..., :n], -1) / n, np.add.reduce(values[..., n:], -1) / rest
 
 
-def monotonicity_gap(potential, x_ens: Ensemble, xt_ens: Ensemble) -> float:
+def _plain(value):
+    """One law's value as a float; a stack's values as they are."""
+    return value if np.ndim(value) else float(value)
+
+
+def monotonicity_gap(potential, x_ens: Ensemble, xt_ens: Ensemble):
     """Raw pairing expression E[V(X,X) - V(X,Xt) + V(Xt,Xt) - V(Xt,X)].
 
     ``potential`` is pointwise in x, so each law is evaluated once on the
-    stacked samples of both.
+    stacked samples of both.  On two stacks of B laws the result holds B
+    values.
     """
-    points = np.concatenate((x_ens.samples[:, 0], xt_ens.samples[:, 0]))
+    points = np.concatenate((x_ens.samples[..., 0], xt_ens.samples[..., 0]), axis=-1)
     x_on_x, xt_on_x = _split_means(potential(points, x_ens), x_ens.n)
     x_on_xt, xt_on_xt = _split_means(potential(points, xt_ens), x_ens.n)
-    term = float(x_on_x - x_on_xt)
-    term += float(xt_on_xt - xt_on_x)
-    return term
+    return _plain((x_on_x - x_on_xt) + (xt_on_xt - xt_on_x))
 
 
 def lagrangian_monotonicity_gap(
     fam: HamiltonianFamily, pair: PairedEnsemble, pair_t: PairedEnsemble
-) -> float:
+):
     """Raw pairing expression for the running cost over joint-law pairs.
 
     The Lagrangian is pointwise in (x, v), so each joint law is evaluated
-    once on the stacked samples of both.
+    once on the stacked samples of both; stacks of laws give one value each.
     """
-    x = np.concatenate((pair.x[:, 0], pair_t.x[:, 0]))
-    z = np.concatenate((pair.z[:, 0], pair_t.z[:, 0]))
+    x = np.concatenate((pair.x[..., 0], pair_t.x[..., 0]), axis=-1)
+    z = np.concatenate((pair.z[..., 0], pair_t.z[..., 0]), axis=-1)
     p_on_p, t_on_p = _split_means(fam.lagrangian(x, z, pair.state(), pair.velocity()), pair.n)
     p_on_t, t_on_t = _split_means(
         fam.lagrangian(x, z, pair_t.state(), pair_t.velocity()), pair.n
     )
-    return float(p_on_p) - float(t_on_p) + float(t_on_t) - float(p_on_t)
+    return _plain(p_on_p - t_on_p + t_on_t - p_on_t)
 
 
 def lmon_reduction_gap(
@@ -104,57 +115,102 @@ def lmon_reduction_gap(
     return abs(full - (fam.beta * (ez - ezt) ** 2 - v_gap))
 
 
-def _law_dependence_spot_check(evaluator, rng) -> bool:
+def _require_permutation_invariance(cost, rng_seed: int, what: str) -> None:
+    rng = np.random.default_rng(rng_seed + 987)
     # a spread cloud, so that permuting samples is a real reordering
     ens = Ensemble(rng.normal(size=8))
     probe = rng.normal(size=5)
     with np.errstate(all="ignore"):
-        before = np.asarray(evaluator(probe, ens), dtype=float)
-        after = np.asarray(evaluator(probe, ens.permuted(rng.permutation(8))), dtype=float)
+        before = np.asarray(cost(probe, ens), dtype=float)
+        after = np.asarray(cost(probe, ens.permuted(rng.permutation(8))), dtype=float)
     # a non-finite value tells nothing here; _run_check reports it as inconclusive
     finite = np.isfinite(before) & np.isfinite(after)
-    return bool(np.allclose(before[finite], after[finite], atol=1e-10))
+    if not np.allclose(before[finite], after[finite], atol=1e-10):
+        raise ValueError(
+            f"{what} depends on the order of the samples, not only on their law: "
+            "permuting them changed it"
+        )
 
 
-def _random_ensemble(rng, n: int | None = None) -> Ensemble:
-    n = _ENSEMBLE_SIZES[rng.integers(0, len(_ENSEMBLE_SIZES))] if n is None else n
+def _draw_samples(rng, n: int) -> np.ndarray:
     style = rng.integers(0, 3)
     if style == 0:  # point mass
-        samples = np.full((n, 1), rng.uniform(-2.0, 2.0))
-    elif style == 1:  # uniform cloud
-        samples = rng.uniform(-2.0, 2.0) + rng.uniform(-1.0, 1.0, size=(n, 1))
-    else:  # two clusters
-        centers = rng.uniform(-2.0, 2.0, size=(2, 1))
-        pick = rng.integers(0, 2, size=n)
-        samples = centers[pick] + 0.2 * rng.standard_normal((n, 1))
-    return Ensemble._view(samples, 2.0)  # finite by construction
+        return rng.uniform(-2.0, 2.0, size=1).repeat(n)
+    if style == 1:  # uniform cloud
+        return rng.uniform(-2.0, 2.0) + rng.uniform(-1.0, 1.0, size=n)
+    centers = rng.uniform(-2.0, 2.0, size=2)  # two clusters
+    return centers[rng.integers(0, 2, size=n)] + 0.2 * rng.standard_normal(n)
 
 
-def _random_pair(rng) -> tuple[Ensemble, Ensemble]:
-    return _random_ensemble(rng), _random_ensemble(rng)
+def _draw_law(rng, parts: int) -> list:
+    """One trial law: ``parts`` sample arrays of one random count."""
+    n = _ENSEMBLE_SIZES[rng.integers(0, len(_ENSEMBLE_SIZES))]
+    return [_draw_samples(rng, n) for _ in range(parts)]
+
+
+def _law(parts):
+    """The unchecked Ensemble (one part) or PairedEnsemble (two parts) on (..., N)
+    sample arrays; the draws are finite by construction."""
+    views = [Ensemble._view(part[..., None], 2.0).samples for part in parts]
+    return Ensemble._view(*views, 2.0) if len(views) == 1 else PairedEnsemble._view(*views, 2.0)
 
 
 @np.errstate(all="ignore")  # a non-finite trial ends the check as inconclusive
-def _run_check(condition, evaluate, sample_pair, trials, rng_seed, strict, skip_equal):
+def _run_check(condition, evaluate, parts, trials, rng_seed, strict, same, stacks):
+    """Draw every trial's pair, then evaluate them: in stacks grouped by the
+    sample counts when ``stacks``, else one trial at a time up to the first
+    non-finite value.  ``same(a, b)`` tells, along the last axis, which pairs
+    of equal counts to skip."""
     rng = np.random.default_rng(rng_seed)
-    min_value = np.inf
-    certificate = None
-    for _ in range(trials):
-        a, b = sample_pair(rng)
-        if skip_equal(a, b):
-            continue
-        value = evaluate(a, b)
-        if not np.isfinite(value):
-            return MonotonicityReport(condition, trials, float("nan"), (a, b), "inconclusive", strict)
-        if value < min_value:
-            min_value = float(value)
-            certificate = (a, b)
-    if certificate is None:
-        return MonotonicityReport(condition, trials, float("nan"), (), "inconclusive", strict)
+    pairs = [(_draw_law(rng, parts), _draw_law(rng, parts)) for _ in range(trials)]
+    values = np.full(trials, np.inf)
+    skipped = np.zeros(trials, dtype=bool)
+    if stacks:
+        groups = {}
+        for t, (a, b) in enumerate(pairs):
+            groups.setdefault((a[0].size, b[0].size), []).append(t)
+        for (n_a, n_b), rows in groups.items():
+            a, b = ([np.stack([pairs[t][side][k] for t in rows]) for k in range(parts)]
+                    for side in (0, 1))
+            values[rows] = evaluate(_law(a), _law(b))
+            if same is not None and n_a == n_b:
+                skipped[rows] = same(a, b)
+    else:
+        for t, (a, b) in enumerate(pairs):
+            if same is not None and a[0].size == b[0].size and same(a, b):
+                skipped[t] = True
+                continue
+            values[t] = evaluate(_law(a), _law(b))
+            if not np.isfinite(values[t]):
+                break
+    bad = np.flatnonzero(~(skipped | np.isfinite(values)))
+    if bad.size or skipped.all():  # the first non-finite trial, or none evaluated
+        pair = tuple(map(_law, pairs[bad[0]])) if bad.size else ()
+        return MonotonicityReport(condition, trials, float("nan"), pair, "inconclusive", strict)
+    values[skipped] = np.inf
+    best = int(np.argmin(values))
+    min_value = float(values[best])
     ok = min_value > 0.0 if strict else min_value >= 0.0
     return MonotonicityReport(
-        condition, trials, min_value, certificate, "satisfied" if ok else "violated", strict
+        condition, trials, min_value, tuple(map(_law, pairs[best])),
+        "satisfied" if ok else "violated", strict,
     )
+
+
+def _same_law(a, b):
+    """Whether equal-count laws have the same sorted samples, along the last axis."""
+    return (np.sort(a[0]) == np.sort(b[0])).all(-1)
+
+
+def _same_joint_law(a, b):
+    """Whether equal-count joint laws agree once sorted by (x, z), along the last axis."""
+
+    def by_x_then_z(law):
+        order = np.lexsort(law[::-1])
+        return [np.take_along_axis(part, order, -1) for part in law]
+
+    (x_a, z_a), (x_b, z_b) = by_x_then_z(a), by_x_then_z(b)
+    return ((x_a == x_b) & (z_a == z_b)).all(-1)
 
 
 def check_V_monotone(potential, trials: int = 1000, rng_seed: int = 0) -> MonotonicityReport:
@@ -164,38 +220,19 @@ def check_V_monotone(potential, trials: int = 1000, rng_seed: int = 0) -> Monoto
     satisfied verdict means every sampled pair gave a strictly negative raw
     expression.
     """
-    rng = np.random.default_rng(rng_seed + 987)
-    if not _law_dependence_spot_check(potential, rng):
-        raise ValueError("potential is not law-dependent: permuting samples changed it")
-
-    def equal(a, b):
-        return a.n == b.n and np.array_equal(np.sort(a.samples, 0), np.sort(b.samples, 0))
-
+    _require_permutation_invariance(potential, rng_seed, "potential")
     return _run_check(
-        "potential-strict",
-        lambda a, b: -monotonicity_gap(potential, a, b),
-        _random_pair,
-        trials,
-        rng_seed,
-        strict=True,
-        skip_equal=equal,
+        "potential-strict", lambda a, b: -monotonicity_gap(potential, a, b), 1, trials,
+        rng_seed, strict=True, same=_same_law, stacks=getattr(potential, "stacks_laws", False),
     )
 
 
 def check_psi_monotone(terminal, trials: int = 1000, rng_seed: int = 0) -> MonotonicityReport:
     """Probe the non-strict terminal condition (>= 0); min_value is the raw expression."""
-    rng = np.random.default_rng(rng_seed + 987)
-    if not _law_dependence_spot_check(terminal, rng):
-        raise ValueError("terminal cost is not law-dependent: permuting samples changed it")
-
+    _require_permutation_invariance(terminal, rng_seed, "terminal cost")
     return _run_check(
-        "terminal-nonstrict",
-        lambda a, b: monotonicity_gap(terminal, a, b),
-        _random_pair,
-        trials,
-        rng_seed,
-        strict=False,
-        skip_equal=lambda a, b: False,
+        "terminal-nonstrict", lambda a, b: monotonicity_gap(terminal, a, b), 1, trials,
+        rng_seed, strict=False, same=None, stacks=getattr(terminal, "stacks_laws", False),
     )
 
 
@@ -203,45 +240,15 @@ def check_L_monotone(
     fam: HamiltonianFamily, trials: int = 1000, rng_seed: int = 0
 ) -> MonotonicityReport:
     """Probe the strict joint-law condition on L over paired-ensemble pairs."""
-
-    def sample(r):
-        def pair():  # unchecked, like the views of _random_ensemble
-            n = _ENSEMBLE_SIZES[r.integers(0, len(_ENSEMBLE_SIZES))]
-            x, z = _random_ensemble(r, n).samples, _random_ensemble(r, n).samples
-            return PairedEnsemble._view(x, z, 2.0)
-
-        return pair(), pair()
-
-    def equal(a, b):
-        if a.n != b.n:
-            return False
-        order_a = np.lexsort((a.z[:, 0], a.x[:, 0]))
-        order_b = np.lexsort((b.z[:, 0], b.x[:, 0]))
-        return np.array_equal(a.x[order_a], b.x[order_b]) and np.array_equal(
-            a.z[order_a], b.z[order_b]
-        )
-
     report = _run_check(
-        "lagrangian-strict",
-        lambda a, b: lagrangian_monotonicity_gap(fam, a, b),
-        sample,
-        trials,
-        rng_seed,
-        strict=True,
-        skip_equal=equal,
+        "lagrangian-strict", lambda a, b: lagrangian_monotonicity_gap(fam, a, b), 2, trials,
+        rng_seed, strict=True, same=_same_joint_law, stacks=getattr(fam, "stacks_laws", False),
     )
     if report.verdict == "violated" and report.min_value > -1e-12:
         # every violation found is an exact tie, which is the degenerate case
         # covered by the weaker "equality forces identical costs" condition
-        report = MonotonicityReport(
-            report.condition,
-            report.trials,
-            report.min_value,
-            report.certificate,
-            report.verdict,
-            report.strict,
-            note="only exact equalities found; compatible with the equality-fallback condition",
-        )
+        note = "only exact equalities found; compatible with the equality-fallback condition"
+        report = replace(report, note=note)
     return report
 
 

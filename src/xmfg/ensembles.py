@@ -6,6 +6,11 @@ finite average over samples, and two ensembles with the same sorted sample
 list represent the same law.  The state space is one-dimensional: the
 constructors take a scalar, an (N,) array or an (N, 1) column and store the
 column; anything wider is rejected there, so nothing downstream re-checks it.
+
+The unchecked ``_view`` may also wrap a (B, N, 1) stack of B laws of N samples
+each.  Law statistics reduce along the sample axis, so ``mean`` and ``moment``
+give one value per law, and the stack-aware costs of :mod:`xmfg.families`
+evaluate B laws in one call with the bits of B single-law calls.
 """
 
 from __future__ import annotations
@@ -52,7 +57,8 @@ class Ensemble:
 
     @classmethod
     def _view(cls, samples: np.ndarray, q: float) -> "Ensemble":
-        """Wrap an (N, 1) float array the caller has already validated.
+        """Wrap an (N, 1) float array, or a (B, N, 1) stack of B laws, that the
+        caller has already validated.
 
         No copy and no checks: the ensemble holds a read-only source as it
         is, and a read-only view of a writable one.  Hot loops use this; the
@@ -67,17 +73,21 @@ class Ensemble:
 
     @property
     def n(self) -> int:
-        return self.samples.shape[0]
+        return self.samples.shape[-2]
+
+    def mean(self):
+        """E X: a scalar for one law, shape (B,) for a stack; np.mean's bits."""
+        return np.add.reduce(self.samples[..., 0], axis=-1) / self.n
 
     def mean_scalar(self) -> float:
         """Mean of the ensemble as a plain float."""
-        return float(np.add.reduce(self.samples, axis=None) / self.n)  # np.mean's bits
+        return float(self.mean())
 
-    def moment(self, r: float) -> float:
-        """(1/N) sum |x_i|^r."""
+    def moment(self, r: float):
+        """(1/N) sum |x_i|^r, one value per law like ``mean``."""
         if r < 1:
             raise ValueError("moment order r must be >= 1")
-        return float(np.mean(np.abs(self.samples[:, 0]) ** r))
+        return np.add.reduce(np.abs(self.samples[..., 0]) ** r, axis=-1) / self.n
 
     def permuted(self, perm) -> "Ensemble":
         return Ensemble(self.samples[np.asarray(perm)], q=self.q)
@@ -115,14 +125,15 @@ class PairedEnsemble:
 
     @classmethod
     def _view(cls, x: np.ndarray, z: np.ndarray, q: float) -> "PairedEnsemble":
-        """Pair two read-only (N, 1) arrays the caller has already validated."""
+        """Pair two read-only (N, 1) arrays, or (B, N, 1) stacks, the caller has
+        already validated."""
         pair = object.__new__(cls)
         pair.__dict__.update(x=x, z=z, q=q)
         return pair
 
     @property
     def n(self) -> int:
-        return self.x.shape[0]
+        return self.x.shape[-2]
 
     # checked once in __post_init__, so the marginals are unchecked views
     def state(self) -> Ensemble:

@@ -7,6 +7,10 @@ flow.  Cost objects carry ``__call__(x, ens)`` and ``gradient(x, ens)`` and
 are plain family attributes.  Law arguments are :class:`Ensemble` objects and
 enter only through empirical expectations, so evaluations are invariant under
 sample permutation by construction.  The spatial state is scalar.
+
+A cost whose ``stacks_laws`` is true also takes a (B, N, 1) stack of laws with
+(B, P) points, with the bits of B single-law calls: law statistics reduce along
+the last axis.  A user callable gets one law per call.
 """
 
 from __future__ import annotations
@@ -42,13 +46,25 @@ def as_coefficient(value):
     return lambda ens: const
 
 
+class _StackedCost:
+    """A cost that takes stacks of laws; one on coefficient maps decides per instance."""
+
+    stacks_laws = True
+
+
+def _per_law(stat):
+    """A stack's (B,) law statistic as (B, 1), to broadcast over (B, P) points;
+    one law's scalar stays a scalar."""
+    return stat[..., None] if np.ndim(stat) else stat
+
+
 # ---------------------------------------------------------------------------
 # potentials and terminals: __call__(x, ens) and gradient(x, ens), law-dependent
 # through expectations
 # ---------------------------------------------------------------------------
 
 
-class ZeroPotential:
+class ZeroPotential(_StackedCost):
     def __call__(self, x, ens: Ensemble):
         return np.zeros_like(np.asarray(x, dtype=float))
 
@@ -56,7 +72,7 @@ class ZeroPotential:
         return np.zeros_like(np.asarray(x, dtype=float))
 
 
-class MomentQuadraticPotential:
+class MomentQuadraticPotential(_StackedCost):
     """V(x, X) = scale * E|x - X|^2, the workhorse interaction cost.
 
     Evaluated through centred moments, scale * (|x - EX|^2 + E|X - EX|^2),
@@ -71,14 +87,13 @@ class MomentQuadraticPotential:
 
     def __call__(self, x, ens: Ensemble):
         x = np.asarray(x, dtype=float)
-        samples = ens.samples[:, 0]
         n = ens.n
-        mean = np.add.reduce(samples) / n
-        spread = samples - mean
-        residual = np.add.reduce(spread) / n  # EX = mean + residual
+        mean = _per_law(ens.mean())
+        spread = ens.samples[..., 0] - mean
+        residual = _per_law(np.add.reduce(spread, axis=-1) / n)  # EX = mean + residual
         spread -= residual
         spread *= spread
-        variance = np.add.reduce(spread) / n  # E|X - EX|^2
+        variance = _per_law(np.add.reduce(spread, axis=-1) / n)  # E|X - EX|^2
         gap = (x - mean) - residual
         gap *= gap
         return self.scale * (gap + variance)
@@ -92,6 +107,7 @@ class QuadraticFormPotential:
     """V(x, X) = a(X)/2 x^2 + b(X) x + c(X) with scalar coefficient maps."""
 
     def __init__(self, a=0.0, b=0.0, c=0.0):
+        self.stacks_laws = not any(map(callable, (a, b, c)))  # constants broadcast
         self.a = as_coefficient(a)
         self.b = as_coefficient(b)
         self.c = as_coefficient(c)
@@ -109,6 +125,7 @@ class QuadraticTerminal:
     """psi(x, X) = m(X)/2 x^2 + n(X) x + q0(X)."""
 
     def __init__(self, m=0.0, n=0.0, q0=0.0):
+        self.stacks_laws = not any(map(callable, (m, n, q0)))  # constants broadcast
         self.m = as_coefficient(m)
         self.n = as_coefficient(n)
         self.q0 = as_coefficient(q0)
@@ -122,7 +139,7 @@ class QuadraticTerminal:
         return self.m(ens) * x + self.n(ens)
 
 
-class LinearTerminal:
+class LinearTerminal(_StackedCost):
     def __init__(self, slope: float, offset: float = 0.0):
         self.slope = float(slope)
         self.offset = float(offset)
@@ -138,6 +155,7 @@ class QuarticTerminal:
     """psi(x, X) = a(X) x^4 + b(X)."""
 
     def __init__(self, a, b=0.0):
+        self.stacks_laws = not any(map(callable, (a, b)))  # constants broadcast
         self.a = as_coefficient(a)
         self.b = as_coefficient(b)
 
@@ -150,20 +168,20 @@ class QuarticTerminal:
         return 4.0 * self.a(ens) * x**3
 
 
-class ZeroCoupling:
+class ZeroCoupling(_StackedCost):
     """U(X, Z) = 0."""
 
     def __call__(self, x_ens: Ensemble, z_ens: Ensemble) -> float:
         return 0.0
 
 
-class MeanSquareVelocityCoupling:
+class MeanSquareVelocityCoupling(_StackedCost):
     """U(X, Z) = scale * E|Z|^2."""
 
     def __init__(self, scale: float = 1.0):
         self.scale = float(scale)
 
-    def __call__(self, x_ens: Ensemble, z_ens: Ensemble) -> float:
+    def __call__(self, x_ens: Ensemble, z_ens: Ensemble):
         return self.scale * z_ens.moment(2.0)
 
 
@@ -189,6 +207,8 @@ class HamiltonianFamily:
     #: g(x) and g'(x) of state-scaled dynamics; None declares dx/dt = v
     speed = None
     dx_speed = None
+    #: whether ``lagrangian`` takes stacks of laws (see the module docstring)
+    stacks_laws = False
 
     def drift(self, x_ens: Ensemble, z_ens: Ensemble):
         """b(X, Z), the coefficient of v in L; 0 unless a family declares it."""
@@ -242,9 +262,10 @@ class QuadraticCoupledFamily(HamiltonianFamily):
         self.beta = float(beta)
         self.potential = potential if potential is not None else ZeroPotential()
         self.terminal = terminal if terminal is not None else ZeroPotential()
+        self.stacks_laws = getattr(self.potential, "stacks_laws", False)
 
     def drift(self, x_ens: Ensemble, z_ens: Ensemble):
-        return self.beta * z_ens.mean_scalar()
+        return self.beta * _per_law(z_ens.mean())
 
     def running_potential(self, x, x_ens: Ensemble, z_ens: Ensemble):
         return self.potential(x, x_ens)
@@ -290,9 +311,10 @@ class QuarticFamily(HamiltonianFamily):
     def __init__(self, a, b=0.0, coupling=None):
         self.terminal = QuarticTerminal(a, b)
         self.coupling = coupling if coupling is not None else ZeroCoupling()
+        self.stacks_laws = getattr(self.coupling, "stacks_laws", False)
 
     def running_potential(self, x, x_ens: Ensemble, z_ens: Ensemble):
-        return -(np.asarray(x, dtype=float) ** 4 + self.coupling(x_ens, z_ens))
+        return -(np.asarray(x, dtype=float) ** 4 + _per_law(self.coupling(x_ens, z_ens)))
 
     def dx_running_potential(self, x, x_ens: Ensemble, z_ens: Ensemble):
         return -4.0 * np.asarray(x, dtype=float) ** 3

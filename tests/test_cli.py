@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import logging
@@ -521,6 +522,48 @@ def test_check_reports_violation_with_exit_zero(tmp_path):
         assert (out / name).exists()
     combined = json.loads((out / "report.json").read_text())
     assert {r["condition"] for r in combined} >= {"potential-strict", "lagrangian-strict"}
+
+
+#: sha256 over the name and bytes of every file `check` writes but meta.json,
+#: for the crowd and lq-offcentre benchmark documents and QUARTIC_DOC at seeds
+#: 1-5; taken when the trials were still evaluated one at a time
+CHECK_DIGESTS = {
+    "crowd-1": "bf74624042826bb4622749d390e436e9b6aa6b918cb8d348fd71ba2170f9f258",
+    "crowd-2": "9bce111b7e96cab0879d0949263863ea9e1daaa60e94db3ed1a7966756f58c2b",
+    "crowd-3": "f230ce6a8e0f82fc9e2093d52618a9c108449291f93f389daede9a023e98ff6e",
+    "crowd-4": "22c7835e07018c900417fb7d303516fa40981b8b5f7d7c43e37f678b3b257840",
+    "crowd-5": "574ac246e6781b0b175ab244098a5de354fd76817bd4e88fd53db5c6cf6d069f",
+    "lq-offcentre-1": "4dae768c235c90ed57a54c6a9725814fe9444d80a417aa964c7aa8e42ed38ece",
+    "lq-offcentre-2": "28a978d504f9d21cda6d175bfe728c8347a73f114b633cf6c304edb21584e5d4",
+    "lq-offcentre-3": "d645d3da7e3fb37048ae03eba75494a78d87b02c338f41633c4898d6d70a986a",
+    "lq-offcentre-4": "08257045fcb952a6c50ef7bb9b515500f28164ebaa8b4cddc0226561e12ccb41",
+    "lq-offcentre-5": "2dfb0bf2218a315c47f0f95ba1072336bbc47f9bef33fb4bba95cb0297a03659",
+    "quartic-1": "0b75b3959f4922feeb72a6a0ec40361d5a422cd67bb192613e72f47cceebcb33",
+    "quartic-2": "78a1184f78972924b03a7771473b7980517d181c7388935144d5b9ea34f470bd",
+    "quartic-3": "013226b3953e9f25d0c0cb626ed2901d5945482cba7847a895195243cb513486",
+    "quartic-4": "6ad903aca2e4003ba89703cac749739cd325cd7840d89ae2561491091094e5db",
+    "quartic-5": "41e521fe0948ec375d0fb5624e29bdd018b8b35fb0914c8835201b34605714b4",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_DIGESTS))
+def test_check_outputs_keep_their_bytes(tmp_path, case):
+    from test_bench_names import load_perfbench
+
+    name, seed = case.rsplit("-", 1)
+    if name == "quartic":
+        text = json.dumps(QUARTIC_DOC)
+    else:
+        text = load_perfbench("workloads").document(name, int(seed))
+    (tmp_path / "problem.json").write_text(text)
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(tmp_path / "problem.json"), "--out", str(out),
+                 "--seed", seed]) == 0
+    digest = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        if path.name != "meta.json":
+            digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    assert digest.hexdigest() == CHECK_DIGESTS[case]
 
 
 def test_probe_uniqueness_cli(tmp_path):

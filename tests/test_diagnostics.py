@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import xmfg.diagnostics as diagnostics
 from xmfg.diagnostics import (
     check_L_monotone,
     check_psi_monotone,
@@ -14,11 +15,16 @@ from xmfg.ensembles import Ensemble, PairedEnsemble
 from xmfg.errors import NonSmoothProbeError
 from xmfg.families import (
     CustomVelocityFamily,
+    LinearTerminal,
     LQFamily,
+    MeanSquareVelocityCoupling,
     MomentQuadraticPotential,
     QuadraticCoupledFamily,
     QuadraticFormPotential,
     QuadraticTerminal,
+    QuarticFamily,
+    QuarticTerminal,
+    ZeroPotential,
 )
 
 POINT_0 = Ensemble([0.0])
@@ -269,6 +275,19 @@ PARITY_CASES = [
         QuadraticCoupledFamily(beta=0.5, potential=MomentQuadraticPotential(0.5)),
         id="L-evaluator6-1",
     ),
+    # every other cost kind the CLI builds, each on the stacked path
+    pytest.param("V", ZeroPotential(), id="V-zero"),
+    pytest.param("V", QuadraticFormPotential(0.7, -0.4, 1.3), id="V-quadratic-form"),
+    pytest.param("psi", QuadraticTerminal(1.0, 0.2, 0.1), id="psi-quadratic"),
+    pytest.param("psi", LinearTerminal(0.7, -0.4), id="psi-linear"),
+    pytest.param("psi", QuarticTerminal(0.35, 0.1), id="psi-quartic"),
+    pytest.param("psi", MomentQuadraticPotential(0.5), id="psi-moment-quadratic"),
+    pytest.param("L", QuarticFamily(0.35), id="L-quartic-zero"),
+    pytest.param(
+        "L",
+        QuarticFamily(0.35, coupling=MeanSquareVelocityCoupling(0.7)),
+        id="L-quartic-mean-square-velocity",
+    ),
 ]
 
 
@@ -295,3 +314,127 @@ def test_check_matches_the_per_trial_reference(kind, evaluator, seed):
             assert lagrangian_monotonicity_gap(evaluator, a, b) == value
         else:
             assert monotonicity_gap(evaluator, a, b) == (-value if kind == "V" else value)
+
+
+# --- edge cases of the grouped evaluation ------------------------------------
+
+CHECKS = {"V": check_V_monotone, "psi": check_psi_monotone, "L": check_L_monotone}
+
+
+def one_law_at_a_time(kind, cost, calls=None):
+    """The same cost behind a plain callable, which the checks evaluate per
+    trial; each call appends its law's shape to ``calls``."""
+    calls = [] if calls is None else calls
+
+    def counted(x, *laws):
+        calls.append(laws[-1].samples.shape)
+        return (cost.lagrangian if kind == "L" else cost)(x, *laws)
+
+    if kind == "L":
+        return CustomVelocityFamily(lambda x, p, y, z: p, lagrangian=counted)
+    return counted
+
+
+def overflowing_costs(a, b):
+    """The V, psi and L costs of an LQ game whose running or terminal cost overflows."""
+    return {
+        "V": QuadraticFormPotential(a, b),
+        "psi": QuadraticTerminal(a, b),
+        "L": LQFamily(beta=0.5, a=a, b=b, m=1.0),
+    }
+
+
+# the costs of the two overflowing documents of the CLI tests, where the first
+# trial overflows, and a milder one whose first overflow comes later in the run
+# (V, psi and L: trials 13, 13 and 4 at seed 0; 0, 0 and 110 at seed 4)
+OVERFLOWING = [
+    pytest.param(overflowing_costs(1e308, -1e308), 20, id="document"),
+    pytest.param(overflowing_costs(1.5e306, 0.0), 120, id="later"),
+]
+
+
+@pytest.mark.parametrize("per_law", [False, True], ids=["stacked", "per-law"])
+@pytest.mark.parametrize("kind", ["V", "psi", "L"])
+@pytest.mark.parametrize("seed", [0, 4])
+@pytest.mark.parametrize("costs, trials", OVERFLOWING)
+def test_an_overflowing_trial_is_named_as_in_the_reference(costs, trials, seed, kind, per_law):
+    cost = costs[kind]
+    with np.errstate(all="ignore"):
+        _, _, evaluated = reference_check(kind, cost, trials, seed)
+    index, first = next((i, (a, b)) for i, (a, b, value) in enumerate(evaluated)
+                        if not np.isfinite(value))
+    calls = []
+    checked = one_law_at_a_time(kind, cost, calls) if per_law else cost
+    assert getattr(checked, "stacks_laws", False) is not per_law
+    rep = CHECKS[kind](checked, trials=trials, rng_seed=seed)
+    assert rep.verdict == "inconclusive" and np.isnan(rep.min_value)
+    assert certificate_bytes(rep.certificate) == certificate_bytes(first)
+    if per_law:  # one call per law up to the first non-finite trial, after the spot check's
+        assert len(calls) == (0 if kind == "L" else 2) + 2 * (index + 1)
+        assert all(len(shape) == 2 for shape in calls)
+
+
+def script_draws(monkeypatch, laws):
+    """Replace the random trial laws by ``laws``, each a list of sample lists
+    (one for a law of X, two for a joint law of (X, Z))."""
+    queue = iter(laws)
+    monkeypatch.setattr(
+        diagnostics, "_draw_law", lambda rng, parts: [np.array(part) for part in next(queue)]
+    )
+
+
+@pytest.mark.parametrize("per_law", [False, True], ids=["stacked", "per-law"])
+def test_a_skipped_trial_is_not_inconclusive_even_when_it_overflows(monkeypatch, per_law):
+    potential = MomentQuadraticPotential(1e308)
+    # trial 0 pairs one law with itself, and its expression is inf - inf;
+    # trial 1 is finite and becomes the certificate
+    script_draws(monkeypatch, [[[0.0, 5.0]], [[5.0, 0.0]], [[0.0]], [[1e-150]]])
+    checked = one_law_at_a_time("V", potential) if per_law else potential
+    rep = check_V_monotone(checked, trials=2, rng_seed=0)
+    assert rep.verdict == "satisfied" and rep.min_value == pytest.approx(2e8)
+    assert certificate_bytes(rep.certificate) == [b"\0" * 8, np.array([1e-150]).tobytes()]
+    # the same for joint laws: trial 1 pairs (0, 1), (5, 2) with itself, while
+    # trial 0 pairs the same states with other velocities and is evaluated
+    fam = QuadraticCoupledFamily(0.5, potential)
+    script_draws(monkeypatch, [
+        [[0.0, 5.0], [1.0, 2.0]], [[5.0, 0.0], [1.0, 2.0]],
+        [[0.0, 5.0], [1.0, 2.0]], [[5.0, 0.0], [2.0, 1.0]],
+    ])
+    rep = check_L_monotone(one_law_at_a_time("L", fam) if per_law else fam, trials=2)
+    assert rep.verdict == "inconclusive"
+    assert certificate_bytes(rep.certificate)[3] == np.array([1.0, 2.0]).tobytes()
+    script_draws(monkeypatch, [
+        [[0.0, 5.0], [1.0, 2.0]], [[5.0, 0.0], [2.0, 1.0]], [[0.0], [0.0]], [[1e-150], [1.0]],
+    ])
+    rep = check_L_monotone(one_law_at_a_time("L", fam) if per_law else fam, trials=2)
+    assert rep.verdict == "satisfied" and rep.min_value == pytest.approx(2e8)
+
+
+@pytest.mark.parametrize("per_law", [False, True], ids=["stacked", "per-law"])
+def test_a_run_with_no_evaluated_trial_is_inconclusive(monkeypatch, per_law):
+    potential = MomentQuadraticPotential(1.0)
+    checked = one_law_at_a_time("V", potential) if per_law else potential
+    for kind, cost in (("V", checked), ("psi", checked), ("L", QuadraticCoupledFamily(0.5))):
+        rep = CHECKS[kind](cost, trials=0, rng_seed=3)
+        assert (rep.trials, rep.verdict, rep.certificate) == (0, "inconclusive", ())
+        assert np.isnan(rep.min_value)
+    script_draws(monkeypatch, [[[0.5, -1.0]], [[-1.0, 0.5]], [[2.0]], [[2.0]]])  # all skipped
+    rep = check_V_monotone(checked, trials=2, rng_seed=0)
+    assert (rep.trials, rep.verdict, rep.certificate) == (2, "inconclusive", ())
+    assert np.isnan(rep.min_value)
+
+
+def test_a_user_coefficient_map_sees_one_law_per_call():
+    shapes = []
+
+    def mean_shift(ens):
+        shapes.append(ens.samples.shape)
+        return -float(ens.samples.mean())
+
+    potential = QuadraticFormPotential(a=1.0, b=mean_shift, c=0.3)  # as in V-evaluator3-1
+    assert not potential.stacks_laws
+    rep = check_V_monotone(potential, trials=200, rng_seed=1)
+    assert rep.trials == 200
+    # the spot check makes two calls, and each trial one per law
+    assert len(shapes) == 2 + 2 * 200
+    assert all(len(shape) == 2 and shape[1] == 1 for shape in shapes)

@@ -3,16 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xmfg.cli import KINDS
 from xmfg.ensembles import Ensemble
 from xmfg.errors import ContractionFailureError, SingularCouplingError
 from xmfg.families import (
     CustomVelocityFamily,
+    LinearTerminal,
     LQFamily,
     MeanSquareVelocityCoupling,
     MomentQuadraticPotential,
     QuadraticCoupledFamily,
     QuadraticTerminal,
     QuarticFamily,
+    QuarticTerminal,
+    ZeroCoupling,
+    ZeroPotential,
     solve_velocity,
 )
 
@@ -249,3 +254,90 @@ def test_wrapper_free_means_have_the_bits_of_np_mean(n, exponent, beta, seed):
     fam = QuadraticCoupledFamily(beta)
     closed = fam.velocity_closed_form(samples, samples, ens)
     assert closed.tobytes() == (beta / (1.0 + beta) * samples.mean(axis=0) - samples).tobytes()
+
+
+# --- stacks of laws: one call on B laws has the bits of B single-law calls --
+
+#: every cost constructor the CLI builds, with constant parameters
+STACK_COSTS = [
+    pytest.param(slot, constructor(*(0.7, -0.4, 1.3)[: len(names)]), id=f"{family}-{slot}-{kind}")
+    for family, slots in KINDS.items()
+    for slot, kinds in slots.items()
+    for kind, (constructor, names) in kinds.items()
+]
+STACK_FAMILIES = [
+    pytest.param(QuadraticCoupledFamily(0.7), id="quadratic-zero"),
+    pytest.param(
+        QuadraticCoupledFamily(0.7, MomentQuadraticPotential(0.5)), id="quadratic-moment"
+    ),
+    pytest.param(LQFamily(0.5, a=0.7, b=-0.4, c=1.3, m=1.0), id="lq"),
+    pytest.param(QuarticFamily(0.35), id="quartic-zero"),
+    pytest.param(QuarticFamily(0.35, coupling=MeanSquareVelocityCoupling(0.7)), id="quartic-msv"),
+]
+STACK_SHAPES = pytest.mark.parametrize("laws, n", [(1, 1), (1, 8), (3, 1), (4, 2), (5, 64)])
+
+
+def stack_of_laws(rng, laws, n):
+    """A (laws, n, 1) stack of laws and the single laws it holds."""
+    samples = rng.uniform(-2.0, 2.0, size=(laws, n, 1)) + rng.normal(size=(laws, 1, 1))
+    return Ensemble._view(samples, 2.0), [Ensemble(row) for row in samples]
+
+
+def assert_rows_have_the_bits(stacked, singles):
+    assert len(stacked) == len(singles)
+    for row, single in zip(stacked, singles):
+        assert np.asarray(row).tobytes() == np.asarray(single, dtype=float).tobytes()
+
+
+@STACK_SHAPES
+@pytest.mark.parametrize("slot, cost", STACK_COSTS)
+def test_a_cost_on_a_stack_of_laws_has_the_bits_of_single_law_calls(slot, cost, laws, n):
+    rng = np.random.default_rng(laws * 100 + n)
+    assert cost.stacks_laws
+    stack, singles = stack_of_laws(rng, laws, n)
+    if isinstance(cost, (ZeroCoupling, MeanSquareVelocityCoupling)):  # U(X, Z)
+        z_stack, z_singles = stack_of_laws(rng, laws, n)
+        values = cost(stack, z_stack)
+        expected = [cost(x, z) for x, z in zip(singles, z_singles)]
+        assert all(np.shape(value) == () for value in expected)
+        assert_rows_have_the_bits(np.broadcast_to(values, (laws,)), expected)
+        return
+    points = rng.uniform(-3.0, 3.0, size=(laws, n + 3))
+    expected = [cost(row, law) for row, law in zip(points, singles)]
+    assert all(np.shape(value) == (n + 3,) for value in expected)
+    assert_rows_have_the_bits(cost(points, stack), expected)
+    assert np.shape(cost(0.4, singles[0])) == ()  # a single point stays a scalar
+
+
+@STACK_SHAPES
+@pytest.mark.parametrize("fam", STACK_FAMILIES)
+def test_a_lagrangian_on_a_stack_of_laws_has_the_bits_of_single_law_calls(fam, laws, n):
+    rng = np.random.default_rng(laws * 100 + n)
+    assert fam.stacks_laws
+    x_stack, x_singles = stack_of_laws(rng, laws, n)
+    z_stack, z_singles = stack_of_laws(rng, laws, n)
+    x = rng.uniform(0.5, 1.5, size=(laws, 2 * n))
+    v = rng.normal(size=(laws, 2 * n))
+    expected = [fam.lagrangian(*args) for args in zip(x, v, x_singles, z_singles)]
+    assert all(np.shape(value) == (2 * n,) for value in expected)
+    assert_rows_have_the_bits(fam.lagrangian(x, v, x_stack, z_stack), expected)
+    assert np.shape(fam.lagrangian(0.9, -0.3, x_singles[0], z_singles[0])) == ()
+
+
+@STACK_SHAPES
+def test_law_statistics_of_a_stack_are_the_single_law_statistics(laws, n):
+    stack, singles = stack_of_laws(np.random.default_rng(n), laws, n)
+    assert stack.n == n
+    assert_rows_have_the_bits(stack.mean(), [law.mean_scalar() for law in singles])
+    assert_rows_have_the_bits(stack.moment(2.0), [law.moment(2.0) for law in singles])
+    assert np.shape(singles[0].mean()) == () and isinstance(singles[0].mean_scalar(), float)
+
+
+def test_a_cost_on_coefficient_maps_takes_one_law_per_call():
+    constant = QuadraticTerminal(m=1.0, n=0.2)
+    mapped = QuadraticTerminal(m=1.0, n=lambda ens: ens.mean_scalar())
+    assert constant.stacks_laws and not mapped.stacks_laws
+    assert not QuarticTerminal(lambda ens: 1.0).stacks_laws
+    assert not LQFamily(0.5, a=lambda ens: 1.0).stacks_laws
+    assert not CustomVelocityFamily(lambda x, p, y, z: p).stacks_laws
+    assert ZeroPotential().stacks_laws and LinearTerminal(1.0).stacks_laws
