@@ -9,14 +9,14 @@ import numpy as np
 
 from xmfg import GridConfig, QuadraticCoupledFamily, regularity_report, solve_backward
 from xmfg.ensembles import TrajectoryEnsemble
-from xmfg.families import QuadraticTerminal
+from xmfg.families import QuadraticFormPotential
 
 T, steps = 1.0, 100
 times = np.linspace(0.0, T, steps + 1)
 rest = np.zeros((steps + 1, 8, 1))
 population = TrajectoryEnsemble(times, rest, np.zeros_like(rest))
 
-fam = QuadraticCoupledFamily(beta=0.0, terminal=QuadraticTerminal(m=1.0))
+fam = QuadraticCoupledFamily(beta=0.0, terminal=QuadraticFormPotential(a=1.0))
 grid = GridConfig(x_lo=-3, x_hi=3, nx=121, nv=81, v_max=4.0, core_lo=-1.0, core_hi=1.0)
 vg = solve_backward(fam, population, grid)
 

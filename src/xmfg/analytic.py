@@ -36,6 +36,7 @@ import numpy as np
 
 from .ensembles import Ensemble, TrajectoryEnsemble
 from .errors import (
+    FlowBlowupError,
     RiccatiBlowupError,
     RootSolveError,
     SingularCouplingError,
@@ -55,6 +56,9 @@ __all__ = [
 ]
 
 _GAMMA_GUARD = 1e9
+#: the LQ oracle's passes stop when the state path moves by <= LQ_TOL, or at LQ_MAX_PASSES
+LQ_TOL = 1e-11
+LQ_MAX_PASSES = 100
 SQRT2 = float(np.sqrt(2.0))
 
 
@@ -92,10 +96,6 @@ class LQState:
     passes: int
     converged: bool
     refinement_gap: float
-
-    def value(self, x, t_index: int):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * self.gamma[t_index] * x**2 + self.theta[t_index] * x + self.zeta[t_index]
 
     def value_table(self, nodes: np.ndarray) -> np.ndarray:
         nodes = np.asarray(nodes, dtype=float)
@@ -152,11 +152,13 @@ def _rk4_backward_lq(fine_times, a_vals, b_vals, c_vals, beta, m_path, terminal)
     return out[:, 0], out[:, 1], out[:, 2]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite state raises below
 def _rk4_forward_states(times, sub, gamma_f, theta_f, beta, x_init):
     """Forward RK4 of the coupled ensemble equation on the solver grid.
 
     gamma_f/theta_f live on the fine grid (sub points per solver step) so
-    every RK stage reads exact backward data.
+    every RK stage reads exact backward data.  A state that is not finite
+    after a step raises :class:`FlowBlowupError` naming the step.
     """
     steps = len(times) - 1
     dt = times[1] - times[0]
@@ -176,11 +178,16 @@ def _rk4_forward_states(times, sub, gamma_f, theta_f, beta, x_init):
         k3 = rhs(j + half, x + 0.5 * dt * k2)
         k4 = rhs(j + sub, x + dt * k3)
         x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(x)):
+            raise FlowBlowupError(
+                f"LQ oracle flow blew up advancing step {m} -> {m + 1} (t={times[m]:.4g})",
+                step=m,
+            )
         states[m + 1] = x
     return states
 
 
-def _lq_paths(coeffs_fns, x0, beta, horizon, steps, sub, max_passes, tol):
+def _lq_paths(coeffs_fns, x0, beta, horizon, steps, sub):
     a_fn, b_fn, c_fn, m_fn, n_fn, q_fn = coeffs_fns
     times = np.linspace(0.0, horizon, steps + 1)
     k_fine = steps * sub
@@ -189,8 +196,7 @@ def _lq_paths(coeffs_fns, x0, beta, horizon, steps, sub, max_passes, tol):
 
     states = np.tile(x_init, (steps + 1, 1))  # frozen seed: resting population
     converged = False
-    passes = 0
-    for passes in range(1, max_passes + 1):
+    for passes in range(1, LQ_MAX_PASSES + 1):
         # coefficient and mean paths sampled on the fine grid from the frozen states
         idx = fine_times / horizon * steps
         lo = np.minimum(idx.astype(int), steps - 1)
@@ -212,7 +218,7 @@ def _lq_paths(coeffs_fns, x0, beta, horizon, steps, sub, max_passes, tol):
         new_states = _rk4_forward_states(times, sub, gamma_f, theta_f, beta, x_init)
         gap = float(np.max(np.abs(new_states - states)))
         states = new_states
-        if gap <= tol:
+        if gap <= LQ_TOL:
             converged = True
             break
 
@@ -226,25 +232,24 @@ def lq_solve(
     beta: float,
     horizon: float,
     steps: int,
-    max_passes: int = 100,
-    tol: float = 1e-11,
 ):
     """Backward-forward solve of the quadratic-ansatz system.
 
     Ensemble-dependent coefficients are handled by freezing the trajectory,
-    solving backward then forward, and iterating until the state path stops
-    moving; constant coefficients with a centered population settle on the
-    first pass.  Returns the coefficient paths and the population trajectory
-    (with velocities and costates P = G X + Th).
+    solving backward then forward, and iterating until the state path moves
+    by at most LQ_TOL, within LQ_MAX_PASSES passes; constant coefficients
+    with a centered population settle on the first pass.  Returns the
+    coefficient paths and the population trajectory (with velocities and
+    costates P = G X + Th).
     """
     if beta == -1.0:
         raise SingularCouplingError("mean-coupled forward equation is singular at beta = -1")
     fns = coeffs.resolved()
     times, gamma, theta, zeta, states, converged, passes = _lq_paths(
-        fns, x0, beta, horizon, steps, sub=2, max_passes=max_passes, tol=tol
+        fns, x0, beta, horizon, steps, sub=2
     )
     _, gamma_r, theta_r, zeta_r, states_r, _, _ = _lq_paths(
-        fns, x0, beta, horizon, steps, sub=16, max_passes=max_passes, tol=tol
+        fns, x0, beta, horizon, steps, sub=16
     )
     refinement_gap = float(
         max(
@@ -314,10 +319,6 @@ class QuarticState:
     c: float
     p_ode: np.ndarray
     p_cross_check_gap: float
-
-    def value(self, x, t_index: int):
-        x = np.asarray(x, dtype=float)
-        return self.p[t_index] * x**4 + self.q[t_index]
 
     def value_table(self, nodes: np.ndarray) -> np.ndarray:
         nodes = np.asarray(nodes, dtype=float)

@@ -28,7 +28,6 @@ from .families import (
     MomentQuadraticPotential,
     QuadraticCoupledFamily,
     QuadraticFormPotential,
-    QuadraticTerminal,
     QuarticFamily,
     QuarticTerminal,
     ZeroCoupling,
@@ -68,14 +67,14 @@ KINDS = {
         },
         "terminal": {
             "zero": (ZeroPotential, ()),
-            "quadratic": (QuadraticTerminal, ("m", "n", "q0")),
+            "quadratic": (QuadraticFormPotential, ("m", "n", "q0")),
             "linear": (LinearTerminal, ("slope", "offset")),
             "moment_quadratic": (MomentQuadraticPotential, ("scale",)),
         },
     },
     "lq": {
         "potential": {"lq_running": (QuadraticFormPotential, ("A", "B", "C"))},
-        "terminal": {"lq_terminal": (QuadraticTerminal, ("M", "N", "Q"))},
+        "terminal": {"lq_terminal": (QuadraticFormPotential, ("M", "N", "Q"))},
     },
     "quartic": {
         "potential": {
@@ -297,8 +296,9 @@ def parse_problem_document(raw: dict, base_dir: Path = Path(".")) -> ParsedProbl
     initial_doc, samples = _validate_initial(raw["initial"], base_dir)
 
     if family_kind == "quartic":
-        # the potential slot of the quartic family holds its coupling U(X, Z)
-        family = QuarticFamily(terminal.a, terminal.b, coupling=potential)
+        # the potential slot of the quartic family holds its coupling U(X, Z); the
+        # terminal is built from the constants, so that it takes stacks of laws
+        family = QuarticFamily(*terminal_doc["params"].values(), coupling=potential)
         if np.min(samples) <= 0:
             raise SchemaError("initial", "quartic family needs samples strictly above 0")
     else:
@@ -314,9 +314,7 @@ def parse_problem_document(raw: dict, base_dir: Path = Path(".")) -> ParsedProbl
         "initial": initial_doc,
         "solver": solver_doc,
     }
-    problem = ProblemSpec(
-        family=family, horizon=horizon, initial=Ensemble(samples, q=q_exp), q=q_exp
-    )
+    problem = ProblemSpec(family=family, horizon=horizon, initial=Ensemble(samples, q=q_exp))
     return ParsedProblem(document=document, family_kind=family_kind, problem=problem, solver=solver)
 
 

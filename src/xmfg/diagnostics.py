@@ -46,8 +46,8 @@ class MonotonicityReport:
     """Outcome of a Monte Carlo monotonicity check.
 
     ``min_value`` is the smallest value over all trials of the quantity the
-    condition requires to stay positive (strict conditions) or nonnegative;
-    the certificate pair attains it and re-evaluates to the same number.
+    condition requires to stay positive (``-strict``) or nonnegative
+    (``-nonstrict``); the certificate pair attains it and re-evaluates to it.
     """
 
     condition: str
@@ -55,7 +55,6 @@ class MonotonicityReport:
     min_value: float
     certificate: tuple
     verdict: str  # "satisfied" | "violated" | "inconclusive"
-    strict: bool
     note: str = ""
 
 
@@ -156,7 +155,7 @@ def _law(parts):
 
 
 @np.errstate(all="ignore")  # a non-finite trial ends the check as inconclusive
-def _run_check(condition, evaluate, parts, trials, rng_seed, strict, same, stacks):
+def _run_check(condition, evaluate, parts, trials, rng_seed, same, stacks):
     """Draw every trial's pair, then evaluate them: in stacks grouped by the
     sample counts when ``stacks``, else one trial at a time up to the first
     non-finite value.  ``same(a, b)`` tells, along the last axis, which pairs
@@ -186,14 +185,14 @@ def _run_check(condition, evaluate, parts, trials, rng_seed, strict, same, stack
     bad = np.flatnonzero(~(skipped | np.isfinite(values)))
     if bad.size or skipped.all():  # the first non-finite trial, or none evaluated
         pair = tuple(map(_law, pairs[bad[0]])) if bad.size else ()
-        return MonotonicityReport(condition, trials, float("nan"), pair, "inconclusive", strict)
+        return MonotonicityReport(condition, trials, float("nan"), pair, "inconclusive")
     values[skipped] = np.inf
     best = int(np.argmin(values))
     min_value = float(values[best])
-    ok = min_value > 0.0 if strict else min_value >= 0.0
+    ok = min_value > 0.0 if condition.endswith("-strict") else min_value >= 0.0
     return MonotonicityReport(
         condition, trials, min_value, tuple(map(_law, pairs[best])),
-        "satisfied" if ok else "violated", strict,
+        "satisfied" if ok else "violated",
     )
 
 
@@ -223,7 +222,7 @@ def check_V_monotone(potential, trials: int = 1000, rng_seed: int = 0) -> Monoto
     _require_permutation_invariance(potential, rng_seed, "potential")
     return _run_check(
         "potential-strict", lambda a, b: -monotonicity_gap(potential, a, b), 1, trials,
-        rng_seed, strict=True, same=_same_law, stacks=getattr(potential, "stacks_laws", False),
+        rng_seed, same=_same_law, stacks=getattr(potential, "stacks_laws", False),
     )
 
 
@@ -232,7 +231,7 @@ def check_psi_monotone(terminal, trials: int = 1000, rng_seed: int = 0) -> Monot
     _require_permutation_invariance(terminal, rng_seed, "terminal cost")
     return _run_check(
         "terminal-nonstrict", lambda a, b: monotonicity_gap(terminal, a, b), 1, trials,
-        rng_seed, strict=False, same=None, stacks=getattr(terminal, "stacks_laws", False),
+        rng_seed, same=None, stacks=getattr(terminal, "stacks_laws", False),
     )
 
 
@@ -242,7 +241,7 @@ def check_L_monotone(
     """Probe the strict joint-law condition on L over paired-ensemble pairs."""
     report = _run_check(
         "lagrangian-strict", lambda a, b: lagrangian_monotonicity_gap(fam, a, b), 2, trials,
-        rng_seed, strict=True, same=_same_joint_law, stacks=getattr(fam, "stacks_laws", False),
+        rng_seed, same=_same_joint_law, stacks=getattr(fam, "stacks_laws", False),
     )
     if report.verdict == "violated" and report.min_value > -1e-12:
         # every violation found is an exact tie, which is the degenerate case

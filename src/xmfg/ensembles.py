@@ -99,13 +99,13 @@ class Ensemble:
         return (b"x0\n" + csv_rows(self.samples)).decode()
 
     @staticmethod
-    def from_csv(text: str, q: float = 2.0) -> "Ensemble":
+    def from_csv(text: str) -> "Ensemble":
         rows = list(csv.reader(io.StringIO(text)))
         if not rows or rows[0] != ["x0"]:
             raise ValueError("ensemble CSV must start with the header x0")
         if any(len(row) > 1 for row in rows[1:]):
             raise ValueError("ensemble CSV rows must hold exactly one cell")
-        return Ensemble([float(row[0]) for row in rows[1:] if row], q=q)
+        return Ensemble([float(row[0]) for row in rows[1:] if row])
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ __all__ = [
     "ZeroPotential",
     "MomentQuadraticPotential",
     "QuadraticFormPotential",
-    "QuadraticTerminal",
     "LinearTerminal",
     "QuarticTerminal",
     "ZeroCoupling",
@@ -104,7 +103,8 @@ class MomentQuadraticPotential(_StackedCost):
 
 
 class QuadraticFormPotential:
-    """V(x, X) = a(X)/2 x^2 + b(X) x + c(X) with scalar coefficient maps."""
+    """a(X)/2 x^2 + b(X) x + c(X) with scalar coefficient maps: a potential
+    V(x, X), or a terminal cost psi(x, X) = m(X)/2 x^2 + n(X) x + q0(X)."""
 
     def __init__(self, a=0.0, b=0.0, c=0.0):
         self.stacks_laws = not any(map(callable, (a, b, c)))  # constants broadcast
@@ -119,24 +119,6 @@ class QuadraticFormPotential:
     def gradient(self, x, ens: Ensemble):
         x = np.asarray(x, dtype=float)
         return self.a(ens) * x + self.b(ens)
-
-
-class QuadraticTerminal:
-    """psi(x, X) = m(X)/2 x^2 + n(X) x + q0(X)."""
-
-    def __init__(self, m=0.0, n=0.0, q0=0.0):
-        self.stacks_laws = not any(map(callable, (m, n, q0)))  # constants broadcast
-        self.m = as_coefficient(m)
-        self.n = as_coefficient(n)
-        self.q0 = as_coefficient(q0)
-
-    def __call__(self, x, ens: Ensemble):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * self.m(ens) * x**2 + self.n(ens) * x + self.q0(ens)
-
-    def gradient(self, x, ens: Ensemble):
-        x = np.asarray(x, dtype=float)
-        return self.m(ens) * x + self.n(ens)
 
 
 class LinearTerminal(_StackedCost):
@@ -294,7 +276,7 @@ class LQFamily(QuadraticCoupledFamily):
         super().__init__(
             beta=beta,
             potential=QuadraticFormPotential(a, b, c),
-            terminal=QuadraticTerminal(m, n, q0),
+            terminal=QuadraticFormPotential(m, n, q0),
         )
 
 
@@ -362,12 +344,15 @@ class CustomVelocityFamily(HamiltonianFamily):
 # ---------------------------------------------------------------------------
 
 
+#: L^q size of the step at which the velocity iteration stops
+VELOCITY_TOL = 1e-12
+
+
 def solve_velocity(
     fam: HamiltonianFamily,
     x,
     p_ensemble: Ensemble,
     y: Ensemble,
-    tol: float = 1e-12,
     max_iter: int = 200,
     return_info: bool = False,
 ):
@@ -377,7 +362,7 @@ def solve_velocity(
     costate ensemble.  Families with an explicit solution short-circuit; the
     rest run the fixed-point iteration Z_{k+1} = -D_pH(x, p, Y, Z_k) from
     Z_0 = -p, which converges geometrically when D_pH contracts in Z.  The
-    returned ensemble satisfies ||Z + D_pH(x, p, Y, Z)||_{L^q} <= 10 * tol;
+    returned ensemble satisfies ||Z + D_pH(x, p, Y, Z)||_{L^q} <= 10 * VELOCITY_TOL;
     for a closed form that residual is computed only when ``return_info``
     asks for it.
     """
@@ -414,20 +399,20 @@ def solve_velocity(
         step = float(np.mean(np.abs(z_next - z) ** q) ** (1.0 / q))
         steps.append(step)
         z = z_next
-        if step <= tol:
+        if step <= VELOCITY_TOL:
             break
     else:
         res = residual_norm(z)
         raise ContractionFailureError(
-            f"velocity iteration did not reach tol={tol:g} in {max_iter} steps "
+            f"velocity iteration did not reach tol={VELOCITY_TOL:g} in {max_iter} steps "
             f"(last residual {res:.3e})",
             residual=res,
         )
     res = residual_norm(z)
-    if res > 10.0 * tol:
+    if res > 10.0 * VELOCITY_TOL:
         raise ContractionFailureError(
             f"velocity iterate converged in step size but residual {res:.3e} "
-            f"exceeds 10*tol={10 * tol:g}",
+            f"exceeds 10*tol={10 * VELOCITY_TOL:g}",
             residual=res,
         )
     rates = [b / a for a, b in zip(steps, steps[1:]) if a > 0]

@@ -16,7 +16,6 @@ at each of them.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +23,7 @@ import numpy as np
 from .ensembles import Ensemble, TrajectoryEnsemble
 from .errors import FlowBlowupError
 from .families import HamiltonianFamily, solve_velocity
-from .hjb import stride_rows
-
-logger = logging.getLogger(__name__)
+from .hjb import step_holding, stride_rows
 
 __all__ = [
     "integrate_flow",
@@ -48,9 +45,7 @@ def integrate_flow(
     """RK4 integration of the coupled state/costate ensemble system.
 
     ``phi`` provides the seed costates through ``gradient_at``; any value
-    slice (grid-backed or analytic) works.  Duplicate initial samples are
-    legal - they ride identical characteristics - and are merely worth
-    knowing about when reading separation diagnostics downstream.
+    slice (grid-backed or analytic) works.
 
     RK4 steps run between the rows ``stride_rows(steps, stride)``: ``0``,
     then ``steps mod stride`` (the short step) and every ``stride`` rows on
@@ -65,11 +60,6 @@ def integrate_flow(
         raise ValueError("flow requires steps >= 1 and a positive horizon")
     if stride < 1:
         raise ValueError("flow requires stride >= 1")
-    n_dup = x0.n - np.unique(x0.samples[:, 0]).size
-    if n_dup:
-        # atoms in the initial law: legal, but separation diagnostics will
-        # skip the coincident pairs
-        logger.warning("initial ensemble carries %d duplicate sample(s)", n_dup)
     q, n = x0.q, x0.n
     dt = horizon / steps
     times = np.linspace(0.0, horizon, steps + 1)
@@ -126,25 +116,23 @@ def integrate_flow(
             if not np.abs(stage, out=k[0]).max() <= _OVERFLOW_GUARD:  # NaN fails it too
                 raise blowup(m, ends[j + 1])
 
-        if stride > 1:  # Hermite dense output on the rows inside the steps
-            ends = np.asarray(ends)
-            rows = np.setdiff1d(np.arange(steps), ends)
-            j = np.searchsorted(ends, rows)  # the step of each row ends at ends[j]
-            lo, hi = ends[j - 1], ends[j]
-            theta = ((rows - lo) / (hi - lo))[:, None]
-            h = ((hi - lo) * dt)[:, None]
-            h00 = (1 + 2 * theta) * (1 - theta) ** 2
-            h10 = h * theta * (1 - theta) ** 2
-            h01 = theta**2 * (3 - 2 * theta)
-            h11 = h * theta**2 * (theta - 1)
-            xs, ps, zs = path
-            xs[rows] = h00 * xs[lo] + h10 * zs[lo] + h01 * xs[hi] + h11 * zs[hi]
-            ps[rows] = h00 * ps[lo] + h10 * dxh[j - 1] + h01 * ps[hi] + h11 * dxh[j]
-            for m, a, b in zip(rows, lo, hi):  # G is solved, not interpolated
-                stage[...] = path[:2, m]
-                zs[m] = solve_velocity(fam, x, p_ens, x_ens).samples[:, 0]
-                if not np.isfinite(path[:, m]).all():
-                    raise blowup(int(a), int(b))
+        # Hermite dense output on the rows inside the steps
+        rows = np.delete(np.arange(steps), ends[:-1])  # np.setdiff1d imports numpy.ma
+        j, lo, hi = step_holding(ends, rows)
+        theta = ((rows - lo) / (hi - lo))[:, None]
+        h = ((hi - lo) * dt)[:, None]
+        h00 = (1 + 2 * theta) * (1 - theta) ** 2
+        h10 = h * theta * (1 - theta) ** 2
+        h01 = theta**2 * (3 - 2 * theta)
+        h11 = h * theta**2 * (theta - 1)
+        xs, ps, zs = path
+        xs[rows] = h00 * xs[lo] + h10 * zs[lo] + h01 * xs[hi] + h11 * zs[hi]
+        ps[rows] = h00 * ps[lo] + h10 * dxh[j - 1] + h01 * ps[hi] + h11 * dxh[j]
+        for m, a, b in zip(rows, lo, hi):  # G is solved, not interpolated
+            stage[...] = path[:2, m]
+            zs[m] = solve_velocity(fam, x, p_ens, x_ens).samples[:, 0]
+            if not np.isfinite(path[:, m]).all():
+                raise blowup(int(a), int(b))
 
     states, costates, velocities = path[..., None]
     return TrajectoryEnsemble(

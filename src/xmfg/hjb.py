@@ -44,6 +44,7 @@ __all__ = [
     "solve_backward",
     "sweep_stride",
     "stride_rows",
+    "step_holding",
     "regularity_report",
     "RegularityReport",
 ]
@@ -257,6 +258,16 @@ def stride_rows(steps: int, k: int) -> list[int]:
     return [0, *range(steps % k or k, steps + 1, k)]
 
 
+def step_holding(ends, rows):
+    """For each of ``rows``, the step of a pass stopping on ``ends``
+    (:func:`stride_rows`) that holds it: its index ``j`` and its rows
+    ``lo = ends[j - 1]`` and ``hi = ends[j]``.  A row on an end belongs to the
+    step that ends there; row 0 belongs to none."""
+    ends = np.asarray(ends)
+    j = np.searchsorted(ends, rows)
+    return j, ends[j - 1], ends[j]
+
+
 def solve_backward(
     fam: HamiltonianFamily, traj: TrajectoryEnsemble, cfg: GridConfig
 ) -> ValueGrid:
@@ -276,7 +287,8 @@ def solve_backward(
     x = cfg.nodes()
     steps, dt = traj.steps, traj.dt
     k = sweep_stride(fam, cfg, dt, steps)
-    lows = stride_rows(steps, k)[-2::-1]  # the lower row of each step, going backward
+    ends = stride_rows(steps, k)
+    lows = ends[-2::-1]  # the lower row of each step, going backward
     u = np.empty((steps + 1, cfg.nx))
     controls = np.empty((len(lows), cfg.nx))
     core_lo, core_hi = cfg.core_interval()
@@ -294,12 +306,11 @@ def solve_backward(
             x_ens, z_ens = traj.ensemble(lo), traj.velocity_ensemble(lo)
             b, w = fam.drift(x_ens, z_ens), fam.running_potential(x, x_ens, z_ens)
             u[lo], controls[j] = step(u[hi], b, w)
-        if k > 1:  # a row inside a step blends the step's two ends linearly in time
-            rows = np.setdiff1d(np.arange(steps), lows)
-            upper = steps - (steps - rows) // k * k
-            lower = np.maximum(upper - k, 0)
-            theta = ((rows - lower) / (upper - lower))[:, None]
-            u[rows] = (1 - theta) * u[lower] + theta * u[upper]
+        # a row inside a step blends the step's two ends linearly in time
+        rows = np.delete(np.arange(steps), ends[:-1])  # np.setdiff1d imports numpy.ma
+        _, lower, upper = step_holding(ends, rows)
+        theta = ((rows - lower) / (upper - lower))[:, None]
+        u[rows] = (1 - theta) * u[lower] + theta * u[upper]
         # the latest pinned step is reported: it is the first the backward sweep meets
         frac = np.count_nonzero((np.abs(controls) >= cfg.v_max) & core, axis=1) / n_core
     saturated = np.flatnonzero(frac > SATURATION_FRACTION)
@@ -326,23 +337,18 @@ class RegularityReport:
     t1: float
 
 
-def regularity_report(vg: ValueGrid, t1: float | None = None) -> RegularityReport:
+def regularity_report(vg: ValueGrid) -> RegularityReport:
     """Exact grid constants: sup |u|, max slope, max second difference / dx^2.
 
-    The semiconcavity constant is evaluated on slices with t <= t1 (default
-    0.9 of the horizon measured from the initial time), mirroring the fact
-    that one-sided curvature bounds degenerate at the terminal time.
+    The semiconcavity constant is evaluated on slices with t <= t1, 0.9 of
+    the horizon measured from the initial time, mirroring the fact that
+    one-sided curvature bounds degenerate at the terminal time.
     """
     dx = vg.config.dx
-    t0 = float(vg.times[0])
-    if t1 is None:
-        t1 = t0 + 0.9 * vg.horizon
+    t1 = float(vg.times[0]) + 0.9 * vg.horizon
     max_abs = float(np.max(np.abs(vg.u)))
     lip = float(np.max(np.abs(np.diff(vg.u, axis=1)))) / dx
-    window = vg.times <= t1 + 1e-12
-    if not np.any(window):
-        window = vg.times == vg.times[0]
-    uu = vg.u[window]
+    uu = vg.u[vg.times <= t1 + 1e-12]  # holds the initial slice
     # dx**2 as a Python float raises OverflowError; an extreme dx reports 0, inf or nan instead
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         second = (uu[:, 2:] + uu[:, :-2] - 2.0 * uu[:, 1:-1]) / np.float64(dx) ** 2

@@ -16,6 +16,7 @@ reportable outcome, never hidden.
 
 from __future__ import annotations
 
+import logging
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -43,9 +44,12 @@ from .hjb import (
     ValueSlice,
     regularity_report,
     solve_backward,
+    step_holding,
     stride_rows,
     sweep_stride,
 )
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "SolverConfig",
@@ -96,18 +100,22 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A game instance: cost family, horizon, initial population, exponent."""
+    """A game instance: cost family, horizon and initial population, whose
+    moment exponent ``initial.q`` is the game's."""
 
     family: HamiltonianFamily
     horizon: float
     initial: Ensemble
-    q: float = 2.0
 
     def __post_init__(self):
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        if self.initial.q != self.q:
-            object.__setattr__(self, "initial", Ensemble(self.initial.samples, q=self.q))
+        # equal neighbours once sorted: np.unique imports numpy.ma, about 12 ms
+        n_dup = np.count_nonzero(np.diff(np.sort(self.initial.samples[:, 0])) == 0)
+        if n_dup:
+            # atoms in the initial law: legal, they ride identical characteristics,
+            # but separation diagnostics skip the coincident pairs
+            logger.warning("initial ensemble carries %d duplicate sample(s)", n_dup)
 
 
 @dataclass
@@ -162,7 +170,6 @@ def _auto_v_max(fam: HamiltonianFamily, x0: Ensemble) -> float:
 def canonical_grid(
     problem: ProblemSpec,
     cfg: SolverConfig,
-    traj0: TrajectoryEnsemble | None = None,
     include: tuple[float, float] | None = None,
 ) -> GridConfig:
     """Deterministic spatial grid for a problem/config pair.
@@ -170,8 +177,8 @@ def canonical_grid(
     Linear dynamics pad the initial hull by v_max * T + 3 dx so no
     characteristic with admissible speed can exit; the padding belt is
     sacrificial (saturation there is tolerated).  State-scaled dynamics
-    instead bracket the hull swept by the seed trajectory multiplicatively,
-    keeping the domain away from x = 0.
+    instead bracket, multiplicatively, the hull swept by the flow that the
+    terminal slope psi'(., X_0) seeds, keeping the domain away from x = 0.
     """
     fam = problem.family
     x0 = problem.initial
@@ -196,14 +203,11 @@ def canonical_grid(
             core_lo=lo - 3 * dx0,
             core_hi=hi + 3 * dx0,
         )
-    if traj0 is None:
-        phi0 = AnalyticSlice(lambda xq: fam.terminal.gradient(xq, x0))
-        traj0 = integrate_flow(fam, x0, phi0, problem.horizon, cfg.time_steps)
-    swept_lo = float(np.min(traj0.states))
-    swept_hi = float(np.max(traj0.states))
-    if include is not None:
-        swept_lo = min(swept_lo, float(include[0]))
-        swept_hi = max(swept_hi, float(include[1]))
+    phi0 = AnalyticSlice(lambda xq: fam.terminal.gradient(xq, x0))
+    traj0 = integrate_flow(fam, x0, phi0, problem.horizon, cfg.time_steps)
+    # the path starts on X_0, so this is the hull of the path and the included span
+    swept_lo = min(lo, float(np.min(traj0.states)))
+    swept_hi = max(hi, float(np.max(traj0.states)))
     if swept_lo <= 0:
         raise XmfgError("state-scaled dynamics swept through x <= 0; problem ill-posed here")
     x_lo, x_hi = 0.5 * swept_lo, 1.5 * swept_hi
@@ -232,13 +236,13 @@ def _compose_once(
         if crossed.size:
             # name the RK step a -> b whose rows hold the first crossing
             m = int(crossed[0])
-            ends = stride_rows(steps, stride)
-            a = max((e for e in ends if e < m), default=m - 1)
-            b = min(e for e in ends if e >= m)
+            a, b = -1, 0  # row 0 is the initial law itself
+            if m:
+                _, a, b = step_holding(stride_rows(steps, stride), m)
             raise FlowBlowupError(
                 f"state-scaled flow crossed x <= 0 advancing step {a} -> {b} "
                 f"(t={traj.times[a]:.4g})",
-                step=a,
+                step=int(a),
             )
     vg = solve_backward(problem.family, traj, grid)
     return vg, traj
@@ -359,9 +363,9 @@ def solve_mfg(
             k += 1
             f = vg.u[0] - phi_vals
             fix_res = float(np.max(np.abs(f)))
-            traj_res = (
-                _trajectory_gap(traj, prev_traj, problem.q) if prev_traj is not None else math.nan
-            )
+            traj_res = math.nan
+            if prev_traj is not None:
+                traj_res = _trajectory_gap(traj, prev_traj, problem.initial.q)
             history.append((k, fix_res, traj_res))
             reg_history.append(report)
             if fix_res <= best_score:
@@ -409,9 +413,9 @@ def _restart_problem(
     dt = problem.horizon / cfg.time_steps
     m_t = min(int(round(t / dt)), cfg.time_steps - 1)
     sub_steps = cfg.time_steps - m_t
-    sub_problem = ProblemSpec(
-        family=problem.family, horizon=sub_steps * dt, initial=y, q=problem.q
-    )
+    # Y enters under the game's moment exponent; its samples are checked already
+    initial = Ensemble._view(y.samples, problem.initial.q)
+    sub_problem = ProblemSpec(family=problem.family, horizon=sub_steps * dt, initial=initial)
     return sub_problem, replace(cfg, time_steps=sub_steps)
 
 
@@ -472,9 +476,8 @@ def uniqueness_probe(
     cfg: SolverConfig,
     k: int = 3,
     rng_seed: int = 0,
-    lipschitz_cap: float = 2.0,
 ) -> UniquenessProbeResult:
-    """Solve from k random Lipschitz-bounded initial profiles and compare.
+    """Solve from k random 2-Lipschitz initial profiles and compare.
 
     All runs converging to (numerically) the same profile is evidence for
     uniqueness; any non-converged run makes the probe inconclusive rather
@@ -490,7 +493,7 @@ def uniqueness_probe(
         freqs = rng.uniform(0.2, 1.5, size=3)
         phases = rng.uniform(0.0, 2 * np.pi, size=3)
         weight = np.sum(np.abs(amps * freqs))
-        scale = lipschitz_cap / max(weight, 1e-12)
+        scale = 2.0 / max(weight, 1e-12)
         phi0 = scale * np.sum(
             amps[:, None] * np.sin(freqs[:, None] * nodes[None, :] + phases[:, None]),
             axis=0,

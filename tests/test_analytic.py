@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -14,6 +12,7 @@ from xmfg.analytic import (
 )
 from xmfg.ensembles import Ensemble
 from xmfg.errors import (
+    FlowBlowupError,
     RiccatiBlowupError,
     RootSolveError,
     SingularCouplingError,
@@ -273,10 +272,8 @@ def former_rk4_backward_lq(fine_times, a_vals, b_vals, c_vals, beta, m_path, ter
 def lq_outcome(coeffs, x0, beta, horizon, steps):
     """Every output of lq_solve as bytes, or the error it ends in."""
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # an overflowing forward path warns
-            state, traj = lq_solve(coeffs, x0, beta, horizon, steps)
-    except (RiccatiBlowupError, ValueError) as exc:
+        state, traj = lq_solve(coeffs, x0, beta, horizon, steps)
+    except (RiccatiBlowupError, FlowBlowupError) as exc:
         return type(exc), str(exc)
     arrays = (state.gamma, state.theta, state.zeta, traj.states, traj.velocities, traj.costates)
     return [a.tobytes() for a in arrays], state.passes, state.converged, state.refinement_gap
@@ -318,3 +315,12 @@ def test_lq_oracle_keeps_the_former_bits(monkeypatch, case):
     monkeypatch.setattr(analytic, "_rk4_backward_lq", former_rk4_backward_lq)
     monkeypatch.setattr(Ensemble, "_view", classmethod(lambda cls, samples, q: cls(samples, q)))
     assert fast == lq_outcome(coeffs, x0, beta, horizon, steps)
+
+
+def test_a_stiff_lq_oracle_flow_is_a_flow_blowup():
+    # G stays at 1e8, under the Riccati guard, and the forward RK4 overflows;
+    # it used to warn twice and end in a ValueError on the next pass
+    coeffs = LQCoefficients(a=-1e16, m=1e8)
+    with pytest.raises(FlowBlowupError, match=r"advancing step 12 -> 13 \(t=0.3\)") as err:
+        lq_solve(coeffs, spread_ensemble(12), beta=0.0, horizon=1.0, steps=40)
+    assert err.value.step == 12

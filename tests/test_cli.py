@@ -34,7 +34,6 @@ from xmfg.families import (
     MeanSquareVelocityCoupling,
     MomentQuadraticPotential,
     QuadraticFormPotential,
-    QuadraticTerminal,
     QuarticTerminal,
     ZeroCoupling,
     ZeroPotential,
@@ -228,8 +227,8 @@ DIRECT_COSTS = {
         a=p["a"], b=p["b"], c=p["c"]
     ),
     ("quadratic", "terminal", "zero"): lambda p: ZeroPotential(),
-    ("quadratic", "terminal", "quadratic"): lambda p: QuadraticTerminal(
-        m=p["m"], n=p["n"], q0=p["q0"]
+    ("quadratic", "terminal", "quadratic"): lambda p: QuadraticFormPotential(
+        a=p["m"], b=p["n"], c=p["q0"]
     ),
     ("quadratic", "terminal", "linear"): lambda p: LinearTerminal(
         slope=p["slope"], offset=p["offset"]
@@ -240,7 +239,9 @@ DIRECT_COSTS = {
     ("lq", "potential", "lq_running"): lambda p: QuadraticFormPotential(
         a=p["A"], b=p["B"], c=p["C"]
     ),
-    ("lq", "terminal", "lq_terminal"): lambda p: QuadraticTerminal(m=p["M"], n=p["N"], q0=p["Q"]),
+    ("lq", "terminal", "lq_terminal"): lambda p: QuadraticFormPotential(
+        a=p["M"], b=p["N"], c=p["Q"]
+    ),
     ("quartic", "potential", "zero"): lambda p: ZeroCoupling(),
     ("quartic", "potential", "mean_square_velocity"): lambda p: MeanSquareVelocityCoupling(
         scale=p["scale"]
@@ -559,11 +560,17 @@ def test_check_outputs_keep_their_bytes(tmp_path, case):
     out = tmp_path / "out"
     assert main(["check", "--config", str(tmp_path / "problem.json"), "--out", str(out),
                  "--seed", seed]) == 0
+    assert bundle_digest(out) == CHECK_DIGESTS[case]
+
+
+def bundle_digest(out):
+    """sha256 over the relative name and bytes of every file under `out` but meta.json."""
     digest = hashlib.sha256()
-    for path in sorted(out.iterdir()):
-        if path.name != "meta.json":
-            digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
-    assert digest.hexdigest() == CHECK_DIGESTS[case]
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        name = path.relative_to(out).as_posix()
+        if name != "meta.json":
+            digest.update(name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
 
 
 def test_probe_uniqueness_cli(tmp_path):
@@ -683,6 +690,14 @@ def strict_json(path):
     return json.loads(path.read_text(), parse_constant=reject)
 
 
+@pytest.mark.parametrize("doc", [QUADRATIC_DOC, LQ_DOC, QUARTIC_DOC], ids=lambda d: d["family"])
+def test_a_parsed_game_evaluates_its_check_in_stacks_of_laws(tmp_path, doc):
+    # the quartic family used to rebuild its terminal cost from the coefficient
+    # maps of the parsed one, which took it for a callable map: one law per call
+    fam = parse_problem(write_doc(tmp_path, doc)).problem.family
+    assert fam.terminal.stacks_laws and fam.stacks_laws
+
+
 def test_quartic_oracle_document_runs(tmp_path):
     cfg_path = write_doc(tmp_path, QUARTIC_DOC)
     assert main(["oracle", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
@@ -745,6 +760,34 @@ CSV_CASES = [
     ("master", QUADRATIC_DOC),
     ("master", SOLVABLE_QUARTIC_DOC),
 ]
+
+
+#: `bundle_digest` of `solve`, `master` and `oracle` at seed 1, taken before the
+#: quadratic terminal cost and the game's moment exponent were declared once
+BUNDLE_DIGESTS = {
+    "solve-small-lq": "56c20207cb33000e4bcf38a4a4df05fb4576b4e475aa02b152b3d630cfefb828",
+    "solve-quadratic": "8d19cee04374f2148944f19420679b7915d5a98acb0d3d0e8d9a7cce36fe24c9",
+    "solve-solvable-quartic": "d890d168fe2bc857183985ace96102a7d4808af8790cd8121e9771073e76d0f9",
+    "master-small-lq": "69de33d3a750b15a99e9621caf2b943a9af56b1543fefb076c9dc671c06aceca",
+    "oracle-lq": "7ef246c0754f76bc7fc28d2b6576565493107a67cd7cf2679c89629f30e53888",
+    "oracle-quartic": "68a63755060b215a63af57d43f6947619b90b2b2898f72526ab909c08b65f833",
+}
+BUNDLE_DOCS = {
+    "small-lq": SMALL_LQ_DOC,
+    "quadratic": QUADRATIC_DOC,
+    "solvable-quartic": SOLVABLE_QUARTIC_DOC,
+    "lq": LQ_DOC,
+    "quartic": QUARTIC_DOC,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUNDLE_DIGESTS))
+def test_solve_master_and_oracle_outputs_keep_their_bytes(tmp_path, case):
+    command, doc = case.split("-", 1)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_doc(tmp_path, BUNDLE_DOCS[doc])),
+                 "--out", str(out), "--seed", "1"]) == 0
+    assert bundle_digest(out) == BUNDLE_DIGESTS[case]
 
 
 @pytest.mark.parametrize(
@@ -846,6 +889,8 @@ def test_fuzzed_overrides_end_in_a_documented_exit(case):
 @example(case=("oracle", "lq", ("solver.v_max=1e+300",)))
 @example(case=("probe-uniqueness", "lq", ("T=1e-300", "solver.v_max=1e-300")))
 @example(case=("probe-uniqueness", "lq", ("solver.v_max=1e+300",)))
+# a stiff oracle flow overflowed with two warnings, then raised a ValueError
+@example(case=("oracle", "lq", ("potential.params.A=-1e+16", "terminal.params.M=1e+8")))
 def test_fuzzed_overrides_of_the_other_commands_end_in_a_documented_exit(case):
     assert_documented_exit(*case)
 

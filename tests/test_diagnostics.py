@@ -21,7 +21,6 @@ from xmfg.families import (
     MomentQuadraticPotential,
     QuadraticCoupledFamily,
     QuadraticFormPotential,
-    QuadraticTerminal,
     QuarticFamily,
     QuarticTerminal,
     ZeroPotential,
@@ -266,7 +265,7 @@ PARITY_CASES = [
     ),
     pytest.param(
         "psi",
-        QuadraticTerminal(m=1.0, n=lambda ens: 0.2 + float(ens.samples.mean())),
+        QuadraticFormPotential(a=1.0, b=lambda ens: 0.2 + float(ens.samples.mean())),
         id="psi-evaluator4-1",
     ),
     pytest.param("L", LQFamily(beta=0.5, b=0.3, m=1.0, n=0.2), id="L-evaluator5-1"),
@@ -278,7 +277,7 @@ PARITY_CASES = [
     # every other cost kind the CLI builds, each on the stacked path
     pytest.param("V", ZeroPotential(), id="V-zero"),
     pytest.param("V", QuadraticFormPotential(0.7, -0.4, 1.3), id="V-quadratic-form"),
-    pytest.param("psi", QuadraticTerminal(1.0, 0.2, 0.1), id="psi-quadratic"),
+    pytest.param("psi", QuadraticFormPotential(1.0, 0.2, 0.1), id="psi-quadratic"),
     pytest.param("psi", LinearTerminal(0.7, -0.4), id="psi-linear"),
     pytest.param("psi", QuarticTerminal(0.35, 0.1), id="psi-quartic"),
     pytest.param("psi", MomentQuadraticPotential(0.5), id="psi-moment-quadratic"),
@@ -339,7 +338,7 @@ def overflowing_costs(a, b):
     """The V, psi and L costs of an LQ game whose running or terminal cost overflows."""
     return {
         "V": QuadraticFormPotential(a, b),
-        "psi": QuadraticTerminal(a, b),
+        "psi": QuadraticFormPotential(a, b),
         "L": LQFamily(beta=0.5, a=a, b=b, m=1.0),
     }
 

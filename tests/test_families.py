@@ -13,7 +13,7 @@ from xmfg.families import (
     MeanSquareVelocityCoupling,
     MomentQuadraticPotential,
     QuadraticCoupledFamily,
-    QuadraticTerminal,
+    QuadraticFormPotential,
     QuarticFamily,
     QuarticTerminal,
     ZeroCoupling,
@@ -62,7 +62,7 @@ def test_law_invariance_under_permutation(n, seed):
     fam = QuadraticCoupledFamily(
         beta=0.5,
         potential=MomentQuadraticPotential(0.8),
-        terminal=QuadraticTerminal(m=lambda e: e.moment(2.0), n=0.3),
+        terminal=QuadraticFormPotential(a=lambda e: e.moment(2.0), b=0.3),
     )
     X = Ensemble(rng.normal(size=n))
     Z = Ensemble(rng.normal(size=n))
@@ -82,7 +82,7 @@ def test_law_invariance_under_permutation(n, seed):
 
 
 def test_terminal_lipschitz_estimate_within_declared():
-    psi = QuadraticTerminal(m=1.0, n=0.5)
+    psi = QuadraticFormPotential(a=1.0, b=0.5)
     X = Ensemble([0.0])
     xs = np.linspace(-3, 3, 601)
     vals = psi(xs, X)
@@ -334,8 +334,8 @@ def test_law_statistics_of_a_stack_are_the_single_law_statistics(laws, n):
 
 
 def test_a_cost_on_coefficient_maps_takes_one_law_per_call():
-    constant = QuadraticTerminal(m=1.0, n=0.2)
-    mapped = QuadraticTerminal(m=1.0, n=lambda ens: ens.mean_scalar())
+    constant = QuadraticFormPotential(a=1.0, b=0.2)
+    mapped = QuadraticFormPotential(a=1.0, b=lambda ens: ens.mean_scalar())
     assert constant.stacks_laws and not mapped.stacks_laws
     assert not QuarticTerminal(lambda ens: 1.0).stacks_laws
     assert not LQFamily(0.5, a=lambda ens: 1.0).stacks_laws

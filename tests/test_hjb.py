@@ -14,7 +14,6 @@ from xmfg.families import (
     MeanSquareVelocityCoupling,
     QuadraticCoupledFamily,
     QuadraticFormPotential,
-    QuadraticTerminal,
     QuarticFamily,
 )
 from xmfg.hjb import (
@@ -89,7 +88,7 @@ def test_constant_running_cost_gives_time_to_go():
 
 
 def test_terminal_slice_exact():
-    fam = QuadraticCoupledFamily(beta=0.0, terminal=QuadraticTerminal(m=2.0, n=-1.0))
+    fam = QuadraticCoupledFamily(beta=0.0, terminal=QuadraticFormPotential(a=2.0, b=-1.0))
     traj = resting_population(steps=10, level=0.5)
     cfg = GridConfig(-2, 2, 51, 21, 12.0)
     vg = solve_backward(fam, traj, cfg)
@@ -230,7 +229,7 @@ def test_exact_minimum_matches_dense_controls(data):
 
 def test_consistency_under_refinement():
     # quadratic terminal: u(x, 0) = x^2 / (2 (1 + T)) by the min-over-lines formula
-    fam = QuadraticCoupledFamily(beta=0.0, terminal=QuadraticTerminal(m=1.0))
+    fam = QuadraticCoupledFamily(beta=0.0, terminal=QuadraticFormPotential(a=1.0))
 
     def sup_error(nx, nv, steps):
         traj = resting_population(steps=steps, horizon=1.0)
@@ -262,7 +261,7 @@ def test_control_saturation_error():
 
 def test_saturation_tolerated_in_padding_belt():
     # same problem, but the pinch is confined to the sacrificial belt
-    fam = QuadraticCoupledFamily(beta=0.0, terminal=QuadraticTerminal(m=1.0))
+    fam = QuadraticCoupledFamily(beta=0.0, terminal=QuadraticFormPotential(a=1.0))
     traj = resting_population(steps=40, horizon=1.0)
     cfg = GridConfig(-6, 6, 121, 81, 2.0, core_lo=-1.0, core_hi=1.0)
     vg = solve_backward(fam, traj, cfg)  # no ControlSaturationError
@@ -330,7 +329,7 @@ def test_saturation_names_the_latest_pinned_row():
     velocities = np.zeros_like(states)
     velocities[5:13] = 3.0
     traj = TrajectoryEnsemble(times, states, velocities)
-    fam = QuadraticCoupledFamily(beta=1.0, terminal=QuadraticTerminal(m=1.0))
+    fam = QuadraticCoupledFamily(beta=1.0, terminal=QuadraticFormPotential(a=1.0))
     for nx, stride, rows, named in [
         (81, 1, list(range(12, 4, -1)), "t=0.6;"),  # Courant 1: every row is a step
         (41, 3, [11, 8, 5], "t=0.55;"),  # Courant 0.5: steps end on rows 17, 14, ..., 2, 0
@@ -396,7 +395,7 @@ def test_coarse_steps_and_the_rows_between_them(name, steps, courant, stride):
 def test_coarse_steps_cut_the_diffusion():
     # the closed form of test_consistency_under_refinement at Courant 0.4:
     # three rows per step beat one interpolation per row
-    fam = QuadraticCoupledFamily(beta=0.0, terminal=QuadraticTerminal(m=1.0))
+    fam = QuadraticCoupledFamily(beta=0.0, terminal=QuadraticFormPotential(a=1.0))
     traj = resting_population(steps=200, horizon=1.0)
     cfg = GridConfig(-3, 3, 121, 5, 4.0)
     assert sweep_stride(fam, cfg, traj.dt, traj.steps) == 3

@@ -1,4 +1,5 @@
 import functools
+import logging
 import math
 from dataclasses import replace
 
@@ -18,7 +19,7 @@ from xmfg.families import (
     QuadraticFormPotential,
     QuarticFamily,
 )
-from xmfg.flow import integrate_flow
+from xmfg.flow import integrate_flow, separation_diagnostic
 from xmfg.hjb import AnalyticSlice, GridConfig, ValueSlice, stride_rows, sweep_stride
 from xmfg.mfg import (
     ProblemSpec,
@@ -531,3 +532,23 @@ def test_master_value_matches_the_solution_within_the_discretization_gap(beta, m
     v = master_value(problem, x, sol.traj.ensemble(m), t, PERMUTATION_CFG)
     u = float(sol.value.value_at(np.array([x]), m)[0])
     assert abs(u - v) <= oracle_err  # measured: at most 0.37 of it
+
+
+def test_duplicate_initial_samples_are_logged_once_per_game(caplog):
+    # the scan runs when the game is declared, not on every evaluation of F
+    x0 = Ensemble([-0.5, 0.0, 0.0, 0.5])
+    with caplog.at_level(logging.WARNING, logger="xmfg"):
+        sol = solve_mfg(ProblemSpec(LQFamily(beta=0.0, m=1.0), 1.0, x0), SMALL)
+    assert sol.iterations >= 2
+    duplicates = [r.getMessage() for r in caplog.records if "duplicate" in r.getMessage()]
+    assert duplicates == ["initial ensemble carries 1 duplicate sample(s)"]
+    assert separation_diagnostic(sol.traj).skipped_pairs == 1
+
+
+def test_a_restart_law_takes_the_moment_exponent_of_the_game():
+    # the trajectory residual of the restarted solve is a W_q with the game's q
+    problem = lq_problem(beta=0.5)
+    foreign = Ensemble(spread_ensemble(8, -0.5, 1.0).samples, q=3.0)
+    sub_problem, _ = mfg._restart_problem(problem, foreign, 0.5, SMALL)
+    assert sub_problem.initial.q == problem.initial.q == 2.0
+    assert sub_problem.initial.samples.tobytes() == foreign.samples.tobytes()
