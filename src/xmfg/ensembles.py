@@ -176,7 +176,8 @@ class TrajectoryEnsemble:
 
     states, velocities and costates have shape (M+1, N, 1) on the shared
     uniform time grid; velocities[m] holds the self-consistent d/dt of the
-    population at times[m].
+    population at times[m].  The law views take a row, or an array of rows
+    for a (B, N, 1) stack of their laws.
     """
 
     times: np.ndarray

@@ -9,8 +9,10 @@ enter only through empirical expectations, so evaluations are invariant under
 sample permutation by construction.  The spatial state is scalar.
 
 A cost whose ``stacks_laws`` is true also takes a (B, N, 1) stack of laws with
-(B, P) points, with the bits of B single-law calls: law statistics reduce along
-the last axis.  A user callable gets one law per call.
+(B, P) or (P,) points, with the bits of B single-law calls: law statistics
+reduce along the last axis.  A user callable gets one law per call.  So do the
+closed-form velocities: ``velocity_closed_form`` on (R, N) rows of x and p
+has the bits of R single-row calls.
 """
 
 from __future__ import annotations
@@ -261,7 +263,8 @@ class QuadraticCoupledFamily(HamiltonianFamily):
             raise SingularCouplingError(
                 "velocity equation Z = -beta EZ - P is singular at beta = -1"
             )
-        return self.beta / (1.0 + self.beta) * (np.add.reduce(p) / p.shape[0]) - p
+        mean = np.add.reduce(p, axis=-1, keepdims=True) / p.shape[-1]  # EP of each row of p
+        return self.beta / (1.0 + self.beta) * mean - p
 
 
 class LQFamily(QuadraticCoupledFamily):
@@ -370,7 +373,7 @@ def solve_velocity(
     q = p_ensemble.q
     closed = fam.velocity_closed_form(x, p, y)
     if closed is not None and not return_info:
-        # unchecked: a non-finite closed form reaches the flow's per-step test
+        # unchecked: the caller tests what it keeps
         return Ensemble._view(np.asarray(closed, dtype=float).reshape(-1, 1), q)
     x = np.broadcast_to(np.asarray(x, dtype=float), p.shape)
 

@@ -8,10 +8,12 @@ Integrates, with classical fixed-step RK4, the coupled per-sample system
 
 where G solves the velocity equation Z = -D_pH(x, p, Y, Z).  The expectation
 inside G couples all samples, so G is re-solved at every RK stage rather than
-lagged from the previous step.  A step spans ``stride`` output rows and ends
-on the rows the backward sweep reads (:func:`~xmfg.hjb.stride_rows`); the
-rows inside a step are its cubic Hermite dense output, with G solved anew
-at each of them.
+lagged from the previous step; a stage writes G and D_xH straight into its
+rate buffer.  A step spans ``stride`` output rows and ends on the rows the
+backward sweep reads (:func:`~xmfg.hjb.stride_rows`); the rows inside a step
+are its cubic Hermite dense output, with G solved anew at each of them, in
+one family call on all of those rows when the family has a closed form
+(``velocity_closed_form``) and one row at a time otherwise.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ def integrate_flow(
     A row inside a step takes the cubic Hermite interpolant in time of ``x``
     (rate ``z``) and of ``p`` (rate ``D_xH``) between the step's ends, whose
     rates are the first RK stages, and its velocity solves the velocity
-    equation at that ``(x, p)``.  ``stride = 1`` steps every row.
+    equation at that ``(x, p)``; the first non-finite such row raises
+    :class:`FlowBlowupError` naming its step.  ``stride = 1`` steps every row.
     """
     if steps < 1 or horizon <= 0:
         raise ValueError("flow requires steps >= 1 and a positive horizon")
@@ -65,25 +68,35 @@ def integrate_flow(
     times = np.linspace(0.0, horizon, steps + 1)
     ends = stride_rows(steps, stride)
 
-    # The RK stage input (x, p) lives in one (2, N) buffer; the state and
-    # costate laws are read-only views of it, built once per call and valid
-    # for a family only during the call they are passed to.
+    # The RK stage input (x, p) lives in one (2, N) buffer and stage i writes
+    # its rates (z, D_xH) into k[i]; the state law and the velocity laws are
+    # read-only views of them, built once per call and valid for a family only
+    # during the call they are passed to.  Rates are unchecked: a non-finite
+    # rate carries into the step, whose test turns it into FlowBlowupError.
     stage = np.empty((2, n))
     stage[0] = x0.samples[:, 0]
     stage[1] = phi.gradient_at(stage[0])
     x_ens = Ensemble._view(stage[0][:, None], q)
-    p_ens = Ensemble._view(stage[1][:, None], q)
-    x, p = x_ens.samples[:, 0], p_ens.samples[:, 0]
-    # stage rates (z, D_xH), unchecked: a non-finite rate carries into the
-    # step, whose test turns it into FlowBlowupError
+    x, p = x_ens.samples[:, 0], Ensemble._view(stage[1][:, None], q).samples[:, 0]
     k = np.empty((4, 2, n))
+    z_ens = [Ensemble._view(k_i[0][:, None], q) for k_i in k]
     path = np.empty((3, steps + 1, n))
     dxh = np.empty((len(ends), n))  # D_xH at the step ends, for the dense output
 
-    def rates(out):
-        z_ens = solve_velocity(fam, x, p_ens, x_ens)
-        out[0] = z_ens.samples[:, 0]
-        out[1] = fam.dx_hamiltonian(x, p, x_ens, z_ens)  # a scalar broadcasts here
+    def velocity(x, p, y):
+        """G at the rows (..., N) of x and p with laws y: one family call for a
+        closed form, else the velocity equation iterated one row at a time."""
+        z = fam.velocity_closed_form(x, p, y)
+        if z is not None:
+            return z
+        rows = zip(np.reshape(x, (-1, n, 1)), np.reshape(p, (-1, n, 1)))
+        z = [solve_velocity(fam, a[:, 0], *(Ensemble._view(c, q) for c in (b, a))).samples
+             for a, b in rows]
+        return np.reshape(z, np.shape(p))
+
+    def rates(i):
+        k[i, 0] = velocity(x, p, x_ens)
+        k[i, 1] = fam.dx_hamiltonian(x, p, x_ens, z_ens[i])  # a scalar broadcasts here
 
     def blowup(a, b):
         return FlowBlowupError(
@@ -94,7 +107,7 @@ def integrate_flow(
         for j, m in enumerate(ends):
             y = path[:2, m]
             y[...] = stage
-            rates(k[0])
+            rates(0)
             path[2, m] = k[0, 0]
             dxh[j] = k[0, 1]
             if m == steps:
@@ -107,7 +120,7 @@ def integrate_flow(
             for i, c in ((1, 0.5 * h), (2, 0.5 * h), (3, h)):
                 np.multiply(k[i - 1], c, out=stage)
                 np.add(y, stage, out=stage)
-                rates(k[i])
+                rates(i)
             k[1:3] *= 2  # y + h/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order
             for k_i in k[1:]:
                 k[0] += k_i
@@ -128,11 +141,13 @@ def integrate_flow(
         xs, ps, zs = path
         xs[rows] = h00 * xs[lo] + h10 * zs[lo] + h01 * xs[hi] + h11 * zs[hi]
         ps[rows] = h00 * ps[lo] + h10 * dxh[j - 1] + h01 * ps[hi] + h11 * dxh[j]
-        for m, a, b in zip(rows, lo, hi):  # G is solved, not interpolated
-            stage[...] = path[:2, m]
-            zs[m] = solve_velocity(fam, x, p_ens, x_ens).samples[:, 0]
-            if not np.isfinite(path[:, m]).all():
-                raise blowup(int(a), int(b))
+        # G is solved, not interpolated: one call on the (R, N) rows and their laws
+        x_r, p_r = xs[rows], ps[rows]
+        zs[rows] = z_r = velocity(x_r, p_r, Ensemble._view(x_r[..., None], q))
+        finite = np.isfinite(x_r).all(1) & np.isfinite(p_r).all(1) & np.isfinite(z_r).all(1)
+        if not finite.all():  # the first non-finite row names its step
+            i = np.argmin(finite)
+            raise blowup(int(lo[i]), int(hi[i]))
 
     states, costates, velocities = path[..., None]
     return TrajectoryEnsemble(

@@ -276,9 +276,10 @@ def solve_backward(
     The family's ``drift``, ``running_potential`` and ``terminal`` give the
     costs.  The sweep steps from row ``M`` to rows ``M - k, M - 2k, ..., 0``
     with ``k = sweep_stride(...)``; the last step is shorter when ``k`` does
-    not divide ``M``.  A step reads the running cost at its lower row, and
-    each row in between is the linear blend in time of the two rows around
-    it.  ``k = 1`` steps every row.  Raises :class:`ControlSaturationError`
+    not divide ``M``.  A step reads the running cost at its lower row (all
+    steps' in one call when the family stacks laws), and each row in between
+    is the linear blend in time of the two rows around it.  ``k = 1`` steps
+    every row.  Raises :class:`ControlSaturationError`
     when the minimizing control of a step reaches +-v_max on more than 1% of
     the core nodes, which signals a control box too small for the problem
     (tested once the sweep is done, naming the lower row of the latest such
@@ -300,11 +301,16 @@ def solve_backward(
         u[steps] = fam.terminal(x, traj.ensemble(steps))
         g = 1.0 if fam.speed is None else fam.speed(x)  # dx/dt = g(x) v
         step = _exact_minimizer(x, g, k * dt, cfg.v_max)
-        for j, (hi, lo) in enumerate(zip([steps, *lows], lows)):
+        if fam.stacks_laws:  # one drift and one running_potential call on the steps' laws
+            laws = traj.ensemble(lows), traj.velocity_ensemble(lows)
+            b = np.broadcast_to(fam.drift(*laws), (len(lows), 1))
+            costs = zip(b, np.broadcast_to(fam.running_potential(x, *laws), controls.shape))
+        else:
+            laws = ((traj.ensemble(m), traj.velocity_ensemble(m)) for m in lows)
+            costs = ((fam.drift(*law), fam.running_potential(x, *law)) for law in laws)
+        for j, (hi, lo, (b, w)) in enumerate(zip([steps, *lows], lows, costs)):
             if hi - lo != k:  # the last step, to row 0, is shorter
                 step = _exact_minimizer(x, g, (hi - lo) * dt, cfg.v_max)
-            x_ens, z_ens = traj.ensemble(lo), traj.velocity_ensemble(lo)
-            b, w = fam.drift(x_ens, z_ens), fam.running_potential(x, x_ens, z_ens)
             u[lo], controls[j] = step(u[hi], b, w)
         # a row inside a step blends the step's two ends linearly in time
         rows = np.delete(np.arange(steps), ends[:-1])  # np.setdiff1d imports numpy.ma

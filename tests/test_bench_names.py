@@ -18,7 +18,7 @@ import pytest
 import xmfg.mfg as mfg
 from xmfg.ensembles import Ensemble
 from xmfg.families import LQFamily
-from xmfg.hjb import regularity_report, stride_rows, sweep_stride
+from xmfg.hjb import regularity_report, sweep_stride
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -64,14 +64,15 @@ def test_trace_counts_one_sweep_per_evaluation_of_the_fixed_point_map():
     assert metrics["hjb.sweeps"] == 2
     assert metrics["mfg.outer_iterations"] == 2  # counts evaluations of F, not iterations
     assert metrics["flow.rk_stages"] == 2 * (4 * cfg.time_steps + 1)
-    # every RK stage and every row inside an RK step solves the velocity
-    # equation through the traced name; the flow steps k rows at a time, so
-    # the computed flow.rk_stages (4M + 1 per flow) over-reports
+    # the flow steps k rows at a time, so the computed flow.rk_stages (4M + 1
+    # per flow) over-reports; a closed-form family writes each RK stage's
+    # velocity into its stage buffer and those of the rows inside the RK steps
+    # in one call, so the traced name, which iterates the velocity equation
+    # one row at a time, is never called
     steps = cfg.time_steps
     k = sweep_stride(problem.family, mfg.canonical_grid(problem, cfg), 1.0 / steps, steps)
-    ends = len(stride_rows(steps, k))
-    per_flow = 4 * (ends - 1) + 1 + (steps + 1 - ends)
-    assert k == 2 and metrics["families.velocity_calls"] == 2 * per_flow
+    closed = problem.family.velocity_closed_form(np.zeros(1), np.zeros(1), None)
+    assert k == 2 and closed is not None and metrics["families.velocity_calls"] == 0
 
 
 def test_a_reused_evaluation_reuses_its_regularity_report(monkeypatch):

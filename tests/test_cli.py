@@ -21,6 +21,7 @@ import xmfg.io
 from xmfg.cli import (
     KINDS,
     RunConfig,
+    _quantiles,
     emit_problem,
     main,
     parse_problem,
@@ -502,6 +503,52 @@ def test_the_cli_imports_neither_the_oracles_nor_argparse():
         [sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.splitlines() == ["[]", "0", "xmfg.analytic True"]
+
+
+MASTER_IMPORTS = """
+import sys
+from pathlib import Path
+from xmfg.cli import RunConfig, run
+status = run(RunConfig("master", Path(sys.argv[1]), Path(sys.argv[2]), seed=1))
+print(status, "numpy.ma" in sys.modules)
+"""
+
+
+def test_master_leaves_numpy_ma_unimported(tmp_path):
+    # np.quantile would import it through np.unique, about 12 ms per process
+    src = str(Path(xmfg.io.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    doc = write_doc(tmp_path, dict(LQ_DOC, solver=dict(LQ_DOC["solver"], nx=41, M=20, nv=41)))
+    out = subprocess.run(
+        [sys.executable, "-c", MASTER_IMPORTS, str(doc), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["0", "False"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 1.0, -1.0])),
+        min_size=1, max_size=80,
+    ),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+)
+@example([-0.0], [0.2, 0.4, 0.6, 0.8])
+@example([0.0, -0.0, 0.0, -0.0, 1.0], [0.0, 0.25, 0.5, 1.0])
+def test_master_probe_quantiles_have_the_bits_of_np_quantile(samples, levels):
+    samples = np.array(samples)
+    assert _quantiles(samples, levels).tobytes() == np.quantile(samples, levels).tobytes()
+
+
+def test_a_cli_solve_logs_duplicate_samples_once(tmp_path, caplog):
+    # the canonical round trip checks the document without declaring the game again
+    initial = {"kind": "samples", "params": {"values": [-0.5, 0.0, 0.0, 0.5]}}
+    doc = dict(ZERO_DOC, initial=initial, solver=dict(ZERO_DOC["solver"], max_outer=2))
+    with caplog.at_level(logging.WARNING, logger="xmfg"):
+        assert run(RunConfig("solve", write_doc(tmp_path, doc), tmp_path / "out", seed=0)) in (0, 2)
+    duplicates = [r.getMessage() for r in caplog.records if "duplicate" in r.getMessage()]
+    assert duplicates == ["initial ensemble carries 1 duplicate sample(s)"]
 
 
 def test_oracle_requires_closed_form_family(tmp_path, capsys):

@@ -341,3 +341,64 @@ def test_a_cost_on_coefficient_maps_takes_one_law_per_call():
     assert not LQFamily(0.5, a=lambda ens: 1.0).stacks_laws
     assert not CustomVelocityFamily(lambda x, p, y, z: p).stacks_laws
     assert ZeroPotential().stacks_laws and LinearTerminal(1.0).stacks_laws
+
+
+# --- the calls of the flow and the sweep on many rows of laws ---------------
+
+CLOSED_FORMS = [
+    pytest.param(QuadraticCoupledFamily(0.0), id="beta-0"),
+    pytest.param(QuadraticCoupledFamily(0.5), id="beta-0.5"),
+    pytest.param(QuadraticCoupledFamily(-0.5), id="beta--0.5"),
+    pytest.param(QuarticFamily(0.35), id="quartic"),
+]
+
+
+@STACK_SHAPES
+@pytest.mark.parametrize("fam", CLOSED_FORMS)
+def test_a_closed_form_on_rows_has_the_bits_of_single_row_calls(fam, laws, n):
+    # the flow solves the velocities of all rows inside its RK steps in one call
+    rng = np.random.default_rng(laws * 100 + n)
+    x_stack, _ = stack_of_laws(rng, laws, n)
+    x = np.abs(x_stack.samples[..., 0]) + 0.5  # the state-scaled game keeps x > 0
+    p = rng.normal(scale=2.0, size=(laws, n))
+    y = Ensemble._view(x[..., None], 2.0)
+    expected = [
+        fam.velocity_closed_form(x_r, p_r, Ensemble(x_r)) for x_r, p_r in zip(x, p)
+    ]
+    assert all(np.shape(z) == (n,) for z in expected)
+    stacked = fam.velocity_closed_form(x, p, y)
+    assert np.shape(stacked) == (laws, n)
+    assert_rows_have_the_bits(stacked, expected)
+
+
+#: the families the sweep builds from each running-cost kind of the CLI table
+SWEPT_FAMILIES = [
+    pytest.param(
+        QuarticFamily(0.35, coupling=cost)
+        if family == "quartic"
+        else QuadraticCoupledFamily(0.7, cost),
+        id=f"{family}-{kind}",
+    )
+    for family, slots in KINDS.items()
+    for kind, (constructor, names) in slots["potential"].items()
+    for cost in [constructor(*(0.7, -0.4, 1.3)[: len(names)])]
+]
+
+
+@STACK_SHAPES
+@pytest.mark.parametrize("fam", SWEPT_FAMILIES)
+def test_running_costs_at_the_sweep_call_shape_have_the_bits_of_single_law_calls(fam, laws, n):
+    # the sweep reads b and W at its (nx,) nodes for the (B, N, 1) laws of its steps
+    rng = np.random.default_rng(laws * 100 + n)
+    assert fam.stacks_laws
+    x_stack, x_singles = stack_of_laws(rng, laws, n)
+    z_stack, z_singles = stack_of_laws(rng, laws, n)
+    nodes = np.linspace(0.5, 2.5, 2 * n + 3)
+    drift = np.broadcast_to(fam.drift(x_stack, z_stack), (laws, 1))
+    potential = np.broadcast_to(fam.running_potential(nodes, x_stack, z_stack), (laws, nodes.size))
+    singles = list(zip(x_singles, z_singles))
+    assert_rows_have_the_bits(drift, [np.broadcast_to(fam.drift(*law), (1,)) for law in singles])
+    expected = [
+        np.broadcast_to(fam.running_potential(nodes, *law), nodes.shape) for law in singles
+    ]
+    assert_rows_have_the_bits(potential, expected)

@@ -16,6 +16,7 @@ from xmfg.families import (
     QuarticFamily,
     solve_velocity,
 )
+from xmfg import flow
 from xmfg.flow import integrate_flow, separation_diagnostic
 from xmfg.hjb import AnalyticSlice, GridConfig, solve_backward, sweep_stride
 
@@ -492,8 +493,8 @@ def test_the_sweep_reads_only_rk_step_ends(monkeypatch):
     for name in ("ensemble", "velocity_ensemble"):
         real = getattr(TrajectoryEnsemble, name)
 
-        def spy(self, m, real=real):
-            read.add(int(m))
+        def spy(self, m, real=real):  # a row, or an array of rows for a stack of laws
+            read.update(np.atleast_1d(m).tolist())
             return real(self, m)
 
         monkeypatch.setattr(TrajectoryEnsemble, name, spy)
@@ -513,3 +514,54 @@ def test_strided_blowup_names_the_rk_step_taken():
         )
     a, b = map(int, re.search(r"advancing step (\d+) -> (\d+) ", str(err.value)).groups())
     assert err.value.step == a and (a, b) in [(0, 3), *((e, e + 5) for e in range(3, 53, 5))]
+
+
+# ---------------------------------------------------------------------------
+# one family call per pass
+# ---------------------------------------------------------------------------
+
+
+class CountedClosedForm(LQFamily):
+    """Records the shape of the costates of each closed-form velocity call."""
+
+    def __init__(self):
+        super().__init__(beta=0.5, a=1.0, b=0.3, m=1.0)
+        self.shapes = []
+
+    def velocity_closed_form(self, x, p, y_ens):
+        self.shapes.append(np.shape(p))
+        return super().velocity_closed_form(x, p, y_ens)
+
+
+@pytest.mark.parametrize("steps, stride", [(31, 3), (30, 5), (12, 12)])
+def test_a_flow_calls_the_closed_form_once_per_stage_and_once_for_the_dense_rows(
+    monkeypatch, steps, stride
+):
+    iterated = []
+    monkeypatch.setattr(flow, "solve_velocity", lambda *args: iterated.append(args))
+    fam, n = CountedClosedForm(), 9
+    integrate_flow(fam, spread_ensemble(n), AnalyticSlice(lambda x: x), 1.0, steps, stride=stride)
+    rk_steps = -(-steps // stride)
+    inside = steps + 1 - (rk_steps + 1)  # the rows that are no step end
+    assert fam.shapes == [(n,)] * (4 * rk_steps + 1) + [(inside, n)]
+    assert iterated == []  # the traced name iterates; a closed form never reaches it
+
+
+CONTRACTING = CustomVelocityFamily(
+    dp_h=lambda x, p, y, z: p + 0.3 * z.mean() + 0.1 * y.mean(),
+    dx_h=lambda x, p, X, Z: 0.5 * x - 0.2 * Z.mean(),
+)
+
+
+@pytest.mark.parametrize("steps", [30, 31])
+def test_a_family_without_a_closed_form_solves_each_row_on_its_own(steps):
+    x0, phi = spread_ensemble(9, 0.5, 1.5), AnalyticSlice(lambda x: 0.2 * x)
+    traj = integrate_flow(CONTRACTING, x0, phi, 0.5, steps, stride=3)
+    ends, (x, p, z, _) = coarse_rk4(CONTRACTING, x0, phi, 0.5, steps, 3)
+    np.testing.assert_array_equal(traj.states[ends, :, 0], x)
+    np.testing.assert_array_equal(traj.costates[ends, :, 0], p)
+    np.testing.assert_array_equal(traj.velocities[ends, :, 0], z)
+    xs, ps, zs = (a[:, :, 0] for a in (traj.states, traj.costates, traj.velocities))
+    for m in np.delete(np.arange(steps), ends[:-1]):  # one solve per row inside a step
+        z_m = solve_velocity(CONTRACTING, xs[m], Ensemble(ps[m]), Ensemble(xs[m]))
+        np.testing.assert_array_equal(zs[m], z_m.samples[:, 0])

@@ -430,3 +430,41 @@ def test_value_slice_blend_and_gradient():
     x = np.linspace(-1, 1, 21)
     mid = ValueSlice(x, 0.5 * x**2)
     assert mid.gradient_at(0.5) == pytest.approx(0.5, abs=0.01)
+
+
+def counting_costs(fam):
+    """A copy of ``fam`` whose drift and running_potential count their calls."""
+    fam, calls = copy.copy(fam), {"drift": 0, "running_potential": 0}
+    for name in calls:
+        def counted(*args, real=getattr(fam, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        setattr(fam, name, counted)
+    return fam, calls
+
+
+@pytest.mark.parametrize("name", ["lq", "quartic"])
+@pytest.mark.parametrize("steps, courant", [(30, 0.45), (31, 0.45), (30, 1.4)])
+def test_a_stacking_family_reads_the_running_costs_of_a_sweep_in_one_call(name, steps, courant):
+    fam, traj, cfg = sweep_case(name, np.random.default_rng(7), steps, courant)
+    counted, calls = counting_costs(fam)
+    assert counted.stacks_laws
+    vg = solve_backward(counted, traj, cfg)
+    assert calls == {"drift": 1, "running_potential": 1}
+    for m, u, _ in stepped_reference(fam, traj, cfg, sweep_stride(fam, cfg, traj.dt, steps)):
+        np.testing.assert_array_equal(vg.u[m], u)
+
+
+@pytest.mark.parametrize("steps, courant, stride", [(30, 0.45, 3), (31, 0.45, 3), (30, 1.4, 1)])
+def test_a_cost_on_coefficient_maps_is_read_once_per_step(steps, courant, stride):
+    # callable coefficient maps take one law per call, so the sweep calls them per step
+    lq, traj, cfg = sweep_case("lq", np.random.default_rng(8), steps, courant)
+    potential = QuadraticFormPotential(lambda ens: 1.0 + 0.1 * ens.mean_scalar(), 0.3)
+    fam, calls = counting_costs(QuadraticCoupledFamily(0.5, potential, lq.terminal))
+    assert not fam.stacks_laws and sweep_stride(fam, cfg, traj.dt, steps) == stride
+    vg, swept = solve_backward(fam, traj, cfg), dict(calls)
+    reference = stepped_reference(fam, traj, cfg, stride)
+    assert swept == {"drift": len(reference), "running_potential": len(reference)}
+    for m, u, _ in reference:
+        np.testing.assert_array_equal(vg.u[m], u)
