@@ -1,23 +1,27 @@
 """Self-consistent Hamiltonian flow of the population ensemble.
 
-Integrates, with classical fixed-step RK4, the coupled per-sample system
+Integrates the coupled per-sample system
 
     X_i' = G(X, P, X)_i,
     P_i' = D_xH(X_i, P_i, X, G(X, P, X)),
     X(0) = X_0,  P(0) = Phi'(X_0),
 
 where G solves the velocity equation Z = -D_pH(x, p, Y, Z).  The expectation
-inside G couples all samples, so G is re-solved at every RK stage rather than
+inside G couples all samples, so G is re-solved at every stage rather than
 lagged from the previous step; a stage writes G and D_xH straight into its
-rate buffer.  A step spans ``stride`` output rows and ends on the rows the
-backward sweep reads (:func:`~xmfg.hjb.stride_rows`); the rows inside a step
-are its cubic Hermite dense output, with G solved anew at each of them, in
-one family call on all of those rows when the family has a closed form
-(``velocity_closed_form``) and one row at a time otherwise.
+rate buffer.  The integrator is the embedded Dormand-Prince 5(4) pair
+(Dormand & Prince 1980), whose error estimate picks each step, so the steps
+are not tied to the output rows.  Each row is read from the continuous
+extension of the accepted step that holds its time (Shampine 1986), and its
+velocity is solved anew at the row's (x, p): one family call on all rows when
+the family has a closed form (``velocity_closed_form``) and one row at a
+time otherwise.
 """
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +29,8 @@ import numpy as np
 from .ensembles import Ensemble, TrajectoryEnsemble
 from .errors import FlowBlowupError
 from .families import HamiltonianFamily, solve_velocity
-from .hjb import step_holding, stride_rows
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "integrate_flow",
@@ -34,6 +39,39 @@ __all__ = [
 ]
 
 _OVERFLOW_GUARD = 1e12
+#: the flow stops at the time it reached once a step would be shorter than
+#: this fraction of the horizon, or after this many rejected steps in a row
+_STEP_FLOOR = 1e-10
+_MAX_REJECTIONS = 12
+
+# Dormand-Prince 5(4): row i of _A weights the rates of stages 0..i-1 in the
+# input of stage i, and its last row is the 5th-order step, so the last stage
+# is the first of the next step; _E is the 5th- minus the 4th-order weights.
+# Shampine's continuous extension is y(t + theta h) = y + h sum_j theta^j
+# (_P k)_j, j = 1..4.
+_A = np.array([
+    [0, 0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+])
+_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+]).T
+
+
+def _rms(a) -> float:
+    return math.sqrt(np.vdot(a, a) / a.size)
 
 
 def integrate_flow(
@@ -42,46 +80,45 @@ def integrate_flow(
     phi,
     horizon: float,
     steps: int,
-    stride: int = 1,
+    tol: float = 1e-9,
 ) -> TrajectoryEnsemble:
-    """RK4 integration of the coupled state/costate ensemble system.
+    """Adaptive Dormand-Prince 5(4) integration of the coupled state/costate
+    ensemble system, recorded on the ``steps + 1`` rows ``t = m horizon / steps``.
 
     ``phi`` provides the seed costates through ``gradient_at``; any value
-    slice (grid-backed or analytic) works.
-
-    RK4 steps run between the rows ``stride_rows(steps, stride)``: ``0``,
-    then ``steps mod stride`` (the short step) and every ``stride`` rows on
-    to ``steps``; a step over ``j`` rows has ``h = j dt``.  The path still
-    has ``steps + 1`` rows.
-    A row inside a step takes the cubic Hermite interpolant in time of ``x``
-    (rate ``z``) and of ``p`` (rate ``D_xH``) between the step's ends, whose
-    rates are the first RK stages, and its velocity solves the velocity
-    equation at that ``(x, p)``; the first non-finite such row raises
-    :class:`FlowBlowupError` naming its step.  ``stride = 1`` steps every row.
+    slice (grid-backed or analytic) works.  A step is accepted when the RMS
+    over ``(x, p)`` of its error estimate, each scaled by ``tol (1 + |y|)``,
+    is at most 1; it is rejected when its stages or solution are not finite or
+    exceed ``1e12``, or, under state-scaled dynamics, reach ``x <= 0``.  A step
+    shorter than ``1e-10 horizon``, a 13th rejection in a row, or a row whose
+    velocity is not finite or whose state-scaled ``x`` is not positive raises
+    :class:`FlowBlowupError` naming the time reached; its ``step`` is the last
+    row reached.
     """
     if steps < 1 or horizon <= 0:
         raise ValueError("flow requires steps >= 1 and a positive horizon")
-    if stride < 1:
-        raise ValueError("flow requires stride >= 1")
+    if not tol > 0:
+        raise ValueError("flow requires a positive tolerance")
     q, n = x0.q, x0.n
-    dt = horizon / steps
     times = np.linspace(0.0, horizon, steps + 1)
-    ends = stride_rows(steps, stride)
+    positive = fam.speed is not None  # dx/dt = g(x) v is defined for x > 0 only
 
-    # The RK stage input (x, p) lives in one (2, N) buffer and stage i writes
-    # its rates (z, D_xH) into k[i]; the state law and the velocity laws are
+    # The stage input (x, p) lives in one (2, N) buffer and stage i writes its
+    # rates (z, D_xH) into k[i]; the state law and the velocity laws are
     # read-only views of them, built once per call and valid for a family only
     # during the call they are passed to.  Rates are unchecked: a non-finite
-    # rate carries into the step, whose test turns it into FlowBlowupError.
+    # rate makes the step's error estimate non-finite, which rejects the step.
     stage = np.empty((2, n))
     stage[0] = x0.samples[:, 0]
     stage[1] = phi.gradient_at(stage[0])
     x_ens = Ensemble._view(stage[0][:, None], q)
     x, p = x_ens.samples[:, 0], Ensemble._view(stage[1][:, None], q).samples[:, 0]
-    k = np.empty((4, 2, n))
+    k = np.empty((7, 2, n))
     z_ens = [Ensemble._view(k_i[0][:, None], q) for k_i in k]
     path = np.empty((3, steps + 1, n))
-    dxh = np.empty((len(ends), n))  # D_xH at the step ends, for the dense output
+    path[:2, 0] = y = stage.copy()  # the solution at the time reached
+    k_flat, stage_flat, y_flat = k.reshape(7, -1), stage.reshape(-1), y.reshape(-1)
+    evals = 0
 
     def velocity(x, p, y):
         """G at the rows (..., N) of x and p with laws y: one family call for a
@@ -95,59 +132,75 @@ def integrate_flow(
         return np.reshape(z, np.shape(p))
 
     def rates(i):
+        nonlocal evals
+        evals += 1
         k[i, 0] = velocity(x, p, x_ens)
         k[i, 1] = fam.dx_hamiltonian(x, p, x_ens, z_ens[i])  # a scalar broadcasts here
 
-    def blowup(a, b):
-        return FlowBlowupError(
-            f"flow blew up advancing step {a} -> {b} (t={times[a]:.4g})", step=a
-        )
+    def stall(t, reason):
+        m = int(np.searchsorted(times, t, "right")) - 1
+        return FlowBlowupError(f"flow cannot advance past t={t:.4g}: {reason}", step=m)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values fail the guards
-        for j, m in enumerate(ends):
-            y = path[:2, m]
-            y[...] = stage
-            rates(0)
-            path[2, m] = k[0, 0]
-            dxh[j] = k[0, 1]
-            if m == steps:
-                if not np.all(np.isfinite(k[0, 0])):
-                    raise FlowBlowupError(
-                        f"flow velocity is not finite at the final time t={times[m]:.4g}", step=m
-                    )
-                break
-            h = (ends[j + 1] - m) * dt
-            for i, c in ((1, 0.5 * h), (2, 0.5 * h), (3, h)):
-                np.multiply(k[i - 1], c, out=stage)
-                np.add(y, stage, out=stage)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rates(0)
+        if not np.isfinite(k[0]).all():
+            raise stall(0.0, "its rates are not finite")
+        path[2, 0] = k[0, 0]
+        # the first step from |y|, |y'| and a probe of |y''| (Hairer, Norsett
+        # & Wanner, Solving ODEs I, II.4), no shorter than the floor
+        scale, floor = tol * (1 + np.abs(y)), _STEP_FLOOR * horizon
+        d0, d1 = _rms(y / scale), _rms(k[0] / scale)
+        h = min(max(0.01 * d0 / d1 if min(d0, d1) >= 1e-5 else 1e-6 * horizon, floor), horizon)
+        np.add(y, h * k[0], out=stage)
+        rates(1)
+        d2 = max(d1, _rms((k[1] - k[0]) / scale) / h)
+        h = min(100 * h, (0.01 / d2) ** 0.2 if d2 > 1e-15 else max(1e-6 * horizon, 1e-3 * h))
+        h, t, m, grow, accepted, rejected = max(h, floor), 0.0, 1, 5.0, 0, 0
+        reason = "its step falls below the floor"
+        while m <= steps:
+            if t + 1.01 * h >= horizon:  # land on the horizon, leaving no sliver
+                h = horizon - t
+            if h < floor or rejected > _MAX_REJECTIONS:
+                raise stall(t, reason)
+            err, reason = math.inf, "the flow leaves the representable range"
+            for i in range(1, 7):
+                np.add(y_flat, np.dot(h * _A[i, :i], k_flat[:i]), out=stage_flat)
+                if positive and not x.min() > 0:  # NaN fails it too
+                    reason = "the state-scaled flow reaches x <= 0"
+                    break
                 rates(i)
-            k[1:3] *= 2  # y + h/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order
-            for k_i in k[1:]:
-                k[0] += k_i
-            k[0] *= h / 6.0
-            np.add(y, k[0], out=stage)
-            if not np.abs(stage, out=k[0]).max() <= _OVERFLOW_GUARD:  # NaN fails it too
-                raise blowup(m, ends[j + 1])
+            else:  # stage 6 is the step's solution
+                if np.abs(stage).max() <= _OVERFLOW_GUARD:
+                    scale = tol * (1 + np.maximum(np.abs(y_flat), np.abs(stage_flat)))
+                    err = _rms(h * np.dot(_E, k_flat) / scale)
+                    if math.isfinite(err):
+                        reason = "its error stays above the tolerance"
+                    else:
+                        err = math.inf
+            factor = 0.9 * max(err, 1e-10) ** -0.2
+            if err > 1:
+                h *= max(0.2, factor)
+                rejected, grow = rejected + 1, 1.0  # no growth right after a rejection
+                continue
+            # the rows in (t, t + h] from the continuous extension, in one pass
+            end = steps + 1 if h == horizon - t else int(np.searchsorted(times, t + h, "right"))
+            theta = ((times[m:end] - t) / h)[:, None]
+            dense = np.dot(theta ** np.arange(1, 5), np.dot(_P, k_flat)) * h + y_flat
+            path[:2, m:end] = dense.reshape(-1, 2, n).swapaxes(0, 1)
+            t = horizon if end == steps + 1 else t + h
+            y[...], k[0] = stage, k[6]
+            m, accepted, rejected = end, accepted + 1, 0
+            h *= min(grow, max(0.2, factor))
+            grow = 5.0
 
-        # Hermite dense output on the rows inside the steps
-        rows = np.delete(np.arange(steps), ends[:-1])  # np.setdiff1d imports numpy.ma
-        j, lo, hi = step_holding(ends, rows)
-        theta = ((rows - lo) / (hi - lo))[:, None]
-        h = ((hi - lo) * dt)[:, None]
-        h00 = (1 + 2 * theta) * (1 - theta) ** 2
-        h10 = h * theta * (1 - theta) ** 2
-        h01 = theta**2 * (3 - 2 * theta)
-        h11 = h * theta**2 * (theta - 1)
+        # G is solved, not interpolated: one call on the (M, N) rows and their laws
         xs, ps, zs = path
-        xs[rows] = h00 * xs[lo] + h10 * zs[lo] + h01 * xs[hi] + h11 * zs[hi]
-        ps[rows] = h00 * ps[lo] + h10 * dxh[j - 1] + h01 * ps[hi] + h11 * dxh[j]
-        # G is solved, not interpolated: one call on the (R, N) rows and their laws
-        x_r, p_r = xs[rows], ps[rows]
-        zs[rows] = z_r = velocity(x_r, p_r, Ensemble._view(x_r[..., None], q))
-        finite = np.isfinite(x_r).all(1) & np.isfinite(p_r).all(1) & np.isfinite(z_r).all(1)
-        if not finite.all():  # the first non-finite row names its step
-            i = np.argmin(finite)
-            raise blowup(int(lo[i]), int(hi[i]))
+        zs[1:] = z = velocity(xs[1:], ps[1:], Ensemble._view(xs[1:, :, None], q))
+        ok = np.isfinite(z).all(1) & (xs[1:].min(1) > 0 if positive else True)
+        if not ok.all():  # the first bad row names its time
+            m = int(np.argmin(ok)) + 1
+            raise stall(times[m], f"row {m} has a non-finite velocity or a state x <= 0")
+    logger.debug("flow: %d accepted steps, %d rate evaluations", accepted, evals)
 
     states, costates, velocities = path[..., None]
     return TrajectoryEnsemble(

@@ -18,7 +18,9 @@ pieces each node reaches are found once per step length.  A step spans
 j = k rows (:func:`sweep_stride`; the last, to row 0, may span fewer), so a
 foot moves about ``COURANT_TARGET`` cells and the interpolation's diffusion
 is paid once per k rows; the rows inside a step are linear blends in time of
-its two ends.  The scheme is monotone: raising the terminal data can never
+its two ends.  The stride is the sweep's alone: a step reads the population
+path at its lower row, and the flow (:mod:`xmfg.flow`) records every row with
+steps of its own.  The scheme is monotone: raising the terminal data can never
 lower any value.
 """
 
@@ -43,8 +45,6 @@ __all__ = [
     "ValueGrid",
     "solve_backward",
     "sweep_stride",
-    "stride_rows",
-    "step_holding",
     "regularity_report",
     "RegularityReport",
 ]
@@ -238,8 +238,7 @@ def _exact_minimizer(x: np.ndarray, g, dt: float, v_max: float):
 
 
 def sweep_stride(fam: HamiltonianFamily, cfg: GridConfig, dt: float, steps: int) -> int:
-    """Output rows per step of the backward sweep, and of the population flow
-    that ``solve_mfg`` integrates for it: ``floor(COURANT_TARGET / C)``
+    """Output rows per step of the backward sweep: ``floor(COURANT_TARGET / C)``
     within ``[1, steps]``, where ``C = max_i |dt g(x_i)| v_max / dx`` is the
     Courant number of one row.  ``C = 0`` takes the horizon in one step;
     ``C = inf`` or ``nan`` steps every row."""
@@ -249,23 +248,6 @@ def sweep_stride(fam: HamiltonianFamily, cfg: GridConfig, dt: float, steps: int)
     if courant * steps <= COURANT_TARGET:
         return steps
     return max(1, math.floor(COURANT_TARGET / courant)) if courant < math.inf else 1
-
-
-def stride_rows(steps: int, k: int) -> list[int]:
-    """The rows a pass of stride ``k`` over rows ``0..steps`` stops on, in
-    ascending order: ``0`` and ``steps - j k`` for ``j = 0, 1, ...``.  The
-    step from row 0 is the short one when ``k`` does not divide ``steps``."""
-    return [0, *range(steps % k or k, steps + 1, k)]
-
-
-def step_holding(ends, rows):
-    """For each of ``rows``, the step of a pass stopping on ``ends``
-    (:func:`stride_rows`) that holds it: its index ``j`` and its rows
-    ``lo = ends[j - 1]`` and ``hi = ends[j]``.  A row on an end belongs to the
-    step that ends there; row 0 belongs to none."""
-    ends = np.asarray(ends)
-    j = np.searchsorted(ends, rows)
-    return j, ends[j - 1], ends[j]
 
 
 def solve_backward(
@@ -288,7 +270,7 @@ def solve_backward(
     x = cfg.nodes()
     steps, dt = traj.steps, traj.dt
     k = sweep_stride(fam, cfg, dt, steps)
-    ends = stride_rows(steps, k)
+    ends = [0, *range(steps % k or k, steps + 1, k)]  # row 0, then rows steps - j k
     lows = ends[-2::-1]  # the lower row of each step, going backward
     u = np.empty((steps + 1, cfg.nx))
     controls = np.empty((len(lows), cfg.nx))
@@ -314,7 +296,8 @@ def solve_backward(
             u[lo], controls[j] = step(u[hi], b, w)
         # a row inside a step blends the step's two ends linearly in time
         rows = np.delete(np.arange(steps), ends[:-1])  # np.setdiff1d imports numpy.ma
-        _, lower, upper = step_holding(ends, rows)
+        j = np.searchsorted(ends, rows)  # the step holding each row ends on ends[j]
+        lower, upper = np.take(ends, j - 1), np.take(ends, j)
         theta = ((rows - lower) / (upper - lower))[:, None]
         u[rows] = (1 - theta) * u[lower] + theta * u[upper]
         # the latest pinned step is reported: it is the first the backward sweep meets

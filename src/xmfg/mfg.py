@@ -44,9 +44,6 @@ from .hjb import (
     ValueSlice,
     regularity_report,
     solve_backward,
-    step_holding,
-    stride_rows,
-    sweep_stride,
 )
 
 logger = logging.getLogger(__name__)
@@ -70,6 +67,9 @@ ANDERSON_MEMORY = 5
 ANDERSON_REGULARIZATION = 1e-10
 #: errors that drop an extrapolated Phi for the damped step instead of ending the solve
 _EXTRAPOLATION_FAILURES = (ControlSaturationError, DomainTooSmallError, FlowBlowupError)
+#: the flow's local error tolerance per unit of ``tol_traj``: the trajectory
+#: residual is measured well above the integration error
+_FLOW_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,9 @@ def canonical_grid(
             core_hi=hi + 3 * dx0,
         )
     phi0 = AnalyticSlice(lambda xq: fam.terminal.gradient(xq, x0))
-    traj0 = integrate_flow(fam, x0, phi0, problem.horizon, cfg.time_steps)
+    traj0 = integrate_flow(
+        fam, x0, phi0, problem.horizon, cfg.time_steps, tol=_FLOW_TOL * cfg.tol_traj
+    )
     # the path starts on X_0, so this is the hull of the path and the included span
     swept_lo = min(lo, float(np.min(traj0.states)))
     swept_hi = max(hi, float(np.max(traj0.states)))
@@ -226,24 +228,10 @@ def canonical_grid(
 def _compose_once(
     problem: ProblemSpec, phi: ValueSlice, grid: GridConfig, cfg: SolverConfig
 ) -> tuple[ValueGrid, TrajectoryEnsemble]:
-    # the flow steps on the rows the sweep reads
-    fam, steps = problem.family, cfg.time_steps
-    stride = sweep_stride(fam, grid, problem.horizon / steps, steps)
-    traj = integrate_flow(fam, problem.initial, phi, problem.horizon, steps, stride=stride)
-    if fam.speed is not None:
-        # dx/dt = v/x is only defined for x > 0; a crossing is no trajectory
-        crossed = np.flatnonzero(np.min(traj.states[:, :, 0], axis=1) <= 0.0)
-        if crossed.size:
-            # name the RK step a -> b whose rows hold the first crossing
-            m = int(crossed[0])
-            a, b = -1, 0  # row 0 is the initial law itself
-            if m:
-                _, a, b = step_holding(stride_rows(steps, stride), m)
-            raise FlowBlowupError(
-                f"state-scaled flow crossed x <= 0 advancing step {a} -> {b} "
-                f"(t={traj.times[a]:.4g})",
-                step=int(a),
-            )
+    traj = integrate_flow(
+        problem.family, problem.initial, phi, problem.horizon, cfg.time_steps,
+        tol=_FLOW_TOL * cfg.tol_traj,
+    )
     vg = solve_backward(problem.family, traj, grid)
     return vg, traj
 
@@ -415,7 +403,10 @@ def _restart_problem(
     sub_steps = cfg.time_steps - m_t
     # Y enters under the game's moment exponent; its samples are checked already
     initial = Ensemble._view(y.samples, problem.initial.q)
-    sub_problem = ProblemSpec(family=problem.family, horizon=sub_steps * dt, initial=initial)
+    # a derived game, not a declared one: the declared game checked its horizon
+    # and logged the atoms, which X(t) carries along, so it is built unchecked
+    sub_problem = object.__new__(ProblemSpec)
+    sub_problem.__dict__.update(family=problem.family, horizon=sub_steps * dt, initial=initial)
     return sub_problem, replace(cfg, time_steps=sub_steps)
 
 

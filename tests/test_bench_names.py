@@ -64,11 +64,11 @@ def test_trace_counts_one_sweep_per_evaluation_of_the_fixed_point_map():
     assert metrics["hjb.sweeps"] == 2
     assert metrics["mfg.outer_iterations"] == 2  # counts evaluations of F, not iterations
     assert metrics["flow.rk_stages"] == 2 * (4 * cfg.time_steps + 1)
-    # the flow steps k rows at a time, so the computed flow.rk_stages (4M + 1
-    # per flow) over-reports; a closed-form family writes each RK stage's
-    # velocity into its stage buffer and those of the rows inside the RK steps
-    # in one call, so the traced name, which iterates the velocity equation
-    # one row at a time, is never called
+    # the flow picks its own steps, so the computed flow.rk_stages (4M + 1
+    # per flow) does not count them; a closed-form family writes each stage's
+    # velocity into its stage buffer and those of all rows in one call, so the
+    # traced name, which iterates the velocity equation one row at a time, is
+    # never called
     steps = cfg.time_steps
     k = sweep_stride(problem.family, mfg.canonical_grid(problem, cfg), 1.0 / steps, steps)
     closed = problem.family.velocity_closed_form(np.zeros(1), np.zeros(1), None)

@@ -1,6 +1,7 @@
 import functools
 import logging
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -19,8 +20,8 @@ from xmfg.families import (
     QuadraticFormPotential,
     QuarticFamily,
 )
-from xmfg.flow import integrate_flow, separation_diagnostic
-from xmfg.hjb import AnalyticSlice, GridConfig, ValueSlice, stride_rows, sweep_stride
+from xmfg.flow import separation_diagnostic
+from xmfg.hjb import AnalyticSlice, GridConfig, ValueSlice
 from xmfg.mfg import (
     ProblemSpec,
     SolverConfig,
@@ -371,29 +372,24 @@ def test_state_scaled_solve_never_accepts_a_flow_through_zero():
 
 
 @pytest.mark.parametrize("nx, steps", [(41, 20), (11, 100)])
-def test_a_crossing_names_the_rk_step_that_holds_it(nx, steps):
+def test_a_crossing_names_the_time_the_flow_reaches(nx, steps):
     # a positive seed slope drives the quartic population through x = 0; the
-    # coarse grid (nx 11, M 100) steps the flow 6 rows at a time, from row 4,
-    # and the first crossing row, 19, lies inside the step 16 -> 22
+    # flow stops, whatever the grid and the row count, where the lowest path
+    # reaches it: H = P^2 / (2 X^2) - X^4 is conserved, so X^2 hits 0 at
+    # t* = asinh(x0^2 / sqrt(H)) / (2 sqrt 2) for x0 = 0.5625 and P = 0.5
     fam = QuarticFamily(0.4)
     problem = ProblemSpec(fam, horizon=1.0, initial=spread_ensemble(8, 0.5, 1.5))
     cfg = SolverConfig(nx=nx, time_steps=steps, nv=nx, v_max=1.0)
     grid = GridConfig(x_lo=0.25, x_hi=2.0, nx=nx, nv=nx, v_max=1.0)
-    k = sweep_stride(fam, grid, 1.0 / steps, steps)
-    assert k == (1 if nx == 41 else 6)
     phi = ValueSlice(grid.nodes(), 0.5 * grid.nodes())
-    with pytest.raises(FlowBlowupError) as err:
+    with pytest.raises(FlowBlowupError, match="state-scaled flow reaches x <= 0") as err:
         mfg._compose_once(problem, phi, grid, cfg)
-    traj = integrate_flow(fam, problem.initial, phi, 1.0, steps, stride=k)
-    m = int(np.flatnonzero(np.min(traj.states[:, :, 0], axis=1) <= 0.0)[0])
-    ends = stride_rows(steps, k)
-    b = ends[np.searchsorted(ends, m)]
-    a = ends[ends.index(b) - 1]
-    assert a < m <= b and err.value.step == a
-    assert b - a == k and (k == 1 or m > a + 1)
-    assert str(err.value) == (
-        f"state-scaled flow crossed x <= 0 advancing step {a} -> {b} (t={traj.times[a]:.4g})"
-    )
+    low = 0.5625
+    energy = 0.5**2 / (2 * low**2) - low**4
+    crossing = math.asinh(low**2 / math.sqrt(energy)) / (2 * math.sqrt(2.0))
+    reached = float(re.search(r"cannot advance past t=(\S+): ", str(err.value)).group(1))
+    assert reached == pytest.approx(crossing, abs=1e-4)
+    assert err.value.step == int(crossing * steps)  # the last row reached
 
 
 def test_residual_history_records_the_undamped_residual():
