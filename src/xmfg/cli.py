@@ -10,6 +10,7 @@ machine-parseable line ``ERROR <code>: <message>`` on stderr.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import sys
 import time
@@ -42,6 +43,8 @@ from .mfg import (
     solve_mfg,
     uniqueness_probe,
 )
+
+logger = logging.getLogger(__name__)
 
 SUBCOMMANDS = ("solve", "oracle", "check", "master", "probe-uniqueness")
 
@@ -322,6 +325,11 @@ def _canonicalize(raw: dict, base_dir: Path) -> tuple:
 def parse_problem_document(raw: dict, base_dir: Path = Path(".")) -> ParsedProblem:
     document, family, samples, solver = _canonicalize(raw, base_dir)
     problem = ProblemSpec(family, document["T"], Ensemble(samples, q=document["q"]))
+    # the one place a game is declared (a master restart from X(t) carries the
+    # same atoms): equal neighbours once sorted, as np.unique imports numpy.ma
+    n_dup = np.count_nonzero(np.diff(np.sort(problem.initial.samples[:, 0])) == 0)
+    if n_dup:  # legal atoms, but separation diagnostics skip coincident pairs
+        logger.warning("initial ensemble carries %d duplicate sample(s)", n_dup)
     return ParsedProblem(document, document["family"], problem, solver)
 
 

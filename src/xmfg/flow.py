@@ -15,7 +15,8 @@ are not tied to the output rows.  Each row is read from the continuous
 extension of the accepted step that holds its time (Shampine 1986), and its
 velocity is solved anew at the row's (x, p): one family call on all rows when
 the family has a closed form (``velocity_closed_form``) and one row at a
-time otherwise.
+time otherwise.  :func:`swept_hull` integrates the same system with fixed
+classical RK4 steps, for the hull a state-scaled grid is sized from.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "integrate_flow",
+    "swept_hull",
     "separation_diagnostic",
     "SeparationReport",
 ]
@@ -43,6 +45,9 @@ _OVERFLOW_GUARD = 1e12
 #: this fraction of the horizon, or after this many rejected steps in a row
 _STEP_FLOOR = 1e-10
 _MAX_REJECTIONS = 12
+#: a smaller tolerance is raised to this: the error estimate of a step cannot
+#: resolve much less than the rounding of its stages
+_TOL_FLOOR = 1e-13
 
 # Dormand-Prince 5(4): row i of _A weights the rates of stages 0..i-1 in the
 # input of stage i, and its last row is the 5th-order step, so the last stage
@@ -74,6 +79,19 @@ def _rms(a) -> float:
     return math.sqrt(np.vdot(a, a) / a.size)
 
 
+def _velocity(fam: HamiltonianFamily, x, p, y: Ensemble) -> np.ndarray:
+    """G at the rows (..., N) of x and p with laws y: one family call for a
+    closed form, else the velocity equation iterated one row at a time."""
+    z = fam.velocity_closed_form(x, p, y)
+    if z is not None:
+        return z
+    n, q = np.shape(p)[-1], y.q
+    rows = zip(np.reshape(x, (-1, n, 1)), np.reshape(p, (-1, n, 1)))
+    z = [solve_velocity(fam, a[:, 0], *(Ensemble._view(c, q) for c in (b, a))).samples
+         for a, b in rows]
+    return np.reshape(z, np.shape(p))
+
+
 def integrate_flow(
     fam: HamiltonianFamily,
     x0: Ensemble,
@@ -87,8 +105,9 @@ def integrate_flow(
 
     ``phi`` provides the seed costates through ``gradient_at``; any value
     slice (grid-backed or analytic) works.  A step is accepted when the RMS
-    over ``(x, p)`` of its error estimate, each scaled by ``tol (1 + |y|)``,
-    is at most 1; it is rejected when its stages or solution are not finite or
+    over ``(x, p)`` of its error estimate, each scaled by ``tol (1 + |y|)``
+    with ``tol`` at least ``1e-13``, is at most 1; the first step spans one
+    row.  A step is rejected when its stages or solution are not finite or
     exceed ``1e12``, or, under state-scaled dynamics, reach ``x <= 0``.  A step
     shorter than ``1e-10 horizon``, a 13th rejection in a row, or a row whose
     velocity is not finite or whose state-scaled ``x`` is not positive raises
@@ -99,6 +118,7 @@ def integrate_flow(
         raise ValueError("flow requires steps >= 1 and a positive horizon")
     if not tol > 0:
         raise ValueError("flow requires a positive tolerance")
+    tol = max(tol, _TOL_FLOOR)
     q, n = x0.q, x0.n
     times = np.linspace(0.0, horizon, steps + 1)
     positive = fam.speed is not None  # dx/dt = g(x) v is defined for x > 0 only
@@ -120,21 +140,10 @@ def integrate_flow(
     k_flat, stage_flat, y_flat = k.reshape(7, -1), stage.reshape(-1), y.reshape(-1)
     evals = 0
 
-    def velocity(x, p, y):
-        """G at the rows (..., N) of x and p with laws y: one family call for a
-        closed form, else the velocity equation iterated one row at a time."""
-        z = fam.velocity_closed_form(x, p, y)
-        if z is not None:
-            return z
-        rows = zip(np.reshape(x, (-1, n, 1)), np.reshape(p, (-1, n, 1)))
-        z = [solve_velocity(fam, a[:, 0], *(Ensemble._view(c, q) for c in (b, a))).samples
-             for a, b in rows]
-        return np.reshape(z, np.shape(p))
-
     def rates(i):
         nonlocal evals
         evals += 1
-        k[i, 0] = velocity(x, p, x_ens)
+        k[i, 0] = _velocity(fam, x, p, x_ens)
         k[i, 1] = fam.dx_hamiltonian(x, p, x_ens, z_ens[i])  # a scalar broadcasts here
 
     def stall(t, reason):
@@ -146,16 +155,9 @@ def integrate_flow(
         if not np.isfinite(k[0]).all():
             raise stall(0.0, "its rates are not finite")
         path[2, 0] = k[0, 0]
-        # the first step from |y|, |y'| and a probe of |y''| (Hairer, Norsett
-        # & Wanner, Solving ODEs I, II.4), no shorter than the floor
-        scale, floor = tol * (1 + np.abs(y)), _STEP_FLOOR * horizon
-        d0, d1 = _rms(y / scale), _rms(k[0] / scale)
-        h = min(max(0.01 * d0 / d1 if min(d0, d1) >= 1e-5 else 1e-6 * horizon, floor), horizon)
-        np.add(y, h * k[0], out=stage)
-        rates(1)
-        d2 = max(d1, _rms((k[1] - k[0]) / scale) / h)
-        h = min(100 * h, (0.01 / d2) ** 0.2 if d2 > 1e-15 else max(1e-6 * horizon, 1e-3 * h))
-        h, t, m, grow, accepted, rejected = max(h, floor), 0.0, 1, 5.0, 0, 0
+        # the first step spans one row; the controller grows it from there
+        h, floor = horizon / steps, _STEP_FLOOR * horizon
+        t, m, grow, accepted, rejected = 0.0, 1, 5.0, 0, 0
         reason = "its step falls below the floor"
         while m <= steps:
             if t + 1.01 * h >= horizon:  # land on the horizon, leaving no sliver
@@ -195,7 +197,7 @@ def integrate_flow(
 
         # G is solved, not interpolated: one call on the (M, N) rows and their laws
         xs, ps, zs = path
-        zs[1:] = z = velocity(xs[1:], ps[1:], Ensemble._view(xs[1:, :, None], q))
+        zs[1:] = z = _velocity(fam, xs[1:], ps[1:], Ensemble._view(xs[1:, :, None], q))
         ok = np.isfinite(z).all(1) & (xs[1:].min(1) > 0 if positive else True)
         if not ok.all():  # the first bad row names its time
             m = int(np.argmin(ok)) + 1
@@ -206,6 +208,38 @@ def integrate_flow(
     return TrajectoryEnsemble(
         times=times, states=states, velocities=velocities, costates=costates, q=q
     )
+
+
+def swept_hull(
+    fam: HamiltonianFamily, x0: Ensemble, phi, horizon: float, steps: int
+) -> tuple[float, float]:
+    """Least and greatest state of the flow seeded by ``phi`` over ``steps``
+    classical RK4 steps, a fixed scheme, so the hull that
+    :func:`~xmfg.mfg.canonical_grid` sizes a state-scaled grid from does not
+    move with the flow's tolerance.  A step whose solution is not finite or
+    exceeds ``1e12`` raises :class:`FlowBlowupError` naming it."""
+    q, h = x0.q, horizon / steps
+    y = np.stack([x0.samples[:, 0], phi.gradient_at(x0.samples[:, 0])])
+    lo, hi = y[0].min(), y[0].max()
+
+    def rates(s):  # (z, D_xH) at the stage input s = (x, p)
+        x_ens, k = Ensemble._view(s[0][:, None], q), np.empty_like(s)
+        k[0] = _velocity(fam, s[0], s[1], x_ens)
+        k[1] = fam.dx_hamiltonian(s[0], s[1], x_ens, Ensemble._view(k[0][:, None], q))
+        return k
+
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values fail the guard
+        for m in range(steps):
+            k1 = rates(y)
+            k2 = rates(y + 0.5 * h * k1)
+            k3 = rates(y + 0.5 * h * k2)
+            y = y + (k1 + 2 * k2 + 2 * k3 + rates(y + h * k3)) * (h / 6.0)
+            if not np.abs(y).max() <= _OVERFLOW_GUARD:  # NaN fails it too
+                raise FlowBlowupError(
+                    f"flow blew up advancing step {m} -> {m + 1} (t={m * h:.4g})", step=m
+                )
+            lo, hi = min(lo, y[0].min()), max(hi, y[0].max())
+    return float(lo), float(hi)
 
 
 @dataclass(frozen=True)

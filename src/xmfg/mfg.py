@@ -16,7 +16,6 @@ reportable outcome, never hidden.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -35,7 +34,7 @@ from .errors import (
     XmfgError,
 )
 from .families import HamiltonianFamily
-from .flow import integrate_flow
+from .flow import integrate_flow, swept_hull
 from .hjb import (
     AnalyticSlice,
     GridConfig,
@@ -46,7 +45,6 @@ from .hjb import (
     solve_backward,
 )
 
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "SolverConfig",
@@ -110,12 +108,6 @@ class ProblemSpec:
     def __post_init__(self):
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        # equal neighbours once sorted: np.unique imports numpy.ma, about 12 ms
-        n_dup = np.count_nonzero(np.diff(np.sort(self.initial.samples[:, 0])) == 0)
-        if n_dup:
-            # atoms in the initial law: legal, they ride identical characteristics,
-            # but separation diagnostics skip the coincident pairs
-            logger.warning("initial ensemble carries %d duplicate sample(s)", n_dup)
 
 
 @dataclass
@@ -204,12 +196,9 @@ def canonical_grid(
             core_hi=hi + 3 * dx0,
         )
     phi0 = AnalyticSlice(lambda xq: fam.terminal.gradient(xq, x0))
-    traj0 = integrate_flow(
-        fam, x0, phi0, problem.horizon, cfg.time_steps, tol=_FLOW_TOL * cfg.tol_traj
-    )
+    path_lo, path_hi = swept_hull(fam, x0, phi0, problem.horizon, cfg.time_steps)
     # the path starts on X_0, so this is the hull of the path and the included span
-    swept_lo = min(lo, float(np.min(traj0.states)))
-    swept_hi = max(hi, float(np.max(traj0.states)))
+    swept_lo, swept_hi = min(lo, path_lo), max(hi, path_hi)
     if swept_lo <= 0:
         raise XmfgError("state-scaled dynamics swept through x <= 0; problem ill-posed here")
     x_lo, x_hi = 0.5 * swept_lo, 1.5 * swept_hi
@@ -403,10 +392,7 @@ def _restart_problem(
     sub_steps = cfg.time_steps - m_t
     # Y enters under the game's moment exponent; its samples are checked already
     initial = Ensemble._view(y.samples, problem.initial.q)
-    # a derived game, not a declared one: the declared game checked its horizon
-    # and logged the atoms, which X(t) carries along, so it is built unchecked
-    sub_problem = object.__new__(ProblemSpec)
-    sub_problem.__dict__.update(family=problem.family, horizon=sub_steps * dt, initial=initial)
+    sub_problem = ProblemSpec(family=problem.family, horizon=sub_steps * dt, initial=initial)
     return sub_problem, replace(cfg, time_steps=sub_steps)
 
 

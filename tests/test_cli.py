@@ -552,8 +552,8 @@ def test_a_cli_solve_logs_duplicate_samples_once(tmp_path, caplog):
 
 
 def test_a_cli_master_logs_duplicate_samples_once(tmp_path, caplog):
-    # the restart games start from X(t), which carries the atoms of X_0; they
-    # are derived from the declared game, not declared again
+    # the restart games start from X(t), which carries the atoms of X_0; only
+    # the parsed document declares a game
     initial = {"kind": "samples", "params": {"values": [-1.0, -0.5, 0.0, 0.0, 0.5, 1.0]}}
     doc = dict(SMALL_LQ_DOC, initial=initial)
     with caplog.at_level(logging.WARNING, logger="xmfg"):
@@ -820,19 +820,18 @@ CSV_CASES = [
 ]
 
 
-#: `bundle_digest` of `solve`, `master` and `oracle` at seed 1.  `oracle-lq` was
-#: taken before the quadratic terminal cost and the game's moment exponent were
-#: declared once; the others since the flow steps with the adaptive
-#: Dormand-Prince pair, whose paths move the `solve` and `master` outputs in
-#: their last digits and the quartic grid, which `canonical_grid` sizes from
-#: the seed flow's hull, by 3e-7 at its lower edge
+#: `bundle_digest` of `solve`, `master` and `oracle` at seed 1.  The `oracle`
+#: digests were taken before the quadratic terminal cost and the game's moment
+#: exponent were declared once; the `solve` and `master` digests since the flow
+#: steps with the adaptive Dormand-Prince pair, whose paths move those outputs
+#: in their last digits
 BUNDLE_DIGESTS = {
-    "solve-small-lq": "247f09891a2cdeedb49d29d938c55f5ce87ca7f07f6a2bf20b3b7ff36021e7dc",
-    "solve-quadratic": "51b39de0f68bc85d339fbdfa0b760373fbf212cdc0fcf0f5a31288d4b8a659eb",
-    "solve-solvable-quartic": "1203ef8d5b3d5fdf1df25278b373f35b01213f89ccf2c72d78829e87d8cd0d50",
-    "master-small-lq": "afee7e594e0445734006ac528beb8f2fb29c3f749862baee4111424a4955b486",
+    "solve-small-lq": "e9681c9bb65c4218dd00ec17b2d807ae17f2e4db21dda99ebd92eddcb869c763",
+    "solve-quadratic": "cbd9d2971141477f2645c4d12ba354827056fd6e283d130379bebbc8b4144e19",
+    "solve-solvable-quartic": "68f55afedd9a411854891ce088841ee457ee87efaaa54c5de3084bfa7a146662",
+    "master-small-lq": "ae8d2da54a9418989338aa89a85ed3cc384ecfa992ee4a0ae9f4cee2f59a1feb",
     "oracle-lq": "7ef246c0754f76bc7fc28d2b6576565493107a67cd7cf2679c89629f30e53888",
-    "oracle-quartic": "a40ec2ff107eb4114db3a6c128f477b319ce86dead332ca693e2820a02b6a771",
+    "oracle-quartic": "68a63755060b215a63af57d43f6947619b90b2b2898f72526ab909c08b65f833",
 }
 BUNDLE_DOCS = {
     "small-lq": SMALL_LQ_DOC,
@@ -892,6 +891,7 @@ FUZZ_VALUES = {
     "solver.v_max": [2.0, None, *EXTREMES],
     "solver.damping": [0.5, 1.0, 2.0, *EXTREMES],
     "solver.tol_fix": [1e-8, *EXTREMES],
+    "solver.tol_traj": [1e-8, *EXTREMES],
     # integer keys stay small: a float such as 1e300 is a schema error
     "solver.max_outer": [1, 3, 8, 0, -1, 1e300],
     "initial.N": [1, 2, 16, 0, -1, 1e300],
@@ -939,8 +939,17 @@ FUZZ_DOCS = {
 @example(case=("solve", "lq", ("T=1e-300", "solver.v_max=1e-300")))
 @example(case=("master", "lq", ("T=1e-300", "solver.v_max=1e-300")))
 @example(case=("master", "lq", ("solver.v_max=1e+300",)))
+# the flow's tolerance, tol_traj / 1000, overflowed its first-step estimate
+# into a NaN step, and every step was rejected
+@example(case=("solve", "lq", ("solver.tol_traj=1e-300",)))
 def test_fuzzed_overrides_end_in_a_documented_exit(case):
     assert_documented_exit(*case)
+
+
+@pytest.mark.parametrize("command", ["solve", "master"])
+def test_a_tiny_trajectory_tolerance_still_runs_its_flows(command):
+    # the flow's tolerance is raised to its floor, so no flow stalls at t = 0
+    assert assert_documented_exit(command, "lq", ("solver.tol_traj=1e-300",)) != 1
 
 
 @settings(max_examples=40, deadline=None)
