@@ -418,11 +418,9 @@ def _cmd_oracle(parsed: ParsedProblem, run: RunConfig) -> int:
 
     grid = canonical_grid(parsed.problem, parsed.solver)
     with np.errstate(all="ignore"):  # a non-finite table raises below
-        table = state.value_table(grid.nodes())
-        grad = np.gradient(table, grid.dx, axis=1)
-    if not (np.isfinite(table).all() and np.isfinite(grad).all()):
+        vg = ValueGrid(config=grid, times=state.times, u=state.value_table(grid.nodes()))
+    if not (np.isfinite(vg.u).all() and np.isfinite(vg.grad).all()):
         raise ValueBlowupError("the oracle value table is not finite on the grid")
-    vg = ValueGrid(config=grid, times=state.times, u=table, grad=grad)
     run.out_dir.mkdir(parents=True, exist_ok=True)
     bundles.write_value_csv(run.out_dir / "value.csv", vg)
     bundles.write_trajectory_csv(run.out_dir / "trajectory.csv", traj)

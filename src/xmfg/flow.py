@@ -15,8 +15,8 @@ are not tied to the output rows.  Each row is read from the continuous
 extension of the accepted step that holds its time (Shampine 1986), and its
 velocity is solved anew at the row's (x, p): one family call on all rows when
 the family has a closed form (``velocity_closed_form``) and one row at a
-time otherwise.  :func:`swept_hull` integrates the same system with fixed
-classical RK4 steps, for the hull a state-scaled grid is sized from.
+time otherwise.  The same flow, seeded by the terminal slope at its default
+tolerance, sizes a state-scaled grid (:func:`~xmfg.mfg.canonical_grid`).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "integrate_flow",
-    "swept_hull",
     "separation_diagnostic",
     "SeparationReport",
 ]
@@ -109,10 +108,10 @@ def integrate_flow(
     with ``tol`` at least ``1e-13``, is at most 1; the first step spans one
     row.  A step is rejected when its stages or solution are not finite or
     exceed ``1e12``, or, under state-scaled dynamics, reach ``x <= 0``.  A step
-    shorter than ``1e-10 horizon``, a 13th rejection in a row, or a row whose
-    velocity is not finite or whose state-scaled ``x`` is not positive raises
-    :class:`FlowBlowupError` naming the time reached; its ``step`` is the last
-    row reached.
+    shorter than ``1e-10 horizon``, a 13th rejection in a row, a seed whose
+    rates are not finite, or a row whose velocity is not finite or whose
+    state-scaled ``x`` is not positive raises :class:`FlowBlowupError` naming
+    the time reached; its ``step`` is the last row reached.
     """
     if steps < 1 or horizon <= 0:
         raise ValueError("flow requires steps >= 1 and a positive horizon")
@@ -130,14 +129,12 @@ def integrate_flow(
     # rate makes the step's error estimate non-finite, which rejects the step.
     stage = np.empty((2, n))
     stage[0] = x0.samples[:, 0]
-    stage[1] = phi.gradient_at(stage[0])
     x_ens = Ensemble._view(stage[0][:, None], q)
     x, p = x_ens.samples[:, 0], Ensemble._view(stage[1][:, None], q).samples[:, 0]
     k = np.empty((7, 2, n))
     z_ens = [Ensemble._view(k_i[0][:, None], q) for k_i in k]
     path = np.empty((3, steps + 1, n))
-    path[:2, 0] = y = stage.copy()  # the solution at the time reached
-    k_flat, stage_flat, y_flat = k.reshape(7, -1), stage.reshape(-1), y.reshape(-1)
+    k_flat, stage_flat = k.reshape(7, -1), stage.reshape(-1)
     evals = 0
 
     def rates(i):
@@ -151,6 +148,9 @@ def integrate_flow(
         return FlowBlowupError(f"flow cannot advance past t={t:.4g}: {reason}", step=m)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        stage[1] = phi.gradient_at(stage[0])  # a non-finite seed fails the first rates
+        path[:2, 0] = y = stage.copy()  # the solution at the time reached
+        y_flat = y.reshape(-1)
         rates(0)
         if not np.isfinite(k[0]).all():
             raise stall(0.0, "its rates are not finite")
@@ -208,38 +208,6 @@ def integrate_flow(
     return TrajectoryEnsemble(
         times=times, states=states, velocities=velocities, costates=costates, q=q
     )
-
-
-def swept_hull(
-    fam: HamiltonianFamily, x0: Ensemble, phi, horizon: float, steps: int
-) -> tuple[float, float]:
-    """Least and greatest state of the flow seeded by ``phi`` over ``steps``
-    classical RK4 steps, a fixed scheme, so the hull that
-    :func:`~xmfg.mfg.canonical_grid` sizes a state-scaled grid from does not
-    move with the flow's tolerance.  A step whose solution is not finite or
-    exceeds ``1e12`` raises :class:`FlowBlowupError` naming it."""
-    q, h = x0.q, horizon / steps
-    y = np.stack([x0.samples[:, 0], phi.gradient_at(x0.samples[:, 0])])
-    lo, hi = y[0].min(), y[0].max()
-
-    def rates(s):  # (z, D_xH) at the stage input s = (x, p)
-        x_ens, k = Ensemble._view(s[0][:, None], q), np.empty_like(s)
-        k[0] = _velocity(fam, s[0], s[1], x_ens)
-        k[1] = fam.dx_hamiltonian(s[0], s[1], x_ens, Ensemble._view(k[0][:, None], q))
-        return k
-
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values fail the guard
-        for m in range(steps):
-            k1 = rates(y)
-            k2 = rates(y + 0.5 * h * k1)
-            k3 = rates(y + 0.5 * h * k2)
-            y = y + (k1 + 2 * k2 + 2 * k3 + rates(y + h * k3)) * (h / 6.0)
-            if not np.abs(y).max() <= _OVERFLOW_GUARD:  # NaN fails it too
-                raise FlowBlowupError(
-                    f"flow blew up advancing step {m} -> {m + 1} (t={m * h:.4g})", step=m
-                )
-            lo, hi = min(lo, y[0].min()), max(hi, y[0].max())
-    return float(lo), float(hi)
 
 
 @dataclass(frozen=True)

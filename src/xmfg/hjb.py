@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -127,19 +127,17 @@ def _central_gradient(x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ValueSlice:
-    """One time slice of the value function with its spatial gradient."""
+    """One time slice of the value function; its spatial gradient ``grad`` is
+    the central difference of ``u`` (one-sided at the two edge nodes)."""
 
     x: np.ndarray
     u: np.ndarray
-    grad: np.ndarray | None = None
+    grad: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
         self.u = np.asarray(self.u, dtype=float)
-        if self.grad is None:
-            self.grad = _central_gradient(self.x, self.u)
-        else:
-            self.grad = np.asarray(self.grad, dtype=float)
+        self.grad = _central_gradient(self.x, self.u)
 
     def value_at(self, xq):
         return _interp_clamped(xq, self.x, self.u, "value slice")
@@ -167,23 +165,25 @@ class AnalyticSlice:
 
 @dataclass
 class ValueGrid:
-    """Value function and spatial gradient on the space-time grid."""
+    """Value function on the space-time grid; its spatial gradient ``grad`` is
+    derived from ``u`` row by row, by the rule of :class:`ValueSlice`."""
 
     config: GridConfig
     times: np.ndarray
     u: np.ndarray
-    grad: np.ndarray
+    grad: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.x = self.config.nodes()
         self.times = np.asarray(self.times, dtype=float)
+        self.grad = _central_gradient(self.x, self.u)
 
     @property
     def horizon(self) -> float:
         return float(self.times[-1] - self.times[0])
 
     def time_slice(self, m: int) -> ValueSlice:
-        return ValueSlice(self.x, self.u[m], self.grad[m])
+        return ValueSlice(self.x, self.u[m])
 
     def value_at(self, xq, t_index: int):
         return _interp_clamped(xq, self.x, self.u[t_index], "value grid")
@@ -311,9 +311,7 @@ def solve_backward(
         )
     if not np.isfinite(u).all():
         raise ValueBlowupError("backward sweep produced a non-finite value")
-
-    grad = _central_gradient(x, u)
-    return ValueGrid(config=cfg, times=traj.times, u=u, grad=grad)
+    return ValueGrid(config=cfg, times=traj.times, u=u)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from .errors import (
     XmfgError,
 )
 from .families import HamiltonianFamily
-from .flow import integrate_flow, swept_hull
+from .flow import integrate_flow
 from .hjb import (
     AnalyticSlice,
     GridConfig,
@@ -171,6 +171,8 @@ def canonical_grid(
     sacrificial (saturation there is tolerated).  State-scaled dynamics
     instead bracket, multiplicatively, the hull swept by the flow that the
     terminal slope psi'(., X_0) seeds, keeping the domain away from x = 0.
+    That flow runs at :func:`integrate_flow`'s default tolerance, so the grid
+    does not move with ``tol_traj``.
     """
     fam = problem.family
     x0 = problem.initial
@@ -196,9 +198,9 @@ def canonical_grid(
             core_hi=hi + 3 * dx0,
         )
     phi0 = AnalyticSlice(lambda xq: fam.terminal.gradient(xq, x0))
-    path_lo, path_hi = swept_hull(fam, x0, phi0, problem.horizon, cfg.time_steps)
+    path = integrate_flow(fam, x0, phi0, problem.horizon, cfg.time_steps).states
     # the path starts on X_0, so this is the hull of the path and the included span
-    swept_lo, swept_hi = min(lo, path_lo), max(hi, path_hi)
+    swept_lo, swept_hi = min(lo, float(path.min())), max(hi, float(path.max()))
     if swept_lo <= 0:
         raise XmfgError("state-scaled dynamics swept through x <= 0; problem ill-posed here")
     x_lo, x_hi = 0.5 * swept_lo, 1.5 * swept_hi

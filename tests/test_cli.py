@@ -39,6 +39,7 @@ from xmfg.families import (
     ZeroCoupling,
     ZeroPotential,
 )
+from xmfg.hjb import _central_gradient
 from xmfg.mfg import solve_mfg
 
 ZERO_DOC = {
@@ -761,6 +762,17 @@ def test_quartic_oracle_document_runs(tmp_path):
     assert main(["oracle", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
 
 
+@pytest.mark.parametrize("doc", [LQ_DOC, QUARTIC_DOC], ids=["lq", "quartic"])
+def test_the_oracle_gradient_is_the_central_difference_of_its_values(tmp_path, doc):
+    # `oracle` and `solve` derive du_dx by one rule, bit for bit
+    out = tmp_path / "o"
+    assert main(["oracle", "--config", str(write_doc(tmp_path, doc)), "--out", str(out)]) == 0
+    t, x, u, du_dx = np.loadtxt(out / "value.csv", delimiter=",", skiprows=1, unpack=True)
+    shape = (np.unique(t).size, -1)
+    nodes = x.reshape(shape)[0]
+    np.testing.assert_array_equal(du_dx.reshape(shape), _central_gradient(nodes, u.reshape(shape)))
+
+
 def test_non_finite_results_are_written_as_null(tmp_path, capsys):
     cfg_path = write_doc(tmp_path, QUADRATIC_DOC)
     check = tmp_path / "check"
@@ -820,18 +832,19 @@ CSV_CASES = [
 ]
 
 
-#: `bundle_digest` of `solve`, `master` and `oracle` at seed 1.  The `oracle`
-#: digests were taken before the quadratic terminal cost and the game's moment
-#: exponent were declared once; the `solve` and `master` digests since the flow
-#: steps with the adaptive Dormand-Prince pair, whose paths move those outputs
-#: in their last digits
+#: `bundle_digest` of `solve`, `master` and `oracle` at seed 1.  The `solve`
+#: and `master` digests were taken since the flow steps with the adaptive
+#: Dormand-Prince pair, whose paths move those outputs in their last digits;
+#: the `oracle` digests since its du_dx is the central difference of `u`, as
+#: in `solve`, and the quartic ones since a state-scaled grid is sized from
+#: that adaptive flow
 BUNDLE_DIGESTS = {
     "solve-small-lq": "e9681c9bb65c4218dd00ec17b2d807ae17f2e4db21dda99ebd92eddcb869c763",
     "solve-quadratic": "cbd9d2971141477f2645c4d12ba354827056fd6e283d130379bebbc8b4144e19",
-    "solve-solvable-quartic": "68f55afedd9a411854891ce088841ee457ee87efaaa54c5de3084bfa7a146662",
+    "solve-solvable-quartic": "9ba3ec1608876229ebca9ad92e66c62fce04e4f502b6002316ed68355a1c2d86",
     "master-small-lq": "ae8d2da54a9418989338aa89a85ed3cc384ecfa992ee4a0ae9f4cee2f59a1feb",
-    "oracle-lq": "7ef246c0754f76bc7fc28d2b6576565493107a67cd7cf2679c89629f30e53888",
-    "oracle-quartic": "68a63755060b215a63af57d43f6947619b90b2b2898f72526ab909c08b65f833",
+    "oracle-lq": "6d4ac6ec5fd625f7c3962e4cc3f50cdc4f4f57519bc9d2800cb327e4a5b1baed",
+    "oracle-quartic": "7c5a733b57595fb4266fca97d38b9093f344d8380bd8d8b4a72a7a43f2aa625f",
 }
 BUNDLE_DOCS = {
     "small-lq": SMALL_LQ_DOC,
@@ -902,6 +915,8 @@ FUZZ_VALUES = {
     # they end in a schema error
     **{f"potential.params.{k}": [0.5, -0.5, *EXTREMES] for k in "ABC"},
     **{f"terminal.params.{k}": [0.5, 2.0, -1.0, *EXTREMES] for k in "MNQ"},
+    # the quartic terminal cost A x^4 + B
+    **{f"terminal.params.{k}": [0.35, 2.0, -0.35, *EXTREMES] for k in "AB"},
 }
 
 
@@ -912,19 +927,21 @@ def fuzzed_runs(commands):
         overrides = tuple(
             f"{k}={json.dumps(draw(st.sampled_from(FUZZ_VALUES[k])))}" for k in draw(keys)
         )
-        return draw(st.sampled_from(commands)), draw(st.sampled_from(["lq", "zero"])), overrides
+        return draw(st.sampled_from(commands)), draw(st.sampled_from(sorted(FUZZ_DOCS))), overrides
 
     return runs()
 
 
-# both documents run at most 8 outer iterations on grids of at most 61 x 40;
-# the LQ document spells out its zero running cost, so the fuzz can change it
+# the documents run at most 8 outer iterations on grids of at most 61 x 40;
+# the LQ document spells out its zero running cost, so the fuzz can change it,
+# and the quartic one sizes a state-scaled grid from its seed flow
 FUZZ_DOCS = {
     "lq": {
         **LQ_DOC,
         "potential": {"kind": "lq_running", "params": {"A": 0.0, "B": 0.0, "C": 0.0}},
         "solver": {**LQ_DOC["solver"], "max_outer": 8},
     },
+    "quartic": {**QUARTIC_DOC, "solver": {"nx": 21, "M": 10, "nv": 21, "max_outer": 4}},
     "zero": ZERO_DOC,
 }
 
@@ -942,6 +959,9 @@ FUZZ_DOCS = {
 # the flow's tolerance, tol_traj / 1000, overflowed its first-step estimate
 # into a NaN step, and every step was rejected
 @example(case=("solve", "lq", ("solver.tol_traj=1e-300",)))
+# the seed flow of the quartic grid read psi' = 4 A x^3 outside its errstate
+# and printed an overflow warning before its FLOW_BLOWUP line
+@example(case=("solve", "quartic", ("solver.v_max=1e+300", "initial.params.hi=1e+300")))
 def test_fuzzed_overrides_end_in_a_documented_exit(case):
     assert_documented_exit(*case)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import re
 
@@ -11,6 +12,7 @@ from xmfg.errors import FlowBlowupError
 from xmfg.families import (
     CustomVelocityFamily,
     LQFamily,
+    MeanSquareVelocityCoupling,
     MomentQuadraticPotential,
     QuadraticCoupledFamily,
     QuadraticFormPotential,
@@ -21,6 +23,7 @@ from xmfg import flow
 from xmfg.analytic import LQCoefficients, lq_solve
 from xmfg.flow import integrate_flow, separation_diagnostic
 from xmfg.hjb import AnalyticSlice
+from xmfg.mfg import ProblemSpec, SolverConfig, canonical_grid
 
 
 def spread_ensemble(n=8, lo=-1.0, hi=1.0):
@@ -589,24 +592,52 @@ def test_rows_inside_a_step_are_its_dense_output(fam, steps):
         np.testing.assert_allclose(a, b, rtol=0, atol=10 * tol * (1 + np.max(np.abs(b))))
 
 
-@pytest.mark.parametrize("fam", ROW_FAMILIES)
-def test_the_swept_hull_is_the_hull_of_fixed_rk4_steps(fam):
-    # the hull a state-scaled grid is sized from keeps the fixed-step bits,
-    # whatever the adaptive flow's tolerance
-    x0, phi = spread_ensemble(9, 0.5, 1.5), AnalyticSlice(lambda x: 0.2 * x)
-    ref = reference_flow(fam, x0, phi, 0.5, 20)
-    assert flow.swept_hull(fam, x0, phi, 0.5, 20) == (ref.states.min(), ref.states.max())
+# ---------------------------------------------------------------------------
+# a state-scaled grid is sized from the flow seeded by the terminal slope
+# ---------------------------------------------------------------------------
+
+GRID_SOLVER = SolverConfig(nx=41, time_steps=20, nv=41, v_max=4.0)
 
 
-def test_a_swept_hull_that_overflows_names_its_step():
-    # P' = 1000 P^2 from P = 1 blows up at t = 1e-3, inside the first step
-    fam = CustomVelocityFamily(
-        dp_h=lambda x, p, y, z: np.zeros_like(x),
-        dx_h=lambda x, p, X, Z: 1e3 * p**2,
+@pytest.mark.parametrize(
+    "fam, include",
+    [
+        (QuarticFamily(0.3), None),  # the paths fall below X_0
+        (QuarticFamily(-0.1), (0.3, 0.3)),  # they rise; include sets the lower end
+        (QuarticFamily(0.2, coupling=MeanSquareVelocityCoupling(0.5)), (1.0, 2.5)),
+    ],
+)
+def test_a_state_scaled_core_is_the_hull_of_the_seed_flow(fam, include):
+    x0 = spread_ensemble(9, 0.5, 1.5)
+    grid = canonical_grid(ProblemSpec(fam, 0.5, x0), GRID_SOLVER, include=include)
+    seed = AnalyticSlice(lambda x: fam.terminal.gradient(x, x0))
+    states = integrate_flow(fam, x0, seed, 0.5, 20).states
+    span = [*x0.samples[:, 0], *(include or ())]
+    assert grid.core_interval() == (min(states.min(), *span), max(states.max(), *span))
+    assert grid.core_interval() != (min(span), max(span))  # the flow moves the core
+
+
+def test_a_state_scaled_grid_does_not_read_the_trajectory_tolerance():
+    problem = ProblemSpec(QuarticFamily(0.3), 0.5, spread_ensemble(9, 0.5, 1.5))
+    loose, tight = (
+        canonical_grid(problem, dataclasses.replace(GRID_SOLVER, tol_traj=tol))
+        for tol in (1e-4, 1e-10)
     )
-    with pytest.raises(FlowBlowupError, match=r"advancing step 0 -> 1 \(t=0\)") as err:
-        flow.swept_hull(fam, spread_ensemble(3), AnalyticSlice(np.ones_like), 1.0, 50)
-    assert err.value.step == 0
+    assert loose == tight
+
+
+@pytest.mark.parametrize(
+    "fam, x0, match",
+    [
+        # psi' = 4 a x^3 overflows at x = 1e300: the seed rates are not finite
+        (QuarticFamily(0.4), Ensemble([1.0, 1e300]), r"t=0: its rates are not finite"),
+        # a steeper terminal slope carries the lowest path to x <= 0 at t = 0.49
+        (QuarticFamily(0.4), spread_ensemble(9, 0.5, 1.5), r"t=0.49\d*: .* reaches x <= 0"),
+    ],
+)
+def test_a_seed_flow_that_blows_up_ends_the_grid_sizing(fam, x0, match):
+    with pytest.raises(FlowBlowupError, match=match):
+        canonical_grid(ProblemSpec(fam, 0.5, x0), GRID_SOLVER)
 
 
 # ---------------------------------------------------------------------------

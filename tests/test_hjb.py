@@ -52,9 +52,7 @@ def with_table(fam, nodes, values):
 def static_grid(u_row, x_lo=-1.0, x_hi=1.0, slices=3):
     nx = len(u_row)
     cfg = GridConfig(x_lo=x_lo, x_hi=x_hi, nx=nx, nv=5, v_max=1.0)
-    u = np.tile(u_row, (slices, 1))
-    g = np.gradient(u, cfg.dx, axis=1)
-    return ValueGrid(config=cfg, times=np.linspace(0, 1, slices), u=u, grad=g)
+    return ValueGrid(config=cfg, times=np.linspace(0, 1, slices), u=np.tile(u_row, (slices, 1)))
 
 
 def test_zero_problem_stays_zero():
