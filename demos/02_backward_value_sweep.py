@@ -18,7 +18,7 @@ population = TrajectoryEnsemble(times, rest, np.zeros_like(rest))
 
 fam = QuadraticCoupledFamily(beta=0.0, terminal=QuadraticFormPotential(a=1.0))
 grid = GridConfig(x_lo=-3, x_hi=3, nx=121, nv=81, v_max=4.0, core_lo=-1.0, core_hi=1.0)
-vg = solve_backward(fam, population, grid)
+vg = solve_backward(fam, population, grid).dense()
 
 x = vg.x
 exact0 = x**2 / (2 * (1 + T))

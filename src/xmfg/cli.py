@@ -419,7 +419,8 @@ def _cmd_oracle(parsed: ParsedProblem, run: RunConfig) -> int:
     grid = canonical_grid(parsed.problem, parsed.solver)
     with np.errstate(all="ignore"):  # a non-finite table raises below
         vg = ValueGrid(config=grid, times=state.times, u=state.value_table(grid.nodes()))
-    if not (np.isfinite(vg.u).all() and np.isfinite(vg.grad).all()):
+        finite = np.isfinite(vg.u).all() and np.isfinite(vg.grad).all()
+    if not finite:
         raise ValueBlowupError("the oracle value table is not finite on the grid")
     run.out_dir.mkdir(parents=True, exist_ok=True)
     bundles.write_value_csv(run.out_dir / "value.csv", vg)

@@ -17,15 +17,17 @@ v = -(b + s g), clipped to the controls whose foot lands on that piece.  The
 pieces each node reaches are found once per step length.  A step spans
 j = k rows (:func:`sweep_stride`; the last, to row 0, may span fewer), so a
 foot moves about ``COURANT_TARGET`` cells and the interpolation's diffusion
-is paid once per k rows; the rows inside a step are linear blends in time of
-its two ends.  The stride is the sweep's alone: a step reads the population
-path at its lower row, and the flow (:mod:`xmfg.flow`) records every row with
-steps of its own.  The scheme is monotone: raising the terminal data can never
+is paid once per k rows.  The sweep keeps the step ends only;
+:meth:`ValueGrid.dense` fills the rows inside a step with linear blends in
+time of its two ends.  The stride is the sweep's alone: a step reads the
+population path at its lower row, and the flow (:mod:`xmfg.flow`) records
+every row with steps of its own.  The scheme is monotone: raising the terminal data can never
 lower any value.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -165,31 +167,57 @@ class AnalyticSlice:
 
 @dataclass
 class ValueGrid:
-    """Value function on the space-time grid; its spatial gradient ``grad`` is
-    derived from ``u`` row by row, by the rule of :class:`ValueSlice`."""
+    """Value function on the space-time grid: ``u[j]`` is time row ``rows[j]``
+    (by default every row), and ``grad`` is derived from ``u`` on first read,
+    by the rule of :class:`ValueSlice`.  The accessors take a held row."""
 
     config: GridConfig
     times: np.ndarray
     u: np.ndarray
-    grad: np.ndarray = field(init=False)
+    rows: np.ndarray | None = None
 
     def __post_init__(self):
         self.x = self.config.nodes()
         self.times = np.asarray(self.times, dtype=float)
-        self.grad = _central_gradient(self.x, self.u)
+        self.rows = np.arange(self.times.size) if self.rows is None else np.asarray(self.rows)
+
+    @functools.cached_property
+    def grad(self) -> np.ndarray:
+        return _central_gradient(self.x, self.u)
 
     @property
     def horizon(self) -> float:
         return float(self.times[-1] - self.times[0])
 
+    def _between(self, rows: np.ndarray) -> np.ndarray:
+        """Rows inside steps, blended linearly in time from the held rows around them."""
+        j = np.searchsorted(self.rows, rows)  # the step holding each row ends on rows[j]
+        lower, upper = self.rows[j - 1], self.rows[j]
+        theta = ((rows - lower) / (upper - lower))[:, None]
+        with np.errstate(all="ignore"):  # a non-finite blend is for the caller to test
+            return (1 - theta) * self.u[j - 1] + theta * self.u[j]
+
+    def dense(self) -> ValueGrid:
+        """The grid on every time row; :class:`ValueBlowupError` if a blend is not finite."""
+        u = np.empty((self.times.size, self.x.size))
+        u[self.rows] = self.u
+        inner = np.delete(np.arange(self.times.size), self.rows)  # np.setdiff1d imports numpy.ma
+        u[inner] = self._between(inner)
+        if not np.isfinite(u).all():
+            raise ValueBlowupError("the blended value grid holds a non-finite value")
+        return ValueGrid(config=self.config, times=self.times, u=u)
+
+    def _at(self, m: int) -> int:  # a row inside a sweep step raises ValueError
+        return self.rows.tolist().index(m)
+
     def time_slice(self, m: int) -> ValueSlice:
-        return ValueSlice(self.x, self.u[m])
+        return ValueSlice(self.x, self.u[self._at(m)])
 
     def value_at(self, xq, t_index: int):
-        return _interp_clamped(xq, self.x, self.u[t_index], "value grid")
+        return _interp_clamped(xq, self.x, self.u[self._at(t_index)], "value grid")
 
     def gradient_at(self, xq, t_index: int):
-        return _interp_clamped(xq, self.x, self.grad[t_index], "value grid")
+        return _interp_clamped(xq, self.x, self.grad[self._at(t_index)], "value grid")
 
 
 def _exact_minimizer(x: np.ndarray, g, dt: float, v_max: float):
@@ -259,20 +287,21 @@ def solve_backward(
     costs.  The sweep steps from row ``M`` to rows ``M - k, M - 2k, ..., 0``
     with ``k = sweep_stride(...)``; the last step is shorter when ``k`` does
     not divide ``M``.  A step reads the running cost at its lower row (all
-    steps' in one call when the family stacks laws), and each row in between
-    is the linear blend in time of the two rows around it.  ``k = 1`` steps
+    steps' in one call when the family stacks laws).  The returned grid
+    holds the swept rows only, row 0, the step ends and row ``M``; its
+    :meth:`ValueGrid.dense` blends the rows in between.  ``k = 1`` steps
     every row.  Raises :class:`ControlSaturationError`
     when the minimizing control of a step reaches +-v_max on more than 1% of
     the core nodes, which signals a control box too small for the problem
     (tested once the sweep is done, naming the lower row of the latest such
-    step), and :class:`ValueBlowupError` when a value is not finite.
+    step), and :class:`ValueBlowupError` when a swept value is not finite.
     """
     x = cfg.nodes()
     steps, dt = traj.steps, traj.dt
     k = sweep_stride(fam, cfg, dt, steps)
     ends = [0, *range(steps % k or k, steps + 1, k)]  # row 0, then rows steps - j k
     lows = ends[-2::-1]  # the lower row of each step, going backward
-    u = np.empty((steps + 1, cfg.nx))
+    u = np.empty((len(ends), cfg.nx))  # u[j] is row ends[j]
     controls = np.empty((len(lows), cfg.nx))
     core_lo, core_hi = cfg.core_interval()
     core = (x >= core_lo) & (x <= core_hi)
@@ -280,7 +309,7 @@ def solve_backward(
     n_core = max(int(np.count_nonzero(core)), 1)
 
     with np.errstate(all="ignore"):  # non-finite values are tested for below
-        u[steps] = fam.terminal(x, traj.ensemble(steps))
+        u[-1] = fam.terminal(x, traj.ensemble(steps))
         g = 1.0 if fam.speed is None else fam.speed(x)  # dx/dt = g(x) v
         step = _exact_minimizer(x, g, k * dt, cfg.v_max)
         if fam.stacks_laws:  # one drift and one running_potential call on the steps' laws
@@ -293,13 +322,7 @@ def solve_backward(
         for j, (hi, lo, (b, w)) in enumerate(zip([steps, *lows], lows, costs)):
             if hi - lo != k:  # the last step, to row 0, is shorter
                 step = _exact_minimizer(x, g, (hi - lo) * dt, cfg.v_max)
-            u[lo], controls[j] = step(u[hi], b, w)
-        # a row inside a step blends the step's two ends linearly in time
-        rows = np.delete(np.arange(steps), ends[:-1])  # np.setdiff1d imports numpy.ma
-        j = np.searchsorted(ends, rows)  # the step holding each row ends on ends[j]
-        lower, upper = np.take(ends, j - 1), np.take(ends, j)
-        theta = ((rows - lower) / (upper - lower))[:, None]
-        u[rows] = (1 - theta) * u[lower] + theta * u[upper]
+            u[-2 - j], controls[j] = step(u[-1 - j], b, w)
         # the latest pinned step is reported: it is the first the backward sweep meets
         frac = np.count_nonzero((np.abs(controls) >= cfg.v_max) & core, axis=1) / n_core
     saturated = np.flatnonzero(frac > SATURATION_FRACTION)
@@ -311,7 +334,7 @@ def solve_backward(
         )
     if not np.isfinite(u).all():
         raise ValueBlowupError("backward sweep produced a non-finite value")
-    return ValueGrid(config=cfg, times=traj.times, u=u)
+    return ValueGrid(config=cfg, times=traj.times, u=u, rows=np.array(ends))
 
 
 @dataclass(frozen=True)
@@ -327,15 +350,20 @@ class RegularityReport:
 def regularity_report(vg: ValueGrid) -> RegularityReport:
     """Exact grid constants: sup |u|, max slope, max second difference / dx^2.
 
-    The semiconcavity constant is evaluated on slices with t <= t1, 0.9 of
-    the horizon measured from the initial time, mirroring the fact that
-    one-sided curvature bounds degenerate at the terminal time.
+    The semiconcavity constant is evaluated on rows m <= 0.9 M (t <= t1 =
+    t0 + 0.9 T), mirroring the fact that one-sided curvature bounds degenerate
+    at the terminal time.  It reads the held rows, and the blend of row
+    floor(0.9 M) if a sweep step holds it: a blend lies between its step's
+    ends, so the constants are :meth:`ValueGrid.dense`'s up to its rounding.
     """
     dx = vg.config.dx
     t1 = float(vg.times[0]) + 0.9 * vg.horizon
     max_abs = float(np.max(np.abs(vg.u)))
     lip = float(np.max(np.abs(np.diff(vg.u, axis=1)))) / dx
-    uu = vg.u[vg.times <= t1 + 1e-12]  # holds the initial slice
+    last = math.floor(0.9 * (vg.times.size - 1) * (1 + 1e-12))  # the last row with t <= t1
+    uu = vg.u[vg.rows <= last]  # holds the initial row
+    if last not in vg.rows:
+        uu = np.vstack((uu, vg._between(np.array([last]))))
     # dx**2 as a Python float raises OverflowError; an extreme dx reports 0, inf or nan instead
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         second = (uu[:, 2:] + uu[:, :-2] - 2.0 * uu[:, 1:-1]) / np.float64(dx) ** 2

@@ -114,8 +114,10 @@ class ProblemSpec:
 class MfgSolution:
     """Best iterate of the outer iteration plus its full residual record.
 
-    ``residual_history`` rows are (k, ||F(Phi_k) - Phi_k||_inf, trajectory
-    W_q to the previous iterate); ``restarts`` counts safeguard fallbacks.
+    ``value`` holds every time row.  ``residual_history`` rows are (k,
+    ||F(Phi_k) - Phi_k||_inf, trajectory W_q to the previous iterate);
+    ``restarts`` counts safeguard fallbacks.  ``regularity_history`` holds
+    each iteration's :func:`regularity_report` of its evaluation's swept rows.
     """
 
     value: ValueGrid
@@ -296,7 +298,8 @@ def solve_mfg(
     residual ||F(Phi_k) - Phi_k||_inf <= tol_fix and the trajectory residual
     max_t W_q(X_k, X_{k-1}) <= tol_traj; reaching max_outer first returns the
     best iterate with ``converged=False``.  F is deterministic, so an iterate
-    equal to the last one evaluated reuses that flow and sweep.
+    equal to the last one evaluated reuses that flow and sweep.  Only the
+    returned iterate is blended to every time row (:meth:`ValueGrid.dense`).
     """
     fam = problem.family
     grid = canonical_grid(problem, cfg, include=include)
@@ -371,7 +374,7 @@ def solve_mfg(
 
     vg, traj, fix_res, traj_res = best
     return MfgSolution(
-        value=vg,
+        value=vg.dense(),
         traj=traj,
         residual_history=history,
         converged=converged,

@@ -5,8 +5,13 @@ its ``_SPANNED`` table; a name the program stops binding would break a traced
 run with a ``KeyError`` while every other test still passes.  Likewise
 ``perfbench/run.py`` builds its oracles from the ``(N, 1)`` sample column of
 an ensemble and the ``(M+1, N, 1)`` state path of a trajectory.
+
+The same small games count the work a solve does behind those names: one
+sweep per evaluation of the fixed-point map, one blend of the value grid per
+solve, and no gradient of the grid in a ``master`` sub-solve.
 """
 
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -15,10 +20,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import xmfg.hjb as hjb
 import xmfg.mfg as mfg
+from xmfg.cli import parse_problem_document
 from xmfg.ensembles import Ensemble
 from xmfg.families import LQFamily
-from xmfg.hjb import regularity_report, sweep_stride
+from xmfg.hjb import AnalyticSlice, regularity_report, sweep_stride
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -125,3 +132,80 @@ def test_benchmark_oracle_reads_the_ensemble_layout(tmp_path, monkeypatch, workl
     assert oracle["u"].shape == (21, oracle["nodes"].size)
     assert np.all(np.isfinite(oracle["u"])) and np.any(oracle["core"])
     assert oracle["dt"] == 1.0 / 20
+
+
+def count_work(monkeypatch):
+    """Record, in order, each solve ("solve"), sweep ("sweep"), blend ("dense")
+    and gradient (its array's ndim) the fixed-point iteration makes."""
+    events = []
+
+    def counted(name, real, tag=None):
+        def wrapper(*args, **kwargs):
+            events.append(tag(*args) if tag else name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(mfg, "solve_mfg", counted("solve", mfg.solve_mfg))
+    monkeypatch.setattr(mfg, "solve_backward", counted("sweep", mfg.solve_backward))
+    monkeypatch.setattr(hjb.ValueGrid, "dense", counted("dense", hjb.ValueGrid.dense))
+    gradient = counted(None, hjb._central_gradient, tag=lambda x, u: np.ndim(u))
+    monkeypatch.setattr(hjb, "_central_gradient", gradient)
+    return events
+
+
+def test_a_solve_blends_once_and_no_evaluation_of_the_fixed_point_map_blends(monkeypatch):
+    events = count_work(monkeypatch)
+    sol = mfg.solve_mfg(LAW_FREE, LAW_FREE_CFG)
+    # three iterations, two evaluations: the blend comes after the last sweep
+    assert sol.iterations == 3
+    assert events == ["solve", 1, "sweep", 1, "sweep", "dense"]
+    assert sol.value.u.shape == (LAW_FREE_CFG.time_steps + 1, LAW_FREE_CFG.nx)
+    sol.value.grad  # the bundle reads it: computed once, then kept
+    sol.value.grad
+    assert events[-1:] == [2] and events.count(2) == 1
+
+
+def test_a_master_sub_solve_blends_once_and_never_takes_the_grid_gradient(monkeypatch):
+    sol = mfg.solve_mfg(LAW_FREE, LAW_FREE_CFG)
+    events = count_work(monkeypatch)
+    probes = [(-0.5, 0.3), (0.5, 0.3), (0.0, 0.6)]
+    mfg.master_consistency_residual(sol, LAW_FREE, LAW_FREE_CFG, probes)
+    solves = [i for i, e in enumerate(events) if e == "solve"] + [len(events)]
+    assert len(solves) == 3  # two restart times, so two sub-solves
+    for start, end in zip(solves, solves[1:]):
+        solve = events[start:end]
+        # each evaluation takes the gradient of its Phi for the flow, then sweeps
+        assert solve[-1] == "dense" and solve.count("dense") == 1
+        assert solve[1:-1] == [1, "sweep"] * solve.count("sweep") and solve.count("sweep") >= 2
+    assert 2 not in events
+
+
+def test_apply_F_keeps_its_bits():
+    problem = mfg.ProblemSpec(
+        LQFamily(beta=0.5, m=1.0, n=0.2), horizon=1.0, initial=Ensemble(np.linspace(-0.5, 1.5, 16))
+    )
+    cfg = mfg.SolverConfig(nx=41, time_steps=20, nv=41, v_max=4.0)
+    out = mfg.apply_F(problem, AnalyticSlice(lambda x: x, value=lambda x: 0.5 * x**2), cfg)
+    digests = [hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in (out.u, out.grad)]
+    assert digests == ["def4970c32afc3ed", "905487ef407597ff"]
+
+
+@pytest.mark.parametrize("name", ["law-free", *sorted(ORACLE_DOCS)])
+def test_the_report_on_the_swept_rows_is_that_of_the_dense_grid(monkeypatch, name):
+    if name == "law-free":
+        problem, cfg = LAW_FREE, LAW_FREE_CFG
+    else:
+        parsed = parse_problem_document(ORACLE_DOCS[name])
+        problem, cfg = parsed.problem, parsed.solver
+    reports = []
+
+    def both(vg):
+        reports.append((regularity_report(vg), regularity_report(vg.dense())))
+        return reports[-1][0]
+
+    monkeypatch.setattr(mfg, "regularity_report", both)
+    sol = mfg.solve_mfg(problem, cfg)
+    assert len(reports) >= 2 and sol.regularity_history[0] is reports[0][0]
+    for swept, dense in reports:
+        assert swept == dense

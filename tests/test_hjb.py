@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmfg.ensembles import Ensemble, TrajectoryEnsemble
-from xmfg.errors import ControlSaturationError, DomainTooSmallError
+from xmfg.errors import ControlSaturationError, DomainTooSmallError, ValueBlowupError
 from xmfg.families import (
     CustomVelocityFamily,
     LinearTerminal,
@@ -57,7 +57,7 @@ def static_grid(u_row, x_lo=-1.0, x_hi=1.0, slices=3):
 
 def test_zero_problem_stays_zero():
     fam = QuadraticCoupledFamily(beta=0.0)
-    vg = solve_backward(fam, resting_population(), GridConfig(-2, 2, 81, 41, 2.0))
+    vg = solve_backward(fam, resting_population(), GridConfig(-2, 2, 81, 41, 2.0)).dense()
     assert np.max(np.abs(vg.u)) == 0.0
 
 
@@ -67,7 +67,7 @@ def test_hopf_lax_linear_terminal():
     fam = QuadraticCoupledFamily(beta=0.0, terminal=LinearTerminal(alpha))
     traj = resting_population(steps=100)
     cfg = GridConfig(-4, 4, 161, 121, 3.0)  # -alpha sits on the control grid
-    vg = solve_backward(fam, traj, cfg)
+    vg = solve_backward(fam, traj, cfg).dense()
     x = cfg.nodes()
     expected = alpha * x - alpha**2 * 0.5
     deep = (x > -1.5) & (x < 3.4)
@@ -80,7 +80,7 @@ def test_constant_running_cost_gives_time_to_go():
     # L = v^2/2 + 1 via the constant potential V = -1
     fam = QuadraticCoupledFamily(beta=0.0, potential=QuadraticFormPotential(c=-1.0))
     traj = resting_population(steps=60, horizon=1.0)
-    vg = solve_backward(fam, traj, GridConfig(-2, 2, 81, 41, 2.0))
+    vg = solve_backward(fam, traj, GridConfig(-2, 2, 81, 41, 2.0)).dense()
     for m, t in enumerate(traj.times):
         np.testing.assert_allclose(vg.u[m], 1.0 - t, atol=1e-12)
 
@@ -89,7 +89,7 @@ def test_terminal_slice_exact():
     fam = QuadraticCoupledFamily(beta=0.0, terminal=QuadraticFormPotential(a=2.0, b=-1.0))
     traj = resting_population(steps=10, level=0.5)
     cfg = GridConfig(-2, 2, 51, 21, 12.0)
-    vg = solve_backward(fam, traj, cfg)
+    vg = solve_backward(fam, traj, cfg).dense()
     x = cfg.nodes()
     np.testing.assert_array_equal(vg.u[-1], fam.terminal(x, traj.ensemble(10)))
 
@@ -153,6 +153,39 @@ def test_regularity_report_concave_parabola():
     assert rep.semiconcavity_const == pytest.approx(-2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "horizon, steps, last",
+    [(1e-12, 10, 9), (1e-12, 200, 180), (1e-9, 1000, 900), (1.0, 100, 90), (1e6, 30, 27)],
+)
+def test_the_semiconcavity_window_holds_the_rows_up_to_nine_tenths(horizon, steps, last):
+    # row m is m x^2, whose second differences are 2 m: the report names the last row
+    x = np.linspace(-1.0, 1.0, 11)
+    cfg = GridConfig(-1.0, 1.0, 11, 5, 1.0)
+    u = np.arange(steps + 1.0)[:, None] * x**2
+    rep = regularity_report(ValueGrid(cfg, np.linspace(0.0, horizon, steps + 1), u))
+    assert rep.semiconcavity_const == pytest.approx(2.0 * last, rel=1e-9)
+    assert rep.t1 == pytest.approx(0.9 * horizon, rel=1e-12)
+
+
+def test_the_semiconcavity_window_closes_on_the_blend_inside_a_step():
+    # steps of 3 rows end on rows 1, 4, 7 and 10; row 9 = 0.9 M lies in the last
+    # step, whose ends have curvature 0 and 2 c: row 9 blends them to 4 c / 3
+    x, c = np.linspace(-1.0, 1.0, 21), 3.0
+    cfg = GridConfig(-1.0, 1.0, 21, 5, 1.0)
+    u = np.zeros((5, 21))
+    u[-1] = c * x**2
+    vg = ValueGrid(cfg, np.linspace(0.0, 1.0, 11), u, rows=np.array([0, 1, 4, 7, 10]))
+    rep, dense = regularity_report(vg), vg.dense()
+    assert rep == regularity_report(dense)
+    assert rep.semiconcavity_const == pytest.approx(4.0 * c / 3.0)
+    np.testing.assert_array_equal(dense.u[9], (1 - 2 / 3) * u[3] + 2 / 3 * u[4])
+    with pytest.raises(ValueError):  # row 9 is not held
+        vg.time_slice(9)
+    u[2, 5] = np.nan
+    with pytest.raises(ValueBlowupError):
+        ValueGrid(cfg, vg.times, u, rows=vg.rows).dense()
+
+
 def comparison_case(name, rng):
     """Family, trajectory and grid of one comparison-principle setting."""
     if name == "resting":
@@ -179,8 +212,8 @@ def test_comparison_principle(seed):
         nodes = np.linspace(cfg.x_lo, cfg.x_hi, 9)
         base = rng.uniform(-1, 1, size=9)
         lift = rng.uniform(0, 1, size=9)
-        u_lo = solve_backward(with_table(fam, nodes, base), traj, cfg).u
-        u_hi = solve_backward(with_table(fam, nodes, base + lift), traj, cfg).u
+        u_lo = solve_backward(with_table(fam, nodes, base), traj, cfg).dense().u
+        u_hi = solve_backward(with_table(fam, nodes, base + lift), traj, cfg).dense().u
         assert np.all(u_hi >= u_lo - 1e-12), name
 
 
@@ -232,7 +265,7 @@ def test_consistency_under_refinement():
     def sup_error(nx, nv, steps):
         traj = resting_population(steps=steps, horizon=1.0)
         cfg = GridConfig(-3, 3, nx, nv, 4.0)
-        vg = solve_backward(fam, traj, cfg)
+        vg = solve_backward(fam, traj, cfg).dense()
         x = cfg.nodes()
         inner = np.abs(x) <= 1.0
         return np.max(np.abs(vg.u[0][inner] - x[inner] ** 2 / 4.0))
@@ -262,7 +295,7 @@ def test_saturation_tolerated_in_padding_belt():
     fam = QuadraticCoupledFamily(beta=0.0, terminal=QuadraticFormPotential(a=1.0))
     traj = resting_population(steps=40, horizon=1.0)
     cfg = GridConfig(-6, 6, 121, 81, 2.0, core_lo=-1.0, core_hi=1.0)
-    vg = solve_backward(fam, traj, cfg)  # no ControlSaturationError
+    vg = solve_backward(fam, traj, cfg).dense()  # no ControlSaturationError
     assert np.isfinite(vg.u).all()
     with pytest.raises(ControlSaturationError):
         solve_backward(fam, traj, GridConfig(-6, 6, 121, 81, 2.0))
@@ -365,7 +398,7 @@ def test_a_stride_of_one_steps_every_row(name, courant):
     # a Courant number above 0.75 keeps the former sweep bit for bit
     fam, traj, cfg = sweep_case(name, np.random.default_rng(5), 30, courant)
     assert sweep_stride(fam, cfg, traj.dt, traj.steps) == 1
-    vg = solve_backward(fam, traj, cfg)
+    vg = solve_backward(fam, traj, cfg).dense()
     reference = stepped_reference(fam, traj, cfg, 1)
     assert [m for m, _, _ in reference] == list(range(29, -1, -1))
     for m, u, _ in reference:
@@ -377,11 +410,16 @@ def test_a_stride_of_one_steps_every_row(name, courant):
 def test_coarse_steps_and_the_rows_between_them(name, steps, courant, stride):
     fam, traj, cfg = sweep_case(name, np.random.default_rng(6), steps, courant)
     assert sweep_stride(fam, cfg, traj.dt, steps) == stride
-    vg = solve_backward(fam, traj, cfg)
+    swept = solve_backward(fam, traj, cfg)
+    vg = swept.dense()
     reference = stepped_reference(fam, traj, cfg, stride)
     coarse = [steps, *(m for m, _, _ in reference)]
     # steps end on rows M - k, M - 2k, ...; a k that does not divide M ends short
     assert coarse[1:-1] == list(range(steps - stride, 0, -stride)) and coarse[-1] == 0
+    # the sweep keeps those rows only; its report is the dense grid's, row 27 =
+    # 0.9 M blended inside a step when M is 31
+    assert swept.rows.tolist() == coarse[::-1] and swept.u.shape == (len(coarse), cfg.nx)
+    assert regularity_report(swept) == regularity_report(vg)
     for m, u, _ in reference:
         np.testing.assert_array_equal(vg.u[m], u)
     for hi, lo in zip(coarse, coarse[1:]):
@@ -404,7 +442,7 @@ def test_coarse_steps_cut_the_diffusion():
         return np.max(np.abs(u0[inner] - x[inner] ** 2 / 4.0))
 
     row_by_row = stepped_reference(fam, traj, cfg, 1)[-1][1]
-    assert sup_error(solve_backward(fam, traj, cfg).u[0]) < sup_error(row_by_row)
+    assert sup_error(solve_backward(fam, traj, cfg).dense().u[0]) < sup_error(row_by_row)
 
 
 @pytest.mark.parametrize(
@@ -448,7 +486,7 @@ def test_a_stacking_family_reads_the_running_costs_of_a_sweep_in_one_call(name, 
     fam, traj, cfg = sweep_case(name, np.random.default_rng(7), steps, courant)
     counted, calls = counting_costs(fam)
     assert counted.stacks_laws
-    vg = solve_backward(counted, traj, cfg)
+    vg = solve_backward(counted, traj, cfg).dense()
     assert calls == {"drift": 1, "running_potential": 1}
     for m, u, _ in stepped_reference(fam, traj, cfg, sweep_stride(fam, cfg, traj.dt, steps)):
         np.testing.assert_array_equal(vg.u[m], u)
@@ -461,7 +499,7 @@ def test_a_cost_on_coefficient_maps_is_read_once_per_step(steps, courant, stride
     potential = QuadraticFormPotential(lambda ens: 1.0 + 0.1 * ens.mean_scalar(), 0.3)
     fam, calls = counting_costs(QuadraticCoupledFamily(0.5, potential, lq.terminal))
     assert not fam.stacks_laws and sweep_stride(fam, cfg, traj.dt, steps) == stride
-    vg, swept = solve_backward(fam, traj, cfg), dict(calls)
+    vg, swept = solve_backward(fam, traj, cfg).dense(), dict(calls)
     reference = stepped_reference(fam, traj, cfg, stride)
     assert swept == {"drift": len(reference), "running_potential": len(reference)}
     for m, u, _ in reference:

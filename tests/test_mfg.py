@@ -99,7 +99,7 @@ def test_solution_value_and_trajectory_mutually_consistent():
 
     problem = lq_problem(beta=0.5)
     sol = solve_mfg(problem, SMALL)
-    vg = solve_backward(problem.family, sol.traj, canonical_grid(problem, SMALL))
+    vg = solve_backward(problem.family, sol.traj, canonical_grid(problem, SMALL)).dense()
     np.testing.assert_array_equal(vg.u, sol.value.u)
 
 
