@@ -209,7 +209,8 @@ def _lq_paths(coeffs_fns, x0, beta, horizon, steps, sub):
         a_vals = np.array([a_fn(e) for e in ens])
         b_vals = np.array([b_fn(e) for e in ens])
         c_vals = np.array([c_fn(e) for e in ens])
-        m_path = fine_states.mean(axis=1)
+        with np.errstate(over="ignore"):  # an overflowing mean blows up the paths below
+            m_path = fine_states.mean(axis=1)
         terminal = (m_fn(ens[-1]), n_fn(ens[-1]), q_fn(ens[-1]))
 
         gamma_f, theta_f, zeta_f = _rk4_backward_lq(

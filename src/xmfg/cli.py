@@ -158,38 +158,6 @@ def _validate_block(raw: dict, family_kind: str, slot: str) -> tuple[dict, objec
     return {"kind": kind, "params": canonical}, constructor(*canonical.values())
 
 
-def _norm_ppf(u: np.ndarray) -> np.ndarray:
-    """Acklam's rational approximation of the standard normal quantile."""
-    a = [-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-         1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00]
-    b = [-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-         6.680131188771972e01, -1.328068155288572e01]
-    c = [-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-         -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00]
-    d = [7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-         3.754408661907416e00]
-    u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    lo, hi = 0.02425, 1 - 0.02425
-    low = u < lo
-    high = u > hi
-    mid = ~(low | high)
-    if np.any(mid):
-        q = u[mid] - 0.5
-        r = q * q
-        out[mid] = (
-            (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-            / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1)
-        )
-    for mask, sign, uu in ((low, -1.0, u), (high, 1.0, 1 - u)):
-        if np.any(mask):
-            q = np.sqrt(-2 * np.log(uu[mask]))
-            out[mask] = sign * -(
-                ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-            ) / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
-    return out
-
-
 def _validate_initial(block, base_dir: Path, where="initial") -> tuple[dict, np.ndarray]:
     if not isinstance(block, dict):
         raise SchemaError(where, "expected an object {kind, params[, N]}")
@@ -242,8 +210,12 @@ def _validate_initial(block, base_dir: Path, where="initial") -> tuple[dict, np.
             sd = _require_finite_number(params.get("std", 1.0), f"{where}.params.std")
             if sd <= 0:
                 raise SchemaError(f"{where}.params.std", "expected std > 0")
-            samples = mu + sd * _norm_ppf(quantiles)
+            from statistics import NormalDist  # only this law needs it
+
+            samples = np.array(list(map(NormalDist(mu, sd).inv_cdf, quantiles.tolist())))
             canonical = {"kind": "gaussian_like", "params": {"mean": mu, "std": sd}, "N": n}
+        if not np.isfinite(samples).all():  # e.g. hi - lo overflows
+            raise SchemaError(f"{where}.params", "the generated samples overflow")
         return canonical, samples
     raise SchemaError(f"{where}.kind", "expected one of ['samples', 'uniform', 'gaussian_like']")
 

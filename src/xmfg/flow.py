@@ -228,12 +228,14 @@ def separation_diagnostic(
     A strictly positive ratio is numerical evidence that characteristics do
     not cross, hence that the population law stays absolutely continuous.
     Pairs that start at identical positions are excluded from the ratio and
-    counted in ``skipped_pairs``.
+    counted in ``skipped_pairs``.  The window ``t <= t_max`` is chosen by row
+    index, with the relative tolerance (1e-12) of the regularity report's
+    window, so it does not depend on the size of the horizon.
     """
     xs = traj.states[:, :, 0]
-    if t_max is not None:
-        keep = traj.times <= t_max + 1e-12
-        xs = xs[keep]
+    if t_max is not None and traj.steps:
+        rows = (t_max - traj.times[0]) / traj.horizon * traj.steps * (1 + 1e-12)
+        xs = xs[: int(np.clip(np.floor(rows), 0, traj.steps)) + 1]
     n = xs.shape[1]
     iu, ju = np.triu_indices(n, k=1)
     gap0 = np.abs(xs[0, iu] - xs[0, ju])

@@ -145,9 +145,9 @@ def _auto_v_max(fam: HamiltonianFamily, x0: Ensemble) -> float:
     lo, hi = float(np.min(x0.samples)), float(np.max(x0.samples))
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     half = max(half, 0.5)
-    probes = np.linspace(center - 1.5 * half, center + 1.5 * half, 9)
     rest = Ensemble(np.zeros_like(x0.samples), q=x0.q)
     with np.errstate(all="ignore"):  # a slope that overflows against every speed raises below
+        probes = np.linspace(center - 1.5 * half, center + 1.5 * half, 9)
         psi_vals = np.asarray(fam.terminal(probes, x0), dtype=float)
         if not np.all(np.isfinite(psi_vals)):
             raise XmfgError("the terminal cost is not finite near X_0; declare v_max explicitly")
@@ -247,8 +247,14 @@ def _trajectory_gap(a: TrajectoryEnsemble, b: TrajectoryEnsemble, q: float) -> f
     # max over times of W_q between sorted 1-d paths; the root is monotone, so
     # taking it after the max keeps the bits of the per-time distances' max;
     # each path is sorted once, when it is first compared
-    xs, ys = a.sorted_states, b.sorted_states
-    return float(np.max(np.mean(np.abs(xs - ys) ** q, axis=1)) ** (1.0 / q))
+    gaps = np.abs(a.sorted_states - b.sorted_states)
+    with np.errstate(over="ignore"):
+        power = np.max(np.mean(gaps**q, axis=1))
+        if not np.finfo(float).tiny <= power < math.inf:  # not normal: in units of the largest gap
+            top = float(np.max(gaps))
+            if 0.0 < top < math.inf:
+                return top * float(np.max(np.mean((gaps / top) ** q, axis=1)) ** (1.0 / q))
+    return float(power ** (1.0 / q))
 
 
 def _anderson_step(
@@ -285,8 +291,9 @@ def solve_mfg(
 ) -> MfgSolution:
     """Safeguarded Anderson iteration on the fixed point Phi = F(Phi).
 
-    Starts from Phi_0 = psi(., X_0) unless ``phi0`` (array on the canonical
-    nodes, or callable of the nodes) is supplied.  Each step mixes the last
+    Works on the canonical grid of the problem/config, widened to cover
+    ``include``, and starts from Phi_0 = psi(., X_0) unless ``phi0``, a
+    callable of the grid nodes, is supplied.  Each step mixes the last
     ANDERSON_MEMORY residuals f = F(Phi) - Phi with weight ``cfg.damping``
     (see :func:`_anderson_step`).  An extrapolated Phi is dropped for the
     damped step Phi_a + lam f_a from the last accepted iterate, with the
@@ -307,12 +314,8 @@ def solve_mfg(
     with np.errstate(all="ignore"):  # a non-finite profile raises below
         if phi0 is None:
             phi_vals = np.asarray(fam.terminal(nodes, problem.initial), dtype=float)
-        elif callable(phi0):
-            phi_vals = np.asarray(phi0(nodes), dtype=float)
         else:
-            phi_vals = np.asarray(phi0, dtype=float)
-            if phi_vals.shape != nodes.shape:
-                raise ValueError("phi0 array must match the canonical grid nodes")
+            phi_vals = np.asarray(phi0(nodes), dtype=float)
     if not np.all(np.isfinite(phi_vals)):
         raise ValueBlowupError("the starting value profile is not finite on the grid")
 
@@ -386,6 +389,11 @@ def solve_mfg(
     )
 
 
+def _restart_row(problem: ProblemSpec, t: float, cfg: SolverConfig) -> int:
+    """The time row a restart at t snaps to: the nearest, short of the last."""
+    return min(int(round(t / (problem.horizon / cfg.time_steps))), cfg.time_steps - 1)
+
+
 def _restart_problem(
     problem: ProblemSpec, y: Ensemble, t: float, cfg: SolverConfig
 ) -> tuple[ProblemSpec, SolverConfig]:
@@ -393,8 +401,7 @@ def _restart_problem(
     if not (0.0 <= t < problem.horizon):
         raise ValueError("master evaluation requires 0 <= t < horizon")
     dt = problem.horizon / cfg.time_steps
-    m_t = min(int(round(t / dt)), cfg.time_steps - 1)
-    sub_steps = cfg.time_steps - m_t
+    sub_steps = cfg.time_steps - _restart_row(problem, t, cfg)
     # Y enters under the game's moment exponent; its samples are checked already
     initial = Ensemble._view(y.samples, problem.initial.q)
     sub_problem = ProblemSpec(family=problem.family, horizon=sub_steps * dt, initial=initial)
@@ -424,19 +431,16 @@ def master_consistency_residual(
 
     Both sides approximate the same value, one through the full-horizon
     solve, the other through a restart at time t from the solved population
-    state; the gap stacks the two discretizations.  Probes that share the
-    restart index and the grid their restart would be solved on are read off
-    one sub-solve.
+    state; the gap stacks the two discretizations.  The probes are grouped
+    by the time row their restart snaps to, and each row is read off one
+    :func:`master_value` sub-solve whose grid covers all of its points.
     """
     dt = problem.horizon / cfg.time_steps
-    groups: dict[tuple[int, GridConfig], list[float]] = {}
+    rows: dict[int, list[float]] = {}
     for x, t in probe_points:
-        m_t = min(int(round(float(t) / dt)), cfg.time_steps - 1)
-        sub_problem, sub_cfg = _restart_problem(problem, sol.traj.ensemble(m_t), m_t * dt, cfg)
-        grid = canonical_grid(sub_problem, sub_cfg, include=(float(x), float(x)))
-        groups.setdefault((m_t, grid), []).append(float(x))
+        rows.setdefault(_restart_row(problem, float(t), cfg), []).append(float(x))
     worst = 0.0
-    for (m_t, _), xs in groups.items():
+    for m_t, xs in rows.items():
         xs = np.asarray(xs)
         u_here = sol.value.value_at(xs, m_t)
         v_here = master_value(problem, xs, sol.traj.ensemble(m_t), m_t * dt, cfg)
@@ -463,11 +467,10 @@ def uniqueness_probe(
 
     All runs converging to (numerically) the same profile is evidence for
     uniqueness; any non-converged run makes the probe inconclusive rather
-    than a claim either way.
+    than a claim either way.  Each profile is a sum of three sines handed to
+    :func:`solve_mfg` as a callable, evaluated on the nodes of its grid.
     """
     rng = np.random.default_rng(rng_seed)
-    grid = canonical_grid(problem, cfg)
-    nodes = grid.nodes()
     finals = []
     residuals = []
     for _ in range(k):
@@ -476,10 +479,11 @@ def uniqueness_probe(
         phases = rng.uniform(0.0, 2 * np.pi, size=3)
         weight = np.sum(np.abs(amps * freqs))
         scale = 2.0 / max(weight, 1e-12)
-        phi0 = scale * np.sum(
-            amps[:, None] * np.sin(freqs[:, None] * nodes[None, :] + phases[:, None]),
-            axis=0,
-        )
+
+        def phi0(nodes):
+            waves = np.sin(freqs[:, None] * nodes[None, :] + phases[:, None])
+            return scale * np.sum(amps[:, None] * waves, axis=0)
+
         try:
             sol = solve_mfg(problem, cfg, phi0=phi0)
         except XmfgError:

@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -423,6 +424,26 @@ def test_gaussian_like_initial_is_deterministic(tmp_path):
     np.testing.assert_array_equal(a, b)
     assert abs(float(a.mean())) < 0.05  # symmetric quantiles
     assert 0.8 < float(a.std()) < 1.05
+
+
+def test_gaussian_like_samples_are_the_exact_normal_quantiles(tmp_path):
+    doc = dict(ZERO_DOC)
+    doc["initial"] = {"kind": "gaussian_like", "params": {"mean": 0.5, "std": 2.0}, "N": 64}
+    samples = parse_problem(write_doc(tmp_path, doc)).problem.initial.samples[:, 0]
+    law = statistics.NormalDist(0.5, 2.0)
+    assert samples.tolist() == [law.inv_cdf((i + 0.5) / 64) for i in range(64)]
+
+
+def test_a_large_moment_exponent_keeps_the_trajectory_residual(tmp_path):
+    # |dX|^1000 underflowed to 0: the solve stopped at iteration 3 on a
+    # trajectory residual of 0 where the paths still differ by about 0.217
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(write_doc(tmp_path, LQ_DOC)), "--out", str(out),
+                 "--override", "q=1000"]) == 0
+    rows = (out / "residuals.csv").read_text().splitlines()[1:]
+    traj = [float(row.split(",")[2]) for row in rows]
+    assert len(rows) == 4
+    assert traj[1] == pytest.approx(0.2168, abs=1e-4) and traj[2] == pytest.approx(0.2168, abs=1e-4)
 
 
 def test_solve_zero_problem_writes_bundle(tmp_path):
@@ -908,9 +929,12 @@ FUZZ_VALUES = {
     # integer keys stay small: a float such as 1e300 is a schema error
     "solver.max_outer": [1, 3, 8, 0, -1, 1e300],
     "initial.N": [1, 2, 16, 0, -1, 1e300],
-    "initial.params.lo": [0.5, 1.0, *EXTREMES],
-    "initial.params.hi": [-1.0, 1.5, *EXTREMES],
+    # +-1.7e308 are finite, but hi - lo overflows
+    "initial.params.lo": [0.5, 1.0, -1.7e308, 1.7e308, *EXTREMES],
+    "initial.params.hi": [-1.0, 1.5, -1.7e308, 1.7e308, *EXTREMES],
     "initial.params.mean": [0.0],
+    # |dX|^q leaves the double range in the trajectory residual
+    "q": [1.0, 3.0, 1000.0, 1e300, *EXTREMES],
     # the LQ cost parameters; the zero document declares no cost, so there
     # they end in a schema error
     **{f"potential.params.{k}": [0.5, -0.5, *EXTREMES] for k in "ABC"},
@@ -931,6 +955,8 @@ def fuzzed_runs(commands):
 
     return runs()
 
+
+HUGE_GAUSSIAN = {"kind": "gaussian_like", "params": {"mean": 1e308, "std": 1e308}}
 
 # the documents run at most 8 outer iterations on grids of at most 61 x 40;
 # the LQ document spells out its zero running cost, so the fuzz can change it,
@@ -962,6 +988,13 @@ FUZZ_DOCS = {
 # the seed flow of the quartic grid read psi' = 4 A x^3 outside its errstate
 # and printed an overflow warning before its FLOW_BLOWUP line
 @example(case=("solve", "quartic", ("solver.v_max=1e+300", "initial.params.hi=1e+300")))
+# generated initial laws whose samples overflow raised a ValueError traceback,
+# the Gaussian one after a numpy overflow warning
+@example(case=("solve", "zero", ("initial.params.lo=-1.7e+308", "initial.params.hi=1.7e+308")))
+@example(case=("solve", "zero", (f"initial={json.dumps(HUGE_GAUSSIAN)}",)))
+# the coercivity probes of v_max spanned past the double range (inf - inf)
+# and printed an invalid-value warning before their XMFG line
+@example(case=("solve", "quartic", ("initial.params.lo=0.5", "initial.params.hi=1.7e+308")))
 def test_fuzzed_overrides_end_in_a_documented_exit(case):
     assert_documented_exit(*case)
 
@@ -980,6 +1013,10 @@ def test_a_tiny_trajectory_tolerance_still_runs_its_flows(command):
 @example(case=("oracle", "lq", ("solver.v_max=1e+300",)))
 @example(case=("probe-uniqueness", "lq", ("T=1e-300", "solver.v_max=1e-300")))
 @example(case=("probe-uniqueness", "lq", ("solver.v_max=1e+300",)))
+# the trajectory residual's |dX|^q overflowed with a numpy warning
+@example(case=("probe-uniqueness", "lq", ("q=1e+300",)))
+# the Riccati oracle's mean of finite samples overflowed with a numpy warning
+@example(case=("oracle", "lq", ("initial.params.lo=0.5", "initial.params.hi=1.7e+308")))
 # a stiff oracle flow overflowed with two warnings, then raised a ValueError
 @example(case=("oracle", "lq", ("potential.params.A=-1e+16", "terminal.params.M=1e+8")))
 def test_fuzzed_overrides_of_the_other_commands_end_in_a_documented_exit(case):

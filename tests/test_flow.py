@@ -169,6 +169,17 @@ def test_separation_skips_duplicate_starts():
     assert rep.min_ratio > 0
 
 
+@pytest.mark.parametrize("horizon, steps, last", [(1e-12, 10, 9), (1e6, 30, 27), (1.0, 200, 180)])
+def test_the_separation_window_is_chosen_by_row(horizon, steps, last):
+    # the gap of the two samples shrinks every row, so the worst ratio sits
+    # on the last row of the window t <= 0.9 T, whatever the size of T
+    gap = 1.0 - 0.5 * np.arange(steps + 1) / steps
+    states = np.stack([np.zeros(steps + 1), gap], axis=1)[..., None]
+    times = np.linspace(0.0, horizon, steps + 1)
+    traj = TrajectoryEnsemble(times=times, states=states, velocities=np.zeros_like(states))
+    assert separation_diagnostic(traj, t_max=0.9 * horizon).time_index == last
+
+
 def test_separation_positive_on_lq_defaults():
     fam = LQFamily(beta=0.0, m=1.0)
     x0 = spread_ensemble(16)

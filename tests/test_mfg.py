@@ -3,6 +3,7 @@ import logging
 import math
 import re
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -187,6 +188,61 @@ def test_master_probes_at_one_time_share_one_subsolve(monkeypatch):
     residual = master_consistency_residual(sol, problem, SMALL, [(float(x), t) for x in xs])
     assert len(calls) == 1
     assert residual == separate
+
+
+def count_grids(monkeypatch):
+    """Record the arguments of every grid sizing."""
+    calls = []
+    real = mfg.canonical_grid
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mfg, "canonical_grid", counted)
+    return calls
+
+
+def test_master_probes_size_one_grid_per_restart_row(monkeypatch):
+    problem = lq_problem()
+    sol = solve_mfg(problem, SMALL)
+    grids = count_grids(monkeypatch)
+    dt = problem.horizon / SMALL.time_steps
+    # five probes on three rows; 0.49 dt and 0.51 dt snap to rows 0 and 1
+    probes = [(0.0, 0.49 * dt), (0.2, 0.51 * dt), (-0.3, 10 * dt), (0.4, 10 * dt), (0.1, dt)]
+    master_consistency_residual(sol, problem, SMALL, probes)
+    assert len(grids) == 3
+
+
+def test_a_uniqueness_probe_sizes_only_the_grids_it_solves_on(monkeypatch):
+    grids = count_grids(monkeypatch)
+    rep = uniqueness_probe(zero_problem(), SMALL, k=3, rng_seed=11)
+    assert rep.status == "conclusive" and len(grids) == 3
+
+
+def test_probes_on_one_row_share_one_grid_that_covers_them_all(monkeypatch):
+    # one probe lies outside the population hull at its row: the row's single
+    # sub-solve runs on one grid widened to it
+    problem = lq_problem()
+    sol = solve_mfg(problem, SMALL)
+    m = SMALL.time_steps // 2
+    t = m * problem.horizon / SMALL.time_steps
+    hull_hi = float(np.max(sol.traj.states[m, :, 0]))
+    xs = [-0.2, 0.1, hull_hi + 0.5]
+    subsolves = []
+    real = mfg.solve_mfg
+
+    def recording(*args, **kwargs):
+        subsolves.append(real(*args, **kwargs))
+        return subsolves[-1]
+
+    monkeypatch.setattr(mfg, "solve_mfg", recording)
+    residual = master_consistency_residual(sol, problem, SMALL, [(x, t) for x in xs])
+    assert len(subsolves) == 1
+    grid = subsolves[0].value.config
+    assert grid.core_lo <= min(xs) and max(xs) <= grid.core_hi
+    u_here = sol.value.value_at(np.array(xs), m)
+    assert residual == float(np.max(np.abs(u_here - subsolves[0].value.value_at(np.array(xs), 0))))
 
 
 def test_master_consistency_residual_zero_problem():
@@ -438,6 +494,28 @@ def test_sorted_trajectory_gap_is_bit_identical_to_the_per_time_max(q, n, steps,
     a, b = random_path(rng, steps, n, scale), random_path(rng, steps, n, scale)
     assert mfg._trajectory_gap(a, b, q) == reference_gap(a, b, q)
     assert mfg._trajectory_gap(a, a, q) == 0.0  # identical trajectories
+
+
+def exact_gap(a, b, q):
+    """max over times of W_q, in 40-digit decimal arithmetic, which no power leaves."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        rows = []
+        for xs, ys in zip(a.sorted_states, b.sorted_states):
+            moment = sum(Decimal(abs(float(x - y))) ** q for x, y in zip(xs, ys)) / len(xs)
+            rows.append(moment ** (Decimal(1) / Decimal(q)))
+        return float(max(rows))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_the_trajectory_gap_keeps_its_range_for_a_large_exponent(scale):
+    # |dX|^1000 underflows at scale 1e-3 and overflows at 1e3; W_q does neither
+    rng = np.random.default_rng(7)
+    a, b = random_path(rng, 6, 9, scale), random_path(rng, 6, 9, scale)
+    assert mfg._trajectory_gap(a, b, 1000) == pytest.approx(exact_gap(a, b, 1000), rel=1e-13)
+    # as q grows, W_q tends to the largest gap, which it reads at q = 1e300
+    top = float(np.max(np.abs(a.sorted_states - b.sorted_states)))
+    assert mfg._trajectory_gap(a, b, 1e300) == top
 
 
 
