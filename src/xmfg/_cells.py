@@ -16,7 +16,7 @@ import functools
 import numpy as np
 
 WIDTH = 24  # the longest '%.17g' text: -2.2250738585072014e-308
-BLOCK_CELLS = 2048  # cells formatted at once, which keeps a block's scratch under 1 MB
+BLOCK_CELLS = 8192  # cells formatted at once; a block's scratch is about 3 MB
 _E_LO, _E_HI = -11, 15  # decimal exponents of the exact range
 _CLASSES = 2 * (_E_HI - _E_LO + 1) * 17  # sign x exponent x significant digits
 _ZERO, _INF, _NAN, _SLOW = _CLASSES, _CLASSES + 2, _CLASSES + 4, _CLASSES + 5
@@ -51,9 +51,7 @@ def _tables():
     offset = np.zeros(256, dtype=np.int64)
     offset[np.frombuffer(_LANE, dtype=np.uint8)] = np.arange(len(_LANE))
     layouts = offset[np.array(templates, dtype=f"S{WIDTH}").view(np.uint8).reshape(-1, WIDTH)]
-    lane_start = np.repeat(np.arange(0, BLOCK_CELLS * len(_LANE), len(_LANE)), WIDTH)
-    lanes = np.tile(np.frombuffer(_LANE, dtype=np.uint8), (BLOCK_CELLS, 1))
-    return quads.view("<u4").ravel(), zeros, pow5, layouts, lane_start.reshape(-1, WIDTH), lanes
+    return quads.view("<u4").ravel(), zeros, pow5, layouts, np.frombuffer(_LANE, dtype=np.uint8)
 
 
 def _scaled(m: np.ndarray, s: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -95,13 +93,14 @@ def cell_text(values) -> np.ndarray:
     n = x.size
     if n > BLOCK_CELLS:
         return np.concatenate([cell_text(x[i : i + BLOCK_CELLS]) for i in range(0, n, BLOCK_CELLS)])
-    quads, group_zeros, _, layouts, lane_start, template = _tables()
+    quads, group_zeros, _, layouts, lane = _tables()
     a = np.abs(x)
     fast = (a > 1e-11) & (a < 2.0**53)  # False for nan; the double 1e-11 is below 10**-11
     a[~fast] = 1.0
     d, exp10 = _digits(a)
 
-    lanes = template[:n].copy()  # the constants, then room for the digits
+    lanes = np.empty((n, lane.size), dtype=np.uint8)
+    lanes[:] = lane  # the constants, then room for the digits
     lead, high = d // 10**16, d // 10**8
     lanes[:, len(_CONST)] = lead + ord("0")
     top, bottom = high - lead * 10**8, d - high * 10**8
@@ -124,7 +123,7 @@ def cell_text(values) -> np.ndarray:
         kinds = [xo == 0.0, np.isinf(xo), np.isnan(xo)]
         which[odd] = np.select(kinds, [_ZERO + no, _INF + no, _NAN], _SLOW)
     index = layouts.take(which, axis=0)
-    index += lane_start[:n]
+    index += np.arange(0, lanes.size, lane.size)[:, None]  # each lane's first byte
     text = lanes.ravel().take(index)
     for i in odd[which[odd] == _SLOW]:
         cell = b"%.17g" % x[i]

@@ -11,14 +11,17 @@ Sampling cannot prove a universally quantified statement, so a "satisfied"
 verdict means exactly "no violation found in `trials` samples"; a "violated"
 verdict ships a certificate pair that reproduces the offending value.
 
-A check first draws every trial's pair of laws as plain sample arrays, then
-evaluates a cost that declares ``stacks_laws`` once per group of trials with
-equal sample counts, on stacks of laws, and a user callable once per trial.
-Every value and certificate keeps the bits of a trial-by-trial loop.
+A check first draws every trial's pair of laws as read-only sample arrays.
+The V and psi checks at one seed and trial count draw the same laws, so the
+last draw is kept and the second check reuses it.  A check then evaluates a
+cost that declares ``stacks_laws`` once per group of trials with equal sample
+counts, on stacks of laws, and a user callable once per trial.  Every value
+and certificate keeps the bits of a trial-by-trial loop.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -141,10 +144,21 @@ def _draw_samples(rng, n: int) -> np.ndarray:
     return centers[rng.integers(0, 2, size=n)] + 0.2 * rng.standard_normal(n)
 
 
-def _draw_law(rng, parts: int) -> list:
-    """One trial law: ``parts`` sample arrays of one random count."""
+def _draw_law(rng, parts: int) -> tuple:
+    """One trial law: ``parts`` read-only sample arrays of one random count."""
     n = _ENSEMBLE_SIZES[rng.integers(0, len(_ENSEMBLE_SIZES))]
-    return [_draw_samples(rng, n) for _ in range(parts)]
+    law = tuple(_draw_samples(rng, n) for _ in range(parts))
+    for part in law:
+        part.flags.writeable = False
+    return law
+
+
+@functools.lru_cache(maxsize=1)
+def _draw_pairs(rng_seed: int, parts: int, trials: int) -> tuple:
+    """Every trial's pair of laws from the stream of ``rng_seed``.  The last
+    draw is kept: a psi check after a V check at its seed draws nothing."""
+    rng = np.random.default_rng(rng_seed)
+    return tuple((_draw_law(rng, parts), _draw_law(rng, parts)) for _ in range(trials))
 
 
 def _law(parts):
@@ -156,12 +170,11 @@ def _law(parts):
 
 @np.errstate(all="ignore")  # a non-finite trial ends the check as inconclusive
 def _run_check(condition, evaluate, parts, trials, rng_seed, same, stacks):
-    """Draw every trial's pair, then evaluate them: in stacks grouped by the
-    sample counts when ``stacks``, else one trial at a time up to the first
-    non-finite value.  ``same(a, b)`` tells, along the last axis, which pairs
-    of equal counts to skip."""
-    rng = np.random.default_rng(rng_seed)
-    pairs = [(_draw_law(rng, parts), _draw_law(rng, parts)) for _ in range(trials)]
+    """Take every trial's pair from the seed's draw, then evaluate them: in
+    stacks grouped by the sample counts when ``stacks``, else one trial at a
+    time up to the first non-finite value.  ``same(a, b)`` tells, along the
+    last axis, which pairs of equal counts to skip."""
+    pairs = _draw_pairs(rng_seed, parts, trials)
     values = np.full(trials, np.inf)
     skipped = np.zeros(trials, dtype=bool)
     if stacks:

@@ -108,10 +108,11 @@ def integrate_flow(
     with ``tol`` at least ``1e-13``, is at most 1; the first step spans one
     row.  A step is rejected when its stages or solution are not finite or
     exceed ``1e12``, or, under state-scaled dynamics, reach ``x <= 0``.  A step
-    shorter than ``1e-10 horizon``, a 13th rejection in a row, a seed whose
-    rates are not finite, or a row whose velocity is not finite or whose
-    state-scaled ``x`` is not positive raises :class:`FlowBlowupError` naming
-    the time reached; its ``step`` is the last row reached.
+    shorter than ``1e-10 horizon`` or too short to advance ``t``, a 13th
+    rejection in a row, a seed whose rates are not finite, or a row whose
+    velocity is not finite or whose state-scaled ``x`` is not positive raises
+    :class:`FlowBlowupError` naming the time reached; its ``step`` is the last
+    row reached.
     """
     if steps < 1 or horizon <= 0:
         raise ValueError("flow requires steps >= 1 and a positive horizon")
@@ -162,7 +163,7 @@ def integrate_flow(
         while m <= steps:
             if t + 1.01 * h >= horizon:  # land on the horizon, leaving no sliver
                 h = horizon - t
-            if h < floor or rejected > _MAX_REJECTIONS:
+            if h < floor or t + h == t or rejected > _MAX_REJECTIONS:
                 raise stall(t, reason)
             err, reason = math.inf, "the flow leaves the representable range"
             for i in range(1, 7):

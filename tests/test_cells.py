@@ -4,10 +4,11 @@ from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xmfg._cells import BLOCK_CELLS, cell_text, csv_rows, int_text
+from xmfg._cells import BLOCK_CELLS, cell_text, csv_rows, int_text, slice_rows
 
 
 def texts(values):
@@ -94,3 +95,33 @@ def test_csv_rows_join_text_columns_and_cells():
         b"0.10000000000000001,7,0.5,-0\n0.20000000000000001,12,nan,1.0000000000000001e+300\n"
     )
     assert csv_rows(np.empty((0, 2)), int_text([])) == b""
+
+
+def percent_rows(times, items, cells):
+    """The rows ``t, item, cells...`` of ``slice_rows``, written with ``%``."""
+    return b"".join(
+        b",".join([b"%.17g" % t, item, *(b"%.17g" % c for c in row)]) + b"\n"
+        for t, item, row in zip(times, items, cells.tolist())
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("edge", [-1, 0, 1], ids=["below", "on", "above"])
+def test_rows_at_the_edges_of_a_block_match_a_percent_writer(k, edge):
+    # a row total whose cell total lands on BLOCK_CELLS - k, BLOCK_CELLS or
+    # BLOCK_CELLS + k (the nearest whole rows when k does not divide it)
+    rows = BLOCK_CELLS // k + edge
+    rng = np.random.default_rng(1000 * k + edge)
+    cells = rng.standard_normal((rows, k)) * 10.0 ** rng.integers(-14, 15, (rows, k))
+    # the last cells of the first block of slice_rows and of cell_text, or of
+    # the table when it is shorter: a nan, then a cell that only % writes
+    for last in {(BLOCK_CELLS // k) * k, BLOCK_CELLS}:
+        last = min(last, cells.size)
+        cells.flat[last - 2 : last] = np.nan, 1e-320
+    times = np.linspace(0.0, 1.0, rows)
+    # slice_rows pairs row r with time r // n and item r % n for n items per
+    # slice; one item per slice makes every row count a whole table
+    got = b"".join(slice_rows(times, int_text([0]), [cells[:, j] for j in range(k)]))
+    assert got == percent_rows(times, [b"0"] * rows, cells)
+    got = csv_rows(cells, cell_text(times), int_text(range(rows)))
+    assert got == percent_rows(times, [b"%d" % r for r in range(rows)], cells)

@@ -643,6 +643,18 @@ def test_check_outputs_keep_their_bytes(tmp_path, case):
     assert bundle_digest(out) == CHECK_DIGESTS[case]
 
 
+def test_a_check_draws_the_potential_and_terminal_trials_once(tmp_path, monkeypatch):
+    from test_bench_names import load_perfbench
+    from test_diagnostics import count_draws
+
+    (tmp_path / "problem.json").write_text(load_perfbench("workloads").document("crowd", 3))
+    calls = count_draws(monkeypatch)
+    assert main(["check", "--config", str(tmp_path / "problem.json"), "--out",
+                 str(tmp_path / "out"), "--seed", "3"]) == 0
+    # two laws for each of 2000 trials shared by V and psi, and 1000 joint-law trials of L
+    assert calls == [1] * 4000 + [2] * 2000
+
+
 def bundle_digest(out):
     """sha256 over the relative name and bytes of every file under `out` but meta.json."""
     digest = hashlib.sha256()
@@ -982,6 +994,10 @@ FUZZ_DOCS = {
 @example(case=("solve", "lq", ("T=1e-300", "solver.v_max=1e-300")))
 @example(case=("master", "lq", ("T=1e-300", "solver.v_max=1e-300")))
 @example(case=("master", "lq", ("solver.v_max=1e+300",)))
+# the first flow step, T / M, and its floor, 1e-10 T, underflowed to 0 and a
+# zero step was accepted forever: both commands hung
+@example(case=("solve", "lq", ("T=5e-324",)))
+@example(case=("master", "lq", ("T=5e-324",)))
 # the flow's tolerance, tol_traj / 1000, overflowed its first-step estimate
 # into a NaN step, and every step was rejected
 @example(case=("solve", "lq", ("solver.tol_traj=1e-300",)))
@@ -1013,6 +1029,8 @@ def test_a_tiny_trajectory_tolerance_still_runs_its_flows(command):
 @example(case=("oracle", "lq", ("solver.v_max=1e+300",)))
 @example(case=("probe-uniqueness", "lq", ("T=1e-300", "solver.v_max=1e-300")))
 @example(case=("probe-uniqueness", "lq", ("solver.v_max=1e+300",)))
+# its solves' flows hung on a zero first step, as solve and master did
+@example(case=("probe-uniqueness", "lq", ("T=5e-324",)))
 # the trajectory residual's |dX|^q overflowed with a numpy warning
 @example(case=("probe-uniqueness", "lq", ("q=1e+300",)))
 # the Riccati oracle's mean of finite samples overflowed with a numpy warning

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -373,6 +375,13 @@ def test_an_overflowing_trial_is_named_as_in_the_reference(costs, trials, seed, 
         assert all(len(shape) == 2 for shape in calls)
 
 
+def own_draw_cache(monkeypatch):
+    """Give the checks an empty draw cache for the rest of the test, so that the
+    laws it scripts or counts neither come from the shared one nor stay in it."""
+    fresh = functools.lru_cache(maxsize=1)(diagnostics._draw_pairs.__wrapped__)
+    monkeypatch.setattr(diagnostics, "_draw_pairs", fresh)
+
+
 def script_draws(monkeypatch, laws):
     """Replace the random trial laws by ``laws``, each a list of sample lists
     (one for a law of X, two for a joint law of (X, Z))."""
@@ -380,6 +389,7 @@ def script_draws(monkeypatch, laws):
     monkeypatch.setattr(
         diagnostics, "_draw_law", lambda rng, parts: [np.array(part) for part in next(queue)]
     )
+    own_draw_cache(monkeypatch)
 
 
 @pytest.mark.parametrize("per_law", [False, True], ids=["stacked", "per-law"])
@@ -437,3 +447,66 @@ def test_a_user_coefficient_map_sees_one_law_per_call():
     # the spot check makes two calls, and each trial one per law
     assert len(shapes) == 2 + 2 * 200
     assert all(len(shape) == 2 and shape[1] == 1 for shape in shapes)
+
+
+# --- one draw for the V and psi checks at a seed ---------------------------
+
+
+def count_draws(monkeypatch):
+    """Count the trial laws drawn from here on; returns the growing list of calls."""
+    calls, draw = [], diagnostics._draw_law
+    monkeypatch.setattr(
+        diagnostics, "_draw_law", lambda rng, parts: calls.append(parts) or draw(rng, parts)
+    )
+    own_draw_cache(monkeypatch)
+    return calls
+
+
+def test_the_psi_check_reuses_the_v_checks_draw(monkeypatch):
+    calls = count_draws(monkeypatch)
+    check_V_monotone(MomentQuadraticPotential(0.5), trials=300, rng_seed=4)
+    assert len(calls) == 600
+    check_psi_monotone(QuadraticFormPotential(1.0, 0.2, 0.1), trials=300, rng_seed=4)
+    assert len(calls) == 600
+    # the joint laws of L have a stream of their own
+    check_L_monotone(QuadraticCoupledFamily(0.5), trials=300, rng_seed=4)
+    assert calls[600:] == [2] * 600
+    # a draw at another seed or trial count is a draw of its own
+    check_psi_monotone(QuadraticFormPotential(1.0, 0.2, 0.1), trials=300, rng_seed=5)
+    check_V_monotone(MomentQuadraticPotential(0.5), trials=200, rng_seed=5)
+    assert len(calls) == 1200 + 600 + 400
+
+
+def report_bytes(rep):
+    return rep.condition, rep.trials, rep.min_value, rep.verdict, certificate_bytes(rep.certificate)
+
+
+@pytest.mark.parametrize(
+    "before",
+    [
+        pytest.param((), id="alone"),
+        pytest.param(((check_V_monotone, 300, 3),), id="V-at-its-seed"),
+        pytest.param(((check_V_monotone, 300, 8),), id="V-at-another-seed"),
+        pytest.param(((check_V_monotone, 120, 3),), id="V-with-fewer-trials"),
+        pytest.param(((check_V_monotone, 300, 3), (check_psi_monotone, 300, 3)), id="V-and-psi"),
+    ],
+)
+@pytest.mark.parametrize("kind", ["stacked", "per-law"])
+def test_a_psi_check_does_not_depend_on_the_checks_before_it(monkeypatch, before, kind):
+    terminal = QuadraticFormPotential(1.0, 0.2, 0.1)
+    checked = terminal if kind == "stacked" else one_law_at_a_time("psi", terminal)
+    own_draw_cache(monkeypatch)
+    alone = report_bytes(check_psi_monotone(checked, trials=300, rng_seed=3))
+    own_draw_cache(monkeypatch)
+    for check, trials, seed in before:
+        check(MomentQuadraticPotential(0.5), trials=trials, rng_seed=seed)
+    assert report_bytes(check_psi_monotone(checked, trials=300, rng_seed=3)) == alone
+
+
+def test_the_shared_draw_is_read_only(monkeypatch):
+    own_draw_cache(monkeypatch)
+    pairs = diagnostics._draw_pairs(5, 1, 40)
+    assert diagnostics._draw_pairs(5, 1, 40) is pairs
+    for part in (part for pair in pairs for law in pair for part in law):
+        with pytest.raises(ValueError, match="read-only"):
+            part[0] = 1.0

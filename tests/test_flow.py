@@ -422,6 +422,20 @@ def test_non_finite_starting_rates_are_a_blowup_at_time_zero():
     assert err.value.step == 0
 
 
+@pytest.mark.parametrize("steps", [2, 40])
+def test_a_step_that_cannot_advance_the_time_ends_the_flow(steps):
+    # at the least positive horizon the first step, horizon / steps, and the
+    # floor, 1e-10 horizon, both underflow to 0: a zero step was accepted
+    # forever; now the flow stops before its first step
+    fam = CostateRateOverflows(finite_calls=10**6)
+    phi = AnalyticSlice(lambda x: x)
+    with pytest.raises(FlowBlowupError, match=r"t=0: its step falls below the floor"):
+        integrate_flow(fam, spread_ensemble(3), phi, 5e-324, steps)
+    assert fam.calls == 1  # the seed's rates only
+    # one row of that horizon is one step that does advance
+    assert integrate_flow(fam, spread_ensemble(3), phi, 5e-324, 1).times[-1] == 5e-324
+
+
 # ---------------------------------------------------------------------------
 # the flow against a fine fixed-step reference
 # ---------------------------------------------------------------------------
