@@ -245,8 +245,9 @@ class TrajectoryEnsemble:
         return np.sort(self.states[:, :, 0], axis=1)
 
     def csv_lines(self):
-        """Yield the trajectory CSV (t, sample_index, x, v, p) as bytes, a few
-        time slices at a time; p is ``nan`` when there is no costate record."""
+        """Yield the trajectory CSV (t, sample_index, x, v, p) as bytes-like
+        chunks the caller keeps, a few time slices at a time; p is ``nan``
+        when there is no costate record."""
         yield b"t,sample_index,x,v,p\n"
         p = np.full(self.states.shape, np.nan) if self.costates is None else self.costates
         columns = (self.states, self.velocities, p)

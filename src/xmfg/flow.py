@@ -144,9 +144,8 @@ def integrate_flow(
         k[i, 0] = _velocity(fam, x, p, x_ens)
         k[i, 1] = fam.dx_hamiltonian(x, p, x_ens, z_ens[i])  # a scalar broadcasts here
 
-    def stall(t, reason):
-        m = int(np.searchsorted(times, t, "right")) - 1
-        return FlowBlowupError(f"flow cannot advance past t={t:.4g}: {reason}", step=m)
+    def stall(t, row, reason):
+        return FlowBlowupError(f"flow cannot advance past t={t:.4g}: {reason}", step=row)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         stage[1] = phi.gradient_at(stage[0])  # a non-finite seed fails the first rates
@@ -154,7 +153,7 @@ def integrate_flow(
         y_flat = y.reshape(-1)
         rates(0)
         if not np.isfinite(k[0]).all():
-            raise stall(0.0, "its rates are not finite")
+            raise stall(0.0, 0, "its rates are not finite")
         path[2, 0] = k[0, 0]
         # the first step spans one row; the controller grows it from there
         h, floor = horizon / steps, _STEP_FLOOR * horizon
@@ -164,7 +163,7 @@ def integrate_flow(
             if t + 1.01 * h >= horizon:  # land on the horizon, leaving no sliver
                 h = horizon - t
             if h < floor or t + h == t or rejected > _MAX_REJECTIONS:
-                raise stall(t, reason)
+                raise stall(t, m - 1, reason)  # rows up to m - 1 are written
             err, reason = math.inf, "the flow leaves the representable range"
             for i in range(1, 7):
                 np.add(y_flat, np.dot(h * _A[i, :i], k_flat[:i]), out=stage_flat)
@@ -202,7 +201,7 @@ def integrate_flow(
         ok = np.isfinite(z).all(1) & (xs[1:].min(1) > 0 if positive else True)
         if not ok.all():  # the first bad row names its time
             m = int(np.argmin(ok)) + 1
-            raise stall(times[m], f"row {m} has a non-finite velocity or a state x <= 0")
+            raise stall(times[m], m, f"row {m} has a non-finite velocity or a state x <= 0")
     logger.debug("flow: %d accepted steps, %d rate evaluations", accepted, evals)
 
     states, costates, velocities = path[..., None]

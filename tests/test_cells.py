@@ -1,5 +1,6 @@
 """The vectorized cell formatter against Python's own ``'%.17g'``."""
 
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -9,6 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xmfg._cells import BLOCK_CELLS, cell_text, csv_rows, int_text, slice_rows
+from xmfg.ensembles import TrajectoryEnsemble
+from xmfg.hjb import GridConfig, ValueGrid
+from xmfg.io import write_trajectory_csv, write_value_csv
 
 
 def texts(values):
@@ -125,3 +129,83 @@ def test_rows_at_the_edges_of_a_block_match_a_percent_writer(k, edge):
     assert got == percent_rows(times, [b"0"] * rows, cells)
     got = csv_rows(cells, cell_text(times), int_text(range(rows)))
     assert got == percent_rows(times, [b"%d" % r for r in range(rows)], cells)
+
+
+def awkward_cells(rng, shape, specials=(np.nan, 1e-320, 2.0**60, -0.0)):
+    """Cells of every scale, with ``specials`` (cells only ``%`` writes, by
+    default a nan too) at random places among them."""
+    cells = rng.standard_normal(shape) * 10.0 ** rng.integers(-14, 15, shape)
+    at = rng.choice(cells.size, min(cells.size, 2 * len(specials)), replace=False)
+    cells.flat[at] = np.resize(specials, at.size)
+    return cells
+
+
+def slice_major_percent_rows(times, items, columns):
+    """``percent_rows`` of a slice-major table: n items in every time slice."""
+    n = len(items)
+    cells = np.stack([np.ravel(c) for c in columns], axis=1)
+    return percent_rows(np.repeat(times, n), items * len(times), cells)
+
+
+def test_value_chunks_are_the_callers_across_blocks(tmp_path):
+    # k = 2: 61 slices of 251 nodes are 15311 rows, four blocks of 4096 rows
+    rng = np.random.default_rng(11)
+    times = np.linspace(0.0, 1.0, 61)
+    cfg = GridConfig(-2.0, 2.0, 251, 2, 1.0)
+    vg = ValueGrid(config=cfg, times=times, u=awkward_cells(rng, (61, 251)))
+    vg.__dict__["grad"] = awkward_cells(rng, vg.u.shape)  # du_dx, as if derived already
+    assert 2 * vg.u.size > 3 * BLOCK_CELLS
+    want = slice_major_percent_rows(times, [b"%.17g" % x for x in vg.x], (vg.u, vg.grad))
+    chunks = lambda: slice_rows(times, cell_text(vg.x), (vg.u, vg.grad))  # noqa: E731
+    assert b"".join(chunks()) == want
+    kept = list(chunks())  # every chunk held until the last block has run
+    assert len(kept) >= 4 and b"".join(kept) == want
+    write_value_csv(tmp_path / "value.csv", vg)
+    assert (tmp_path / "value.csv").read_bytes() == b"t,x,u,du_dx\n" + want
+
+
+@pytest.mark.parametrize("with_costates", [False, True])
+def test_trajectory_chunks_are_the_callers_across_blocks(tmp_path, with_costates):
+    # k = 3: 21 slices of 700 samples are 14700 rows, six blocks of 2730 rows
+    rng = np.random.default_rng(12)
+    times = np.linspace(0.0, 1.0, 21)
+    paths = [awkward_cells(rng, (21, 700, 1), (1e-320, 2.0**60, -0.0)) for _ in range(3)]
+    traj = TrajectoryEnsemble(times, *paths[:2], paths[2] if with_costates else None)
+    assert 3 * paths[0].size > 3 * BLOCK_CELLS
+    p = paths[2] if with_costates else np.full_like(paths[2], np.nan)
+    want = b"t,sample_index,x,v,p\n" + slice_major_percent_rows(
+        times, [b"%d" % i for i in range(700)], (*paths[:2], p)
+    )
+    assert traj.to_csv().encode() == want
+    assert b"".join(list(traj.csv_lines())) == want
+    write_trajectory_csv(tmp_path / "trajectory.csv", traj)
+    assert (tmp_path / "trajectory.csv").read_bytes() == want
+
+
+def test_a_returned_text_is_not_changed_by_later_calls():
+    rng = np.random.default_rng(13)
+    for size in (5, 3 * BLOCK_CELLS + 7):  # one block, and several
+        text = cell_text(awkward_cells(rng, size))
+        kept = text.copy()
+        cell_text(awkward_cells(rng, size))
+        csv_rows(awkward_cells(rng, (size, 2)), int_text(range(size)))
+        b"".join(slice_rows(np.arange(3.0), int_text(range(size)), [awkward_cells(rng, 3 * size)]))
+        np.testing.assert_array_equal(text, kept)
+
+
+@pytest.mark.parametrize(
+    "write",
+    [lambda: csv_rows(np.ones((3, 2)), int_text(range(3))), lambda: cell_text(np.ones(5))],
+    ids=["csv_rows-3x2", "cell_text-5"],
+)
+def test_a_small_table_takes_small_scratch(write):
+    # the scratch is sized to the table, not to a block: the residual and
+    # plot tables, check certificates and master tables stay cheap
+    write()  # the formatter tables are built once per process, on first use
+    tracemalloc.start()
+    try:
+        write()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024

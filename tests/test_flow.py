@@ -429,11 +429,21 @@ def test_a_step_that_cannot_advance_the_time_ends_the_flow(steps):
     # forever; now the flow stops before its first step
     fam = CostateRateOverflows(finite_calls=10**6)
     phi = AnalyticSlice(lambda x: x)
-    with pytest.raises(FlowBlowupError, match=r"t=0: its step falls below the floor"):
+    with pytest.raises(FlowBlowupError, match=r"t=0: its step falls below the floor") as err:
         integrate_flow(fam, spread_ensemble(3), phi, 5e-324, steps)
     assert fam.calls == 1  # the seed's rates only
+    assert err.value.step == 0  # only row 0 was written, though rows 0..steps/2 share t = 0
     # one row of that horizon is one step that does advance
     assert integrate_flow(fam, spread_ensemble(3), phi, 5e-324, 1).times[-1] == 5e-324
+
+
+def test_a_stall_names_the_last_row_written_not_the_last_row_at_its_time():
+    # at horizon 5e-324 the 41 row times are 0 (rows 0-20) and 5e-324: a
+    # stall before the first step names row 0, not row 20
+    fam, x0 = LQFamily(beta=0.5, m=1.0), Ensemble([0.1, 0.5, 0.9])
+    with pytest.raises(FlowBlowupError, match=r"t=0: ") as err:
+        integrate_flow(fam, x0, AnalyticSlice(lambda x: x), 5e-324, 40)
+    assert err.value.step == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xmfg
 from xmfg.ensembles import TrajectoryEnsemble
 from xmfg.hjb import GridConfig, ValueGrid
 from xmfg.io import write_trajectory_csv, write_value_csv
@@ -84,3 +89,38 @@ def test_value_csv_writes_non_finite_and_subnormal_cells(tmp_path):
     # the derived du_dx holds nan, inf, -inf and a subnormal too
     assert b",inf,nan\n" in data and b",-inf,-inf\n" in data
     assert b",4.9406564584124654e-324,inf\n" in data and b",-0,9.8813129168249309e-324\n" in data
+
+
+SECOND_WRITE_FAULTS = """
+import resource, sys
+from pathlib import Path
+import numpy as np
+from xmfg.hjb import GridConfig, ValueGrid
+from xmfg.io import write_value_csv
+rng = np.random.default_rng(7)
+times = np.linspace(0.0, 1.0, 201)
+u = rng.standard_normal((201, 201)) * 10.0 ** rng.integers(-3, 4, (201, 201))
+vg = ValueGrid(config=GridConfig(-2.0, 2.0, 201, 2, 4.0), times=times, u=u)
+vg.grad
+path = Path(sys.argv[1])
+write_value_csv(path, vg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+write_value_csv(path, vg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="faults as Linux counts them")
+def test_a_value_csv_write_faults_its_scratch_in_once(tmp_path):
+    # 201 slices of 201 nodes are ten blocks of 8192 cells.  The write reuses
+    # one arena for all of them, so its pages fault in about once per write
+    # (758-767 faults on Linux x86-64); scratch allocated block by block,
+    # which glibc hands back to the kernel between blocks, took 7630-7652.
+    pytest.importorskip("resource")
+    src = str(Path(xmfg.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", SECOND_WRITE_FAULTS, str(tmp_path / "value.csv")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert int(out.stdout) < 2000
