@@ -509,6 +509,8 @@ _HANDLERS = {
 def run(cfg: RunConfig) -> int:
     """Execute one subcommand; returns the process exit status."""
     try:
+        if not 0 <= cfg.seed < 2**64:  # numpy's generators take no negative seed
+            raise SchemaError("--seed", "expected an integer in [0, 2**64)")
         parsed = parse_problem(cfg.config_path, cfg.overrides)
         # the document alone: a second game would log its warnings a second time
         canonical = _canonicalize(json.loads(emit_problem(parsed)), Path("."))[0]

@@ -11,17 +11,15 @@ Sampling cannot prove a universally quantified statement, so a "satisfied"
 verdict means exactly "no violation found in `trials` samples"; a "violated"
 verdict ships a certificate pair that reproduces the offending value.
 
-A check first draws every trial's pair of laws as read-only sample arrays.
-The V and psi checks at one seed and trial count draw the same laws, so the
-last draw is kept and the second check reuses it.  A check then evaluates a
-cost that declares ``stacks_laws`` once per group of trials with equal sample
-counts, on stacks of laws, and a user callable once per trial.  Every value
-and certificate keeps the bits of a trial-by-trial loop.
+A check first draws every trial's pair of laws in the order ``_draw``
+declares; the V and psi checks at one seed draw the same laws.  It then
+evaluates a cost that declares ``stacks_laws`` once per group of trials with
+equal sample counts, on stacks of laws, and a user callable once per trial.
+Every value and certificate keeps the bits of a trial-by-trial loop.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -134,31 +132,33 @@ def _require_permutation_invariance(cost, rng_seed: int, what: str) -> None:
         )
 
 
-def _draw_samples(rng, n: int) -> np.ndarray:
-    style = rng.integers(0, 3)
-    if style == 0:  # point mass
-        return rng.uniform(-2.0, 2.0, size=1).repeat(n)
-    if style == 1:  # uniform cloud
-        return rng.uniform(-2.0, 2.0) + rng.uniform(-1.0, 1.0, size=n)
-    centers = rng.uniform(-2.0, 2.0, size=2)  # two clusters
-    return centers[rng.integers(0, 2, size=n)] + 0.2 * rng.standard_normal(n)
-
-
-def _draw_law(rng, parts: int) -> tuple:
-    """One trial law: ``parts`` read-only sample arrays of one random count."""
-    n = _ENSEMBLE_SIZES[rng.integers(0, len(_ENSEMBLE_SIZES))]
-    law = tuple(_draw_samples(rng, n) for _ in range(parts))
-    for part in law:
-        part.flags.writeable = False
-    return law
-
-
-@functools.lru_cache(maxsize=1)
-def _draw_pairs(rng_seed: int, parts: int, trials: int) -> tuple:
-    """Every trial's pair of laws from the stream of ``rng_seed``.  The last
-    draw is kept: a psi check after a V check at its seed draws nothing."""
+def _draw(rng_seed: int, parts: int, trials: int):
+    """The 2T laws of T trials, law 2t the first of trial t and 2t+1 its second:
+    each law's ``count`` and ``slot`` among the laws of its count, and per count
+    n the read-only (P, L, n) samples of its L laws of P parts.  The stream, in
+    order: ``count = integers(0, 4, 2T)`` indexes (1, 2, 8, 64); then per n,
+    ``style = integers(0, 3, (P, L, 1))``, ``point = uniform(-2, 2, (P, L, 1))``,
+    ``cloud = uniform(-1, 1, (P, L, n))``, ``centers = uniform(-2, 2, (P, L, 2))``,
+    ``pick = integers(0, 2, (P, L, n))``, ``noise = standard_normal((P, L, n))``.
+    Style 0 is a point mass, 1 a uniform cloud, 2 two clusters."""
     rng = np.random.default_rng(rng_seed)
-    return tuple((_draw_law(rng, parts), _draw_law(rng, parts)) for _ in range(trials))
+    count = rng.integers(0, len(_ENSEMBLE_SIZES), size=2 * trials)
+    slot, laws = np.empty_like(count), []
+    for i, n in enumerate(_ENSEMBLE_SIZES):
+        at = np.flatnonzero(count == i)
+        slot[at] = np.arange(at.size)
+        shape = (parts, at.size)
+        style = rng.integers(0, 3, shape + (1,))
+        point = rng.uniform(-2.0, 2.0, shape + (1,))
+        cloud = rng.uniform(-1.0, 1.0, shape + (n,))
+        centers = rng.uniform(-2.0, 2.0, shape + (2,))
+        pick = rng.integers(0, 2, shape + (n,))
+        noise = rng.standard_normal(shape + (n,))
+        clusters = np.take_along_axis(centers, pick, -1) + 0.2 * noise
+        samples = np.where(style == 0, point, np.where(style == 1, point + cloud, clusters))
+        samples.flags.writeable = False
+        laws.append(samples)
+    return count, slot, laws
 
 
 def _law(parts):
@@ -170,26 +170,28 @@ def _law(parts):
 
 @np.errstate(all="ignore")  # a non-finite trial ends the check as inconclusive
 def _run_check(condition, evaluate, parts, trials, rng_seed, same, stacks):
-    """Take every trial's pair from the seed's draw, then evaluate them: in
-    stacks grouped by the sample counts when ``stacks``, else one trial at a
-    time up to the first non-finite value.  ``same(a, b)`` tells, along the
-    last axis, which pairs of equal counts to skip."""
-    pairs = _draw_pairs(rng_seed, parts, trials)
+    """Draw every trial's laws, then evaluate them: in stacks grouped by sample
+    counts when ``stacks``, else one trial at a time up to the first non-finite
+    value.  ``same(a, b)`` tells, along the last axis, which equal-count pairs to skip."""
+    count, slot, laws = _draw(rng_seed, parts, trials)
+
+    def pair(t):  # trial t's two laws, as (parts, n) samples
+        return tuple(laws[count[k]][:, slot[k]] for k in (2 * t, 2 * t + 1))
+
     values = np.full(trials, np.inf)
     skipped = np.zeros(trials, dtype=bool)
     if stacks:
-        groups = {}
-        for t, (a, b) in enumerate(pairs):
-            groups.setdefault((a[0].size, b[0].size), []).append(t)
-        for (n_a, n_b), rows in groups.items():
-            a, b = ([np.stack([pairs[t][side][k] for t in rows]) for k in range(parts)]
-                    for side in (0, 1))
-            values[rows] = evaluate(_law(a), _law(b))
-            if same is not None and n_a == n_b:
-                skipped[rows] = same(a, b)
+        for i, j in np.ndindex(len(laws), len(laws)):  # np.unique would import numpy.ma
+            rows = np.flatnonzero((count[0::2] == i) & (count[1::2] == j))
+            if rows.size:
+                a, b = laws[i][:, slot[2 * rows]], laws[j][:, slot[2 * rows + 1]]
+                values[rows] = evaluate(_law(a), _law(b))
+                if same is not None and i == j:
+                    skipped[rows] = same(a, b)
     else:
-        for t, (a, b) in enumerate(pairs):
-            if same is not None and a[0].size == b[0].size and same(a, b):
+        for t in range(trials):
+            a, b = pair(t)
+            if same is not None and a.shape == b.shape and same(a, b):
                 skipped[t] = True
                 continue
             values[t] = evaluate(_law(a), _law(b))
@@ -197,14 +199,14 @@ def _run_check(condition, evaluate, parts, trials, rng_seed, same, stacks):
                 break
     bad = np.flatnonzero(~(skipped | np.isfinite(values)))
     if bad.size or skipped.all():  # the first non-finite trial, or none evaluated
-        pair = tuple(map(_law, pairs[bad[0]])) if bad.size else ()
-        return MonotonicityReport(condition, trials, float("nan"), pair, "inconclusive")
+        certificate = tuple(map(_law, pair(bad[0]))) if bad.size else ()
+        return MonotonicityReport(condition, trials, float("nan"), certificate, "inconclusive")
     values[skipped] = np.inf
     best = int(np.argmin(values))
     min_value = float(values[best])
     ok = min_value > 0.0 if condition.endswith("-strict") else min_value >= 0.0
     return MonotonicityReport(
-        condition, trials, min_value, tuple(map(_law, pairs[best])),
+        condition, trials, min_value, tuple(map(_law, pair(best))),
         "satisfied" if ok else "violated",
     )
 
@@ -216,13 +218,8 @@ def _same_law(a, b):
 
 def _same_joint_law(a, b):
     """Whether equal-count joint laws agree once sorted by (x, z), along the last axis."""
-
-    def by_x_then_z(law):
-        order = np.lexsort(law[::-1])
-        return [np.take_along_axis(part, order, -1) for part in law]
-
-    (x_a, z_a), (x_b, z_b) = by_x_then_z(a), by_x_then_z(b)
-    return ((x_a == x_b) & (z_a == z_b)).all(-1)
+    a, b = (np.take_along_axis(law, np.lexsort(law[::-1])[None], -1) for law in (a, b))
+    return (a == b).all((0, -1))
 
 
 def check_V_monotone(potential, trials: int = 1000, rng_seed: int = 0) -> MonotonicityReport:

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import xmfg.io
 from xmfg.cli import (
     KINDS,
+    SUBCOMMANDS,
     RunConfig,
     _quantiles,
     emit_problem,
@@ -548,6 +549,31 @@ def test_master_leaves_numpy_ma_unimported(tmp_path):
     assert out.stdout.split() == ["0", "False"]
 
 
+CHECK_IMPORTS = """
+import sys
+from pathlib import Path
+from xmfg.cli import RunConfig, run
+status = run(RunConfig("check", Path(sys.argv[1]), Path(sys.argv[2]), seed=3))
+print(status, "numpy.ma" in sys.modules)
+"""
+
+
+def test_check_leaves_numpy_ma_unimported(tmp_path):
+    # the check groups its trials by a loop over the count pairs; np.unique
+    # would import numpy.ma, about 12 ms per process
+    from test_bench_names import load_perfbench
+
+    src = str(Path(xmfg.io.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    doc = tmp_path / "problem.json"
+    doc.write_text(load_perfbench("workloads").document("crowd", 3))
+    out = subprocess.run(
+        [sys.executable, "-c", CHECK_IMPORTS, str(doc), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["0", "False"]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(
@@ -607,23 +633,24 @@ def test_check_reports_violation_with_exit_zero(tmp_path):
 
 #: sha256 over the name and bytes of every file `check` writes but meta.json,
 #: for the crowd and lq-offcentre benchmark documents and QUARTIC_DOC at seeds
-#: 1-5; taken when the trials were still evaluated one at a time
+#: 1-5; taken on the declared stream of `diagnostics._draw` once the per-trial
+#: reference of tests/test_diagnostics.py replayed it bit for bit
 CHECK_DIGESTS = {
-    "crowd-1": "bf74624042826bb4622749d390e436e9b6aa6b918cb8d348fd71ba2170f9f258",
-    "crowd-2": "9bce111b7e96cab0879d0949263863ea9e1daaa60e94db3ed1a7966756f58c2b",
-    "crowd-3": "f230ce6a8e0f82fc9e2093d52618a9c108449291f93f389daede9a023e98ff6e",
-    "crowd-4": "22c7835e07018c900417fb7d303516fa40981b8b5f7d7c43e37f678b3b257840",
-    "crowd-5": "574ac246e6781b0b175ab244098a5de354fd76817bd4e88fd53db5c6cf6d069f",
-    "lq-offcentre-1": "4dae768c235c90ed57a54c6a9725814fe9444d80a417aa964c7aa8e42ed38ece",
-    "lq-offcentre-2": "28a978d504f9d21cda6d175bfe728c8347a73f114b633cf6c304edb21584e5d4",
-    "lq-offcentre-3": "d645d3da7e3fb37048ae03eba75494a78d87b02c338f41633c4898d6d70a986a",
-    "lq-offcentre-4": "08257045fcb952a6c50ef7bb9b515500f28164ebaa8b4cddc0226561e12ccb41",
-    "lq-offcentre-5": "2dfb0bf2218a315c47f0f95ba1072336bbc47f9bef33fb4bba95cb0297a03659",
-    "quartic-1": "0b75b3959f4922feeb72a6a0ec40361d5a422cd67bb192613e72f47cceebcb33",
-    "quartic-2": "78a1184f78972924b03a7771473b7980517d181c7388935144d5b9ea34f470bd",
-    "quartic-3": "013226b3953e9f25d0c0cb626ed2901d5945482cba7847a895195243cb513486",
-    "quartic-4": "6ad903aca2e4003ba89703cac749739cd325cd7840d89ae2561491091094e5db",
-    "quartic-5": "41e521fe0948ec375d0fb5624e29bdd018b8b35fb0914c8835201b34605714b4",
+    "crowd-1": "5802910122a50f6cefdf504aef138cb6ae051c7bc66a5daa0d043d81bab559dc",
+    "crowd-2": "1fdec0076ba3f4cee83975f19a12d1b8ce773067c45bec8cbf9e93d9dc734829",
+    "crowd-3": "21dfa674ce1de340cf663537a6abf4665aad20a8b742eec2631eb7ff56228f0e",
+    "crowd-4": "de0bb290601c0f77075e74b566b37f7fd3cb9fc92b2d4ab22f7d0700b657ffd8",
+    "crowd-5": "75f148d77cf77c0f3311c5fec4dbeb62e141bcac51cf6ef52db7ca4e089dc423",
+    "lq-offcentre-1": "ae989e3067511c8c4c0fcc76e4c90817e75ac0572b778008bd7446bf84e1bb72",
+    "lq-offcentre-2": "cae3ef4283735fd9c17b3f5c0e0295e1430a95376dc3c5a75b40bc621cae60f7",
+    "lq-offcentre-3": "ddf14fd9d7c158189dc2feefaa2f5a167271f00b7156d453ffd74d5e270e5b5e",
+    "lq-offcentre-4": "2a7657c71970facd61a6b4aca6fab1555abef67b2e7b4f52e147c887d909fc94",
+    "lq-offcentre-5": "6d33ce88e1656dd5def56bb1023ca3bb4b5b46c6fd041e968eefee75426605ab",
+    "quartic-1": "6687571c8359887b97654f6b617d99579cab6c15938bc5978173d56ee7a4dc4e",
+    "quartic-2": "f031630d81e10605db23f5ffcbbb501296d82991344f63348576543b149bc7f7",
+    "quartic-3": "95cad68318294263c56632f82ff145b49d3dafff001fdfb639f8215a7a914d9b",
+    "quartic-4": "497cec8a7b23dd1305bbdfb9ac8be832fc36ffed8a07e226b8bf25c27878e595",
+    "quartic-5": "76e15bd1e2cdf5b4d246cbfe9064233bb0265244c2dac9201b62f51d11da1d5d",
 }
 
 
@@ -643,7 +670,7 @@ def test_check_outputs_keep_their_bytes(tmp_path, case):
     assert bundle_digest(out) == CHECK_DIGESTS[case]
 
 
-def test_a_check_draws_the_potential_and_terminal_trials_once(tmp_path, monkeypatch):
+def test_a_check_draws_each_condition_s_trials_in_one_call(tmp_path, monkeypatch):
     from test_bench_names import load_perfbench
     from test_diagnostics import count_draws
 
@@ -651,8 +678,8 @@ def test_a_check_draws_the_potential_and_terminal_trials_once(tmp_path, monkeypa
     calls = count_draws(monkeypatch)
     assert main(["check", "--config", str(tmp_path / "problem.json"), "--out",
                  str(tmp_path / "out"), "--seed", "3"]) == 0
-    # two laws for each of 2000 trials shared by V and psi, and 1000 joint-law trials of L
-    assert calls == [1] * 4000 + [2] * 2000
+    # 2000 trials of laws of X for V and again for psi, 1000 of joint laws for L
+    assert calls == [(3, 1, 2000), (3, 1, 2000), (3, 2, 1000)]
 
 
 def bundle_digest(out):
@@ -1037,8 +1064,29 @@ def test_a_tiny_trajectory_tolerance_still_runs_its_flows(command):
 @example(case=("oracle", "lq", ("initial.params.lo=0.5", "initial.params.hi=1.7e+308")))
 # a stiff oracle flow overflowed with two warnings, then raised a ValueError
 @example(case=("oracle", "lq", ("potential.params.A=-1e+16", "terminal.params.M=1e+8")))
+# a seed outside [0, 2**64): -1 reached numpy's generator in a ValueError traceback
+@example(case=("check", "lq", (), -1))
+@example(case=("probe-uniqueness", "lq", (), -1))
+@example(case=("oracle", "lq", (), -1))
+@example(case=("check", "lq", (), 2**64))
+@example(case=("probe-uniqueness", "lq", (), 2**64))
 def test_fuzzed_overrides_of_the_other_commands_end_in_a_documented_exit(case):
     assert_documented_exit(*case)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_a_seed_outside_the_u64_range_is_a_schema_error(tmp_path, command, seed, capsys):
+    # the seed is checked first, before the document is read
+    assert run(RunConfig(command, tmp_path / "missing.json", tmp_path / "out", seed=seed)) == 1
+    assert capsys.readouterr().err == (
+        "ERROR SCHEMA: field '--seed': expected an integer in [0, 2**64)\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_largest_u64_seed_runs_a_check():
+    assert assert_documented_exit("check", "lq", (), 2**64 - 1) == 0
 
 
 # the law-dependence spot check of `check` compared an overflowing cost's nan

@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import pytest
 
@@ -180,24 +178,41 @@ def test_second_derivative_form_detects_kink():
 
 # --- parity of the trial loop with the per-trial reference -----------------
 #
-# The reference below is the trial loop as it was written before the checks
-# were made lean: rng.choice for the sizes, validated Ensemble and
-# PairedEnsemble objects for every trial law, four evaluator calls per trial
-# and np.mean.  The lean loop must reproduce its stream and its numbers.
+# The reference below is a plain trial loop over the declared stream: it draws
+# every law in the documented order, picks each law's samples by its style one
+# law at a time, builds validated Ensemble and PairedEnsemble objects for every
+# trial law, makes four evaluator calls per trial and averages with np.mean.
+# The checks must reproduce its laws and its numbers bit for bit.
 
 
-def reference_ensemble(rng, n=None):
-    n = int(rng.choice((1, 2, 8, 64))) if n is None else n
-    style = rng.integers(0, 3)
-    if style == 0:
-        samples = np.tile(rng.uniform(-2.0, 2.0, size=1), (n, 1))
-    elif style == 1:
-        samples = rng.uniform(-2.0, 2.0, size=1) + rng.uniform(-1.0, 1.0, size=(n, 1))
-    else:
-        centers = rng.uniform(-2.0, 2.0, size=(2, 1))
-        pick = rng.integers(0, 2, size=n)
-        samples = centers[pick] + 0.2 * rng.standard_normal((n, 1))
-    return Ensemble(samples)
+def reference_laws(seed, parts, trials):
+    """The 2 * trials laws of the declared stream, in law order: law 2t is
+    trial t's first and 2t + 1 its second, each a list of ``parts`` (n, 1)
+    sample arrays."""
+    rng = np.random.default_rng(seed)
+    count = rng.integers(0, 4, size=2 * trials)
+    laws = [None] * (2 * trials)
+    for c, n in enumerate((1, 2, 8, 64)):
+        members = [k for k in range(2 * trials) if count[k] == c]
+        shape = (parts, len(members))
+        style = rng.integers(0, 3, shape + (1,))
+        point = rng.uniform(-2.0, 2.0, shape + (1,))
+        cloud = rng.uniform(-1.0, 1.0, shape + (n,))
+        centers = rng.uniform(-2.0, 2.0, shape + (2,))
+        pick = rng.integers(0, 2, shape + (n,))
+        noise = rng.standard_normal(shape + (n,))
+        for i, k in enumerate(members):
+            law = []
+            for p in range(parts):
+                if style[p, i, 0] == 0:  # point mass
+                    samples = np.full(n, point[p, i, 0])
+                elif style[p, i, 0] == 1:  # uniform cloud
+                    samples = point[p, i, 0] + cloud[p, i]
+                else:  # two clusters
+                    samples = centers[p, i][pick[p, i]] + 0.2 * noise[p, i]
+                law.append(samples[:, None])
+            laws[k] = law
+    return laws
 
 
 def reference_gap(potential, a, b):
@@ -215,25 +230,21 @@ def reference_lagrangian_gap(fam, pair, pair_t):
     return el(pair, pair) - el(pair_t, pair) + el(pair_t, pair_t) - el(pair, pair_t)
 
 
-def reference_paired(rng):
-    n = int(rng.choice((1, 2, 8, 64)))
-    return PairedEnsemble(reference_ensemble(rng, n).samples, reference_ensemble(rng, n).samples)
-
-
 def reference_check(kind, evaluator, trials, seed):
     """(min_value, certificate, evaluated trials) of the reference loop."""
-    rng = np.random.default_rng(seed)
+    laws = reference_laws(seed, 2 if kind == "L" else 1, trials)
     best, cert, evaluated = np.inf, None, []
-    for _ in range(trials):
+    for t in range(trials):
+        first, second = laws[2 * t], laws[2 * t + 1]
         if kind == "L":
-            a, b = reference_paired(rng), reference_paired(rng)
+            a, b = PairedEnsemble(*first), PairedEnsemble(*second)
             if a.n == b.n:
                 oa, ob = np.lexsort((a.z[:, 0], a.x[:, 0])), np.lexsort((b.z[:, 0], b.x[:, 0]))
                 if np.array_equal(a.x[oa], b.x[ob]) and np.array_equal(a.z[oa], b.z[ob]):
                     continue
             value = reference_lagrangian_gap(evaluator, a, b)
         else:
-            a, b = reference_ensemble(rng), reference_ensemble(rng)
+            a, b = Ensemble(first[0]), Ensemble(second[0])
             if kind == "V":
                 if a.n == b.n and np.array_equal(np.sort(a.samples, 0), np.sort(b.samples, 0)):
                     continue
@@ -347,7 +358,7 @@ def overflowing_costs(a, b):
 
 # the costs of the two overflowing documents of the CLI tests, where the first
 # trial overflows, and a milder one whose first overflow comes later in the run
-# (V, psi and L: trials 13, 13 and 4 at seed 0; 0, 0 and 110 at seed 4)
+# (V, psi and L: trials 61, 61 and 114 at seed 0; 65, 65 and 2 at seed 4)
 OVERFLOWING = [
     pytest.param(overflowing_costs(1e308, -1e308), 20, id="document"),
     pytest.param(overflowing_costs(1.5e306, 0.0), 120, id="later"),
@@ -375,21 +386,18 @@ def test_an_overflowing_trial_is_named_as_in_the_reference(costs, trials, seed, 
         assert all(len(shape) == 2 for shape in calls)
 
 
-def own_draw_cache(monkeypatch):
-    """Give the checks an empty draw cache for the rest of the test, so that the
-    laws it scripts or counts neither come from the shared one nor stay in it."""
-    fresh = functools.lru_cache(maxsize=1)(diagnostics._draw_pairs.__wrapped__)
-    monkeypatch.setattr(diagnostics, "_draw_pairs", fresh)
-
-
 def script_draws(monkeypatch, laws):
-    """Replace the random trial laws by ``laws``, each a list of sample lists
-    (one for a law of X, two for a joint law of (X, Z))."""
-    queue = iter(laws)
-    monkeypatch.setattr(
-        diagnostics, "_draw_law", lambda rng, parts: [np.array(part) for part in next(queue)]
-    )
-    own_draw_cache(monkeypatch)
+    """Replace the random trial laws by ``laws``, in law order (law 2t is trial
+    t's first and 2t + 1 its second), each a list of sample lists (one for a law
+    of X, two for a joint law of (X, Z)) of 1, 2, 8 or 64 samples."""
+    sizes = [1, 2, 8, 64]
+    count = np.array([sizes.index(len(law[0])) for law in laws])
+    slot = np.array([list(count[:k]).count(c) for k, c in enumerate(count)])
+    by_count = [
+        np.array([law for law in laws if len(law[0]) == n]).reshape(-1, len(laws[0]), n)
+        .swapaxes(0, 1) for n in sizes
+    ]
+    monkeypatch.setattr(diagnostics, "_draw", lambda *args: (count, slot, by_count))
 
 
 @pytest.mark.parametrize("per_law", [False, True], ids=["stacked", "per-law"])
@@ -449,32 +457,39 @@ def test_a_user_coefficient_map_sees_one_law_per_call():
     assert all(len(shape) == 2 and shape[1] == 1 for shape in shapes)
 
 
-# --- one draw for the V and psi checks at a seed ---------------------------
+# --- one draw per check ------------------------------------------------------
 
 
 def count_draws(monkeypatch):
-    """Count the trial laws drawn from here on; returns the growing list of calls."""
-    calls, draw = [], diagnostics._draw_law
-    monkeypatch.setattr(
-        diagnostics, "_draw_law", lambda rng, parts: calls.append(parts) or draw(rng, parts)
-    )
-    own_draw_cache(monkeypatch)
+    """Record the arguments of every draw from here on; returns the growing list."""
+    calls, draw = [], diagnostics._draw
+    monkeypatch.setattr(diagnostics, "_draw", lambda *args: calls.append(args) or draw(*args))
     return calls
 
 
-def test_the_psi_check_reuses_the_v_checks_draw(monkeypatch):
+def test_each_check_draws_its_trials_in_one_call(monkeypatch):
     calls = count_draws(monkeypatch)
     check_V_monotone(MomentQuadraticPotential(0.5), trials=300, rng_seed=4)
-    assert len(calls) == 600
     check_psi_monotone(QuadraticFormPotential(1.0, 0.2, 0.1), trials=300, rng_seed=4)
-    assert len(calls) == 600
     # the joint laws of L have a stream of their own
     check_L_monotone(QuadraticCoupledFamily(0.5), trials=300, rng_seed=4)
-    assert calls[600:] == [2] * 600
-    # a draw at another seed or trial count is a draw of its own
     check_psi_monotone(QuadraticFormPotential(1.0, 0.2, 0.1), trials=300, rng_seed=5)
     check_V_monotone(MomentQuadraticPotential(0.5), trials=200, rng_seed=5)
-    assert len(calls) == 1200 + 600 + 400
+    assert calls == [(4, 1, 300), (4, 1, 300), (4, 2, 300), (5, 1, 300), (5, 1, 200)]
+
+
+def test_the_v_and_psi_checks_at_one_seed_see_the_same_laws():
+    seen = {"V": [], "psi": []}
+    for kind in seen:
+        def cost(x, law, out=seen[kind]):  # a plain callable: one call per law
+            out.append(law.samples.tobytes())
+            return MomentQuadraticPotential(0.5)(x, law)
+
+        rep = CHECKS[kind](cost, trials=300, rng_seed=4)
+        assert rep.verdict != "inconclusive"
+    # the spot check's two calls, then two laws per trial
+    assert len(seen["V"]) == 2 + 2 * 300
+    assert seen["V"] == seen["psi"]
 
 
 def report_bytes(rep):
@@ -492,21 +507,25 @@ def report_bytes(rep):
     ],
 )
 @pytest.mark.parametrize("kind", ["stacked", "per-law"])
-def test_a_psi_check_does_not_depend_on_the_checks_before_it(monkeypatch, before, kind):
+def test_a_psi_check_does_not_depend_on_the_checks_before_it(before, kind):
     terminal = QuadraticFormPotential(1.0, 0.2, 0.1)
     checked = terminal if kind == "stacked" else one_law_at_a_time("psi", terminal)
-    own_draw_cache(monkeypatch)
     alone = report_bytes(check_psi_monotone(checked, trials=300, rng_seed=3))
-    own_draw_cache(monkeypatch)
     for check, trials, seed in before:
         check(MomentQuadraticPotential(0.5), trials=trials, rng_seed=seed)
     assert report_bytes(check_psi_monotone(checked, trials=300, rng_seed=3)) == alone
 
 
-def test_the_shared_draw_is_read_only(monkeypatch):
-    own_draw_cache(monkeypatch)
-    pairs = diagnostics._draw_pairs(5, 1, 40)
-    assert diagnostics._draw_pairs(5, 1, 40) is pairs
-    for part in (part for pair in pairs for law in pair for part in law):
+def test_the_drawn_laws_are_read_only():
+    count, slot, laws = diagnostics._draw(5, 2, 40)
+    assert count.shape == slot.shape == (80,)
+    sizes = (1, 2, 8, 64)
+    assert [law.shape for law in laws] == [(2, np.sum(count == i), n) for i, n in enumerate(sizes)]
+    for law in laws:
         with pytest.raises(ValueError, match="read-only"):
-            part[0] = 1.0
+            law[...] = 1.0
+    # so are the certificates, which are views of them
+    rep = check_L_monotone(QuadraticCoupledFamily(0.5), trials=40, rng_seed=5)
+    for law in rep.certificate:
+        with pytest.raises(ValueError, match="read-only"):
+            law.x[0] = 1.0
