@@ -187,14 +187,13 @@ def _rk4_forward_states(times, sub, gamma_f, theta_f, beta, x_init):
     return states
 
 
-def _lq_paths(coeffs_fns, x0, beta, horizon, steps, sub):
+def _lq_paths(coeffs_fns, states, beta, horizon, steps, sub):
+    """Iterate backward-forward passes from the frozen (M+1, N) seed path ``states``."""
     a_fn, b_fn, c_fn, m_fn, n_fn, q_fn = coeffs_fns
     times = np.linspace(0.0, horizon, steps + 1)
     k_fine = steps * sub
     fine_times = np.linspace(0.0, horizon, k_fine + 1)
-    x_init = x0.samples[:, 0]
-
-    states = np.tile(x_init, (steps + 1, 1))  # frozen seed: resting population
+    x_init = states[0]
     converged = False
     for passes in range(1, LQ_MAX_PASSES + 1):
         # coefficient and mean paths sampled on the fine grid from the frozen states
@@ -205,7 +204,7 @@ def _lq_paths(coeffs_fns, x0, beta, horizon, steps, sub):
         # checked once per pass; the coefficient maps read unchecked views
         if not np.all(np.isfinite(fine_states)):
             raise ValueError("every sample coordinate must be finite")
-        ens = [Ensemble._view(row, x0.q) for row in fine_states[:, :, None]]
+        ens = [Ensemble._view(row) for row in fine_states[:, :, None]]
         a_vals = np.array([a_fn(e) for e in ens])
         b_vals = np.array([b_fn(e) for e in ens])
         c_vals = np.array([c_fn(e) for e in ens])
@@ -239,18 +238,21 @@ def lq_solve(
     Ensemble-dependent coefficients are handled by freezing the trajectory,
     solving backward then forward, and iterating until the state path moves
     by at most LQ_TOL, within LQ_MAX_PASSES passes; constant coefficients
-    with a centered population settle on the first pass.  Returns the
+    with a centered population settle on the first pass.  The passes run at
+    2 RK4 substeps per row; ``refinement_gap`` compares them with passes at
+    16 substeps that start from the settled path.  Returns the
     coefficient paths and the population trajectory (with velocities and
     costates P = G X + Th).
     """
     if beta == -1.0:
         raise SingularCouplingError("mean-coupled forward equation is singular at beta = -1")
     fns = coeffs.resolved()
+    resting = np.tile(x0.samples[:, 0], (steps + 1, 1))
     times, gamma, theta, zeta, states, converged, passes = _lq_paths(
-        fns, x0, beta, horizon, steps, sub=2
+        fns, resting, beta, horizon, steps, sub=2
     )
     _, gamma_r, theta_r, zeta_r, states_r, _, _ = _lq_paths(
-        fns, x0, beta, horizon, steps, sub=16
+        fns, states, beta, horizon, steps, sub=16
     )
     refinement_gap = float(
         max(
@@ -274,7 +276,6 @@ def lq_solve(
         states=states[:, :, None],
         velocities=velocities[:, :, None],
         costates=costates[:, :, None],
-        q=x0.q,
     )
     state = LQState(
         times=times,
@@ -398,20 +399,12 @@ def quartic_solve(
 
     # q' = -U(X, X') integrated backward with trapezoid on the solver grid
     b_fn = as_coefficient(b_terminal)
-    q_terminal = float(b_fn(Ensemble(states[-1], q=x0.q)))
+    q_terminal = float(b_fn(Ensemble(states[-1])))
     if coupling is None:
         u_vals = np.zeros(steps + 1)
     else:
-        u_vals = np.array(
-            [
-                float(
-                    coupling(
-                        Ensemble(states[m], q=x0.q), Ensemble(velocities[m], q=x0.q)
-                    )
-                )
-                for m in range(steps + 1)
-            ]
-        )
+        pairs = zip(states, velocities)
+        u_vals = np.array([float(coupling(Ensemble(x), Ensemble(z))) for x, z in pairs])
     q_path = np.empty(steps + 1)
     q_path[-1] = q_terminal
     for m in range(steps - 1, -1, -1):
@@ -422,7 +415,6 @@ def quartic_solve(
         states=states[:, :, None],
         velocities=velocities[:, :, None],
         costates=costates[:, :, None],
-        q=x0.q,
     )
     state = QuarticState(
         times=times,

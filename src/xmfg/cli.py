@@ -296,7 +296,7 @@ def _canonicalize(raw: dict, base_dir: Path) -> tuple:
 
 def parse_problem_document(raw: dict, base_dir: Path = Path(".")) -> ParsedProblem:
     document, family, samples, solver = _canonicalize(raw, base_dir)
-    problem = ProblemSpec(family, document["T"], Ensemble(samples, q=document["q"]))
+    problem = ProblemSpec(family, document["T"], Ensemble(samples), document["q"])
     # the one place a game is declared (a master restart from X(t) carries the
     # same atoms): equal neighbours once sorted, as np.unique imports numpy.ma
     n_dup = np.count_nonzero(np.diff(np.sort(problem.initial.samples[:, 0])) == 0)
@@ -311,9 +311,11 @@ def parse_problem(path, overrides: tuple[str, ...] = ()) -> ParsedProblem:
     if not path.exists():
         raise SchemaError("<config>", f"file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, or nested too deep
         raise SchemaError("<config>", f"invalid JSON: {exc}") from exc
+    if overrides and not isinstance(raw, dict):
+        raise SchemaError("<root>", "expected a JSON object")
     for item in overrides:
         if "=" not in item:
             raise SchemaError("<override>", f"expected key=value, got {item!r}")
@@ -322,6 +324,8 @@ def parse_problem(path, overrides: tuple[str, ...] = ()) -> ParsedProblem:
             value = json.loads(text)
         except json.JSONDecodeError:
             value = text
+        except (ValueError, RecursionError) as exc:  # e.g. nested too deep
+            raise SchemaError(dotted, f"invalid JSON: {exc}") from exc
         node = raw
         parts = dotted.split(".")
         for part in parts[:-1]:
@@ -531,9 +535,11 @@ def run(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     import argparse  # kept off the import path of the library and of run()
 
-    parser = argparse.ArgumentParser(
-        prog="xmfg", description="Batch solver for velocity-coupled mean-field games"
-    )
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # a usage error is one SCHEMA line, not argparse's exit 2
+            raise SchemaError("<args>", message)
+
+    parser = Parser(prog="xmfg", description="Batch solver for velocity-coupled mean-field games")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in SUBCOMMANDS:
         p = sub.add_parser(name)
@@ -547,15 +553,13 @@ def main(argv=None) -> int:
             metavar="key=value",
             help="dotted-path override applied to the document before validation",
         )
-    args = parser.parse_args(argv)
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        config_path=Path(args.config),
-        out_dir=Path(args.out),
-        seed=args.seed,
-        overrides=tuple(args.override),
-    )
-    return run(cfg)
+    try:
+        args = parser.parse_args(argv)
+    except SchemaError as exc:
+        print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
+        return 1
+    config, out = Path(args.config), Path(args.out)
+    return run(RunConfig(args.subcommand, config, out, args.seed, tuple(args.override)))
 
 
 if __name__ == "__main__":

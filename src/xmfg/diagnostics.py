@@ -164,8 +164,8 @@ def _draw(rng_seed: int, parts: int, trials: int):
 def _law(parts):
     """The unchecked Ensemble (one part) or PairedEnsemble (two parts) on (..., N)
     sample arrays; the draws are finite by construction."""
-    views = [Ensemble._view(part[..., None], 2.0).samples for part in parts]
-    return Ensemble._view(*views, 2.0) if len(views) == 1 else PairedEnsemble._view(*views, 2.0)
+    views = [Ensemble._view(part[..., None]).samples for part in parts]
+    return Ensemble._view(*views) if len(views) == 1 else PairedEnsemble._view(*views)
 
 
 @np.errstate(all="ignore")  # a non-finite trial ends the check as inconclusive
@@ -280,8 +280,8 @@ def second_derivative_form(
     v = float(v)
 
     def lag(dx, dv, eps_x, eps_z):
-        xs = Ensemble(x_ens.samples + eps_x * y_dir.samples, q=x_ens.q)
-        zs = Ensemble(z_ens.samples + eps_z * z_dir.samples, q=z_ens.q)
+        xs = Ensemble(x_ens.samples + eps_x * y_dir.samples)
+        zs = Ensemble(z_ens.samples + eps_z * z_dir.samples)
         return float(fam.lagrangian(x + dx, v + dv, xs, zs))
 
     def mixed(point_slot: str, ens_slot: str, h: float) -> float:

@@ -6,6 +6,8 @@ finite average over samples, and two ensembles with the same sorted sample
 list represent the same law.  The state space is one-dimensional: the
 constructors take a scalar, an (N,) array or an (N, 1) column and store the
 column; anything wider is rejected there, so nothing downstream re-checks it.
+A law carries no moment exponent: the exponent q of the space L^q belongs to
+the game (:class:`~xmfg.mfg.ProblemSpec`).
 
 The unchecked ``_view`` may also wrap a (B, N, 1) stack of B laws of N samples
 each.  Law statistics reduce along the sample axis, so ``mean`` and ``moment``
@@ -39,24 +41,17 @@ def _as_samples(samples) -> np.ndarray:
     return arr
 
 
-def _check_q(q: float) -> None:
-    if not (q >= 1.0 and np.isfinite(q)):
-        raise ValueError("moment exponent q must be a finite real >= 1")
-
-
 @dataclass(frozen=True)
 class Ensemble:
-    """Equal-weight empirical law: N points on the line plus a moment exponent q."""
+    """Equal-weight empirical law: N points on the line."""
 
     samples: np.ndarray
-    q: float = 2.0
 
     def __post_init__(self):
         object.__setattr__(self, "samples", _as_samples(self.samples))
-        _check_q(self.q)
 
     @classmethod
-    def _view(cls, samples: np.ndarray, q: float) -> "Ensemble":
+    def _view(cls, samples: np.ndarray) -> "Ensemble":
         """Wrap an (N, 1) float array, or a (B, N, 1) stack of B laws, that the
         caller has already validated.
 
@@ -68,7 +63,7 @@ class Ensemble:
             samples = samples.view()
             samples.flags.writeable = False
         ens = object.__new__(cls)
-        ens.__dict__.update(samples=samples, q=q)
+        ens.__dict__.update(samples=samples)
         return ens
 
     @property
@@ -90,7 +85,7 @@ class Ensemble:
         return np.add.reduce(np.abs(self.samples[..., 0]) ** r, axis=-1) / self.n
 
     def permuted(self, perm) -> "Ensemble":
-        return Ensemble(self.samples[np.asarray(perm)], q=self.q)
+        return Ensemble(self.samples[np.asarray(perm)])
 
     def sorted_1d(self) -> np.ndarray:
         return np.sort(self.samples[:, 0])
@@ -114,21 +109,19 @@ class PairedEnsemble:
 
     x: np.ndarray
     z: np.ndarray
-    q: float = 2.0
 
     def __post_init__(self):
         object.__setattr__(self, "x", _as_samples(self.x))
         object.__setattr__(self, "z", _as_samples(self.z))
         if self.x.shape != self.z.shape:
             raise ValueError("paired components must share N")
-        _check_q(self.q)
 
     @classmethod
-    def _view(cls, x: np.ndarray, z: np.ndarray, q: float) -> "PairedEnsemble":
+    def _view(cls, x: np.ndarray, z: np.ndarray) -> "PairedEnsemble":
         """Pair two read-only (N, 1) arrays, or (B, N, 1) stacks, the caller has
         already validated."""
         pair = object.__new__(cls)
-        pair.__dict__.update(x=x, z=z, q=q)
+        pair.__dict__.update(x=x, z=z)
         return pair
 
     @property
@@ -137,17 +130,30 @@ class PairedEnsemble:
 
     # checked once in __post_init__, so the marginals are unchecked views
     def state(self) -> Ensemble:
-        return Ensemble._view(self.x, self.q)
+        return Ensemble._view(self.x)
 
     def velocity(self) -> Ensemble:
-        return Ensemble._view(self.z, self.q)
+        return Ensemble._view(self.z)
 
     def permuted(self, perm) -> "PairedEnsemble":
         perm = np.asarray(perm)
-        return PairedEnsemble(self.x[perm], self.z[perm], q=self.q)
+        return PairedEnsemble(self.x[perm], self.z[perm])
 
     def to_csv(self) -> str:
         return (b"x0,z0\n" + csv_rows(np.hstack((self.x, self.z)))).decode()
+
+
+def power_root(gaps: np.ndarray, r: float, average) -> float:
+    """``average(gaps ** r) ** (1 / r)`` for non-negative ``gaps``, measured in
+    units of the largest gap when the power leaves the normal range, so a
+    large ``r`` neither underflows to 0 nor overflows to inf."""
+    with np.errstate(over="ignore"):
+        power = average(gaps**r)
+        if not np.finfo(float).tiny <= power < np.inf:
+            top = float(np.max(gaps))
+            if 0.0 < top < np.inf:
+                return top * float(average((gaps / top) ** r) ** (1.0 / r))
+    return float(power ** (1.0 / r))
 
 
 def wasserstein_1d(a: Ensemble, b: Ensemble, r: float = 2.0) -> float:
@@ -160,14 +166,14 @@ def wasserstein_1d(a: Ensemble, b: Ensemble, r: float = 2.0) -> float:
         raise ValueError("Wasserstein order r must be >= 1")
     xs, ys = a.sorted_1d(), b.sorted_1d()
     if a.n == b.n:
-        return float(np.mean(np.abs(xs - ys) ** r) ** (1.0 / r))
+        return power_root(np.abs(xs - ys), r, np.mean)
     edges = np.union1d(np.arange(1, a.n) / a.n, np.arange(1, b.n) / b.n)
     edges = np.concatenate(([0.0], edges, [1.0]))
     weights = np.diff(edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
     qa = xs[np.minimum((mids * a.n).astype(int), a.n - 1)]
     qb = ys[np.minimum((mids * b.n).astype(int), b.n - 1)]
-    return float(np.sum(weights * np.abs(qa - qb) ** r) ** (1.0 / r))
+    return power_root(np.abs(qa - qb), r, lambda g: np.sum(weights * g))
 
 
 @dataclass(frozen=True)
@@ -184,7 +190,6 @@ class TrajectoryEnsemble:
     states: np.ndarray
     velocities: np.ndarray
     costates: np.ndarray | None = None
-    q: float = 2.0
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -205,7 +210,6 @@ class TrajectoryEnsemble:
         # checked once here, so the per-time slices below are unchecked views
         if not all(np.isfinite(arr).all() for arr in paths):
             raise ValueError("every sample coordinate must be finite")
-        _check_q(self.q)
         for arr in (times, *paths):
             arr.flags.writeable = False
         object.__setattr__(self, "times", times)
@@ -229,15 +233,15 @@ class TrajectoryEnsemble:
         return float(self.times[-1] - self.times[0])
 
     def ensemble(self, m: int) -> Ensemble:
-        return Ensemble._view(self.states[m], self.q)
+        return Ensemble._view(self.states[m])
 
     def velocity_ensemble(self, m: int) -> Ensemble:
-        return Ensemble._view(self.velocities[m], self.q)
+        return Ensemble._view(self.velocities[m])
 
     def costate_ensemble(self, m: int) -> Ensemble:
         if self.costates is None:
             raise ValueError("trajectory carries no costate record")
-        return Ensemble._view(self.costates[m], self.q)
+        return Ensemble._view(self.costates[m])
 
     @functools.cached_property
     def sorted_states(self) -> np.ndarray:

@@ -347,7 +347,7 @@ class CustomVelocityFamily(HamiltonianFamily):
 # ---------------------------------------------------------------------------
 
 
-#: L^q size of the step at which the velocity iteration stops
+#: RMS of the step at which the velocity iteration stops
 VELOCITY_TOL = 1e-12
 
 
@@ -364,26 +364,29 @@ def solve_velocity(
     ``x`` may be a single point or a per-sample array aligned with the
     costate ensemble.  Families with an explicit solution short-circuit; the
     rest run the fixed-point iteration Z_{k+1} = -D_pH(x, p, Y, Z_k) from
-    Z_0 = -p, which converges geometrically when D_pH contracts in Z.  The
-    returned ensemble satisfies ||Z + D_pH(x, p, Y, Z)||_{L^q} <= 10 * VELOCITY_TOL;
-    for a closed form that residual is computed only when ``return_info``
-    asks for it.
+    Z_0 = -p, which converges geometrically when D_pH contracts in Z.  Step
+    and residual are measured by their RMS over the samples, whatever the
+    game's moment exponent: the iteration stops once a step is at most
+    VELOCITY_TOL, and the returned ensemble satisfies
+    RMS(Z + D_pH(x, p, Y, Z)) <= 10 * VELOCITY_TOL; for a closed form that
+    residual is computed only when ``return_info`` asks for it.
     """
     p = p_ensemble.samples[:, 0]
-    q = p_ensemble.q
     closed = fam.velocity_closed_form(x, p, y)
     if closed is not None and not return_info:
         # unchecked: the caller tests what it keeps
-        return Ensemble._view(np.asarray(closed, dtype=float).reshape(-1, 1), q)
+        return Ensemble._view(np.asarray(closed, dtype=float).reshape(-1, 1))
     x = np.broadcast_to(np.asarray(x, dtype=float), p.shape)
 
     def as_ensemble(z_arr):
         # unchecked: the iteration tests its iterates
-        return Ensemble._view(z_arr.reshape(-1, 1), q)
+        return Ensemble._view(z_arr.reshape(-1, 1))
+
+    def rms(r):
+        return float(np.mean(np.abs(r) ** 2.0) ** 0.5)
 
     def residual_norm(z_arr):
-        r = z_arr + np.asarray(fam.dp_hamiltonian(x, p, y, as_ensemble(z_arr)), dtype=float)
-        return float(np.mean(np.abs(r) ** q) ** (1.0 / q))
+        return rms(z_arr + np.asarray(fam.dp_hamiltonian(x, p, y, as_ensemble(z_arr)), float))
 
     if closed is not None:
         z = np.asarray(closed, dtype=float)
@@ -399,7 +402,7 @@ def solve_velocity(
             raise ContractionFailureError(
                 f"velocity iteration produced non-finite values at step {k}"
             )
-        step = float(np.mean(np.abs(z_next - z) ** q) ** (1.0 / q))
+        step = rms(z_next - z)
         steps.append(step)
         z = z_next
         if step <= VELOCITY_TOL:

@@ -84,9 +84,9 @@ def _velocity(fam: HamiltonianFamily, x, p, y: Ensemble) -> np.ndarray:
     z = fam.velocity_closed_form(x, p, y)
     if z is not None:
         return z
-    n, q = np.shape(p)[-1], y.q
+    n = np.shape(p)[-1]
     rows = zip(np.reshape(x, (-1, n, 1)), np.reshape(p, (-1, n, 1)))
-    z = [solve_velocity(fam, a[:, 0], *(Ensemble._view(c, q) for c in (b, a))).samples
+    z = [solve_velocity(fam, a[:, 0], *(Ensemble._view(c) for c in (b, a))).samples
          for a, b in rows]
     return np.reshape(z, np.shape(p))
 
@@ -119,7 +119,7 @@ def integrate_flow(
     if not tol > 0:
         raise ValueError("flow requires a positive tolerance")
     tol = max(tol, _TOL_FLOOR)
-    q, n = x0.q, x0.n
+    n = x0.n
     times = np.linspace(0.0, horizon, steps + 1)
     positive = fam.speed is not None  # dx/dt = g(x) v is defined for x > 0 only
 
@@ -130,10 +130,10 @@ def integrate_flow(
     # rate makes the step's error estimate non-finite, which rejects the step.
     stage = np.empty((2, n))
     stage[0] = x0.samples[:, 0]
-    x_ens = Ensemble._view(stage[0][:, None], q)
-    x, p = x_ens.samples[:, 0], Ensemble._view(stage[1][:, None], q).samples[:, 0]
+    x_ens = Ensemble._view(stage[0][:, None])
+    x, p = x_ens.samples[:, 0], Ensemble._view(stage[1][:, None]).samples[:, 0]
     k = np.empty((7, 2, n))
-    z_ens = [Ensemble._view(k_i[0][:, None], q) for k_i in k]
+    z_ens = [Ensemble._view(k_i[0][:, None]) for k_i in k]
     path = np.empty((3, steps + 1, n))
     k_flat, stage_flat = k.reshape(7, -1), stage.reshape(-1)
     evals = 0
@@ -197,7 +197,7 @@ def integrate_flow(
 
         # G is solved, not interpolated: one call on the (M, N) rows and their laws
         xs, ps, zs = path
-        zs[1:] = z = _velocity(fam, xs[1:], ps[1:], Ensemble._view(xs[1:, :, None], q))
+        zs[1:] = z = _velocity(fam, xs[1:], ps[1:], Ensemble._view(xs[1:, :, None]))
         ok = np.isfinite(z).all(1) & (xs[1:].min(1) > 0 if positive else True)
         if not ok.all():  # the first bad row names its time
             m = int(np.argmin(ok)) + 1
@@ -205,9 +205,7 @@ def integrate_flow(
     logger.debug("flow: %d accepted steps, %d rate evaluations", accepted, evals)
 
     states, costates, velocities = path[..., None]
-    return TrajectoryEnsemble(
-        times=times, states=states, velocities=velocities, costates=costates, q=q
-    )
+    return TrajectoryEnsemble(times=times, states=states, velocities=velocities, costates=costates)
 
 
 @dataclass(frozen=True)

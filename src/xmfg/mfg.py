@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ensembles import Ensemble, TrajectoryEnsemble
+from .ensembles import Ensemble, TrajectoryEnsemble, power_root
 
 # unused here, but perfbench/layers.py traces the gap layer under this name
 from .ensembles import wasserstein_1d as ensemble_distance  # noqa: F401
@@ -98,16 +98,19 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A game instance: cost family, horizon and initial population, whose
-    moment exponent ``initial.q`` is the game's."""
+    """A game instance: cost family, horizon, initial population and the
+    moment exponent q of its space L^q, which sets the trajectory residual W_q."""
 
     family: HamiltonianFamily
     horizon: float
     initial: Ensemble
+    q: float = 2.0
 
     def __post_init__(self):
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
+        if not (self.q >= 1.0 and math.isfinite(self.q)):
+            raise ValueError("moment exponent q must be a finite real >= 1")
 
 
 @dataclass
@@ -145,7 +148,7 @@ def _auto_v_max(fam: HamiltonianFamily, x0: Ensemble) -> float:
     lo, hi = float(np.min(x0.samples)), float(np.max(x0.samples))
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     half = max(half, 0.5)
-    rest = Ensemble(np.zeros_like(x0.samples), q=x0.q)
+    rest = Ensemble(np.zeros_like(x0.samples))
     with np.errstate(all="ignore"):  # a slope that overflows against every speed raises below
         probes = np.linspace(center - 1.5 * half, center + 1.5 * half, 9)
         psi_vals = np.asarray(fam.terminal(probes, x0), dtype=float)
@@ -248,13 +251,7 @@ def _trajectory_gap(a: TrajectoryEnsemble, b: TrajectoryEnsemble, q: float) -> f
     # taking it after the max keeps the bits of the per-time distances' max;
     # each path is sorted once, when it is first compared
     gaps = np.abs(a.sorted_states - b.sorted_states)
-    with np.errstate(over="ignore"):
-        power = np.max(np.mean(gaps**q, axis=1))
-        if not np.finfo(float).tiny <= power < math.inf:  # not normal: in units of the largest gap
-            top = float(np.max(gaps))
-            if 0.0 < top < math.inf:
-                return top * float(np.max(np.mean((gaps / top) ** q, axis=1)) ** (1.0 / q))
-    return float(power ** (1.0 / q))
+    return power_root(gaps, q, lambda g: np.max(np.mean(g, axis=1)))
 
 
 def _anderson_step(
@@ -350,7 +347,7 @@ def solve_mfg(
             fix_res = float(np.max(np.abs(f)))
             traj_res = math.nan
             if prev_traj is not None:
-                traj_res = _trajectory_gap(traj, prev_traj, problem.initial.q)
+                traj_res = _trajectory_gap(traj, prev_traj, problem.q)
             history.append((k, fix_res, traj_res))
             reg_history.append(report)
             if fix_res <= best_score:
@@ -402,10 +399,7 @@ def _restart_problem(
         raise ValueError("master evaluation requires 0 <= t < horizon")
     dt = problem.horizon / cfg.time_steps
     sub_steps = cfg.time_steps - _restart_row(problem, t, cfg)
-    # Y enters under the game's moment exponent; its samples are checked already
-    initial = Ensemble._view(y.samples, problem.initial.q)
-    sub_problem = ProblemSpec(family=problem.family, horizon=sub_steps * dt, initial=initial)
-    return sub_problem, replace(cfg, time_steps=sub_steps)
+    return replace(problem, horizon=sub_steps * dt, initial=y), replace(cfg, time_steps=sub_steps)
 
 
 def master_value(problem: ProblemSpec, x, y: Ensemble, t: float, cfg: SolverConfig):

@@ -313,7 +313,7 @@ def test_lq_oracle_keeps_the_former_bits(monkeypatch, case):
     fast = lq_outcome(coeffs, x0, beta, horizon, steps)
     # the former oracle: the numpy loop, and a validated copy for every fine node
     monkeypatch.setattr(analytic, "_rk4_backward_lq", former_rk4_backward_lq)
-    monkeypatch.setattr(Ensemble, "_view", classmethod(lambda cls, samples, q: cls(samples, q)))
+    monkeypatch.setattr(Ensemble, "_view", classmethod(lambda cls, samples: cls(samples)))
     assert fast == lq_outcome(coeffs, x0, beta, horizon, steps)
 
 

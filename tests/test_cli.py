@@ -139,6 +139,67 @@ def test_unhashable_kind_is_schema_error(tmp_path, capsys, override):
     assert len(err) == 1 and err[0].startswith("ERROR SCHEMA:"), err
 
 
+DEEP = "[" * 100000 + "]" * 100000  # far past the JSON decoder's recursion limit
+
+
+@pytest.mark.parametrize(
+    "content, overrides, field",
+    [
+        (b"[1, 2]", ("a=1",), "<root>"),
+        (b"[1, 2]", ("a.b=1",), "<root>"),
+        (b'"text"', ("a=1",), "<root>"),
+        (b'"text"', ("a.b=1",), "<root>"),
+        (b'{"T": "\xff"}', (), "<config>"),
+        (DEEP.encode(), (), "<config>"),
+        (json.dumps(ZERO_DOC).encode(), ("beta=" + DEEP,), "beta"),
+        (b'{"T": ' + b"1" * 5000 + b"}", (), "<config>"),
+        (json.dumps(ZERO_DOC).encode(), ("T=" + "1" * 5000,), "T"),
+    ],
+    ids=["array-a", "array-a.b", "string-a", "string-a.b", "not-utf8", "deep", "deep-override",
+         "long-int", "long-int-override"],
+)
+def test_an_unreadable_document_is_one_schema_line(tmp_path, capsys, content, overrides, field):
+    # each ended in a traceback: TypeError, AttributeError, UnicodeDecodeError,
+    # RecursionError, or the ValueError of Python's 4300-digit integer limit
+    cfg_path = tmp_path / "problem.json"
+    cfg_path.write_bytes(content)
+    argv = ["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+    for item in overrides:
+        argv += ["--override", item]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"ERROR SCHEMA: field '{field}': "), err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--config", "x.json"], "the following arguments are required: --out"),
+        (["solve", "--config", "x.json", "--out", "o", "--seed", "abc"],
+         "argument --seed: invalid int value: 'abc'"),
+        (["bogus"], "argument subcommand: invalid choice: 'bogus'"),
+        ([], "the following arguments are required: subcommand"),
+    ],
+    ids=["no-out", "bad-seed", "unknown-subcommand", "no-arguments"],
+)
+def test_a_usage_error_is_one_schema_line_with_exit_1(capsys, argv, message):
+    # argparse exited 2, which the CLI keeps for a run that did not converge
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"ERROR SCHEMA: field '<args>': {message}"), err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: xmfg" in capsys.readouterr().out
+
+
 def test_quartic_schema_rules(tmp_path):
     doc = {
         "family": "quartic",

@@ -224,7 +224,7 @@ def reference_gap(potential, a, b):
 
 def reference_lagrangian_gap(fam, pair, pair_t):
     def el(points, law):
-        state, velocity = Ensemble(law.x, q=law.q), Ensemble(law.z, q=law.q)
+        state, velocity = Ensemble(law.x), Ensemble(law.z)
         return float(np.mean(fam.lagrangian(points.x[:, 0], points.z[:, 0], state, velocity)))
 
     return el(pair, pair) - el(pair_t, pair) + el(pair_t, pair_t) - el(pair, pair_t)

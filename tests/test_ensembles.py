@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,13 +108,39 @@ def test_wasserstein_metric_properties(data, r):
         assert dab == 0.0
 
 
+def test_wasserstein_of_a_large_order_is_measured_in_units_of_the_largest_gap():
+    # 0.2**1000 underflows and 1e10**100 overflows: the distance read 0.0 and
+    # inf (with a RuntimeWarning) before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert wasserstein_1d(Ensemble([0.0]), Ensemble([0.2]), r=1000) == 0.2
+        assert wasserstein_1d(Ensemble([0.0]), Ensemble([1e10]), r=100) == 1e10
+        assert wasserstein_1d(Ensemble([0.0, 1e10]), Ensemble([1e10, 0.0]), r=100) == 0.0
+        # unequal counts: one gap of 0.2 (or 1e10) on a quantile cell of width 1/6
+        a, b = Ensemble([0.0, 0.2]), Ensemble([0.0, 0.0, 0.2])
+        assert wasserstein_1d(a, b, r=1000) == pytest.approx(0.2 * (1 / 6) ** 1e-3, rel=1e-14)
+        a, b = Ensemble([0.0, 1e10]), Ensemble([0.0, 0.0, 1e10])
+        assert wasserstein_1d(a, b, r=100) == pytest.approx(1e10 * (1 / 6) ** 1e-2, rel=1e-14)
+        assert wasserstein_1d(a, b, r=1.0) == pytest.approx(1e10 / 6, rel=1e-14)
+
+
 def test_ensemble_validation():
     with pytest.raises(ValueError):
         Ensemble([np.nan])
     with pytest.raises(ValueError):
-        Ensemble([1.0], q=0.5)
-    with pytest.raises(ValueError):
         Ensemble(np.zeros((0, 1)))
+
+
+def test_a_law_carries_no_moment_exponent():
+    # the exponent is the game's: ProblemSpec(..., q) (tests/test_mfg.py)
+    states = np.zeros((2, 1, 1))
+    for build in (
+        lambda: Ensemble([1.0], q=2.0),
+        lambda: PairedEnsemble([1.0], [0.0], q=2.0),
+        lambda: TrajectoryEnsemble([0.0, 1.0], states, states, q=2.0),
+    ):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_ensemble_samples_frozen():
@@ -124,11 +152,11 @@ def test_ensemble_samples_frozen():
 def test_view_holds_a_read_only_source_as_it_is():
     source = np.arange(4.0)[:, None]
     source.flags.writeable = False
-    assert Ensemble._view(source, 2.0).samples is source
+    assert Ensemble._view(source).samples is source
     writable = np.arange(4.0)[:, None]
-    ens = Ensemble._view(writable, 3.0)
+    ens = Ensemble._view(writable)
     assert writable.flags.writeable and not ens.samples.flags.writeable
-    assert np.shares_memory(ens.samples, writable) and ens.q == 3.0
+    assert np.shares_memory(ens.samples, writable)
     writable[0, 0] = -1.0  # the caller's buffer stays the caller's
     assert ens.samples[0, 0] == -1.0
 
@@ -189,6 +217,5 @@ def test_trajectory_slices_are_read_only_views():
     ):
         assert np.shares_memory(ens.samples, path)
         np.testing.assert_array_equal(ens.samples, path[1])
-        assert ens.q == traj.q
         with pytest.raises(ValueError):
             ens.samples[0, 0] = 5.0

@@ -7,6 +7,7 @@ from xmfg.cli import KINDS
 from xmfg.ensembles import Ensemble
 from xmfg.errors import ContractionFailureError, SingularCouplingError
 from xmfg.families import (
+    VELOCITY_TOL,
     CustomVelocityFamily,
     LinearTerminal,
     LQFamily,
@@ -111,6 +112,28 @@ def test_velocity_custom_contraction():
     np.testing.assert_allclose(z.samples, -2.0, atol=1e-11)
     assert info["residual"] <= 1e-11
     assert all(r <= 0.55 for r in info["rates"])
+
+
+def test_the_velocity_iteration_stops_on_the_rms_of_its_step():
+    # the game's moment exponent does not reach the iteration: with an L^1000
+    # norm, mean(|step|**1000) underflowed and the iteration stopped after 3
+    # steps at [-0.25, -1.25, -2.25] with residual 0
+    iterates = []
+
+    def dp_h(x, p, y, z):
+        iterates.append(z.samples[:, 0].copy())
+        return p + 0.5 * z.mean()
+
+    p = Ensemble([1.0, 2.0, 3.0])
+    z, info = solve_velocity(
+        CustomVelocityFamily(dp_h), 0.0, p, Ensemble(np.zeros(3)), return_info=True
+    )
+    np.testing.assert_allclose(z.samples[:, 0], [-1 / 3, -4 / 3, -7 / 3], rtol=0, atol=1e-11)
+    # the iterate each step starts from, then the last one, for the residual
+    assert len(iterates) == info["iterations"] + 1
+    rms = [np.sqrt(np.mean((b - a) ** 2)) for a, b in zip(iterates, iterates[1:])]
+    assert info["step_norms"] == pytest.approx(rms, rel=1e-14, abs=0)
+    assert info["step_norms"][-1] <= VELOCITY_TOL < info["step_norms"][-2]
 
 
 def test_velocity_singular_coupling():
@@ -280,7 +303,7 @@ STACK_SHAPES = pytest.mark.parametrize("laws, n", [(1, 1), (1, 8), (3, 1), (4, 2
 def stack_of_laws(rng, laws, n):
     """A (laws, n, 1) stack of laws and the single laws it holds."""
     samples = rng.uniform(-2.0, 2.0, size=(laws, n, 1)) + rng.normal(size=(laws, 1, 1))
-    return Ensemble._view(samples, 2.0), [Ensemble(row) for row in samples]
+    return Ensemble._view(samples), [Ensemble(row) for row in samples]
 
 
 def assert_rows_have_the_bits(stacked, singles):
@@ -361,7 +384,7 @@ def test_a_closed_form_on_rows_has_the_bits_of_single_row_calls(fam, laws, n):
     x_stack, _ = stack_of_laws(rng, laws, n)
     x = np.abs(x_stack.samples[..., 0]) + 0.5  # the state-scaled game keeps x > 0
     p = rng.normal(scale=2.0, size=(laws, n))
-    y = Ensemble._view(x[..., None], 2.0)
+    y = Ensemble._view(x[..., None])
     expected = [
         fam.velocity_closed_form(x_r, p_r, Ensemble(x_r)) for x_r, p_r in zip(x, p)
     ]

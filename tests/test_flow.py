@@ -192,9 +192,9 @@ def test_law_views_are_built_once_per_integration(monkeypatch):
     real = Ensemble._view.__func__
     calls = []
 
-    def counting_view(cls, samples, q):
+    def counting_view(cls, samples):
         calls.append(samples.shape)
-        return real(cls, samples, q)
+        return real(cls, samples)
 
     monkeypatch.setattr(Ensemble, "_view", classmethod(counting_view))
     steps = 10
@@ -457,13 +457,13 @@ def reference_flow(fam, x0, phi, horizon, steps):
     state-scaled dynamics, reaches ``x <= 0`` raises :class:`FlowBlowupError`."""
 
     def stage_rates(x, p):
-        x_ens = Ensemble._view(x[:, None], q)
-        p_ens = Ensemble._view(p[:, None], q)
+        x_ens = Ensemble._view(x[:, None])
+        p_ens = Ensemble._view(p[:, None])
         z_ens = solve_velocity(fam, x, p_ens, x_ens)
         dp = np.asarray(fam.dx_hamiltonian(x, p, x_ens, z_ens), dtype=float)
         return z_ens.samples[:, 0], np.broadcast_to(dp, p.shape)
 
-    q, n, dt = x0.q, x0.n, horizon / steps
+    n, dt = x0.n, horizon / steps
     times = np.linspace(0.0, horizon, steps + 1)
     x = x0.samples[:, 0].copy()
     p = np.asarray(phi.gradient_at(x), dtype=float).copy()
@@ -490,7 +490,7 @@ def reference_flow(fam, x0, phi, horizon, steps):
             if not (np.max(np.abs(x)) <= 1e12 and np.max(np.abs(p)) <= 1e12):
                 raise FlowBlowupError(f"flow blew up advancing step {m} -> {m + 1}", step=m)
     return TrajectoryEnsemble(
-        times=times, states=states, velocities=velocities, costates=costates, q=q
+        times=times, states=states, velocities=velocities, costates=costates
     )
 
 

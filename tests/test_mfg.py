@@ -647,10 +647,17 @@ def test_duplicate_initial_samples_ride_one_characteristic(caplog):
     assert separation_diagnostic(sol.traj).skipped_pairs == 1
 
 
+@pytest.mark.parametrize("q", [0.5, math.inf, math.nan])
+def test_the_moment_exponent_of_a_game_is_a_finite_real_at_least_1(q):
+    with pytest.raises(ValueError, match="moment exponent q must be a finite real >= 1"):
+        ProblemSpec(LQFamily(beta=0.0, m=1.0), 1.0, spread_ensemble(4), q)
+    assert ProblemSpec(LQFamily(beta=0.0, m=1.0), 1.0, spread_ensemble(4)).q == 2.0
+
+
 def test_a_restart_law_takes_the_moment_exponent_of_the_game():
     # the trajectory residual of the restarted solve is a W_q with the game's q
-    problem = lq_problem(beta=0.5)
-    foreign = Ensemble(spread_ensemble(8, -0.5, 1.0).samples, q=3.0)
-    sub_problem, _ = mfg._restart_problem(problem, foreign, 0.5, SMALL)
-    assert sub_problem.initial.q == problem.initial.q == 2.0
-    assert sub_problem.initial.samples.tobytes() == foreign.samples.tobytes()
+    problem = replace(lq_problem(beta=0.5), q=3.0)
+    y = spread_ensemble(8, -0.5, 1.0)
+    sub_problem, _ = mfg._restart_problem(problem, y, 0.5, SMALL)
+    assert sub_problem.q == problem.q == 3.0
+    assert sub_problem.initial.samples.tobytes() == y.samples.tobytes()
