@@ -24,13 +24,7 @@ from .families import (
     solve_velocity,
 )
 from .flow import integrate_flow, separation_diagnostic
-from .hjb import (
-    GridConfig,
-    ValueGrid,
-    ValueSlice,
-    regularity_report,
-    solve_backward,
-)
+from .hjb import GridConfig, ValueGrid, regularity_report, solve_backward
 from .mfg import (
     MfgSolution,
     ProblemSpec,

@@ -363,11 +363,9 @@ def _meta(parsed: ParsedProblem, run: RunConfig, sol=None, **extra) -> dict:
 def _cmd_solve(parsed: ParsedProblem, run: RunConfig) -> int:
     started = time.perf_counter()
     sol = solve_mfg(parsed.problem, parsed.solver)
+    meta = _meta(parsed, run, sol, iterations=sol.iterations, phi_residual=sol.final_phi_residual)
     bundles.write_solution_bundle(
-        run.out_dir,
-        sol,
-        _meta(parsed, run, sol, iterations=sol.iterations, phi_residual=sol.final_phi_residual),
-        started,
+        run.out_dir, sol.value, sol.traj, sol.residual_history, meta, started
     )
     return 0 if sol.converged else 2
 
@@ -399,12 +397,9 @@ def _cmd_oracle(parsed: ParsedProblem, run: RunConfig) -> int:
     if not finite:
         raise ValueBlowupError("the oracle value table is not finite on the grid")
     run.out_dir.mkdir(parents=True, exist_ok=True)
-    bundles.write_value_csv(run.out_dir / "value.csv", vg)
-    bundles.write_trajectory_csv(run.out_dir / "trajectory.csv", traj)
-    bundles.write_residuals_csv(run.out_dir / "residuals.csv", [])
     bundles.write_csv(run.out_dir / "coefficients.csv", header, np.stack(columns, axis=1))
-    bundles.write_plot_bundle(run.out_dir / "plot", vg, traj, [])
-    bundles.write_meta(run.out_dir / "meta.json", _meta(parsed, run, converged=True), started)
+    meta = _meta(parsed, run, converged=True)
+    bundles.write_solution_bundle(run.out_dir, vg, traj, [], meta, started)
     return 0
 
 

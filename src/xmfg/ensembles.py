@@ -166,14 +166,24 @@ def wasserstein_1d(a: Ensemble, b: Ensemble, r: float = 2.0) -> float:
         raise ValueError("Wasserstein order r must be >= 1")
     xs, ys = a.sorted_1d(), b.sorted_1d()
     if a.n == b.n:
-        return power_root(np.abs(xs - ys), r, np.mean)
+        return _coupling_cost(xs, ys, r, np.mean)
     edges = np.union1d(np.arange(1, a.n) / a.n, np.arange(1, b.n) / b.n)
     edges = np.concatenate(([0.0], edges, [1.0]))
     weights = np.diff(edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
     qa = xs[np.minimum((mids * a.n).astype(int), a.n - 1)]
     qb = ys[np.minimum((mids * b.n).astype(int), b.n - 1)]
-    return power_root(np.abs(qa - qb), r, lambda g: np.sum(weights * g))
+    return _coupling_cost(qa, qb, r, lambda g: np.sum(weights * g))
+
+
+def _coupling_cost(xs: np.ndarray, ys: np.ndarray, r: float, average) -> float:
+    """``power_root`` of the gaps ``|xs - ys|``; finite samples more than the
+    float maximum apart are measured by the gaps of their halves, doubled."""
+    with np.errstate(over="ignore"):
+        gaps = np.abs(xs - ys)
+    if np.isfinite(gaps).all():
+        return power_root(gaps, r, average)
+    return 2.0 * power_root(np.abs(xs / 2 - ys / 2), r, average)
 
 
 @dataclass(frozen=True)

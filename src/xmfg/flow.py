@@ -4,9 +4,11 @@ Integrates the coupled per-sample system
 
     X_i' = G(X, P, X)_i,
     P_i' = D_xH(X_i, P_i, X, G(X, P, X)),
-    X(0) = X_0,  P(0) = Phi'(X_0),
+    X(0) = X_0,  P(0) = P_0,
 
-where G solves the velocity equation Z = -D_pH(x, p, Y, Z).  The expectation
+where G solves the velocity equation Z = -D_pH(x, p, Y, Z), and the caller
+hands over the seed costates P_0: the fixed-point map (:mod:`xmfg.mfg`) reads
+P_0 = Phi'(X_0) off its value profile Phi.  The expectation
 inside G couples all samples, so G is re-solved at every stage rather than
 lagged from the previous step; a stage writes G and D_xH straight into its
 rate buffer.  The integrator is the embedded Dormand-Prince 5(4) pair
@@ -15,8 +17,9 @@ are not tied to the output rows.  Each row is read from the continuous
 extension of the accepted step that holds its time (Shampine 1986), and its
 velocity is solved anew at the row's (x, p): one family call on all rows when
 the family has a closed form (``velocity_closed_form``) and one row at a
-time otherwise.  The same flow, seeded by the terminal slope at its default
-tolerance, sizes a state-scaled grid (:func:`~xmfg.mfg.canonical_grid`).
+time otherwise.  The same flow, seeded by the terminal slope psi'(X_0, X_0) at
+its default tolerance, sizes a state-scaled grid
+(:func:`~xmfg.mfg.canonical_grid`).
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ def _velocity(fam: HamiltonianFamily, x, p, y: Ensemble) -> np.ndarray:
 def integrate_flow(
     fam: HamiltonianFamily,
     x0: Ensemble,
-    phi,
+    p0,
     horizon: float,
     steps: int,
     tol: float = 1e-9,
@@ -102,8 +105,8 @@ def integrate_flow(
     """Adaptive Dormand-Prince 5(4) integration of the coupled state/costate
     ensemble system, recorded on the ``steps + 1`` rows ``t = m horizon / steps``.
 
-    ``phi`` provides the seed costates through ``gradient_at``; any value
-    slice (grid-backed or analytic) works.  A step is accepted when the RMS
+    ``p0`` holds the seed costates ``P(0)``: a scalar or an ``(N,)`` array
+    aligned with ``x0``.  A step is accepted when the RMS
     over ``(x, p)`` of its error estimate, each scaled by ``tol (1 + |y|)``
     with ``tol`` at least ``1e-13``, is at most 1; the first step spans one
     row.  A step is rejected when its stages or solution are not finite or
@@ -129,7 +132,7 @@ def integrate_flow(
     # during the call they are passed to.  Rates are unchecked: a non-finite
     # rate makes the step's error estimate non-finite, which rejects the step.
     stage = np.empty((2, n))
-    stage[0] = x0.samples[:, 0]
+    stage[0], stage[1] = x0.samples[:, 0], p0  # a non-finite seed fails the first rates
     x_ens = Ensemble._view(stage[0][:, None])
     x, p = x_ens.samples[:, 0], Ensemble._view(stage[1][:, None]).samples[:, 0]
     k = np.empty((7, 2, n))
@@ -148,7 +151,6 @@ def integrate_flow(
         return FlowBlowupError(f"flow cannot advance past t={t:.4g}: {reason}", step=row)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        stage[1] = phi.gradient_at(stage[0])  # a non-finite seed fails the first rates
         path[:2, 0] = y = stage.copy()  # the solution at the time reached
         y_flat = y.reshape(-1)
         rates(0)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +42,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "GridConfig",
-    "ValueSlice",
-    "AnalyticSlice",
     "ValueGrid",
     "solve_backward",
     "sweep_stride",
@@ -128,48 +126,12 @@ def _central_gradient(x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class ValueSlice:
-    """One time slice of the value function; its spatial gradient ``grad`` is
-    the central difference of ``u`` (one-sided at the two edge nodes)."""
-
-    x: np.ndarray
-    u: np.ndarray
-    grad: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.u = np.asarray(self.u, dtype=float)
-        self.grad = _central_gradient(self.x, self.u)
-
-    def value_at(self, xq):
-        return _interp_clamped(xq, self.x, self.u, "value slice")
-
-    def gradient_at(self, xq):
-        return _interp_clamped(xq, self.x, self.grad, "value slice")
-
-
-class AnalyticSlice:
-    """Duck-typed value slice backed by callables; handy seed for the flow."""
-
-    def __init__(self, gradient, value=None):
-        self._gradient = gradient
-        self._value = value
-
-    def value_at(self, xq):
-        if self._value is None:
-            raise ValueError("analytic slice declared no value callable")
-        return np.asarray(self._value(np.asarray(xq, dtype=float)), dtype=float)
-
-    def gradient_at(self, xq):
-        xq = np.asarray(xq, dtype=float)
-        return np.broadcast_to(np.asarray(self._gradient(xq), dtype=float), xq.shape).copy()
-
-
-@dataclass
 class ValueGrid:
     """Value function on the space-time grid: ``u[j]`` is time row ``rows[j]``
-    (by default every row), and ``grad`` is derived from ``u`` on first read,
-    by the rule of :class:`ValueSlice`.  The accessors take a held row."""
+    (by default every row), and ``grad`` is derived from ``u`` on first read as
+    its central difference in x, one-sided at the two edge nodes.  The
+    accessors take a held row.  A one-row table holds a profile alone, such
+    as the Phi whose gradient seeds the flow."""
 
     config: GridConfig
     times: np.ndarray
@@ -209,9 +171,6 @@ class ValueGrid:
 
     def _at(self, m: int) -> int:  # a row inside a sweep step raises ValueError
         return self.rows.tolist().index(m)
-
-    def time_slice(self, m: int) -> ValueSlice:
-        return ValueSlice(self.x, self.u[self._at(m)])
 
     def value_at(self, xq, t_index: int):
         return _interp_clamped(xq, self.x, self.u[self._at(t_index)], "value grid")

@@ -72,10 +72,13 @@ def write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def write_solution_bundle(out_dir: Path, sol, meta: dict, started: float) -> None:
+def write_solution_bundle(
+    out_dir: Path, value: ValueGrid, traj: TrajectoryEnsemble, history, meta: dict, started: float
+) -> None:
+    """value.csv, trajectory.csv, residuals.csv and plot/, then meta.json last."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_value_csv(out_dir / "value.csv", sol.value)
-    write_trajectory_csv(out_dir / "trajectory.csv", sol.traj)
-    write_residuals_csv(out_dir / "residuals.csv", sol.residual_history)
-    write_plot_bundle(out_dir / "plot", sol.value, sol.traj, sol.residual_history)
+    write_value_csv(out_dir / "value.csv", value)
+    write_trajectory_csv(out_dir / "trajectory.csv", traj)
+    write_residuals_csv(out_dir / "residuals.csv", history)
+    write_plot_bundle(out_dir / "plot", value, traj, history)
     write_meta(out_dir / "meta.json", meta, started)

@@ -8,6 +8,9 @@ population trajectory that Phi seeds:
         where (X, P) flow from P(0) = Phi'(X_0)
         and u solves the backward equation along (X, X').
 
+Phi lives as its values on the grid nodes; the seed P(0) is its central
+difference (:class:`~xmfg.hjb.ValueGrid`'s rule) interpolated at X_0.
+
 Solutions of the coupled game are fixed points of F.  They are searched by
 safeguarded Anderson mixing of damped Picard steps; existence theory
 guarantees a fixed point but no contraction rate, so non-convergence is a
@@ -35,15 +38,7 @@ from .errors import (
 )
 from .families import HamiltonianFamily
 from .flow import integrate_flow
-from .hjb import (
-    AnalyticSlice,
-    GridConfig,
-    RegularityReport,
-    ValueGrid,
-    ValueSlice,
-    regularity_report,
-    solve_backward,
-)
+from .hjb import GridConfig, RegularityReport, ValueGrid, regularity_report, solve_backward
 
 
 __all__ = [
@@ -133,10 +128,6 @@ class MfgSolution:
     restarts: int
     regularity_history: list[RegularityReport] = field(default_factory=list)
 
-    @property
-    def phi(self) -> ValueSlice:
-        return self.value.time_slice(0)
-
 
 def _auto_v_max(fam: HamiltonianFamily, x0: Ensemble) -> float:
     """Coercivity-based control cap: controls beyond it are never optimal.
@@ -202,8 +193,9 @@ def canonical_grid(
             core_lo=lo - 3 * dx0,
             core_hi=hi + 3 * dx0,
         )
-    phi0 = AnalyticSlice(lambda xq: fam.terminal.gradient(xq, x0))
-    path = integrate_flow(fam, x0, phi0, problem.horizon, cfg.time_steps).states
+    with np.errstate(all="ignore"):  # a non-finite seed slope fails the flow's first rates
+        p0 = fam.terminal.gradient(x0.samples[:, 0], x0)
+    path = integrate_flow(fam, x0, p0, problem.horizon, cfg.time_steps).states
     # the path starts on X_0, so this is the hull of the path and the included span
     swept_lo, swept_hi = min(lo, float(path.min())), max(hi, float(path.max()))
     if swept_lo <= 0:
@@ -222,28 +214,29 @@ def canonical_grid(
 
 
 def _compose_once(
-    problem: ProblemSpec, phi: ValueSlice, grid: GridConfig, cfg: SolverConfig
+    problem: ProblemSpec, phi: np.ndarray, grid: GridConfig, cfg: SolverConfig
 ) -> tuple[ValueGrid, TrajectoryEnsemble]:
+    """F at the profile ``phi`` on the grid's nodes: the flow from
+    P(0) = Phi'(X_0), read off the one-row table of ``phi``, then the sweep."""
+    x0 = problem.initial
+    p0 = ValueGrid(grid, [0.0], phi[None]).gradient_at(x0.samples[:, 0], 0)
     traj = integrate_flow(
-        problem.family, problem.initial, phi, problem.horizon, cfg.time_steps,
-        tol=_FLOW_TOL * cfg.tol_traj,
+        problem.family, x0, p0, problem.horizon, cfg.time_steps, tol=_FLOW_TOL * cfg.tol_traj
     )
     vg = solve_backward(problem.family, traj, grid)
     return vg, traj
 
 
-def apply_F(problem: ProblemSpec, phi, cfg: SolverConfig) -> ValueSlice:
+def apply_F(problem: ProblemSpec, phi0, cfg: SolverConfig) -> ValueGrid:
     """One application of the fixed-point map: flow from Phi, then solve back.
 
-    ``phi`` may be a grid slice or any object exposing ``gradient_at``.
-    The returned slice lives on the canonical grid of the problem/config.
+    ``phi0``, a callable of the nodes of the canonical grid of the
+    problem/config, gives Phi there.  The returned grid holds the swept rows;
+    F(Phi) is its ``u[0]``.
     """
     grid = canonical_grid(problem, cfg)
-    if not isinstance(phi, ValueSlice):
-        nodes = grid.nodes()
-        phi = ValueSlice(nodes, np.asarray(phi.value_at(nodes), dtype=float))
-    vg, _ = _compose_once(problem, phi, grid, cfg)
-    return vg.time_slice(0)
+    vg, _ = _compose_once(problem, np.asarray(phi0(grid.nodes()), dtype=float), grid, cfg)
+    return vg
 
 
 def _trajectory_gap(a: TrajectoryEnsemble, b: TrajectoryEnsemble, q: float) -> float:
@@ -334,7 +327,7 @@ def solve_mfg(
     while k < cfg.max_outer:
         try:
             if last is None or not np.array_equal(last[0], phi_vals):
-                vg, traj = _compose_once(problem, ValueSlice(nodes, phi_vals), grid, cfg)
+                vg, traj = _compose_once(problem, phi_vals, grid, cfg)
                 last = (phi_vals, vg, traj, regularity_report(vg))
             _, vg, traj, report = last
         except _EXTRAPOLATION_FAILURES:
@@ -457,13 +450,16 @@ def uniqueness_probe(
     k: int = 3,
     rng_seed: int = 0,
 ) -> UniquenessProbeResult:
-    """Solve from k random 2-Lipschitz initial profiles and compare.
+    """Solve from k >= 2 random 2-Lipschitz initial profiles and compare.
 
     All runs converging to (numerically) the same profile is evidence for
     uniqueness; any non-converged run makes the probe inconclusive rather
     than a claim either way.  Each profile is a sum of three sines handed to
     :func:`solve_mfg` as a callable, evaluated on the nodes of its grid.
+    Fewer than two runs compare nothing, so ``k < 2`` raises ``ValueError``.
     """
+    if k < 2:
+        raise ValueError(f"a uniqueness probe compares at least 2 runs, not k={k}")
     rng = np.random.default_rng(rng_seed)
     finals = []
     residuals = []

@@ -124,6 +124,23 @@ def test_wasserstein_of_a_large_order_is_measured_in_units_of_the_largest_gap():
         assert wasserstein_1d(a, b, r=1.0) == pytest.approx(1e10 / 6, rel=1e-14)
 
 
+def test_wasserstein_of_samples_more_than_the_float_maximum_apart_stays_finite():
+    # xs - ys overflowed to inf (with a RuntimeWarning) before the gaps were
+    # rescaled; the halves' gaps, doubled, are the distance
+    a, b = Ensemble([-1e308, 0.0, 0.0, 0.0]), Ensemble([1e308] * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert wasserstein_1d(a, b, r=1.0) == 1.25e308
+        assert wasserstein_1d(a, b, r=2.0) == 1.3228756555322954e308
+        # unequal counts: gaps of 2e308 on quantile cells of width 1/2, 1e308 on the rest
+        a, b = Ensemble([-1e308, 0.0]), Ensemble([1e308] * 3)
+        assert wasserstein_1d(a, b, r=1.0) == pytest.approx(1.5e308, rel=1e-14)
+        assert wasserstein_1d(a, b, r=2.0) == pytest.approx(2.5**0.5 * 1e308, rel=1e-14)
+        # a distance above the float maximum is inf, still without a warning
+        assert wasserstein_1d(Ensemble([-1e308]), Ensemble([1e308])) == np.inf
+        assert wasserstein_1d(Ensemble([-1e308]), Ensemble([1e308] * 3)) == np.inf
+
+
 def test_ensemble_validation():
     with pytest.raises(ValueError):
         Ensemble([np.nan])

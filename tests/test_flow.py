@@ -22,7 +22,6 @@ from xmfg.families import (
 from xmfg import flow
 from xmfg.analytic import LQCoefficients, lq_solve
 from xmfg.flow import integrate_flow, separation_diagnostic
-from xmfg.hjb import AnalyticSlice
 from xmfg.mfg import ProblemSpec, SolverConfig, canonical_grid
 
 
@@ -37,8 +36,7 @@ def test_uncoupled_flow_is_straight_lines():
     alpha = 0.7
     fam = QuadraticCoupledFamily(beta=0.0)
     x0 = spread_ensemble()
-    phi = AnalyticSlice(lambda x: np.full_like(x, alpha))
-    traj = integrate_flow(fam, x0, phi, 1.0, 40)
+    traj = integrate_flow(fam, x0, alpha, 1.0, 40)  # one costate for every sample
     expected = x0.samples[:, 0][None, :] - alpha * traj.times[:, None]
     np.testing.assert_allclose(traj.states[:, :, 0], expected, atol=1e-12)
     np.testing.assert_allclose(traj.costates[:, :, 0], alpha, atol=1e-12)
@@ -48,9 +46,8 @@ def test_coupled_flow_with_frozen_costates():
     # beta=1, no potential: P frozen, X_i(t) = x_i - t (P_i - mean(P)/2)
     fam = QuadraticCoupledFamily(beta=1.0)
     x0 = spread_ensemble(6)
-    phi = AnalyticSlice(lambda x: x)  # P_i = x_i
-    traj = integrate_flow(fam, x0, phi, 1.0, 50)
-    p0 = x0.samples[:, 0]
+    p0 = x0.samples[:, 0]  # P_i = x_i
+    traj = integrate_flow(fam, x0, p0, 1.0, 50)
     expected = p0[None, :] - traj.times[:, None] * (p0 - p0.mean() / 2.0)[None, :]
     np.testing.assert_allclose(traj.states[:, :, 0], expected, atol=1e-12)
 
@@ -58,8 +55,7 @@ def test_coupled_flow_with_frozen_costates():
 def test_symmetric_population_keeps_zero_mean():
     fam = QuadraticCoupledFamily(beta=0.8, potential=MomentQuadraticPotential(1.0))
     x0 = spread_ensemble(10)  # symmetric about 0
-    phi = AnalyticSlice(lambda x: np.tanh(x))  # odd gradient
-    traj = integrate_flow(fam, x0, phi, 1.0, 60)
+    traj = integrate_flow(fam, x0, np.tanh(x0.samples[:, 0]), 1.0, 60)  # odd gradient
     means = traj.states[:, :, 0].mean(axis=1)
     assert np.max(np.abs(means)) <= 1e-12
 
@@ -67,8 +63,7 @@ def test_symmetric_population_keeps_zero_mean():
 def test_velocity_record_matches_recomputation():
     fam = QuadraticCoupledFamily(beta=0.5, potential=MomentQuadraticPotential(0.5))
     x0 = spread_ensemble(7)
-    phi = AnalyticSlice(lambda x: 0.5 * x)
-    traj = integrate_flow(fam, x0, phi, 0.8, 30)
+    traj = integrate_flow(fam, x0, 0.5 * x0.samples[:, 0], 0.8, 30)
     for m in (0, 11, 30):  # the first stage, a row inside a step, the last row
         x, p, y = traj.states[m, :, 0], traj.costate_ensemble(m), traj.ensemble(m)
         z = solve_velocity(fam, x, p, y)
@@ -82,7 +77,7 @@ def test_velocity_record_matches_recomputation():
 def test_recorded_velocities_solve_the_velocity_equation(fam):
     # the flow does not evaluate this residual per stage, so check it here
     x0 = spread_ensemble(16, 0.5, 1.5)
-    traj = integrate_flow(fam, x0, AnalyticSlice(lambda x: 0.2 * x), 0.5, 40)
+    traj = integrate_flow(fam, x0, 0.2 * x0.samples[:, 0], 0.5, 40)
     for m in range(traj.steps + 1):
         x_ens, z_ens = traj.ensemble(m), traj.velocity_ensemble(m)
         dp = fam.dp_hamiltonian(x_ens.samples[:, 0], traj.costates[m, :, 0], x_ens, z_ens)
@@ -117,7 +112,8 @@ def test_linear_dynamics_flow_reads_only_the_potential_gradient(monkeypatch):
 
     monkeypatch.setattr(fam, "drift", counted("drift", fam.drift))
     monkeypatch.setattr(fam.potential, "gradient", counted("gradient", fam.potential.gradient))
-    integrate_flow(fam, spread_ensemble(), AnalyticSlice(lambda x: 0.5 * x), 1.0, 10)
+    x0 = spread_ensemble()
+    integrate_flow(fam, x0, 0.5 * x0.samples[:, 0], 1.0, 10)
     assert fam.speed is None and fam.dx_speed is None  # no g or g' to call
     # one per stage: every closed-form call but the one on all rows
     assert calls == {"drift": 0, "gradient": len(fam.shapes) - 1}
@@ -126,10 +122,10 @@ def test_linear_dynamics_flow_reads_only_the_potential_gradient(monkeypatch):
 def test_finite_difference_consistency_is_first_order():
     fam = QuadraticCoupledFamily(beta=0.5, potential=MomentQuadraticPotential(0.5))
     x0 = spread_ensemble(6)
-    phi = AnalyticSlice(lambda x: 0.5 * x)
+    p0 = 0.5 * x0.samples[:, 0]
 
     def fd_gap(steps):
-        traj = integrate_flow(fam, x0, phi, 1.0, steps)
+        traj = integrate_flow(fam, x0, p0, 1.0, steps)
         fd = np.diff(traj.states[:, :, 0], axis=0) / traj.dt
         return np.max(np.abs(fd - traj.velocities[:-1, :, 0]))
 
@@ -140,8 +136,7 @@ def test_finite_difference_consistency_is_first_order():
 def test_separation_translation_flow():
     fam = QuadraticCoupledFamily(beta=0.0)
     x0 = spread_ensemble(5)
-    phi = AnalyticSlice(lambda x: np.full_like(x, 2.0))  # equal costates
-    traj = integrate_flow(fam, x0, phi, 1.0, 20)
+    traj = integrate_flow(fam, x0, 2.0, 1.0, 20)  # equal costates
     rep = separation_diagnostic(traj)
     assert rep.min_ratio == pytest.approx(1.0, abs=1e-12)
     assert rep.skipped_pairs == 0
@@ -153,8 +148,7 @@ def test_separation_contracting_linear_flow():
         dp_h=lambda x, p, y, z: x, dx_h=lambda x, p, X, Z: np.zeros_like(x)
     )
     x0 = spread_ensemble(4)
-    phi = AnalyticSlice(lambda x: np.zeros_like(x))
-    traj = integrate_flow(fam, x0, phi, 1.0, 80)
+    traj = integrate_flow(fam, x0, 0.0, 1.0, 80)
     rep = separation_diagnostic(traj)
     assert rep.min_ratio == pytest.approx(np.exp(-1.0), abs=1e-7)
 
@@ -162,8 +156,7 @@ def test_separation_contracting_linear_flow():
 def test_separation_skips_duplicate_starts():
     fam = QuadraticCoupledFamily(beta=0.0)
     x0 = Ensemble([0.0, 0.0, 1.0])
-    phi = AnalyticSlice(lambda x: x)
-    traj = integrate_flow(fam, x0, phi, 0.5, 10)
+    traj = integrate_flow(fam, x0, x0.samples[:, 0], 0.5, 10)
     rep = separation_diagnostic(traj)
     assert rep.skipped_pairs == 1
     assert rep.min_ratio > 0
@@ -183,8 +176,7 @@ def test_the_separation_window_is_chosen_by_row(horizon, steps, last):
 def test_separation_positive_on_lq_defaults():
     fam = LQFamily(beta=0.0, m=1.0)
     x0 = spread_ensemble(16)
-    phi = AnalyticSlice(lambda x: 0.5 * x)
-    traj = integrate_flow(fam, x0, phi, 1.0, 100)
+    traj = integrate_flow(fam, x0, 0.5 * x0.samples[:, 0], 1.0, 100)
     assert separation_diagnostic(traj).min_ratio > 0
 
 
@@ -199,25 +191,29 @@ def test_law_views_are_built_once_per_integration(monkeypatch):
     monkeypatch.setattr(Ensemble, "_view", classmethod(counting_view))
     steps = 10
     fam = LQFamily(beta=0.5, a=1.0, b=0.3, m=1.0)
-    integrate_flow(fam, spread_ensemble(8), AnalyticSlice(lambda x: x), 1.0, steps)
+    x0 = spread_ensemble(8)
+    integrate_flow(fam, x0, x0.samples[:, 0], 1.0, steps)
     # the state and costate laws, one velocity law per stage slot, one stack of row laws
     assert calls == [(8, 1)] * (2 + 7) + [(steps, 8, 1)]
 
 
 def test_flow_input_validation():
     fam = QuadraticCoupledFamily(beta=0.0)
-    phi = AnalyticSlice(lambda x: x)
+    x0 = spread_ensemble(3)
     with pytest.raises(ValueError):
-        integrate_flow(fam, spread_ensemble(3), phi, 0.0, 10)
+        integrate_flow(fam, x0, x0.samples[:, 0], 0.0, 10)
     with pytest.raises(ValueError):
-        integrate_flow(fam, Ensemble([[1.0, 2.0]]), phi, 1.0, 10)
+        integrate_flow(fam, Ensemble([[1.0, 2.0]]), 1.0, 1.0, 10)
+    # the seed costates align with the samples: numpy's broadcast rejects any other length
+    with pytest.raises(ValueError):
+        integrate_flow(fam, x0, np.ones(x0.n + 1), 1.0, 10)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
 def test_flow_rejects_a_tolerance_that_is_not_positive(tol):
     fam = QuadraticCoupledFamily(beta=0.0)
     with pytest.raises(ValueError, match="tolerance"):
-        integrate_flow(fam, spread_ensemble(3), AnalyticSlice(lambda x: x), 1.0, 10, tol=tol)
+        integrate_flow(fam, spread_ensemble(3), 1.0, 1.0, 10, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +224,9 @@ def test_flow_rejects_a_tolerance_that_is_not_positive(tol):
 def test_a_tolerance_below_the_floor_steps_as_the_floor():
     # below the rounding of the error estimate a tolerance only shrinks the steps
     fam = LQFamily(beta=-0.5, a=1.0, n=0.2)
-    x0, phi = spread_ensemble(8), AnalyticSlice(lambda x: 0.3 * x + np.sin(x))
-    tiny, floor = (integrate_flow(fam, x0, phi, 1.0, 20, tol=t) for t in (1e-300, 1e-13))
+    x0 = spread_ensemble(8)
+    p0 = 0.3 * x0.samples[:, 0] + np.sin(x0.samples[:, 0])
+    tiny, floor = (integrate_flow(fam, x0, p0, 1.0, 20, tol=t) for t in (1e-300, 1e-13))
     for name in NAMES:
         np.testing.assert_array_equal(getattr(tiny, name), getattr(floor, name))
 
@@ -245,10 +242,8 @@ def test_every_row_matches_the_riccati_oracle(coeffs, tol):
     # the oracle's characteristics; the uncoupled oracle is exact to ~1e-12 at M = 200
     x0 = spread_ensemble(16, -0.5, 1.5)
     state, oracle = lq_solve(LQCoefficients(**coeffs), x0, 0.0, 1.0, 200)
-    slope, offset = state.gamma[0], state.theta[0]
-    traj = integrate_flow(
-        LQFamily(**coeffs), x0, AnalyticSlice(lambda x: slope * x + offset), 1.0, 200, tol=tol
-    )
+    p0 = state.gamma[0] * x0.samples[:, 0] + state.theta[0]
+    traj = integrate_flow(LQFamily(**coeffs), x0, p0, 1.0, 200, tol=tol)
     for name in ("states", "costates", "velocities"):
         err = np.max(np.abs(getattr(traj, name) - getattr(oracle, name)))
         assert err <= 10 * tol, name
@@ -256,11 +251,12 @@ def test_every_row_matches_the_riccati_oracle(coeffs, tol):
 
 def test_the_error_follows_the_tolerance():
     fam = LQFamily(beta=-0.5, a=1.0, n=0.2)
-    x0, phi = spread_ensemble(16, -1.0, 1.5), AnalyticSlice(lambda x: 0.3 * x + np.sin(x))
-    ref = integrate_flow(fam, x0, phi, 2.0, 120, tol=1e-13)
+    x0 = spread_ensemble(16, -1.0, 1.5)
+    p0 = 0.3 * x0.samples[:, 0] + np.sin(x0.samples[:, 0])
+    ref = integrate_flow(fam, x0, p0, 2.0, 120, tol=1e-13)
 
     def error(tol):
-        traj = integrate_flow(fam, x0, phi, 2.0, 120, tol=tol)
+        traj = integrate_flow(fam, x0, p0, 2.0, 120, tol=tol)
         return max(
             np.max(np.abs(getattr(traj, name) - getattr(ref, name)))
             for name in ("states", "costates", "velocities")
@@ -279,9 +275,9 @@ POLYNOMIAL_STEP_BOUND = 5
 
 def test_a_polynomial_lq_flow_takes_few_steps(caplog):
     fam = CountedClosedForm(beta=0.5, b=0.3, m=1.0, n=0.2)
-    x0, phi = spread_ensemble(64, 0.5, 1.5), AnalyticSlice(lambda x: 1.2 * x + 0.3)
+    x0 = spread_ensemble(64, 0.5, 1.5)
     with caplog.at_level(logging.DEBUG, logger="xmfg.flow"):
-        integrate_flow(fam, x0, phi, 1.0, 200)
+        integrate_flow(fam, x0, 1.2 * x0.samples[:, 0] + 0.3, 1.0, 200)
     accepted, evals = map(int, re.search(r"(\d+) accepted steps, (\d+) rate", caplog.text).groups())
     assert 1 <= accepted <= POLYNOMIAL_STEP_BOUND
     assert evals == 1 + 6 * accepted  # the first stage, then no rejection
@@ -302,8 +298,9 @@ def test_the_rows_do_not_depend_on_how_many_there_are(fam):
     # the first step spans one row, so the 20- and 60-row paths take different
     # steps; at the times they share they agree within the tolerance's reach
     tol = 1e-9
-    x0, phi = spread_ensemble(9, 0.5, 1.5), AnalyticSlice(lambda x: 0.2 * x)
-    coarse, fine = (integrate_flow(fam, x0, phi, 0.5, m, tol=tol) for m in (20, 60))
+    x0 = spread_ensemble(9, 0.5, 1.5)
+    p0 = 0.2 * x0.samples[:, 0]
+    coarse, fine = (integrate_flow(fam, x0, p0, 0.5, m, tol=tol) for m in (20, 60))
     for name in ("states", "costates", "velocities"):
         a, b = getattr(coarse, name), getattr(fine, name)[::3]
         np.testing.assert_allclose(a, b, rtol=0, atol=10 * tol * (1 + np.max(np.abs(b))))
@@ -326,9 +323,8 @@ def test_flow_blowup_reports_step(blowup):
         dp_h=lambda x, p, y, z: np.zeros_like(x),
         dx_h=lambda x, p, X, Z: p**2 / blowup,
     )
-    phi = AnalyticSlice(lambda x: np.ones_like(x))
     with pytest.raises(FlowBlowupError) as err:
-        integrate_flow(fam, spread_ensemble(3), phi, 1.0, 50)
+        integrate_flow(fam, spread_ensemble(3), 1.0, 1.0, 50)
     assert stalled_time(err) == pytest.approx(blowup, rel=1e-3)
     assert err.value.step == int(blowup * 50)
 
@@ -340,10 +336,8 @@ def test_a_blowup_names_the_time_it_reached():
         dp_h=lambda x, p, y, z: np.zeros_like(x),
         dx_h=lambda x, p, X, Z: 1e3 * p**2,
     )
-    x0 = spread_ensemble(3)
-    phi = AnalyticSlice(lambda x: np.ones_like(x))
     with pytest.raises(FlowBlowupError) as err:
-        integrate_flow(fam, x0, phi, 1.0, 50)
+        integrate_flow(fam, spread_ensemble(3), 1.0, 1.0, 50)
     assert stalled_time(err) == pytest.approx(1e-3, rel=1e-3)
     assert err.value.step == 0
 
@@ -364,9 +358,9 @@ class VelocityRowOverflows(QuadraticCoupledFamily):
 
 @pytest.mark.parametrize("row", [1, 7, 10])
 def test_a_non_finite_row_velocity_names_its_row(row):
-    fam = VelocityRowOverflows(row)
+    fam, x0 = VelocityRowOverflows(row), spread_ensemble(3)
     with pytest.raises(FlowBlowupError, match=rf"t={row / 10:.4g}: row {row} ") as err:
-        integrate_flow(fam, spread_ensemble(3), AnalyticSlice(lambda x: x), 1.0, 10)
+        integrate_flow(fam, x0, x0.samples[:, 0], 1.0, 10)
     assert err.value.step == row
 
 
@@ -390,9 +384,9 @@ def test_a_run_of_rejected_steps_ends_the_flow(finite_calls):
     # step is rejected and the flow stops at the time of the k accepted steps
     # after 13 attempts, not shrinking its step forever
     # (the finite flow takes 15 steps on these 20 rows, none rejected)
-    fam = CostateRateOverflows(finite_calls)
+    fam, x0 = CostateRateOverflows(finite_calls), spread_ensemble(3)
     with pytest.raises(FlowBlowupError, match="leaves the representable range") as err:
-        integrate_flow(fam, spread_ensemble(3), AnalyticSlice(lambda x: x), 1.0, 20)
+        integrate_flow(fam, x0, x0.samples[:, 0], 1.0, 20)
     assert fam.calls <= finite_calls + 6 * (flow._MAX_REJECTIONS + 1)
     accepted = (finite_calls - 1) // 6
     assert (stalled_time(err) == 0.0) == (accepted == 0)
@@ -405,9 +399,8 @@ def test_a_state_scaled_flow_stops_where_its_lowest_path_reaches_zero(steps):
     # floor: H = P^2 / (2 X^2) - X^4 is conserved, so X^2 hits 0 at
     # t* = asinh(x0^2 / sqrt(H)) / (2 sqrt 2) for x0 = 0.5625 and P = 0.5,
     # whatever the output rows
-    phi = AnalyticSlice(lambda x: np.full_like(x, 0.5))
     with pytest.raises(FlowBlowupError, match="state-scaled flow reaches x <= 0") as err:
-        integrate_flow(QuarticFamily(0.4), spread_ensemble(8, 0.5, 1.5), phi, 1.0, steps)
+        integrate_flow(QuarticFamily(0.4), spread_ensemble(8, 0.5, 1.5), 0.5, 1.0, steps)
     low = 0.5625
     energy = 0.5**2 / (2 * low**2) - low**4
     crossing = np.arcsinh(low**2 / np.sqrt(energy)) / (2 * np.sqrt(2.0))
@@ -418,7 +411,7 @@ def test_a_state_scaled_flow_stops_where_its_lowest_path_reaches_zero(steps):
 def test_non_finite_starting_rates_are_a_blowup_at_time_zero():
     fam = LQFamily(beta=0.5, a=1e305, m=1.0)  # D_xH = a x overflows at x = 1e4
     with pytest.raises(FlowBlowupError, match=r"t=0: ") as err:
-        integrate_flow(fam, Ensemble([1e4, 2e4]), AnalyticSlice(lambda x: x), 1.0, 10)
+        integrate_flow(fam, Ensemble([1e4, 2e4]), np.array([1e4, 2e4]), 1.0, 10)
     assert err.value.step == 0
 
 
@@ -428,13 +421,13 @@ def test_a_step_that_cannot_advance_the_time_ends_the_flow(steps):
     # floor, 1e-10 horizon, both underflow to 0: a zero step was accepted
     # forever; now the flow stops before its first step
     fam = CostateRateOverflows(finite_calls=10**6)
-    phi = AnalyticSlice(lambda x: x)
+    x0 = spread_ensemble(3)
     with pytest.raises(FlowBlowupError, match=r"t=0: its step falls below the floor") as err:
-        integrate_flow(fam, spread_ensemble(3), phi, 5e-324, steps)
+        integrate_flow(fam, x0, x0.samples[:, 0], 5e-324, steps)
     assert fam.calls == 1  # the seed's rates only
     assert err.value.step == 0  # only row 0 was written, though rows 0..steps/2 share t = 0
     # one row of that horizon is one step that does advance
-    assert integrate_flow(fam, spread_ensemble(3), phi, 5e-324, 1).times[-1] == 5e-324
+    assert integrate_flow(fam, x0, x0.samples[:, 0], 5e-324, 1).times[-1] == 5e-324
 
 
 def test_a_stall_names_the_last_row_written_not_the_last_row_at_its_time():
@@ -442,7 +435,7 @@ def test_a_stall_names_the_last_row_written_not_the_last_row_at_its_time():
     # stall before the first step names row 0, not row 20
     fam, x0 = LQFamily(beta=0.5, m=1.0), Ensemble([0.1, 0.5, 0.9])
     with pytest.raises(FlowBlowupError, match=r"t=0: ") as err:
-        integrate_flow(fam, x0, AnalyticSlice(lambda x: x), 5e-324, 40)
+        integrate_flow(fam, x0, x0.samples[:, 0], 5e-324, 40)
     assert err.value.step == 0
 
 
@@ -451,7 +444,7 @@ def test_a_stall_names_the_last_row_written_not_the_last_row_at_its_time():
 # ---------------------------------------------------------------------------
 
 
-def reference_flow(fam, x0, phi, horizon, steps):
+def reference_flow(fam, x0, p0, horizon, steps):
     """Classical RK4 with fixed steps on separate x and p arrays, every stage's
     arrays and laws built afresh.  A step that leaves ``1e12`` or, under
     state-scaled dynamics, reaches ``x <= 0`` raises :class:`FlowBlowupError`."""
@@ -466,7 +459,7 @@ def reference_flow(fam, x0, phi, horizon, steps):
     n, dt = x0.n, horizon / steps
     times = np.linspace(0.0, horizon, steps + 1)
     x = x0.samples[:, 0].copy()
-    p = np.asarray(phi.gradient_at(x), dtype=float).copy()
+    p = np.broadcast_to(np.asarray(p0, dtype=float), x.shape).copy()
     states = np.empty((steps + 1, n, 1))
     costates = np.empty_like(states)
     velocities = np.empty_like(states)
@@ -515,8 +508,8 @@ class SolvedInClosedForm(CustomVelocityFamily):
 
 @st.composite
 def flow_problems(draw):
-    """(kind, family factory, the reference's family factory, samples, phi
-    slope and offset, horizon, steps)."""
+    """(kind, family factory, the reference's family factory, samples, seed
+    costate slope and offset, horizon, steps)."""
     kind = draw(st.sampled_from(["lq", "lq-law", "moment", "quartic", "iterative", "overflow"]))
     n = draw(st.integers(1, 12))
     steps = draw(st.integers(1, 12))
@@ -580,14 +573,14 @@ def test_the_flow_matches_a_fine_fixed_step_reference(case):
     # a path that leaves the range or reaches x <= 0 ends both flows, and no
     # other path ends either
     kind, make, make_ref, samples, slope, offset, horizon, steps = case
-    phi = AnalyticSlice(lambda x: slope * x + offset)
+    p0 = slope * Ensemble(samples).samples[:, 0] + offset
 
     def reference(refine):  # RK4 at `refine` times the fine steps
         fine = refine * -(-FINE // steps)
-        args = (make_ref(), Ensemble(samples), phi, horizon, fine * steps)
+        args = (make_ref(), Ensemble(samples), p0, horizon, fine * steps)
         return fine, outcome(reference_flow, *args)
 
-    traj = outcome(integrate_flow, make(), Ensemble(samples), phi, horizon, steps)
+    traj = outcome(integrate_flow, make(), Ensemble(samples), p0, horizon, steps)
     ended = isinstance(traj, FlowBlowupError)
     if kind == "overflow":
         assert ended and "t=0: " in str(traj)
@@ -604,7 +597,7 @@ def test_the_flow_matches_a_fine_fixed_step_reference(case):
                for name, b in zip(NAMES, rows)):
         # a fast path: the reference's own error, measured by halving its step,
         # is allowed for
-        finer = reference_flow(make_ref(), Ensemble(samples), phi, horizon, 2 * per_row * steps)
+        finer = reference_flow(make_ref(), Ensemble(samples), p0, horizon, 2 * per_row * steps)
         for name, b in zip(NAMES, rows):
             c = getattr(finer, name)[:: 2 * per_row]
             gap = np.abs(getattr(traj, name) - c) - (1e-6 * np.abs(c) + 1e-7 + np.abs(b - c))
@@ -618,10 +611,11 @@ def test_rows_inside_a_step_are_its_dense_output(fam, steps):
     # from its continuous extension; each stays within a small
     # multiple of the tolerance, scaled as the step control scales it
     tol = 1e-9
-    x0, phi = spread_ensemble(9, 0.5, 1.5), AnalyticSlice(lambda x: 0.2 * x)
-    traj = integrate_flow(fam, x0, phi, 0.5, steps, tol=tol)
+    x0 = spread_ensemble(9, 0.5, 1.5)
+    p0 = 0.2 * x0.samples[:, 0]
+    traj = integrate_flow(fam, x0, p0, 0.5, steps, tol=tol)
     per_row = -(-720 // steps)  # RK4 at h <= 0.5/720 is ~1e-12 accurate here
-    ref = reference_flow(fam, x0, phi, 0.5, per_row * steps)
+    ref = reference_flow(fam, x0, p0, 0.5, per_row * steps)
     for name in ("states", "costates", "velocities"):
         a, b = getattr(traj, name), getattr(ref, name)[::per_row]
         np.testing.assert_allclose(a, b, rtol=0, atol=10 * tol * (1 + np.max(np.abs(b))))
@@ -645,7 +639,7 @@ GRID_SOLVER = SolverConfig(nx=41, time_steps=20, nv=41, v_max=4.0)
 def test_a_state_scaled_core_is_the_hull_of_the_seed_flow(fam, include):
     x0 = spread_ensemble(9, 0.5, 1.5)
     grid = canonical_grid(ProblemSpec(fam, 0.5, x0), GRID_SOLVER, include=include)
-    seed = AnalyticSlice(lambda x: fam.terminal.gradient(x, x0))
+    seed = fam.terminal.gradient(x0.samples[:, 0], x0)
     states = integrate_flow(fam, x0, seed, 0.5, 20).states
     span = [*x0.samples[:, 0], *(include or ())]
     assert grid.core_interval() == (min(states.min(), *span), max(states.max(), *span))
@@ -685,7 +679,8 @@ def test_a_flow_calls_the_closed_form_once_per_stage_and_once_for_the_rows(monke
     iterated = []
     monkeypatch.setattr(flow, "solve_velocity", lambda *args: iterated.append(args))
     fam, n = CountedClosedForm(), 9
-    integrate_flow(fam, spread_ensemble(n), AnalyticSlice(lambda x: x), 1.0, steps)
+    x0 = spread_ensemble(n)
+    integrate_flow(fam, x0, x0.samples[:, 0], 1.0, steps)
     stages = len(fam.shapes) - 1
     # the first stage, then 6 stages per attempted step
     assert stages > 1 and (stages - 1) % 6 == 0
@@ -701,12 +696,13 @@ CONTRACTING = CustomVelocityFamily(
 
 @pytest.mark.parametrize("steps", [30, 31])
 def test_a_family_without_a_closed_form_solves_each_row_on_its_own(steps):
-    x0, phi = spread_ensemble(9, 0.5, 1.5), AnalyticSlice(lambda x: 0.2 * x)
-    traj = integrate_flow(CONTRACTING, x0, phi, 0.5, steps)
+    x0 = spread_ensemble(9, 0.5, 1.5)
+    p0 = 0.2 * x0.samples[:, 0]
+    traj = integrate_flow(CONTRACTING, x0, p0, 0.5, steps)
     xs, ps, zs = (a[:, :, 0] for a in (traj.states, traj.costates, traj.velocities))
     for m in range(steps + 1):  # one solve per row, at the row's (x, p)
         z_m = solve_velocity(CONTRACTING, xs[m], Ensemble(ps[m]), Ensemble(xs[m]))
         np.testing.assert_array_equal(zs[m], z_m.samples[:, 0])
-    ref = reference_flow(CONTRACTING, x0, phi, 0.5, 4 * steps)
+    ref = reference_flow(CONTRACTING, x0, p0, 0.5, 4 * steps)
     np.testing.assert_allclose(xs, ref.states[::4, :, 0], rtol=0, atol=1e-8)
     np.testing.assert_allclose(ps, ref.costates[::4, :, 0], rtol=0, atol=1e-8)

@@ -19,7 +19,6 @@ from xmfg.families import (
 from xmfg.hjb import (
     GridConfig,
     ValueGrid,
-    ValueSlice,
     _exact_minimizer,
     regularity_report,
     solve_backward,
@@ -113,21 +112,21 @@ def test_gradient_query_clamps_then_escalates():
     with pytest.raises(DomainTooSmallError, match="200/200 queries"):
         lin.gradient_at(np.full(200, 5.0), 0)
     with pytest.raises(DomainTooSmallError, match="2/150 queries"):
-        lin.time_slice(1).value_at(np.append(inside[:148], [-3.0, 3.0]))
+        lin.value_at(np.append(inside[:148], [-3.0, 3.0]), 1)
 
 
 @pytest.mark.parametrize("outside_first", [True, False])
 def test_clamp_outcome_is_independent_of_query_history(outside_first):
     vg = static_grid(np.linspace(0.0, 1.0, 11) ** 2, x_lo=0.0, x_hi=1.0)
     edge = lambda: vg.value_at(np.array([2.0, 3.0]), 0)  # noqa: E731
-    inside = lambda: vg.time_slice(0).value_at(np.linspace(0.0, 1.0, 150))  # noqa: E731
+    inside = lambda: vg.value_at(np.linspace(0.0, 1.0, 150), 0)  # noqa: E731
     if outside_first:
         np.testing.assert_array_equal(edge(), [1.0, 1.0])
         np.testing.assert_allclose(inside(), np.linspace(0.0, 1.0, 150) ** 2, atol=3e-3)
     else:
         np.testing.assert_allclose(inside(), np.linspace(0.0, 1.0, 150) ** 2, atol=3e-3)
         np.testing.assert_array_equal(edge(), [1.0, 1.0])
-    assert not hasattr(vg, "stats") and not hasattr(vg.time_slice(0), "stats")
+    assert not hasattr(vg, "stats")
 
 
 def test_regularity_report_zero():
@@ -180,7 +179,7 @@ def test_the_semiconcavity_window_closes_on_the_blend_inside_a_step():
     assert rep.semiconcavity_const == pytest.approx(4.0 * c / 3.0)
     np.testing.assert_array_equal(dense.u[9], (1 - 2 / 3) * u[3] + 2 / 3 * u[4])
     with pytest.raises(ValueError):  # row 9 is not held
-        vg.time_slice(9)
+        vg.value_at(0.0, 9)
     u[2, 5] = np.nan
     with pytest.raises(ValueBlowupError):
         ValueGrid(cfg, vg.times, u, rows=vg.rows).dense()
@@ -462,10 +461,10 @@ def test_the_stride_stays_within_one_and_the_row_count(x_hi, v_max, dt, stride):
     assert sweep_stride(QuadraticCoupledFamily(beta=0.0), cfg, dt, 20) == stride
 
 
-def test_value_slice_blend_and_gradient():
+def test_one_row_value_grid_gradient():
     x = np.linspace(-1, 1, 21)
-    mid = ValueSlice(x, 0.5 * x**2)
-    assert mid.gradient_at(0.5) == pytest.approx(0.5, abs=0.01)
+    mid = ValueGrid(GridConfig(-1.0, 1.0, 21, 5, 1.0), [0.0], (0.5 * x**2)[None])
+    assert mid.gradient_at(0.5, 0) == pytest.approx(0.5, abs=0.01)
 
 
 def counting_costs(fam):

@@ -22,7 +22,7 @@ from xmfg.families import (
     QuarticFamily,
 )
 from xmfg.flow import separation_diagnostic
-from xmfg.hjb import AnalyticSlice, GridConfig, ValueSlice
+from xmfg.hjb import GridConfig
 from xmfg.mfg import (
     ProblemSpec,
     SolverConfig,
@@ -60,9 +60,8 @@ def test_zero_problem_fixed_point():
 def test_apply_f_zero_problem():
     problem = zero_problem()
     grid = canonical_grid(problem, SMALL)
-    phi = AnalyticSlice(lambda x: np.zeros_like(x), value=lambda x: np.zeros_like(x))
-    out = apply_F(problem, phi, SMALL)
-    assert np.max(np.abs(out.u)) == 0.0
+    out = apply_F(problem, np.zeros_like, SMALL)
+    assert np.max(np.abs(out.u[0])) == 0.0
     np.testing.assert_array_equal(out.x, grid.nodes())
 
 
@@ -70,9 +69,8 @@ def test_apply_f_constant_running_cost():
     # L = v^2/2 + 1 and flat seed profile: stationary flow, F(phi) = T
     fam = QuadraticCoupledFamily(beta=0.0, potential=QuadraticFormPotential(c=-1.0))
     problem = ProblemSpec(fam, horizon=1.0, initial=spread_ensemble())
-    phi = AnalyticSlice(lambda x: np.zeros_like(x), value=lambda x: 5.0 * np.ones_like(x))
-    out = apply_F(problem, phi, SMALL)
-    np.testing.assert_allclose(out.u, 1.0, atol=1e-12)
+    out = apply_F(problem, lambda x: np.full_like(x, 5.0), SMALL)
+    np.testing.assert_allclose(out.u[0], 1.0, atol=1e-12)
 
 
 def test_apply_f_lq_oracle_is_near_fixed_point():
@@ -81,13 +79,12 @@ def test_apply_f_lq_oracle_is_near_fixed_point():
     state, _ = lq_solve(LQCoefficients(m=1.0), problem.initial, 0.0, 1.0, cfg.time_steps)
     grid = canonical_grid(problem, cfg)
     nodes = grid.nodes()
-    phi = AnalyticSlice(
-        lambda x: state.gamma[0] * x + state.theta[0],
-        value=lambda x: 0.5 * state.gamma[0] * x**2 + state.theta[0] * x + state.zeta[0],
-    )
-    out = apply_F(problem, phi, cfg)
-    oracle0 = 0.5 * state.gamma[0] * nodes**2 + state.theta[0] * nodes + state.zeta[0]
-    err = np.abs(out.u - oracle0)
+
+    def oracle0(x):  # the oracle's u(., 0)
+        return 0.5 * state.gamma[0] * x**2 + state.theta[0] * x + state.zeta[0]
+
+    out = apply_F(problem, oracle0, cfg)
+    err = np.abs(out.u[0] - oracle0(nodes))
     # scheme tolerance at this resolution; the padding belt is coarser
     assert np.max(err[np.abs(nodes) <= 2.0]) <= 0.05
     assert np.max(err) <= 0.12
@@ -109,8 +106,8 @@ def test_solve_mfg_idempotence_at_convergence():
     sol = solve_mfg(lq_problem(beta=0.5), cfg)
     assert sol.converged
     assert sol.final_phi_residual <= 1e-5
-    again = apply_F(lq_problem(beta=0.5), sol.phi, cfg)
-    assert np.max(np.abs(again.u - sol.phi.u)) <= 1e-5
+    again = apply_F(lq_problem(beta=0.5), lambda x: sol.value.value_at(x, 0), cfg)
+    assert np.max(np.abs(again.u[0] - sol.value.u[0])) <= 1e-5
 
 
 def test_residual_history_shape_and_decay():
@@ -258,6 +255,15 @@ def test_uniqueness_probe_zero_problem():
     assert rep.max_pairwise <= 2 * SMALL.tol_fix
 
 
+@pytest.mark.parametrize("k", [-2, 0, 1])
+def test_a_uniqueness_probe_of_fewer_than_two_runs_is_refused(monkeypatch, k):
+    # zero or one run compares nothing: it used to report "conclusive"
+    grids = count_grids(monkeypatch)
+    with pytest.raises(ValueError, match="at least 2 runs"):
+        uniqueness_probe(zero_problem(), SMALL, k=k)
+    assert grids == []  # refused before any solve
+
+
 def test_uniqueness_probe_reports_on_nonmonotone_potential():
     # repulsive interaction: no uniqueness claim, probe must still report
     fam = QuadraticCoupledFamily(beta=0.0, potential=MomentQuadraticPotential(-1.0))
@@ -345,8 +351,8 @@ def test_offcentre_coupled_lq_converges_fast_to_the_oracle():
     # the core is the authoritative part of the grid; the belt is padding
     err = np.max(np.abs(sol.value.u - state.value_table(x))[:, core])
     assert err <= 5e-2
-    again = apply_F(problem, sol.phi, SMALL)
-    assert np.max(np.abs(again.u - sol.phi.u)) <= SMALL.tol_fix
+    again = apply_F(problem, lambda x: sol.value.value_at(x, 0), SMALL)
+    assert np.max(np.abs(again.u[0] - sol.value.u[0])) <= SMALL.tol_fix
 
 
 def test_offcentre_core_error_falls_under_grid_refinement():
@@ -437,7 +443,7 @@ def test_rejected_extrapolation_falls_back_to_damped_step(monkeypatch, fault):
     assert sol.converged
     assert sol.restarts >= 1
     assert plain.restarts == 0
-    assert np.max(np.abs(sol.phi.u - plain.phi.u)) <= 10 * SMALL.tol_fix
+    assert np.max(np.abs(sol.value.u[0] - plain.value.u[0])) <= 10 * SMALL.tol_fix
 
 
 def test_state_scaled_solve_never_accepts_a_flow_through_zero():
@@ -465,9 +471,8 @@ def test_a_crossing_names_the_time_the_flow_reaches(nx, steps):
     problem = ProblemSpec(fam, horizon=1.0, initial=spread_ensemble(8, 0.5, 1.5))
     cfg = SolverConfig(nx=nx, time_steps=steps, nv=nx, v_max=1.0)
     grid = GridConfig(x_lo=0.25, x_hi=2.0, nx=nx, nv=nx, v_max=1.0)
-    phi = ValueSlice(grid.nodes(), 0.5 * grid.nodes())
     with pytest.raises(FlowBlowupError, match="state-scaled flow reaches x <= 0") as err:
-        mfg._compose_once(problem, phi, grid, cfg)
+        mfg._compose_once(problem, 0.5 * grid.nodes(), grid, cfg)
     low = 0.5625
     energy = 0.5**2 / (2 * low**2) - low**4
     crossing = math.asinh(low**2 / math.sqrt(energy)) / (2 * math.sqrt(2.0))
@@ -481,8 +486,8 @@ def test_residual_history_records_the_undamped_residual():
     sol = solve_mfg(problem, SMALL)
     nodes = canonical_grid(problem, SMALL).nodes()
     phi0 = problem.family.terminal(nodes, problem.initial)
-    out = apply_F(problem, ValueSlice(nodes, phi0), SMALL)
-    assert sol.residual_history[0][1] == float(np.max(np.abs(out.u - phi0)))
+    out = apply_F(problem, lambda x: problem.family.terminal(x, problem.initial), SMALL)
+    assert sol.residual_history[0][1] == float(np.max(np.abs(out.u[0] - phi0)))
 
 
 def test_non_finite_stage_rate_is_a_flow_blowup():
