@@ -48,17 +48,6 @@ logger = logging.getLogger(__name__)
 
 SUBCOMMANDS = ("solve", "oracle", "check", "master", "probe-uniqueness")
 
-_SOLVER_KEYS = {
-    "nx": ("nx", int),
-    "M": ("time_steps", int),
-    "nv": ("nv", int),
-    "v_max": ("v_max", float),
-    "damping": ("damping", float),
-    "tol_fix": ("tol_fix", float),
-    "tol_traj": ("tol_traj", float),
-    "max_outer": ("max_outer", int),
-}
-
 #: family -> slot -> kind -> (constructor, parameter names in argument order);
 #: the first kind of a slot is its default, and a missing parameter reads 0
 KINDS = {
@@ -117,7 +106,7 @@ class ParsedProblem:
 def _require_finite_number(value, where) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(where, "expected a number")
-    value = float(value)
+    value = float(value) if abs(value) <= sys.float_info.max else math.inf
     if not math.isfinite(value):
         raise SchemaError(where, "expected a finite number")
     return value
@@ -127,6 +116,26 @@ def _require_int(value, where) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(where, "expected an integer")
     return value
+
+
+def _require_size(value, where) -> int:
+    """An array length: past 2**53 doubles take over 64 PiB, more than any
+    64-bit address space holds, so the size is refused before numpy sees it."""
+    if _require_int(value, where) > 2**53:
+        raise MemoryError(f"field {where!r}: a size above 2**53 needs over 64 PiB of doubles")
+    return value
+
+
+_SOLVER_KEYS = {
+    "nx": ("nx", _require_size),
+    "M": ("time_steps", _require_size),
+    "nv": ("nv", _require_int),
+    "v_max": ("v_max", _require_finite_number),
+    "damping": ("damping", _require_finite_number),  # weight after the first rejection
+    "tol_fix": ("tol_fix", _require_finite_number),
+    "tol_traj": ("tol_traj", _require_finite_number),
+    "max_outer": ("max_outer", _require_int),
+}
 
 
 def _reject_unknown(obj: dict, allowed, where: str) -> None:
@@ -172,9 +181,14 @@ def _validate_initial(block, base_dir: Path, where="initial") -> tuple[dict, np.
             values = params["values"]
             if not isinstance(values, list) or not values:
                 raise SchemaError(f"{where}.params.values", "expected a non-empty list")
-            samples = np.array(
-                [_require_finite_number(v, f"{where}.params.values[{i}]") for i, v in enumerate(values)]
-            )
+            # one bulk check; only a list that fails it is walked, to name its first bad entry
+            numbers = set(map(type, values)) <= {float, int}
+            numbers = numbers and max(map(abs, values)) <= sys.float_info.max
+            samples = np.array(values, dtype=float) if numbers else None
+            if samples is None or not np.isfinite(samples).all():
+                samples = np.array(
+                    [_require_finite_number(v, f"{where}.params.values[{i}]") for i, v in enumerate(values)]
+                )
         elif "path" in params:
             path = base_dir / str(params["path"])
             if not path.exists():
@@ -189,10 +203,10 @@ def _validate_initial(block, base_dir: Path, where="initial") -> tuple[dict, np.
         n = samples.size
         if "N" in block and _require_int(block["N"], f"{where}.N") != n:
             raise SchemaError(f"{where}.N", f"expected {n}, the number of samples")
-        canonical = {"kind": "samples", "params": {"values": [float(v) for v in samples]}, "N": n}
+        canonical = {"kind": "samples", "params": {"values": samples.tolist()}, "N": n}
         return canonical, samples
     if kind in ("uniform", "gaussian_like"):
-        n = _require_int(block.get("N", DEFAULT_SAMPLE_COUNT), f"{where}.N")
+        n = _require_size(block.get("N", DEFAULT_SAMPLE_COUNT), f"{where}.N")
         if n < 1:
             raise SchemaError(f"{where}.N", "expected a positive sample count")
         quantiles = (np.arange(n) + 0.5) / n
@@ -252,15 +266,11 @@ def _canonicalize(raw: dict, base_dir: Path) -> tuple:
     _reject_unknown(solver_raw, tuple(_SOLVER_KEYS), "solver")
     solver_kwargs = {}
     solver_doc = {}
-    for key, (attr, caster) in _SOLVER_KEYS.items():
+    for key, (attr, require) in _SOLVER_KEYS.items():
         if key in solver_raw:
             if key == "v_max" and solver_raw[key] is None:
                 continue
-            value = (
-                _require_int(solver_raw[key], f"solver.{key}")
-                if caster is int
-                else _require_finite_number(solver_raw[key], f"solver.{key}")
-            )
+            value = require(solver_raw[key], f"solver.{key}")
             solver_kwargs[attr] = value
             solver_doc[key] = value
     try:

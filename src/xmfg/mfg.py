@@ -12,9 +12,9 @@ Phi lives as its values on the grid nodes; the seed P(0) is its central
 difference (:class:`~xmfg.hjb.ValueGrid`'s rule) interpolated at X_0.
 
 Solutions of the coupled game are fixed points of F.  They are searched by
-safeguarded Anderson mixing of damped Picard steps; existence theory
-guarantees a fixed point but no contraction rate, so non-convergence is a
-reportable outcome, never hidden.
+safeguarded Anderson mixing of Picard steps, undamped until the safeguard
+first rejects one; existence theory guarantees a fixed point but no
+contraction rate, so non-convergence is a reportable outcome, never hidden.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ __all__ = [
 ANDERSON_MEMORY = 5
 #: Tikhonov weight of the Anderson normal equations on unit-norm columns
 ANDERSON_REGULARIZATION = 1e-10
-#: errors that drop an extrapolated Phi for the damped step instead of ending the solve
+#: errors that drop a trial Phi for the damped step instead of ending the solve
 _EXTRAPOLATION_FAILURES = (ControlSaturationError, DomainTooSmallError, FlowBlowupError)
 #: the flow's local error tolerance per unit of ``tol_traj``: the trajectory
 #: residual is measured well above the integration error
@@ -73,7 +73,7 @@ class SolverConfig:
     time_steps: int = 200
     nv: int = 201  # validated (nv >= 2); changes no number
     v_max: float | None = None  # None selects from coercivity
-    damping: float = 0.5
+    damping: float = 0.5  # mixing weight of the fallback and of every step after it
     tol_fix: float = 1e-6
     tol_traj: float = 1e-6
     max_outer: int = 60
@@ -256,7 +256,7 @@ def _anderson_step(
     of their residuals.  gamma minimizes ||f - dF gamma||_2 through the
     regularized normal equations (at most ANDERSON_MEMORY unknowns), and the
     step is Phi + lam f - (dPhi + lam dF) gamma.  Without history this is
-    the damped Picard step Phi + lam f.
+    the Picard step Phi + lam f, undamped at lam = 1.
     """
     step = phi + lam * f
     if not d_f:
@@ -284,12 +284,15 @@ def solve_mfg(
     Works on the canonical grid of the problem/config, widened to cover
     ``include``, and starts from Phi_0 = psi(., X_0) unless ``phi0``, a
     callable of the grid nodes, is supplied.  Each step mixes the last
-    ANDERSON_MEMORY residuals f = F(Phi) - Phi with weight ``cfg.damping``
-    (see :func:`_anderson_step`).  An extrapolated Phi is dropped for the
-    damped step Phi_a + lam f_a from the last accepted iterate, with the
-    history cleared, when its residual ||f||_inf exceeds that of Phi_a or
-    when the flow or the backward sweep rejects it; ``restarts`` counts these
-    fallbacks.  A damped step is always accepted and its errors propagate.
+    ANDERSON_MEMORY residuals f = F(Phi) - Phi (see :func:`_anderson_step`)
+    with unit weight until the first rejection, and with lam = ``cfg.damping``
+    from then on.  A unit step, and every step with history, is a trial: it
+    is dropped for the damped step Phi_a + lam f_a from the last accepted
+    iterate, with the history cleared, when its residual ||f||_inf exceeds
+    that of Phi_a or when the flow or the backward sweep rejects it;
+    ``restarts`` counts these fallbacks.  A damped step is always accepted and
+    its errors propagate, so a game evaluates F at most once more than under
+    damping alone; at lam = 1 no step changes.
 
     Convergence requires, from the second iterate on, both the fixed-point
     residual ||F(Phi_k) - Phi_k||_inf <= tol_fix and the trajectory residual
@@ -321,6 +324,7 @@ def solve_mfg(
     accepted = None  # (phi, f, ||f||_inf) of the last accepted iterate
     extrapolated = False
     restarts = 0
+    weight = 1.0  # the mixing weight: 1 until the first rejection, then lam for good
     k = 0
     last = None  # (phi, vg, traj, report) of the last evaluation of F, which is deterministic
 
@@ -353,6 +357,7 @@ def solve_mfg(
             rejected = extrapolated and fix_res > accepted[2]
         if rejected:
             restarts += 1
+            weight = lam
             d_phi.clear()
             d_f.clear()
             phi_vals = accepted[0] + lam * accepted[1]
@@ -362,8 +367,8 @@ def solve_mfg(
             d_phi.append(phi_vals - accepted[0])
             d_f.append(f - accepted[1])
         accepted = (phi_vals, f, fix_res)
-        phi_vals = _anderson_step(phi_vals, f, d_phi, d_f, lam)
-        extrapolated = bool(d_f)
+        phi_vals = _anderson_step(phi_vals, f, d_phi, d_f, weight)
+        extrapolated = bool(d_f) or weight > lam
 
     vg, traj, fix_res, traj_res = best
     return MfgSolution(

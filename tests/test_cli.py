@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 import re
 import statistics
@@ -41,6 +42,7 @@ from xmfg.families import (
     ZeroCoupling,
     ZeroPotential,
 )
+from xmfg.flow import integrate_flow
 from xmfg.hjb import _central_gradient
 from xmfg.mfg import solve_mfg
 
@@ -497,15 +499,27 @@ def test_gaussian_like_samples_are_the_exact_normal_quantiles(tmp_path):
 
 
 def test_a_large_moment_exponent_keeps_the_trajectory_residual(tmp_path):
-    # |dX|^1000 underflowed to 0: the solve stopped at iteration 3 on a
-    # trajectory residual of 0 where the paths still differ by about 0.217
+    # |dX|^1000 underflowed to 0: the solve stopped on a trajectory residual
+    # of 0 where the paths still differ by about 0.434.  The uncoupled game
+    # has F(Phi) = F(Psi): row 2 is the undamped step to it, row 3 reuses it
     out = tmp_path / "out"
     assert main(["solve", "--config", str(write_doc(tmp_path, LQ_DOC)), "--out", str(out),
                  "--override", "q=1000"]) == 0
     rows = (out / "residuals.csv").read_text().splitlines()[1:]
     traj = [float(row.split(",")[2]) for row in rows]
-    assert len(rows) == 4
-    assert traj[1] == pytest.approx(0.2168, abs=1e-4) and traj[2] == pytest.approx(0.2168, abs=1e-4)
+    assert len(rows) == 3 and traj[2] == 0.0
+    # the gap between the path seeded by psi' = M x and the solved one, each
+    # later time's W_1000 taken in units of its largest gap
+    problem = parse_problem(write_doc(tmp_path, LQ_DOC)).problem
+    x0 = problem.initial.samples[:, 0]
+    first = integrate_flow(problem.family, problem.initial, x0, 1.0, 40, tol=1e-7).states[:, :, 0]
+    table = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    solved = table[:, 2].reshape(41, x0.size)
+    gaps = np.abs(np.sort(first, axis=1) - np.sort(solved, axis=1))[1:]  # both start on X_0
+    top = gaps.max(axis=1)
+    w_q = top * np.mean((gaps / top[:, None]) ** 1000, axis=1) ** (1 / 1000)
+    assert traj[1] == pytest.approx(float(np.max(w_q)), rel=1e-9)
+    assert traj[1] == pytest.approx(0.434, abs=1e-3)
 
 
 def test_solve_zero_problem_writes_bundle(tmp_path):
@@ -824,9 +838,14 @@ QUARTIC_DOC = {
     "solver": {"nx": 41, "M": 20, "nv": 41},
 }
 
-# (command, overrides, code); `oracle` runs on QUARTIC_DOC, `solve` on QUADRATIC_DOC.
-# 10**15 floats are 8 PB, beyond any 64-bit user address space: that
-# allocation fails whatever the overcommit setting
+#: a 401-digit JSON integer: it parses (Python's limit is 4300 digits) but
+#: no double holds it
+BIG_INT = 10**400
+BIG_SAMPLES = {"kind": "samples", "params": {"values": [BIG_INT, 1.0]}}
+
+# (command, overrides, code); `oracle` runs on QUARTIC_DOC, the others on
+# QUADRATIC_DOC.  10**15 floats are 8 PB, beyond any 64-bit user address
+# space: that allocation fails whatever the overcommit setting
 EXTREME_INPUTS = [
     ("solve", ("T=1e308",), "XMFG"),
     ("solve", ("solver.v_max=1e308",), "XMFG"),
@@ -839,11 +858,21 @@ EXTREME_INPUTS = [
     ("solve", ("terminal.params.m=1e308", "solver.v_max=null"), "XMFG"),
     ("solve", ("terminal.params.m=1e308", "solver.v_max=null", "initial.params.hi=3"), "XMFG"),
     ("oracle", ("T=1e308",), "ROOT_SOLVE"),
+    # integers past the double range ended in an OverflowError traceback, and
+    # sizes past 2**60 in numpy's ValueError
+    ("solve", (f"T={BIG_INT}",), "SCHEMA"),
+    ("check", (f"T={BIG_INT}",), "SCHEMA"),
+    ("solve", (f"beta={BIG_INT}",), "SCHEMA"),
+    ("solve", (f"solver.tol_fix={BIG_INT}",), "SCHEMA"),
+    ("solve", (f"initial={json.dumps(BIG_SAMPLES)}",), "SCHEMA"),
+    ("solve", (f"solver.nx={BIG_INT}",), "MEMORY"),
+    ("solve", ("solver.M=100000000000000000000",), "MEMORY"),
+    ("solve", ("initial.N=100000000000000000000",), "MEMORY"),
 ]
 
 
 def _extreme_id(command, overrides, code):
-    joined = "+".join(overrides)
+    joined = "+".join(overrides).replace(str(BIG_INT), "10**400")
     return f"{joined}-{code}" if command == "solve" else f"{command}-{joined}-{code}"
 
 
@@ -861,6 +890,45 @@ def test_extreme_inputs_print_only_the_error_line(tmp_path, capsys, command, ove
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"ERROR {code}:"), err
+
+
+@pytest.mark.parametrize(
+    "override, field",
+    [(f"T={BIG_INT}", "T"), (f"q={-BIG_INT}", "q"), (f"solver.v_max={BIG_INT}", "solver.v_max"),
+     (f"potential.params.scale={BIG_INT}", "potential.params.scale"),
+     (f"initial={json.dumps(BIG_SAMPLES)}", "initial.params.values[0]")],
+    ids=["T", "q", "v_max", "scale", "values"],
+)
+def test_an_integer_past_the_double_range_is_not_a_finite_number(tmp_path, override, field):
+    with pytest.raises(SchemaError) as err:
+        parse_problem(write_doc(tmp_path, QUADRATIC_DOC), (override,))
+    assert (err.value.field, err.value.expectation) == (field, "expected a finite number")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["0.5", None, True, [0.5], math.inf, math.nan, BIG_INT],
+    ids=["text", "null", "bool", "list", "inf", "nan", "10**400"],
+)
+def test_a_bad_sample_deep_in_a_long_list_is_named(tmp_path, bad):
+    values = np.linspace(0.0, 1.0, 2048).tolist()
+    values[1500] = bad
+    values[1700] = "later"  # only the first bad entry is named
+    doc = dict(QUADRATIC_DOC, initial={"kind": "samples", "params": {"values": values}})
+    with pytest.raises(SchemaError) as err:
+        parse_problem(write_doc(tmp_path, doc))
+    assert err.value.field == "initial.params.values[1500]"
+    finite = isinstance(bad, (int, float)) and not isinstance(bad, bool)
+    assert err.value.expectation == ("expected a finite number" if finite else "expected a number")
+
+
+def test_a_long_sample_list_keeps_its_canonical_form(tmp_path):
+    values = [0.1 * i - 50 for i in range(2047)] + [7]  # an integer reads as its float
+    doc = dict(QUADRATIC_DOC, initial={"kind": "samples", "params": {"values": values}})
+    parsed = parse_problem(write_doc(tmp_path, doc))
+    assert parsed.document["initial"]["params"]["values"] == [float(v) for v in values]
+    assert all(type(v) is float for v in parsed.document["initial"]["params"]["values"])
+    assert parsed.problem.initial.samples[:, 0].tolist() == [float(v) for v in values]
 
 
 def strict_json(path):
@@ -958,11 +1026,13 @@ CSV_CASES = [
 #: Dormand-Prince pair, whose paths move those outputs in their last digits;
 #: the `oracle` digests since its du_dx is the central difference of `u`, as
 #: in `solve`, and the quartic ones since a state-scaled grid is sized from
-#: that adaptive flow
+#: that adaptive flow.  The damped `solve` digests were taken again when the
+#: outer iteration began to mix with unit weight until its first rejection
+#: (within tol_fix of the damped bundles: |du| <= 2.6e-9, |dx| <= 2.8e-8)
 BUNDLE_DIGESTS = {
     "solve-small-lq": "e9681c9bb65c4218dd00ec17b2d807ae17f2e4db21dda99ebd92eddcb869c763",
-    "solve-quadratic": "cbd9d2971141477f2645c4d12ba354827056fd6e283d130379bebbc8b4144e19",
-    "solve-solvable-quartic": "9ba3ec1608876229ebca9ad92e66c62fce04e4f502b6002316ed68355a1c2d86",
+    "solve-quadratic": "8ed069597a78e959e6000e7e19872ca7e680cac7b0df9f29f940488d50633dab",
+    "solve-solvable-quartic": "70ea509831aab73886db55210b446d0a4f34ae35a0ec1cdfc03ca0a0a5497da0",
     "master-small-lq": "ae8d2da54a9418989338aa89a85ed3cc384ecfa992ee4a0ae9f4cee2f59a1feb",
     "oracle-lq": "6d4ac6ec5fd625f7c3962e4cc3f50cdc4f4f57519bc9d2800cb327e4a5b1baed",
     "oracle-quartic": "7c5a733b57595fb4266fca97d38b9093f344d8380bd8d8b4a72a7a43f2aa625f",
@@ -1099,6 +1169,14 @@ FUZZ_DOCS = {
 # the coercivity probes of v_max spanned past the double range (inf - inf)
 # and printed an invalid-value warning before their XMFG line
 @example(case=("solve", "quartic", ("initial.params.lo=0.5", "initial.params.hi=1.7e+308")))
+# integers past the double range raised OverflowError, and sizes past 2**60
+# numpy's ValueError, as tracebacks
+@example(case=("solve", "lq", (f"T={BIG_INT}",)))
+@example(case=("master", "lq", (f"solver.tol_fix={BIG_INT}",)))
+@example(case=("solve", "zero", (f"initial={json.dumps(BIG_SAMPLES)}",)))
+@example(case=("solve", "lq", (f"solver.nx={BIG_INT}",)))
+@example(case=("solve", "lq", ("solver.M=100000000000000000000",)))
+@example(case=("master", "zero", ("initial.N=100000000000000000000",)))
 def test_fuzzed_overrides_end_in_a_documented_exit(case):
     assert_documented_exit(*case)
 
@@ -1123,6 +1201,8 @@ def test_a_tiny_trajectory_tolerance_still_runs_its_flows(command):
 @example(case=("probe-uniqueness", "lq", ("q=1e+300",)))
 # the Riccati oracle's mean of finite samples overflowed with a numpy warning
 @example(case=("oracle", "lq", ("initial.params.lo=0.5", "initial.params.hi=1.7e+308")))
+# an integer past the double range raised OverflowError on every command
+@example(case=("check", "lq", (f"beta={BIG_INT}",)))
 # a stiff oracle flow overflowed with two warnings, then raised a ValueError
 @example(case=("oracle", "lq", ("potential.params.A=-1e+16", "terminal.params.M=1e+8")))
 # a seed outside [0, 2**64): -1 reached numpy's generator in a ValueError traceback

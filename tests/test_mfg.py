@@ -430,7 +430,7 @@ def test_rejected_extrapolation_falls_back_to_damped_step(monkeypatch, fault):
     def faulty(*args):
         calls.append(args)
         vg, traj = real(*args)
-        # calls 1 and 2 evaluate Phi_0 and the damped step Phi_1; the third
+        # calls 1 and 2 evaluate Phi_0 and the unit step Phi_1; the third
         # Phi is the first one extrapolated from a residual difference
         if len(calls) == 3:
             if fault == "raise":
@@ -666,3 +666,108 @@ def test_a_restart_law_takes_the_moment_exponent_of_the_game():
     sub_problem, _ = mfg._restart_problem(problem, y, 0.5, SMALL)
     assert sub_problem.q == problem.q == 3.0
     assert sub_problem.initial.samples.tobytes() == y.samples.tobytes()
+
+
+def jittered_offcentre_problem():
+    # the off-centre coupled LQ game on 64 jittered samples of [0.5, 1.5]
+    cells = (np.arange(64) + np.random.default_rng(3).random(64)) / 64
+    return replace(offcentre_lq_problem(), initial=Ensemble(0.5 + cells))
+
+
+def crowd_problem():
+    # a moment-coupled crowd of 256 Gaussian samples
+    fam = QuadraticCoupledFamily(0.5, MomentQuadraticPotential(0.5), QuadraticFormPotential(1.0, 0.2))
+    return ProblemSpec(fam, 1.0, Ensemble(np.random.default_rng(3).normal(0.5, 0.5, 256)))
+
+
+@pytest.mark.parametrize(
+    "make, evaluations",
+    [(jittered_offcentre_problem, 6), (crowd_problem, 6)],
+    ids=["offcentre-lq", "crowd"],
+)
+def test_unit_steps_until_a_rejection_save_whole_evaluations(monkeypatch, make, evaluations):
+    # damped steps from the start took 7 and 8 evaluations of F on these games
+    problem = make()
+    reference = solve_mfg(problem, replace(SMALL, tol_fix=1e-10, tol_traj=1e-10))
+    calls = count_flows(monkeypatch)
+    sol = solve_mfg(problem, SMALL)
+    assert sol.converged and sol.restarts == 0
+    assert len(sol.residual_history) == len(calls) == evaluations
+    assert np.max(np.abs(sol.value.u[0] - reference.value.u[0])) <= SMALL.tol_fix
+    # with no rejection, every step is the one unit damping takes
+    assert sol.residual_history == solve_mfg(problem, replace(SMALL, damping=1.0)).residual_history
+
+
+def record_steps(monkeypatch):
+    """Record each evaluated Phi with whether F rejected it, and each mixing weight."""
+    evaluated, weights = [], []
+    compose, anderson = mfg._compose_once, mfg._anderson_step
+
+    def composing(problem, phi, grid, cfg):
+        evaluated.append([phi.copy(), True])
+        out = compose(problem, phi, grid, cfg)
+        evaluated[-1][1] = False
+        return out
+
+    def mixing(phi, f, d_phi, d_f, lam):
+        weights.append(lam)
+        return anderson(phi, f, d_phi, d_f, lam)
+
+    monkeypatch.setattr(mfg, "_compose_once", composing)
+    monkeypatch.setattr(mfg, "_anderson_step", mixing)
+    return evaluated, weights
+
+
+def assert_one_trial_then_damped(sol, evaluated, weights, cfg):
+    # Phi_0, the unit trial Phi_0 + f_0, then the iteration that damps from
+    # the start, from Phi_0 on, with no unit step after it: one evaluation
+    # more than that iteration, and no ping-pong
+    assert sol.converged and sol.restarts == 1
+    phi_0, trial, fallback = (phi for phi, _ in evaluated[:3])
+    f_0 = trial - phi_0
+    np.testing.assert_array_equal(fallback, phi_0 + cfg.damping * f_0)
+    assert weights[0] == 1.0 and set(weights[1:]) == {cfg.damping}
+    assert not any(failed for _, failed in evaluated[2:])
+
+
+def test_a_trial_whose_residual_grows_falls_back_to_the_damped_step(monkeypatch):
+    # started off its fixed point along x, this crowd overshoots: the unit
+    # step's residual grows from about 3.1 to 5.0
+    fam = QuadraticCoupledFamily(-0.3, MomentQuadraticPotential(1.0), QuadraticFormPotential(1.0, 0.2))
+    problem = ProblemSpec(fam, 1.0, spread_ensemble(32, -0.5, 0.5))
+    cfg = SolverConfig(nx=41, time_steps=20, nv=41, v_max=4.0)
+    fixed = solve_mfg(problem, replace(cfg, tol_fix=1e-10, tol_traj=1e-10)).value
+    evaluated, weights = record_steps(monkeypatch)
+    sol = solve_mfg(problem, cfg, phi0=lambda x: fixed.value_at(x, 0) + 0.25 * x)
+    assert sol.residual_history[1][1] > sol.residual_history[0][1]
+    assert len(evaluated) == sol.iterations  # the rejected trial keeps its row
+    assert_one_trial_then_damped(sol, evaluated, weights, cfg)
+
+
+def test_a_trial_that_saturates_falls_back_to_the_damped_step(monkeypatch):
+    # a strongly coupled crowd: the unit step's control saturates, the damped one's does not
+    fam = QuadraticCoupledFamily(-0.7, MomentQuadraticPotential(1.0), QuadraticFormPotential(1.0, 0.2))
+    problem = ProblemSpec(fam, 1.0, spread_ensemble(32, -0.25, 1.25))
+    cfg = SolverConfig(nx=41, time_steps=20, nv=41, v_max=4.0)
+    evaluated, weights = record_steps(monkeypatch)
+    sol = solve_mfg(problem, cfg)
+    assert [failed for _, failed in evaluated[:2]] == [False, True]
+    assert len(evaluated) == sol.iterations + 1  # the rejected trial has no row
+    assert_one_trial_then_damped(sol, evaluated, weights, cfg)
+
+
+def test_unit_damping_keeps_every_bit(monkeypatch):
+    # with damping = 1 the first step is the plain step it always was: no
+    # trial, so a flow that rejects it ends the solve
+    sol = solve_mfg(offcentre_lq_problem(), replace(SMALL, damping=1.0))
+    assert sol.restarts == 0 and sol.residual_history[0][:2] == (1, 9.033644902166557)
+    assert sol.residual_history[1:] == [
+        (2, 0.5405261626490496, 0.41693204753781204),
+        (3, 0.06867538059719003, 0.06910339797194119),
+        (4, 7.858549033556983e-05, 0.009795779564436604),
+        (5, 3.1117729264451555e-06, 4.008521967627775e-06),
+        (6, 4.077943316360688e-09, 2.7509517770766034e-07),
+    ]
+    count_flows(monkeypatch, fail_at=2)
+    with pytest.raises(ControlSaturationError, match="injected"):
+        solve_mfg(offcentre_lq_problem(), replace(SMALL, damping=1.0))
