@@ -17,7 +17,6 @@ evaluate B laws in one call with the bits of B single-law calls.
 
 from __future__ import annotations
 
-import csv
 import functools
 import io
 from dataclasses import dataclass
@@ -95,6 +94,7 @@ class Ensemble:
 
     @staticmethod
     def from_csv(text: str) -> "Ensemble":
+        import csv  # its only user: the CLI's cold start skips it
         rows = list(csv.reader(io.StringIO(text)))
         if not rows or rows[0] != ["x0"]:
             raise ValueError("ensemble CSV must start with the header x0")

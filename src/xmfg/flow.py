@@ -11,13 +11,13 @@ hands over the seed costates P_0: the fixed-point map (:mod:`xmfg.mfg`) reads
 P_0 = Phi'(X_0) off its value profile Phi.  The expectation
 inside G couples all samples, so G is re-solved at every stage rather than
 lagged from the previous step; a stage writes G and D_xH straight into its
-rate buffer.  The integrator is the embedded Dormand-Prince 5(4) pair
-(Dormand & Prince 1980), whose error estimate picks each step, so the steps
-are not tied to the output rows.  Each row is read from the continuous
-extension of the accepted step that holds its time (Shampine 1986), and its
-velocity is solved anew at the row's (x, p): one family call on all rows when
-the family has a closed form (``velocity_closed_form``) and one row at a
-time otherwise.  The same flow, seeded by the terminal slope psi'(X_0, X_0) at
+rate buffer, and a step forms its stage weights h A once.  The integrator is
+the embedded Dormand-Prince 5(4) pair (Dormand & Prince 1980), whose error
+estimate picks each step, so the steps are not tied to the output rows.
+Each row is read from the continuous extension of the accepted step that
+holds its time (Shampine 1986), and its velocity is solved anew at the row's
+(x, p): one family call on all rows when the family has a closed form
+(``velocity_closed_form``) and one row at a time otherwise.  The same flow, seeded by the terminal slope psi'(X_0, X_0) at
 its default tolerance, sizes a state-scaled grid
 (:func:`~xmfg.mfg.canonical_grid`).
 """
@@ -167,8 +167,9 @@ def integrate_flow(
             if h < floor or t + h == t or rejected > _MAX_REJECTIONS:
                 raise stall(t, m - 1, reason)  # rows up to m - 1 are written
             err, reason = math.inf, "the flow leaves the representable range"
+            h_a = h * _A
             for i in range(1, 7):
-                np.add(y_flat, np.dot(h * _A[i, :i], k_flat[:i]), out=stage_flat)
+                np.add(y_flat, np.dot(h_a[i, :i], k_flat[:i]), out=stage_flat)
                 if positive and not x.min() > 0:  # NaN fails it too
                     reason = "the state-scaled flow reaches x <= 0"
                     break

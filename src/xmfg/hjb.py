@@ -14,15 +14,18 @@ minimum is exact: the running cost is v^2/2 + b v - W (the family's
 ``drift`` and ``running_potential``) and the foot is linear in v, so on a
 piece of I of slope s the objective is a convex quadratic minimized at
 v = -(b + s g), clipped to the controls whose foot lands on that piece.  The
-pieces each node reaches are found once per step length.  A step spans
+pieces each node reaches are found once per step length, and each step writes
+its value and control rows in place.  A box too small to move a foot off x_i
+in floating point tries both sides of the node and pins its control at
++-v_max when the minimizer lies outside the box.  A step spans
 j = k rows (:func:`sweep_stride`; the last, to row 0, may span fewer), so a
 foot moves about ``COURANT_TARGET`` cells and the interpolation's diffusion
 is paid once per k rows.  The sweep keeps the step ends only;
 :meth:`ValueGrid.dense` fills the rows inside a step with linear blends in
 time of its two ends.  The stride is the sweep's alone: a step reads the
 population path at its lower row, and the flow (:mod:`xmfg.flow`) records
-every row with steps of its own.  The scheme is monotone: raising the terminal data can never
-lower any value.
+every row with steps of its own.  The scheme is monotone: raising the
+terminal data can never lower any value.
 """
 
 from __future__ import annotations
@@ -90,8 +93,14 @@ class GridConfig:
     def dx(self) -> float:
         return (self.x_hi - self.x_lo) / (self.nx - 1)
 
-    def nodes(self) -> np.ndarray:
-        return np.linspace(self.x_lo, self.x_hi, self.nx)
+    def nodes(self) -> np.ndarray:  # built once per grid, read-only
+        return self._nodes
+
+    @functools.cached_property
+    def _nodes(self) -> np.ndarray:
+        x = np.linspace(self.x_lo, self.x_hi, self.nx)
+        x.flags.writeable = False
+        return x
 
     def core_interval(self) -> tuple[float, float]:
         lo = self.x_lo if self.core_lo is None else self.core_lo
@@ -180,37 +189,43 @@ class ValueGrid:
 
 
 def _exact_minimizer(x: np.ndarray, g, dt: float, v_max: float):
-    """``step(y, b, w) -> (u, v)``: per node ``i``, the minimum over
-    ``|v| <= v_max`` of ``dt (v^2/2 + b v - w) + I[y](x_i + dt g_i v)`` and
-    the control that attains it.
+    """``step(y, b, w, u, v)`` writes into ``u`` and ``v``, per node ``i``, the
+    minimum over ``|v| <= v_max`` of ``dt (v^2/2 + b v - w) + I[y](x_i + dt g_i v)``
+    and the control that attains it; ``b`` is a scalar or one value per node.
 
     Piece ``p`` of the interpolation ``I`` spans ``[x[p], x[p + 1]]``; the
     edge pieces ``p = -1`` and ``p = nx - 1`` reach out to -inf and +inf and
-    read ``y[0]`` and ``y[-1]``.  Each node tries the pieces its feet reach.
-    The per-piece work arrays live as long as ``step``, which returns
-    fresh arrays, never one of them.
+    read ``y[0]`` and ``y[-1]``.  Each node tries the pieces its feet reach,
+    along the last axis of ``(nx, P)`` work arrays that live as long as
+    ``step``.  A node whose reach ``dt |g_i| v_max`` is below the rounding of
+    ``x_i`` tries both pieces beside it and, its costs tied by rounding, takes the larger control.
     """
     nx = x.size
     speed = dt * np.asarray(g, dtype=float)  # d(foot)/dv
     reach = np.abs(speed) * v_max
-    first = np.searchsorted(x, x - reach, "right") - 1
+    stuck = x - reach == x
+    first = np.searchsorted(x, x - reach, "right") - 1 - stuck
     last = np.searchsorted(x, x + reach, "right") - 1
-    piece = np.minimum(first + np.arange(np.max(last - first) + 1)[:, None], last)
+    piece = np.minimum(first[:, None] + np.arange(np.max(last - first) + 1), last[:, None])
+    xc, speed, stuck = x[:, None], np.reshape(speed, (-1, 1)), np.flatnonzero(stuck)
     edges = np.concatenate(([-np.inf], x, [np.inf]))
-    ends = (edges[piece + 1] - x) / speed, (edges[piece + 2] - x) / speed
+    ends = (edges[piece + 1] - xc) / speed, (edges[piece + 2] - xc) / speed
     lo = np.maximum(np.minimum(*ends), -v_max)  # controls whose foot lands on the piece
     hi = np.minimum(np.maximum(*ends), v_max)
     anchor = np.clip(piece, 0, nx - 1)
-    offset = x - x[anchor]  # foot - x[anchor] = offset + speed v
-    slopes, width, cols = np.zeros(nx + 1), np.diff(x), np.arange(nx)  # edge pieces are flat
-    inner, slope_index = slopes[1:-1], piece + 1
+    offset = xc - x[anchor]  # foot - x[anchor] = offset + speed v
+    slopes, width, gc = np.zeros(nx + 1), np.diff(x), np.reshape(g, (-1, 1))  # edges are flat
+    inner, slope_index, unit = slopes[1:-1], piece + 1, np.ndim(g) == 0 and g == 1.0
+    starts = np.arange(0, piece.size, piece.shape[1])  # the flat index of each node's pieces
     s, v, cost, work = np.empty((4, *piece.shape))
+    best, dt_w = np.empty(nx, dtype=np.intp), np.empty(nx)
 
-    def step(y: np.ndarray, b, w):
+    def step(y: np.ndarray, b, w, u_out: np.ndarray, v_out: np.ndarray):
+        b = np.reshape(b, (-1, 1))
         np.divide(np.subtract(y[1:], y[:-1], out=inner), width, out=inner)
         slopes.take(slope_index, out=s, mode="clip")  # indices in range: "clip" skips a copy
-        # v = clip(-(s g + b), lo, hi)
-        np.negative(np.add(np.multiply(s, g, out=v), b, out=v), out=v)
+        # v = clip(-(s g + b), lo, hi); s g = s when g is 1
+        np.negative(np.add(s if unit else np.multiply(s, gc, out=v), b, out=v), out=v)
         np.minimum(np.maximum(v, lo, out=v), hi, out=v)
         # cost = ((speed v + offset) s + y[anchor]) + ((v/2 + b) dt) v, which is
         # (s (offset + speed v) + y[anchor]) + dt (v/2 + b) v: IEEE + and * commute
@@ -218,8 +233,12 @@ def _exact_minimizer(x: np.ndarray, g, dt: float, v_max: float):
         np.add(cost, y.take(anchor, out=work, mode="clip"), out=cost)
         np.add(np.multiply(v, 0.5, out=work), b, out=work)
         np.add(cost, np.multiply(np.multiply(work, dt, out=work), v, out=work), out=cost)
-        best = cost.argmin(axis=0)
-        return cost[best, cols] - dt * w, v[best, cols]
+        np.add(cost.argmin(axis=1, out=best), starts, out=best)  # the flat index of each minimum
+        cost.take(best, out=u_out, mode="clip")
+        v.take(best, out=v_out, mode="clip")
+        np.subtract(u_out, np.multiply(w, dt, out=dt_w), out=u_out)
+        if stuck.size:
+            v_out[stuck] = v.take(starts[stuck] + np.abs(v[stuck]).argmax(axis=1))
 
     return step
 
@@ -281,7 +300,7 @@ def solve_backward(
         for j, (hi, lo, (b, w)) in enumerate(zip([steps, *lows], lows, costs)):
             if hi - lo != k:  # the last step, to row 0, is shorter
                 step = _exact_minimizer(x, g, (hi - lo) * dt, cfg.v_max)
-            u[-2 - j], controls[j] = step(u[-1 - j], b, w)
+            step(u[-1 - j], b, w, u[-2 - j], controls[j])
         # the latest pinned step is reported: it is the first the backward sweep meets
         frac = np.count_nonzero((np.abs(controls) >= cfg.v_max) & core, axis=1) / n_core
     saturated = np.flatnonzero(frac > SATURATION_FRACTION)
@@ -320,12 +339,12 @@ def regularity_report(vg: ValueGrid) -> RegularityReport:
     max_abs = float(np.max(np.abs(vg.u)))
     lip = float(np.max(np.abs(np.diff(vg.u, axis=1)))) / dx
     last = math.floor(0.9 * (vg.times.size - 1) * (1 + 1e-12))  # the last row with t <= t1
-    uu = vg.u[vg.rows <= last]  # holds the initial row
-    if last not in vg.rows:
-        uu = np.vstack((uu, vg._between(np.array([last]))))
+    held = vg.u[: np.searchsorted(vg.rows, last, "right")]  # the rows ascend from the initial row
+    blend = () if last in vg.rows else (vg._between(np.array([last])),)
     # dx**2 as a Python float raises OverflowError; an extreme dx reports 0, inf or nan instead
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        second = (uu[:, 2:] + uu[:, :-2] - 2.0 * uu[:, 1:-1]) / np.float64(dx) ** 2
+        second = [np.max((uu[:, 2:] + uu[:, :-2] - 2.0 * uu[:, 1:-1]) / np.float64(dx) ** 2)
+                  for uu in (held, *blend)]
     return RegularityReport(
         max_abs=max_abs,
         lip_const=lip,

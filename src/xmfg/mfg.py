@@ -85,9 +85,9 @@ class SolverConfig:
             raise ValueError("the grid needs nx >= 3 and nv >= 2")
         if not (0.0 < self.damping <= 1.0):
             raise ValueError("damping must lie in (0, 1]")
-        if self.v_max is not None and self.v_max <= 0:
+        if self.v_max is not None and not (self.v_max > 0):
             raise ValueError("v_max must be positive when given")
-        if self.tol_fix <= 0 or self.tol_traj <= 0:
+        if not (self.tol_fix > 0 and self.tol_traj > 0):
             raise ValueError("tolerances must be positive")
 
 
@@ -102,7 +102,7 @@ class ProblemSpec:
     q: float = 2.0
 
     def __post_init__(self):
-        if self.horizon <= 0:
+        if not (self.horizon > 0):
             raise ValueError("horizon must be positive")
         if not (self.q >= 1.0 and math.isfinite(self.q)):
             raise ValueError("moment exponent q must be a finite real >= 1")

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import logging
@@ -585,7 +586,7 @@ def test_oracle_then_solve_compare(tmp_path):
 COLD_START = """
 import sys
 import xmfg.cli
-print(sorted({"xmfg.analytic", "argparse"} & set(sys.modules)))
+print(sorted({"xmfg.analytic", "argparse", "csv", "_csv"} & set(sys.modules)))
 print(xmfg._cells._tables.cache_info().currsize)  # no formatter table built yet
 import xmfg
 from xmfg import lq_solve
@@ -1152,6 +1153,11 @@ FUZZ_DOCS = {
 @example(case=("solve", "lq", ("T=1e-300", "solver.v_max=1e-300")))
 @example(case=("master", "lq", ("T=1e-300", "solver.v_max=1e-300")))
 @example(case=("master", "lq", ("solver.v_max=1e+300",)))
+# a box too small to move a foot offered the controls v >= 0 only: 1e-20
+# passed as converged
+@example(case=("solve", "lq", ("solver.v_max=1e-300",)))
+@example(case=("solve", "lq", ("solver.v_max=1e-20",)))
+@example(case=("solve", "lq", ("solver.v_max=1e-16",)))
 # the first flow step, T / M, and its floor, 1e-10 T, underflowed to 0 and a
 # zero step was accepted forever: both commands hung
 @example(case=("solve", "lq", ("T=5e-324",)))
@@ -1179,6 +1185,25 @@ FUZZ_DOCS = {
 @example(case=("master", "zero", ("initial.N=100000000000000000000",)))
 def test_fuzzed_overrides_end_in_a_documented_exit(case):
     assert_documented_exit(*case)
+
+
+@pytest.mark.parametrize("v_max", ["1e-300", "1e-20", "1e-16", "1e-8"])
+def test_a_control_box_too_small_to_move_a_foot_ends_in_saturation(tmp_path, capsys, v_max):
+    # below the rounding of x the sweep offered the controls v >= 0 only: on the
+    # benchmark's off-centre game 1e-20 passed as converged and 1e-16 pinned
+    # 49.7% of the core nodes
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cfg_path = tmp_path / "problem.json"
+    cfg_path.write_text(workloads.document("lq-offcentre", 3))
+    argv = ["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+    assert main(argv + ["--override", f"solver.v_max={v_max}"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "ERROR CONTROL_SATURATION: control argmin pinned at +-v_max on 100.0% of core nodes"
+    ), err
 
 
 @pytest.mark.parametrize("command", ["solve", "master"])

@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -46,6 +47,13 @@ def with_table(fam, nodes, values):
     fam = copy.copy(fam)
     fam.terminal = lambda x, ens: np.interp(x, nodes, values)
     return fam
+
+
+def stepped(step, y, b, w):
+    """The value and control rows one step of the minimizer writes."""
+    u, v = np.empty((2, np.size(y)))
+    step(y, b, w, u, v)
+    return u, v
 
 
 def static_grid(u_row, x_lo=-1.0, x_hi=1.0, slices=3):
@@ -236,7 +244,7 @@ def test_exact_minimum_matches_dense_controls(data):
     b = rng.normal(0.0, 2.0, nx) if data.draw(st.booleans(), label="b per node") else rng.normal()
     w = rng.normal(0.0, 1.0, nx)  # the potential W; the running cost is v^2/2 + b v - W
     y = rng.uniform(0.1, 10.0) * rng.normal(size=nx)  # convex or not
-    u, v = _exact_minimizer(x, g, dt, v_max)(y, b, w)
+    u, v = stepped(_exact_minimizer(x, g, dt, v_max), y, b, w)
 
     bb, ww, gg = np.broadcast_to(b, (nx,))[:, None], w[:, None], g[:, None]
     dense = np.broadcast_to(np.linspace(-v_max, v_max, 2001), (nx, 2001))
@@ -301,16 +309,141 @@ def test_saturation_tolerated_in_padding_belt():
 
 
 def test_a_step_keeps_its_results_through_the_next_step():
-    # the kernel refills its work arrays on every row; what it returned for one
-    # row must not change when it computes the next
+    # the kernel refills its work arrays on every row and writes the rows it is
+    # handed only; what it wrote for one row must not change when it computes the next
     rng = np.random.default_rng(11)
     x = np.linspace(-1.0, 1.0, 21)
     step = _exact_minimizer(x, np.ones(21), 0.05, 2.0)
-    u, v = step(rng.normal(size=21), 0.3, rng.normal(size=21))
+    u, v = np.full((2, 3, 21), np.nan)
+    step(rng.normal(size=21), 0.3, rng.normal(size=21), u[1], v[1])
     kept = u.copy(), v.copy()
-    step(10.0 * rng.normal(size=21), -0.7, rng.normal(size=21))
-    np.testing.assert_array_equal(u, kept[0])
-    np.testing.assert_array_equal(v, kept[1])
+    step(10.0 * rng.normal(size=21), -0.7, rng.normal(size=21), u[2], v[2])
+    np.testing.assert_array_equal(u[:2], kept[0][:2])
+    np.testing.assert_array_equal(v[:2], kept[1][:2])
+    assert np.isnan(u[0]).all() and np.isfinite(u[1:]).all() and np.isfinite(v[1:]).all()
+
+
+@pytest.mark.parametrize("v_max", [1e-300, 1e-20, 1e-16])
+def test_a_box_too_small_to_move_a_foot_still_offers_both_signs(v_max):
+    # x +- dt g v_max rounds to x on every node: each tries the pieces on both
+    # sides and takes the largest control, so an optimum beyond the box pins it
+    x = np.linspace(1.0, 3.0, 41)
+    for slope in (1.0, -1.0):
+        u, v = stepped(_exact_minimizer(x, 1.0, 0.1, v_max), slope * x, 0.0, np.zeros(41))
+        # the slope wants v = -slope; beyond an end node the edge piece is flat, -b = 0 its optimum
+        np.testing.assert_array_equal(v[1:-1], -slope * v_max)
+        assert (v[0], v[-1]) == ((0.0, -v_max) if slope > 0 else (v_max, 0.0))
+        np.testing.assert_allclose(u, slope * x, rtol=0, atol=1e-15)
+        # a sweep with such a box saturates on every core node
+        fam = QuadraticCoupledFamily(beta=0.0, terminal=LinearTerminal(slope))
+        with pytest.raises(ControlSaturationError, match="on 100.0% of core nodes"):
+            solve_backward(fam, resting_population(steps=10), GridConfig(1, 3, 41, 5, v_max))
+
+
+def reference_minimizer(x, g, dt, v_max):
+    """The step as first written, on ``(P, nx)`` work arrays, returning fresh rows:
+    the reference the in-place ``(nx, P)`` step must match bit for bit."""
+    nx = x.size
+    speed = dt * np.asarray(g, dtype=float)  # d(foot)/dv
+    reach = np.abs(speed) * v_max
+    first = np.searchsorted(x, x - reach, "right") - 1
+    last = np.searchsorted(x, x + reach, "right") - 1
+    piece = np.minimum(first + np.arange(np.max(last - first) + 1)[:, None], last)
+    edges = np.concatenate(([-np.inf], x, [np.inf]))
+    ends = (edges[piece + 1] - x) / speed, (edges[piece + 2] - x) / speed
+    lo = np.maximum(np.minimum(*ends), -v_max)  # controls whose foot lands on the piece
+    hi = np.minimum(np.maximum(*ends), v_max)
+    anchor = np.clip(piece, 0, nx - 1)
+    offset = x - x[anchor]  # foot - x[anchor] = offset + speed v
+    slopes, width, cols = np.zeros(nx + 1), np.diff(x), np.arange(nx)  # edge pieces are flat
+    inner, slope_index = slopes[1:-1], piece + 1
+    s, v, cost, work = np.empty((4, *piece.shape))
+
+    def step(y: np.ndarray, b, w):
+        np.divide(np.subtract(y[1:], y[:-1], out=inner), width, out=inner)
+        slopes.take(slope_index, out=s, mode="clip")  # indices in range: "clip" skips a copy
+        # v = clip(-(s g + b), lo, hi)
+        np.negative(np.add(np.multiply(s, g, out=v), b, out=v), out=v)
+        np.minimum(np.maximum(v, lo, out=v), hi, out=v)
+        np.multiply(np.add(np.multiply(speed, v, out=cost), offset, out=cost), s, out=cost)
+        np.add(cost, y.take(anchor, out=work, mode="clip"), out=cost)
+        np.add(np.multiply(v, 0.5, out=work), b, out=work)
+        np.add(cost, np.multiply(np.multiply(work, dt, out=work), v, out=work), out=cost)
+        best = cost.argmin(axis=0)
+        return cost[best, cols] - dt * w, v[best, cols]
+
+    return step
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_in_place_step_keeps_the_bits_of_the_reference_step(data):
+    # a stride of k rows, then a last step of j < k rows, as a sweep ends on row 0
+    nx = data.draw(st.integers(3, 60), label="nx")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    x_lo = rng.uniform(-2.0, 2.0)
+    x = np.linspace(x_lo, x_lo + rng.uniform(0.2, 4.0), nx)
+    dt = data.draw(st.floats(1e-3, 0.2), label="dt")
+    v_max = data.draw(st.floats(0.1, 20.0), label="v_max")
+    k = data.draw(st.integers(2, 5), label="stride")
+    j = data.draw(st.integers(1, k - 1), label="last step")
+    g = {
+        "unit": 1.0,  # what the sweep passes for a family without a speed
+        "state-scaled": 1.0 / (x - x_lo + rng.uniform(0.2, 2.0)),
+        "signed": rng.choice([-1.0, 1.0], nx) * rng.uniform(0.2, 3.0, nx),
+    }[data.draw(st.sampled_from(["unit", "state-scaled", "signed"]), label="g")]
+    per_node = data.draw(st.booleans(), label="b per node")
+    y = rng.uniform(0.1, 10.0) * rng.normal(size=nx)
+    for h in (k * dt, j * dt):
+        b = rng.normal(0.0, 2.0, nx) if per_node else rng.normal()
+        w = rng.normal(0.0, 1.0, nx)
+        u, v = stepped(_exact_minimizer(x, g, h, v_max), y, b, w)
+        u_ref, v_ref = reference_minimizer(x, g, h, v_max)(y, b, w)
+        np.testing.assert_array_equal(bits(u), bits(u_ref))
+        np.testing.assert_array_equal(bits(v), bits(v_ref))
+        y = u
+
+
+def reference_report(vg):
+    """The regularity report as first written: the held rows up to floor(0.9 M)
+    and the blended one stacked into one array."""
+    dx = vg.config.dx
+    t1 = float(vg.times[0]) + 0.9 * vg.horizon
+    max_abs = float(np.max(np.abs(vg.u)))
+    lip = float(np.max(np.abs(np.diff(vg.u, axis=1)))) / dx
+    last = math.floor(0.9 * (vg.times.size - 1) * (1 + 1e-12))
+    uu = vg.u[vg.rows <= last]
+    if last not in vg.rows:
+        uu = np.vstack((uu, vg._between(np.array([last]))))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        second = (uu[:, 2:] + uu[:, :-2] - 2.0 * uu[:, 1:-1]) / np.float64(dx) ** 2
+    return max_abs, lip, float(np.max(second)), float(t1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.booleans())
+def test_the_regularity_report_keeps_the_bits_of_the_stacked_rows(data, held):
+    # swept rows 0 < ... < M in steps of k, with row floor(0.9 M) held or blended
+    steps = data.draw(st.integers(2, 60), label="M")
+    k = data.draw(st.integers(1, 7), label="stride")
+    nx = data.draw(st.integers(3, 40), label="nx")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    last = math.floor(0.9 * steps * (1 + 1e-12))
+    rows = {0, *range(steps % k or k, steps + 1, k)}
+    rows = sorted(rows | {last} if held else rows - {last})
+    if data.draw(st.booleans(), label="signed zeros"):  # flat rows tie at +-0
+        u = rng.choice([0.0, -0.0, 1.0, -1.0], (len(rows), nx))
+    else:
+        u = rng.uniform(0.1, 10.0) * rng.normal(size=(len(rows), nx))
+    cfg = GridConfig(-1.0, rng.uniform(-0.9, 3.0), nx, 5, 1.0)
+    vg = ValueGrid(cfg, np.linspace(0.0, rng.uniform(0.1, 5.0), steps + 1), u, rows=np.array(rows))
+    rep = regularity_report(vg)
+    got = rep.max_abs, rep.lip_const, rep.semiconcavity_const, rep.t1
+    np.testing.assert_array_equal(bits(got), bits(reference_report(vg)))
 
 
 def stepped_reference(fam, traj, cfg, k):
@@ -323,7 +456,7 @@ def stepped_reference(fam, traj, cfg, k):
         lo = max(hi - k, 0)
         step = _exact_minimizer(x, g, (hi - lo) * traj.dt, cfg.v_max)
         x_ens, z_ens = traj.ensemble(lo), traj.velocity_ensemble(lo)
-        u, v = step(u, fam.drift(x_ens, z_ens), fam.running_potential(x, x_ens, z_ens))
+        u, v = stepped(step, u, fam.drift(x_ens, z_ens), fam.running_potential(x, x_ens, z_ens))
         out.append((lo, u, v))
         hi = lo
     return out

@@ -291,6 +291,18 @@ def test_config_validation():
         ProblemSpec(QuadraticCoupledFamily(), horizon=1.0, initial=Ensemble([[1.0, 2.0]]))
 
 
+@pytest.mark.parametrize("field", ["tol_fix", "tol_traj", "v_max"])
+def test_a_nan_solver_setting_is_rejected(field):
+    # `x <= 0` is false for NaN: a NaN tol_fix ran every outer iteration unconverged
+    with pytest.raises(ValueError, match="positive"):
+        SolverConfig(**{field: math.nan})
+
+
+def test_a_nan_horizon_is_rejected():
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        ProblemSpec(QuadraticCoupledFamily(), horizon=math.nan, initial=spread_ensemble(4))
+
+
 def test_trajectory_residual_uses_wasserstein():
     sol = solve_mfg(lq_problem(beta=0.5), SMALL)
     a = sol.traj.ensemble(10)
