@@ -10,9 +10,10 @@ sample permutation by construction.  The spatial state is scalar.
 
 A cost whose ``stacks_laws`` is true also takes a (B, N, 1) stack of laws with
 (B, P) or (P,) points, with the bits of B single-law calls: law statistics
-reduce along the last axis.  A user callable gets one law per call.  So do the
-closed-form velocities: ``velocity_closed_form`` on (R, N) rows of x and p
-has the bits of R single-row calls.
+reduce along the last axis.  A user callable gets one law per call.  Velocities
+keep the same bits: ``velocity_closed_form`` on (R, N) rows of x and p, and
+the iterated :func:`solve_velocity` on a stack of R rows, give those of R
+single-row calls.
 """
 
 from __future__ import annotations
@@ -205,6 +206,11 @@ class HamiltonianFamily:
     def dx_running_potential(self, x, x_ens: Ensemble, z_ens: Ensemble):
         raise NotImplementedError
 
+    def _require_running_cost(self):  # the backward sweep reads W: fail before any work
+        if type(self).running_potential is HamiltonianFamily.running_potential:
+            raise NotImplementedError(f"{type(self).__name__} declares no running_potential / "
+                                      "dx_running_potential, which the backward sweep needs")
+
     def _shift(self, x, p, x_ens: Ensemble, z_ens: Ensemble):
         """(g, b + p g): the speed and the negated minimizing control."""
         g = 1.0 if self.speed is None else self.speed(x)
@@ -347,75 +353,71 @@ class CustomVelocityFamily(HamiltonianFamily):
 # ---------------------------------------------------------------------------
 
 
-#: RMS of the step at which the velocity iteration stops
+#: RMS of the step at which the velocity iteration stops, and its step budget
 VELOCITY_TOL = 1e-12
+VELOCITY_MAX_ITER = 200
 
 
 def solve_velocity(
-    fam: HamiltonianFamily,
-    x,
-    p_ensemble: Ensemble,
-    y: Ensemble,
-    max_iter: int = 200,
-    return_info: bool = False,
+    fam: HamiltonianFamily, x, p_ensemble: Ensemble, y: Ensemble, return_info: bool = False
 ):
     """Solve the self-consistent velocity equation Z = -D_pH(x, p, Y, Z).
 
-    ``x`` may be a single point or a per-sample array aligned with the
-    costate ensemble.  Families with an explicit solution short-circuit; the
-    rest run the fixed-point iteration Z_{k+1} = -D_pH(x, p, Y, Z_k) from
-    Z_0 = -p, which converges geometrically when D_pH contracts in Z.  Step
-    and residual are measured by their RMS over the samples, whatever the
-    game's moment exponent: the iteration stops once a step is at most
-    VELOCITY_TOL, and the returned ensemble satisfies
-    RMS(Z + D_pH(x, p, Y, Z)) <= 10 * VELOCITY_TOL; for a closed form that
-    residual is computed only when ``return_info`` asks for it.
+    ``p_ensemble`` holds one law (N, 1) of costates or a stack (R, N, 1) of
+    rows, ``y`` one law for every row or a stack of one per row, and ``x``
+    broadcasts to the rows (..., N).  A closed form short-circuits; else
+    Z_{k+1} = -D_pH(x, p, Y, Z_k) runs from Z_0 = -p on all rows together,
+    with one D_pH call per iteration on the moving rows if the family
+    ``stacks_laws`` and one per moving row if not.  A row's step and residual
+    are RMS over its samples, whatever the game's moment exponent; it freezes
+    once its step is at most VELOCITY_TOL, so it keeps the bits of its own
+    solve.  Every row must then have RMS(Z + D_pH(x, p, Y, Z)) <= 10 *
+    VELOCITY_TOL, and a row still moving after VELOCITY_MAX_ITER steps fails.
+    A closed form's residual is computed only for ``return_info``, whose step
+    norms and residual are the largest of the rows.
     """
-    p = p_ensemble.samples[:, 0]
+    shape, p = p_ensemble.samples.shape, p_ensemble.samples[..., 0]
     closed = fam.velocity_closed_form(x, p, y)
-    if closed is not None and not return_info:
-        # unchecked: the caller tests what it keeps
-        return Ensemble._view(np.asarray(closed, dtype=float).reshape(-1, 1))
-    x = np.broadcast_to(np.asarray(x, dtype=float), p.shape)
+    if closed is not None and not return_info:  # unchecked: the caller tests what it keeps
+        return Ensemble._view(np.asarray(closed, dtype=float).reshape(shape))
+    ps = p.reshape(-1, shape[-2])
+    rows, n = ps.shape
+    xs = np.broadcast_to(np.asarray(x, dtype=float), p.shape).reshape(rows, n)
+    ys = np.broadcast_to(y.samples, (rows, *y.samples.shape[-2:]))  # Y has its own N
 
-    def as_ensemble(z_arr):
-        # unchecked: the iteration tests its iterates
-        return Ensemble._view(z_arr.reshape(-1, 1))
+    def advance(active, z):
+        """-D_pH on the rows ``active`` at their velocities z, and each row's step."""
+        z_next = np.empty_like(z)  # one call on all the rows if the family stacks laws
+        for i, z_i, out in [(active, z, z_next)] if fam.stacks_laws else zip(active, z, z_next):
+            laws = Ensemble._view(ys[i]), Ensemble._view(z_i[..., None])  # unchecked views
+            np.negative(fam.dp_hamiltonian(xs[i], ps[i], *laws), out=out)
+        return z_next, (np.add.reduce(np.abs(z_next - z) ** 2.0, axis=-1) / n) ** 0.5
 
-    def rms(r):
-        return float(np.mean(np.abs(r) ** 2.0) ** 0.5)
-
-    def residual_norm(z_arr):
-        return rms(z_arr + np.asarray(fam.dp_hamiltonian(x, p, y, as_ensemble(z_arr)), float))
-
+    everyone, steps = np.arange(rows), []
     if closed is not None:
-        z = np.asarray(closed, dtype=float)
-        info = {"iterations": 0, "step_norms": [], "rates": [], "residual": residual_norm(z)}
-        return as_ensemble(z), info
-
-    z = -p.copy()
-    steps = []
-    for k in range(max_iter):
-        z_next = -np.asarray(fam.dp_hamiltonian(x, p, y, as_ensemble(z)), dtype=float)
-        z_next = np.broadcast_to(z_next, p.shape)
-        if not np.all(np.isfinite(z_next)):
-            raise ContractionFailureError(
-                f"velocity iteration produced non-finite values at step {k}"
-            )
-        step = rms(z_next - z)
-        steps.append(step)
-        z = z_next
-        if step <= VELOCITY_TOL:
-            break
+        z = np.asarray(closed, dtype=float).reshape(rows, n)
     else:
-        res = residual_norm(z)
-        raise ContractionFailureError(
-            f"velocity iteration did not reach tol={VELOCITY_TOL:g} in {max_iter} steps "
-            f"(last residual {res:.3e})",
-            residual=res,
-        )
-    res = residual_norm(z)
-    if res > 10.0 * VELOCITY_TOL:
+        z, active = -ps, everyone
+        for k in range(VELOCITY_MAX_ITER):
+            z_next, step = advance(active, z[active])
+            if not np.isfinite(z_next).all():
+                raise ContractionFailureError(
+                    f"velocity iteration produced non-finite values at step {k}"
+                )
+            steps.append(float(step.max()))
+            z[active] = z_next
+            active = active[step > VELOCITY_TOL]
+            if not active.size:
+                break
+        else:
+            res = float(advance(active, z[active])[1].max())
+            raise ContractionFailureError(
+                f"velocity iteration did not reach tol={VELOCITY_TOL:g} in {VELOCITY_MAX_ITER} "
+                f"steps (last residual {res:.3e})",
+                residual=res,
+            )
+    res = float(advance(everyone, z)[1].max())  # a residual is the size of the next step
+    if closed is None and res > 10.0 * VELOCITY_TOL:
         raise ContractionFailureError(
             f"velocity iterate converged in step size but residual {res:.3e} "
             f"exceeds 10*tol={10 * VELOCITY_TOL:g}",
@@ -423,5 +425,5 @@ def solve_velocity(
         )
     rates = [b / a for a, b in zip(steps, steps[1:]) if a > 0]
     info = {"iterations": len(steps), "step_norms": steps, "rates": rates, "residual": res}
-    out = as_ensemble(z)
+    out = Ensemble._view(z.reshape(shape))
     return (out, info) if return_info else out

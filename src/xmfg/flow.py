@@ -16,10 +16,10 @@ the embedded Dormand-Prince 5(4) pair (Dormand & Prince 1980), whose error
 estimate picks each step, so the steps are not tied to the output rows.
 Each row is read from the continuous extension of the accepted step that
 holds its time (Shampine 1986), and its velocity is solved anew at the row's
-(x, p): one family call on all rows when the family has a closed form
-(``velocity_closed_form``) and one row at a time otherwise.  The same flow, seeded by the terminal slope psi'(X_0, X_0) at
-its default tolerance, sizes a state-scaled grid
-(:func:`~xmfg.mfg.canonical_grid`).
+(x, p), all rows in one call: ``velocity_closed_form`` when the family has a
+closed form, else one :func:`~xmfg.families.solve_velocity` on the stack of
+rows.  The same flow, seeded by the terminal slope psi'(X_0, X_0) at its
+default tolerance, sizes a state-scaled grid (:func:`~xmfg.mfg.canonical_grid`).
 """
 
 from __future__ import annotations
@@ -82,16 +82,11 @@ def _rms(a) -> float:
 
 
 def _velocity(fam: HamiltonianFamily, x, p, y: Ensemble) -> np.ndarray:
-    """G at the rows (..., N) of x and p with laws y: one family call for a
-    closed form, else the velocity equation iterated one row at a time."""
+    """G at the rows (..., N) of x and p with laws y, in one call on all rows."""
     z = fam.velocity_closed_form(x, p, y)
-    if z is not None:
-        return z
-    n = np.shape(p)[-1]
-    rows = zip(np.reshape(x, (-1, n, 1)), np.reshape(p, (-1, n, 1)))
-    z = [solve_velocity(fam, a[:, 0], *(Ensemble._view(c) for c in (b, a))).samples
-         for a, b in rows]
-    return np.reshape(z, np.shape(p))
+    if z is None:
+        z = solve_velocity(fam, x, Ensemble._view(p[..., None]), y).samples[..., 0]
+    return z
 
 
 def integrate_flow(

@@ -274,6 +274,7 @@ def solve_backward(
     (tested once the sweep is done, naming the lower row of the latest such
     step), and :class:`ValueBlowupError` when a swept value is not finite.
     """
+    fam._require_running_cost()
     x = cfg.nodes()
     steps, dt = traj.steps, traj.dt
     k = sweep_stride(fam, cfg, dt, steps)

@@ -234,6 +234,7 @@ def apply_F(problem: ProblemSpec, phi0, cfg: SolverConfig) -> ValueGrid:
     problem/config, gives Phi there.  The returned grid holds the swept rows;
     F(Phi) is its ``u[0]``.
     """
+    problem.family._require_running_cost()
     grid = canonical_grid(problem, cfg)
     vg, _ = _compose_once(problem, np.asarray(phi0(grid.nodes()), dtype=float), grid, cfg)
     return vg
@@ -302,6 +303,7 @@ def solve_mfg(
     returned iterate is blended to every time row (:meth:`ValueGrid.dense`).
     """
     fam = problem.family
+    fam._require_running_cost()  # before the seed flow of a state-scaled grid
     grid = canonical_grid(problem, cfg, include=include)
     nodes = grid.nodes()
     with np.errstate(all="ignore"):  # a non-finite profile raises below

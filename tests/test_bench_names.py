@@ -74,8 +74,8 @@ def test_trace_counts_one_sweep_per_evaluation_of_the_fixed_point_map():
     # the flow picks its own steps, so the computed flow.rk_stages (4M + 1
     # per flow) does not count them; a closed-form family writes each stage's
     # velocity into its stage buffer and those of all rows in one call, so the
-    # traced name, which iterates the velocity equation one row at a time, is
-    # never called
+    # traced name, which iterates the velocity equation on a stage's row or on
+    # the stack of all rows, is never called
     steps = cfg.time_steps
     k = sweep_stride(problem.family, mfg.canonical_grid(problem, cfg), 1.0 / steps, steps)
     closed = problem.family.velocity_closed_form(np.zeros(1), np.zeros(1), None)

@@ -146,14 +146,53 @@ def test_velocity_contraction_failure_carries_residual():
     # expansion instead of contraction: iteration drifts and must fail loudly
     fam = CustomVelocityFamily(lambda x, p, y, z: 1.5 * z.mean_scalar() + p)
     with pytest.raises(ContractionFailureError) as err:
-        solve_velocity(fam, 0.0, deterministic(1.0), deterministic(0.0), max_iter=30)
+        solve_velocity(fam, 0.0, deterministic(1.0), deterministic(0.0))
     assert err.value.residual is None or err.value.residual > 0
 
 
 def test_velocity_max_iter_too_small():
     fam = CustomVelocityFamily(lambda x, p, y, z: 0.99 * z.mean_scalar() + p)
     with pytest.raises(ContractionFailureError):
-        solve_velocity(fam, 0.0, deterministic(1.0), deterministic(0.0), max_iter=3)
+        solve_velocity(fam, 0.0, deterministic(1.0), deterministic(0.0))
+
+
+class IteratedCoupled(QuadraticCoupledFamily):
+    """Z = -(beta EZ + p) by iteration: a family that stacks laws, closed form hidden."""
+
+    def velocity_closed_form(self, x, p, y_ens):
+        return None
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        IteratedCoupled(beta=0.5),
+        CustomVelocityFamily(lambda x, p, y, z: p + 0.3 * z.mean_scalar() + 0.1 * y.mean_scalar()),
+    ],
+)
+@pytest.mark.parametrize("per_row_laws", [False, True])
+def test_a_stack_of_rows_keeps_the_bits_of_its_single_row_solves(fam, per_row_laws):
+    # rows converge at different iterations (the last is already a fixed point
+    # of the uncoupled part), and a shared law may have its own sample count
+    rng = np.random.default_rng(5)
+    p = rng.normal(scale=[[1.0], [1e-3], [10.0], [0.0]], size=(4, 6))
+    x = rng.uniform(-1, 1, (4, 6))
+    y = rng.normal(size=(4, 6, 1)) if per_row_laws else rng.normal(size=(3, 1))
+    z, info = solve_velocity(
+        fam, x, Ensemble._view(p[..., None]), Ensemble._view(y), return_info=True
+    )
+    assert z.samples.shape == (4, 6, 1)
+    singles = [
+        solve_velocity(fam, x[r], Ensemble(p[r]), Ensemble(y[r] if per_row_laws else y),
+                       return_info=True)
+        for r in range(4)
+    ]
+    for r, (z_r, info_r) in enumerate(singles):
+        np.testing.assert_array_equal(z.samples[r], z_r.samples)
+    # the info of a stack follows its worst row
+    assert info["iterations"] == max(i["iterations"] for _, i in singles)
+    assert len({i["iterations"] for _, i in singles}) > 1
+    assert info["residual"] == max(i["residual"] for _, i in singles) <= 10 * VELOCITY_TOL
 
 
 @settings(max_examples=60, deadline=None)

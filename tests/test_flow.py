@@ -569,7 +569,7 @@ def quartic_crossing(x0, p0):
     w = 2 * np.sqrt(2.0)
     x = np.asarray(x0, dtype=float)
     u0, du0 = x**2, -2 * np.asarray(p0, dtype=float) / x
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # u0' may be subnormal
         ratio = -w * u0 / du0
         times = np.where((du0 < 0) & (ratio < 1), np.arctanh(np.minimum(ratio, 1)) / w, np.inf)
     return float(np.min(times))
@@ -591,6 +591,9 @@ QUARTIC_GRAZE = functools.partial(QuarticFamily, 0.5)
 # step of the 16 times finer reference, which ends at x = 0.002
 @example(case=("quartic", QUARTIC_GRAZE, QUARTIC_GRAZE, [0.9349914367765682], 0.0,
                1.222506195589891, 0.6322622140080987, 1))
+# a subnormal seed costate overflows the crossing judge's ratio to inf: no crossing
+@example(case=("quartic", QUARTIC_GRAZE, QUARTIC_GRAZE, [2.0], 0.0, 3.7928469688338526e-308,
+               1.0, 1))
 def test_the_flow_matches_a_fine_fixed_step_reference(case):
     # a path that leaves the range or reaches x <= 0 ends both flows, and no
     # other path ends either
@@ -734,3 +737,67 @@ def test_a_family_without_a_closed_form_solves_each_row_on_its_own(steps):
     ref = reference_flow(CONTRACTING, x0, p0, 0.5, 4 * steps)
     np.testing.assert_allclose(xs, ref.states[::4, :, 0], rtol=0, atol=1e-8)
     np.testing.assert_allclose(ps, ref.costates[::4, :, 0], rtol=0, atol=1e-8)
+
+
+class IteratedLQ(LQFamily):
+    """An LQ family that hides its closed form, so the flow iterates its
+    velocity equation; records the shapes of each D_pH call's costates and laws."""
+
+    def __init__(self):
+        super().__init__(beta=0.5, a=1.0, b=0.3, m=1.0)
+        self.calls = []
+
+    def velocity_closed_form(self, x, p, y_ens):
+        return None
+
+    def dp_hamiltonian(self, x, p, y_ens, z_ens):
+        self.calls.append((np.shape(p), y_ens.samples.shape, z_ens.samples.shape))
+        return super().dp_hamiltonian(x, p, y_ens, z_ens)
+
+
+@pytest.mark.parametrize("steps", [1, 12, 31])
+def test_a_stacking_family_solves_all_rows_with_one_call_per_iteration(monkeypatch, steps):
+    fam, n = IteratedLQ(), 9
+    solves = []
+
+    def counted(fam_, x, p_ens, y):
+        before = len(fam.calls)
+        z, info = solve_velocity(fam_, x, p_ens, y, return_info=True)
+        solves.append((p_ens.samples.shape, info["iterations"], fam.calls[before:]))
+        return z
+
+    monkeypatch.setattr(flow, "solve_velocity", counted)
+    x0 = spread_ensemble(n)
+    traj = integrate_flow(fam, x0, x0.samples[:, 0], 1.0, steps)
+    assert fam.stacks_laws and len(fam.calls) == sum(len(calls) for *_, calls in solves)
+    # every stage solves its row as a stack of one, then one solve takes the
+    # (M, N) rows: one call per iteration on the rows still moving, and one
+    # more on all of them for the residual
+    *stages, (shape, iterations, calls) = solves
+    assert len(stages) > 1 and {s[0] for s in stages} == {(n, 1)}
+    assert {c for *_, cs in stages for c in cs} == {((1, n), (1, n, 1), (1, n, 1))}
+    assert shape == (steps, n, 1) and len(calls) == iterations + 1
+    moving = [c[0][0] for c in calls[:-1]]
+    assert moving[0] == steps and moving == sorted(moving, reverse=True)
+    assert all(c == ((r, n), (r, n, 1), (r, n, 1)) for r, c in zip(moving, calls))
+    assert calls[-1] == ((steps, n), (steps, n, 1), (steps, n, 1))
+    # each row keeps the bits of its own solve
+    xs, ps, zs = (a[:, :, 0] for a in (traj.states, traj.costates, traj.velocities))
+    for m in range(steps + 1):
+        z_m = solve_velocity(fam, xs[m], Ensemble(ps[m]), Ensemble(xs[m]))
+        np.testing.assert_array_equal(zs[m], z_m.samples[:, 0])
+
+
+def test_a_custom_callable_receives_one_law_per_call():
+    shapes = []
+
+    def dp_h(x, p, y, z):
+        shapes.append((np.shape(x), np.shape(p), y.samples.shape, z.samples.shape))
+        return p + 0.3 * z.mean() + 0.1 * y.mean()
+
+    n, steps = 9, 12
+    x0 = spread_ensemble(n, 0.5, 1.5)
+    fam = CustomVelocityFamily(dp_h, dx_h=lambda x, p, X, Z: 0.5 * x - 0.2 * Z.mean())
+    integrate_flow(fam, x0, 0.2 * x0.samples[:, 0], 0.5, steps)
+    assert not fam.stacks_laws and len(shapes) > steps
+    assert set(shapes) == {((n,), (n,), (n, 1), (n, 1))}

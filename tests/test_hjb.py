@@ -285,7 +285,7 @@ def test_consistency_under_refinement():
 def test_a_custom_family_cannot_be_swept():
     # it supplies D_pH (and optionally D_xH and L) but declares no potential W
     fam = CustomVelocityFamily(lambda x, p, y, z: p)
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(NotImplementedError, match=r"no running_potential / dx_running_potential"):
         solve_backward(fam, resting_population(steps=4), GridConfig(-1, 1, 11, 5, 1.0))
 
 

@@ -15,6 +15,7 @@ from xmfg.analytic import LQCoefficients, lq_solve
 from xmfg.ensembles import Ensemble, TrajectoryEnsemble, wasserstein_1d
 from xmfg.errors import ControlSaturationError, FlowBlowupError
 from xmfg.families import (
+    CustomVelocityFamily,
     LQFamily,
     MomentQuadraticPotential,
     QuadraticCoupledFamily,
@@ -407,6 +408,50 @@ def test_the_offcentre_game_converges_at_first_order_in_value_and_path():
     # measured ratios 2.17 and 2.11 for the value, 2.13 and 2.06 for the path
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert orders.min() >= 0.9, orders
+
+
+class IteratedLQ(LQFamily):
+    """An LQ family that hides its closed form: the flow iterates its velocity equation."""
+
+    def velocity_closed_form(self, x, p, y_ens):
+        return None
+
+
+def test_the_iterated_velocity_path_solves_the_offcentre_game_like_its_closed_form():
+    # the paper's velocity equation Z = -D_pH(x, P, X, Z) solved by iteration
+    # inside a whole solve, on the lq-offcentre game (E X' != 0, so beta couples)
+    coeffs = dict(beta=0.5, b=0.3, m=1.0, n=0.2)
+    cfg = SolverConfig(nx=41, time_steps=40, nv=41, v_max=4.0)
+    x0 = spread_ensemble(64, 0.5, 1.5)
+    closed, iterated = (
+        solve_mfg(ProblemSpec(fam, horizon=1.0, initial=x0), cfg)
+        for fam in (LQFamily(**coeffs), IteratedLQ(**coeffs))
+    )
+    assert closed.converged and iterated.converged
+    for name in ("states", "velocities"):
+        np.testing.assert_allclose(
+            getattr(iterated.traj, name), getattr(closed.traj, name), rtol=0, atol=1e-12
+        )
+    np.testing.assert_allclose(iterated.value.u[0], closed.value.u[0], rtol=0, atol=1e-12)
+
+
+def test_a_family_without_a_running_cost_fails_before_any_flow(monkeypatch):
+    # the sweep reads the potential W, which a custom family does not declare;
+    # solve_mfg and apply_F used to run a whole flow before the sweep raised
+    flows, flow = [], mfg.integrate_flow
+    monkeypatch.setattr(
+        mfg, "integrate_flow", lambda *args, **kw: flows.append(args) or flow(*args, **kw)
+    )
+    fam = CustomVelocityFamily(
+        lambda x, p, y, z: p + 0.3 * z.mean(), dx_h=lambda x, p, X, Z: 0.5 * x
+    )
+    problem = ProblemSpec(fam, horizon=1.0, initial=spread_ensemble(8))
+    cfg = SolverConfig(nx=41, time_steps=40, nv=41, v_max=4.0)
+    for solve in (solve_mfg, lambda *args: apply_F(args[0], lambda x: 0.5 * x**2, args[1])):
+        with pytest.raises(NotImplementedError, match=r"CustomVelocityFamily declares no "
+                           r"running_potential / dx_running_potential"):
+            solve(problem, cfg)
+    assert flows == []
 
 
 PERMUTATION_CFG = SolverConfig(nx=61, time_steps=40, nv=61, v_max=4.0)
