@@ -22,9 +22,12 @@ Quartic family: u(x,t) = p(t) x^4 + q(t) with
 whose coefficient has the closed form
 p(t) = (1 + c e^{4 sqrt2 t}) / (2 sqrt2 (1 - c e^{4 sqrt2 t})).
 
-Backward paths are integrated on a half-step grid so the forward RK4 sweep
-has exact stage data, and an 8x refined reference run separates oracle error
-from solver error.
+Both games step with one classical RK4 stepper per direction.
+``_rk4_backward`` steps lists of Python floats down from T, its stages reading
+data at the fine nodes and their midpoints: the LQ (G, Th, z) path and the
+quartic p cross-check.  ``_rk4_forward`` steps the (N,) states, its stages
+reading fine-grid paths at j, j + sub/2 and j + sub, so every stage has exact
+backward data: both state paths.  Each caller keeps its rhs and its guard.
 """
 
 from __future__ import annotations
@@ -112,19 +115,51 @@ def riccati_closed_form(m: float, horizon: float, t):
     return m / (1.0 + m * (horizon - t))
 
 
+def _rk4_backward(rhs, y, h, nodes, mids):
+    """Classical RK4 of y' = rhs(y, data) from the list ``y`` at the last node down.
+
+    The step from node j reads ``nodes[j]``, ``mids[j - 1]`` twice and
+    ``nodes[j - 1]``; the rows of the returned path follow the nodes.
+    """
+    path = [y]
+    for j in range(len(nodes) - 1, 0, -1):
+        k1 = rhs(y, nodes[j])
+        k2 = rhs([yi - 0.5 * h * ki for yi, ki in zip(y, k1)], mids[j - 1])
+        k3 = rhs([yi - 0.5 * h * ki for yi, ki in zip(y, k2)], mids[j - 1])
+        k4 = rhs([yi - h * ki for yi, ki in zip(y, k3)], nodes[j - 1])
+        y = [yi - h / 6.0 * (a + 2 * b + 2 * c + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+        path.append(y)
+    return np.array(path[::-1])
+
+
+def _rk4_forward(rhs, x, dt, steps, sub):
+    """Classical RK4 of x' = rhs(j, x) from x over ``steps`` steps of ``sub`` fine indices.
+
+    Step m reads fine index j = m sub, j + sub/2 twice and j + sub; the
+    returned path has one row per step end.
+    """
+    path = np.empty((steps + 1, len(x)))
+    path[0] = x
+    for m, j in enumerate(range(0, steps * sub, sub)):
+        k1 = rhs(j, x)
+        k2 = rhs(j + sub // 2, x + 0.5 * dt * k1)
+        k3 = rhs(j + sub // 2, x + 0.5 * dt * k2)
+        k4 = rhs(j + sub, x + dt * k3)
+        x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        path[m + 1] = x
+    return path
+
+
 def _rk4_backward_lq(fine_times, a_vals, b_vals, c_vals, beta, m_path, terminal):
     """Integrate (G, Th, z) from T down to 0 on the fine grid.
 
-    The loop runs on Python floats: every operation is the IEEE one numpy
+    The steps run on Python floats: every operation is the IEEE one numpy
     would do on the 3-vector, in the same order, without the per-stage arrays.
     """
-    k = len(fine_times) - 1
     h = float(fine_times[1] - fine_times[0])
     # tabulated (a, b, c, E X) at the fine nodes and, averaged, at their midpoints
     data = np.stack([a_vals, b_vals, c_vals, m_path], axis=1)
     nodes, mids = data.tolist(), (0.5 * data[:-1] + 0.5 * data[1:]).tolist()
-    out = np.empty((k + 1, 3))
-    out[k] = terminal
 
     def rhs(y, tab):
         g, th, _ = y
@@ -136,55 +171,14 @@ def _rk4_backward_lq(fine_times, a_vals, b_vals, c_vals, beta, m_path, terminal)
             square = math.inf  # which fails the guard below
         return g * g + tab[0], g * drift + tab[1], 0.5 * square + tab[2]
 
-    y = out[k].tolist()
-    for j in range(k, 0, -1):
-        k1 = rhs(y, nodes[j])
-        k2 = rhs([yi - 0.5 * h * ki for yi, ki in zip(y, k1)], mids[j - 1])
-        k3 = rhs([yi - 0.5 * h * ki for yi, ki in zip(y, k2)], mids[j - 1])
-        k4 = rhs([yi - h * ki for yi, ki in zip(y, k3)], nodes[j - 1])
-        y = [yi - h / 6.0 * (a + 2 * b + 2 * c + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
-        if not all(map(math.isfinite, y)) or abs(y[0]) > _GAMMA_GUARD:
-            raise RiccatiBlowupError(
-                f"Riccati path escaped before t=0 (around t={fine_times[j - 1]:.6g})",
-                blowup_time=float(fine_times[j - 1]),
-            )
-        out[j - 1] = y
+    out = _rk4_backward(rhs, np.array(terminal, dtype=float).tolist(), h, nodes, mids)
+    escaped = ~np.isfinite(out[:-1]).all(axis=1) | (np.abs(out[:-1, 0]) > _GAMMA_GUARD)
+    if escaped.any():  # the first node below T, counting down, where the path escaped
+        t = fine_times[np.flatnonzero(escaped)[-1]]
+        raise RiccatiBlowupError(
+            f"Riccati path escaped before t=0 (around t={t:.6g})", blowup_time=float(t)
+        )
     return out[:, 0], out[:, 1], out[:, 2]
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite state raises below
-def _rk4_forward_states(times, sub, gamma_f, theta_f, beta, x_init):
-    """Forward RK4 of the coupled ensemble equation on the solver grid.
-
-    gamma_f/theta_f live on the fine grid (sub points per solver step) so
-    every RK stage reads exact backward data.  A state that is not finite
-    after a step raises :class:`FlowBlowupError` naming the step.
-    """
-    steps = len(times) - 1
-    dt = times[1] - times[0]
-    states = np.empty((steps + 1, len(x_init)))
-    states[0] = x_init
-
-    def rhs(j_fine, x):
-        g, th = gamma_f[j_fine], theta_f[j_fine]
-        return -g * x - th / (1.0 + beta) + beta / (1.0 + beta) * g * x.mean()
-
-    half = sub // 2
-    x = x_init.copy()
-    for m in range(steps):
-        j = m * sub
-        k1 = rhs(j, x)
-        k2 = rhs(j + half, x + 0.5 * dt * k1)
-        k3 = rhs(j + half, x + 0.5 * dt * k2)
-        k4 = rhs(j + sub, x + dt * k3)
-        x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            raise FlowBlowupError(
-                f"LQ oracle flow blew up advancing step {m} -> {m + 1} (t={times[m]:.4g})",
-                step=m,
-            )
-        states[m + 1] = x
-    return states
 
 
 def _lq_paths(coeffs_fns, states, beta, horizon, steps, sub):
@@ -215,7 +209,20 @@ def _lq_paths(coeffs_fns, states, beta, horizon, steps, sub):
         gamma_f, theta_f, zeta_f = _rk4_backward_lq(
             fine_times, a_vals, b_vals, c_vals, beta, m_path, terminal
         )
-        new_states = _rk4_forward_states(times, sub, gamma_f, theta_f, beta, x_init)
+
+        def velocity(j, x):  # the ensemble equation, reading the paths at fine index j
+            g, th = gamma_f[j], theta_f[j]
+            return -g * x - th / (1.0 + beta) + beta / (1.0 + beta) * g * x.mean()
+
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state raises below
+            new_states = _rk4_forward(velocity, x_init, times[1] - times[0], steps, sub)
+        finite = np.isfinite(new_states).all(axis=1)
+        if not finite.all():
+            m = int(np.argmin(finite)) - 1
+            raise FlowBlowupError(
+                f"LQ oracle flow blew up advancing step {m} -> {m + 1} (t={times[m]:.4g})",
+                step=m,
+            )
         gap = float(np.max(np.abs(new_states - states)))
         states = new_states
         if gap <= LQ_TOL:
@@ -360,38 +367,17 @@ def quartic_solve(
     p_fine = quartic_p_closed_form(c, fine_times)
     p_nodes = p_fine[::sub]
 
-    # backward RK4 of p' = 8 p^2 - 1 from p(T) = A on the fine grid
-    p_ode_fine = np.empty_like(fine_times)
-    p_ode_fine[-1] = float(a_terminal)
-    h = fine_times[1] - fine_times[0]
-    y = float(a_terminal)
-    for j in range(len(fine_times) - 1, 0, -1):
-        k1 = 8 * y**2 - 1
-        y2 = y - 0.5 * h * k1
-        k2 = 8 * y2**2 - 1
-        y3 = y - 0.5 * h * k2
-        k3 = 8 * y3**2 - 1
-        y4 = y - h * k3
-        k4 = 8 * y4**2 - 1
-        y = y - h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        p_ode_fine[j - 1] = y
+    # backward RK4 of p' = 8 p^2 - 1 from p(T) = A on the fine grid; h stays a
+    # numpy float, so a huge step squares to inf where a Python float raises
+    h, blank = fine_times[1] - fine_times[0], [None] * len(fine_times)
+    rhs = lambda y, _: [8 * y[0] ** 2 - 1]  # noqa: E731
+    p_ode_fine = _rk4_backward(rhs, [float(a_terminal)], h, blank, blank)[:, 0]
     p_ode = p_ode_fine[::sub]
     cross_gap = float(np.max(np.abs(p_fine - p_ode_fine)))
 
     # forward X' = -4 p X per sample, stages on the fine grid
-    states = np.empty((steps + 1, x0.n))
-    states[0] = x_init
     dt = times[1] - times[0]
-    half = sub // 2
-    x = x_init.copy()
-    for m in range(steps):
-        j = m * sub
-        k1 = -4 * p_fine[j] * x
-        k2 = -4 * p_fine[j + half] * (x + 0.5 * dt * k1)
-        k3 = -4 * p_fine[j + half] * (x + 0.5 * dt * k2)
-        k4 = -4 * p_fine[j + sub] * (x + dt * k3)
-        x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        states[m + 1] = x
+    states = _rk4_forward(lambda j, x: -4 * p_fine[j] * x, x_init, dt, steps, sub)
     velocities = -4.0 * p_nodes[:, None] * states
     costates = 4.0 * p_nodes[:, None] * states**3
     if not (np.all(np.isfinite(p_fine)) and np.all(np.isfinite(costates))):

@@ -391,12 +391,14 @@ def _cmd_oracle(parsed: ParsedProblem, run: RunConfig) -> int:
         coeffs = LQCoefficients(a=p["A"], b=p["B"], c=p["C"], m=t["M"], n=t["N"], q0=t["Q"])
         state, traj = lq_solve(coeffs, parsed.problem.initial, doc["beta"], doc["T"], steps)
         header, columns = "t,gamma,theta,zeta", (state.times, state.gamma, state.theta, state.zeta)
+        report = {k: getattr(state, k) for k in ("converged", "passes", "refinement_gap")}
     elif parsed.family_kind == "quartic":
         t = doc["terminal"]["params"]
         state, traj = quartic_solve(
             t["A"], t["B"], parsed.problem.family.coupling, parsed.problem.initial, doc["T"], steps
         )
         header, columns = "t,p,q", (state.times, state.p, state.q)
+        report = dict(converged=True)  # closed form, no passes
     else:
         raise XmfgError("oracle subcommand needs family 'lq' or 'quartic'")
 
@@ -408,9 +410,9 @@ def _cmd_oracle(parsed: ParsedProblem, run: RunConfig) -> int:
         raise ValueBlowupError("the oracle value table is not finite on the grid")
     run.out_dir.mkdir(parents=True, exist_ok=True)
     bundles.write_csv(run.out_dir / "coefficients.csv", header, np.stack(columns, axis=1))
-    meta = _meta(parsed, run, converged=True)
+    meta = _meta(parsed, run, **report)
     bundles.write_solution_bundle(run.out_dir, vg, traj, [], meta, started)
-    return 0
+    return 0 if report["converged"] else 2
 
 
 def _report_payload(report, out_dir: Path, tag: str) -> dict:

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -269,6 +271,48 @@ def former_rk4_backward_lq(fine_times, a_vals, b_vals, c_vals, beta, m_path, ter
     return gamma, theta, zeta
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite state raises below
+def former_rk4_forward_states(times, sub, gamma_f, theta_f, beta, x_init):
+    """The LQ forward loop the shared forward stepper replaced, kept as the reference."""
+    steps = len(times) - 1
+    dt = times[1] - times[0]
+    states = np.empty((steps + 1, len(x_init)))
+    states[0] = x_init
+
+    def rhs(j_fine, x):
+        g, th = gamma_f[j_fine], theta_f[j_fine]
+        return -g * x - th / (1.0 + beta) + beta / (1.0 + beta) * g * x.mean()
+
+    half = sub // 2
+    x = x_init.copy()
+    for m in range(steps):
+        j = m * sub
+        k1 = rhs(j, x)
+        k2 = rhs(j + half, x + 0.5 * dt * k1)
+        k3 = rhs(j + half, x + 0.5 * dt * k2)
+        k4 = rhs(j + sub, x + dt * k3)
+        x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(x)):
+            raise FlowBlowupError(
+                f"LQ oracle flow blew up advancing step {m} -> {m + 1} (t={times[m]:.4g})",
+                step=m,
+            )
+        states[m + 1] = x
+    return states
+
+
+def former_lq_forward(horizon):
+    """A stand-in for `_rk4_forward` running the former loop on the velocity's paths."""
+
+    def forward(velocity, x_init, dt, steps, sub):
+        paths = inspect.getclosurevars(velocity).nonlocals
+        times = np.linspace(0.0, horizon, steps + 1)
+        args = paths["gamma_f"], paths["theta_f"], paths["beta"], x_init
+        return former_rk4_forward_states(times, sub, *args)
+
+    return forward
+
+
 def lq_outcome(coeffs, x0, beta, horizon, steps):
     """Every output of lq_solve as bytes, or the error it ends in."""
     try:
@@ -311,10 +355,86 @@ def test_lq_oracle_keeps_the_former_bits(monkeypatch, case):
     coeffs, (n, lo, hi), beta, horizon, steps = case
     x0 = spread_ensemble(n, lo, hi)
     fast = lq_outcome(coeffs, x0, beta, horizon, steps)
-    # the former oracle: the numpy loop, and a validated copy for every fine node
+    # the former oracle: the numpy loops, and a validated copy for every fine node
     monkeypatch.setattr(analytic, "_rk4_backward_lq", former_rk4_backward_lq)
+    monkeypatch.setattr(analytic, "_rk4_forward", former_lq_forward(horizon))
     monkeypatch.setattr(Ensemble, "_view", classmethod(lambda cls, samples: cls(samples)))
     assert fast == lq_outcome(coeffs, x0, beta, horizon, steps)
+
+
+def former_quartic_p_ode(a_terminal, fine_times):
+    """The quartic p cross-check loop the shared backward stepper replaced."""
+    p_ode_fine = np.empty_like(fine_times)
+    p_ode_fine[-1] = float(a_terminal)
+    h = fine_times[1] - fine_times[0]
+    y = float(a_terminal)
+    for j in range(len(fine_times) - 1, 0, -1):
+        k1 = 8 * y**2 - 1
+        y2 = y - 0.5 * h * k1
+        k2 = 8 * y2**2 - 1
+        y3 = y - 0.5 * h * k2
+        k3 = 8 * y3**2 - 1
+        y4 = y - h * k3
+        k4 = 8 * y4**2 - 1
+        y = y - h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        p_ode_fine[j - 1] = y
+    return p_ode_fine
+
+
+def former_quartic_states(times, sub, p_fine, x_init):
+    """The quartic state loop the shared forward stepper replaced."""
+    steps = len(times) - 1
+    states = np.empty((steps + 1, len(x_init)))
+    states[0] = x_init
+    dt = times[1] - times[0]
+    half = sub // 2
+    x = x_init.copy()
+    for m in range(steps):
+        j = m * sub
+        k1 = -4 * p_fine[j] * x
+        k2 = -4 * p_fine[j + half] * (x + 0.5 * dt * k1)
+        k3 = -4 * p_fine[j + half] * (x + 0.5 * dt * k2)
+        k4 = -4 * p_fine[j + sub] * (x + dt * k3)
+        x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        states[m + 1] = x
+    return states
+
+
+def quartic_outcome(a, coupling, x0, horizon, steps):
+    """Every output of quartic_solve as bytes, or the error it ends in."""
+    try:
+        state, traj = quartic_solve(a, 0.7, coupling, x0, horizon, steps)
+    except RootSolveError as exc:
+        return type(exc), str(exc)
+    arrays = (state.p, state.p_ode, state.q, traj.states, traj.velocities, traj.costates)
+    return [arr.tobytes() for arr in arrays], state.c, state.p_cross_check_gap
+
+
+QUARTIC_PARITY_CASES = {
+    "steady": (1.0 / (2 * SQRT2), 0.5, 6, None),
+    "decaying": (1.0, 1.0, 8, None),
+    "mean-square-velocity": (0.5, 0.5, 5, MeanSquareVelocityCoupling(0.3)),
+    "short-coupled": (0.2, 0.3, 3, MeanSquareVelocityCoupling(2.0)),
+    # the closed form is not finite; the cross-check squares a huge step to inf
+    "huge-horizon": (0.5, 1e308, 4, None),
+}
+
+
+@pytest.mark.parametrize("case", QUARTIC_PARITY_CASES.values(), ids=QUARTIC_PARITY_CASES.keys())
+def test_quartic_oracle_keeps_the_former_bits(monkeypatch, case):
+    a, horizon, n, coupling = case
+    x0, steps, sub = spread_ensemble(n, 0.5, 1.5), 30, 8
+    fast = quartic_outcome(a, coupling, x0, horizon, steps)
+    # the former loops, fed the grids and closed form the former oracle built
+    times = np.linspace(0.0, horizon, steps + 1)
+    fine_times = np.linspace(0.0, horizon, steps * sub + 1)
+    with np.errstate(all="ignore"):  # as inside the oracle
+        p_fine = quartic_p_closed_form(quartic_coefficient_constant(a, horizon), fine_times)
+        p_ode_fine = former_quartic_p_ode(a, fine_times)[:, None]
+        states = former_quartic_states(times, sub, p_fine, x0.samples[:, 0])
+    monkeypatch.setattr(analytic, "_rk4_backward", lambda *_: p_ode_fine)
+    monkeypatch.setattr(analytic, "_rk4_forward", lambda *_: states)
+    assert fast == quartic_outcome(a, coupling, x0, horizon, steps)
 
 
 def test_a_stiff_lq_oracle_flow_is_a_flow_blowup():

@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xmfg.io
+from xmfg.analytic import LQ_MAX_PASSES
 from xmfg.cli import (
     KINDS,
     SUBCOMMANDS,
@@ -581,6 +582,32 @@ def test_oracle_then_solve_compare(tmp_path):
     np.testing.assert_array_equal(x_o, x_s)
     core = np.abs(x_o) <= 1.5
     assert np.max(np.abs(u_o[core] - u_s[core])) <= 0.1
+
+
+# the coupling near beta = -1 keeps the LQ oracle's passes from settling
+UNSETTLED_LQ_DOC = {
+    "family": "lq",
+    "beta": -0.9,
+    "T": 1.0,
+    "potential": {"kind": "lq_running", "params": {"B": 0.3}},
+    "terminal": {"kind": "lq_terminal", "params": {"M": 1.0, "N": 0.2}},
+    "initial": {"kind": "uniform", "params": {"lo": 0.5, "hi": 1.5}, "N": 16},
+    "solver": {"nx": 81, "M": 40, "v_max": 4.0},
+}
+
+
+def test_an_oracle_whose_passes_do_not_settle_exits_2(tmp_path):
+    # it used to exit 0 with "converged": true whatever lq_solve reported
+    out = tmp_path / "oracle"
+    assert run(RunConfig("oracle", write_doc(tmp_path, UNSETTLED_LQ_DOC), out, seed=0)) == 2
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["converged"] is False
+    assert meta["passes"] == LQ_MAX_PASSES
+    assert 0.0 < meta["refinement_gap"] < 1e-5
+    # a settled oracle reports its passes too
+    assert run(RunConfig("oracle", write_doc(tmp_path, LQ_DOC), tmp_path / "lq", seed=0)) == 0
+    meta = json.loads((tmp_path / "lq" / "meta.json").read_text())
+    assert meta["converged"] is True and 1 <= meta["passes"] < LQ_MAX_PASSES
 
 
 COLD_START = """
