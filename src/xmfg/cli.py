@@ -364,8 +364,8 @@ def _meta(parsed: ParsedProblem, run: RunConfig, sol=None, **extra) -> dict:
     }
     if sol is not None:  # the sweep stride is that of the solution's own grid and time step
         fam, grid, traj = parsed.problem.family, sol.value.config, sol.traj
-        stride = sweep_stride(fam, grid, traj.dt, traj.steps)
-        payload.update(converged=sol.converged, restarts=sol.restarts, sweep_stride=stride)
+        payload.update(converged=sol.converged, restarts=sol.restarts, sweeps=sol.sweeps,
+                       sweep_stride=sweep_stride(fam, grid, traj.dt, traj.steps))
     payload.update(extra)
     return payload
 

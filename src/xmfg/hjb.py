@@ -47,6 +47,7 @@ __all__ = [
     "GridConfig",
     "ValueGrid",
     "solve_backward",
+    "sweep_costs",
     "sweep_stride",
     "regularity_report",
     "RegularityReport",
@@ -256,31 +257,46 @@ def sweep_stride(fam: HamiltonianFamily, cfg: GridConfig, dt: float, steps: int)
     return max(1, math.floor(COURANT_TARGET / courant)) if courant < math.inf else 1
 
 
+def sweep_costs(fam: HamiltonianFamily, traj: TrajectoryEnsemble, cfg: GridConfig):
+    """The sweep's inputs: the terminal row psi(x, X(T)), then at the lower row of each
+    step, in sweep order, the drift b as ``(S, 1)`` and the potential W as ``(S, nx)``."""
+    x, steps = cfg.nodes(), traj.steps
+    k = sweep_stride(fam, cfg, traj.dt, steps)
+    lows = [*range(steps - k, 0, -k), 0]  # the lower row of each step, going backward
+    psi, b, w = np.empty(x.size), np.empty((len(lows), 1)), np.empty((len(lows), x.size))
+    with np.errstate(all="ignore"):  # the sweep tests its values for finiteness
+        psi[:] = fam.terminal(x, traj.ensemble(steps))
+        # a family that stacks laws writes every row in one call on all steps' laws
+        for j, m in [(slice(None), lows)] if fam.stacks_laws else enumerate(lows):
+            law = traj.ensemble(m), traj.velocity_ensemble(m)
+            b[j], w[j] = fam.drift(*law), fam.running_potential(x, *law)
+    return psi, b, w
+
+
 def solve_backward(
-    fam: HamiltonianFamily, traj: TrajectoryEnsemble, cfg: GridConfig
+    fam: HamiltonianFamily, traj: TrajectoryEnsemble, cfg: GridConfig, costs=None
 ) -> ValueGrid:
     """Backward semi-Lagrangian sweep along the frozen population trajectory.
 
-    The family's ``drift``, ``running_potential`` and ``terminal`` give the
-    costs.  The sweep steps from row ``M`` to rows ``M - k, M - 2k, ..., 0``
+    ``costs`` are the trajectory's :func:`sweep_costs`, computed here unless
+    given.  The sweep steps from row ``M`` to rows ``M - k, M - 2k, ..., 0``
     with ``k = sweep_stride(...)``; the last step is shorter when ``k`` does
-    not divide ``M``.  A step reads the running cost at its lower row (all
-    steps' in one call when the family stacks laws).  The returned grid
-    holds the swept rows only, row 0, the step ends and row ``M``; its
-    :meth:`ValueGrid.dense` blends the rows in between.  ``k = 1`` steps
-    every row.  Raises :class:`ControlSaturationError`
-    when the minimizing control of a step reaches +-v_max on more than 1% of
-    the core nodes, which signals a control box too small for the problem
-    (tested once the sweep is done, naming the lower row of the latest such
-    step), and :class:`ValueBlowupError` when a swept value is not finite.
+    not divide ``M``.  A step reads the running cost at its lower row.  The
+    returned grid holds the swept rows only, row 0, the step ends and row
+    ``M``; its :meth:`ValueGrid.dense` blends the rows in between.  ``k = 1``
+    steps every row.  Raises :class:`ControlSaturationError` when the
+    minimizing control of a step reaches +-v_max on more than 1% of the core
+    nodes, which signals a control box too small for the problem (tested once
+    the sweep is done, naming the lower row of the latest such step), and
+    :class:`ValueBlowupError` when a swept value is not finite.
     """
     fam._require_running_cost()
-    x = cfg.nodes()
-    steps, dt = traj.steps, traj.dt
+    x, steps, dt = cfg.nodes(), traj.steps, traj.dt
     k = sweep_stride(fam, cfg, dt, steps)
-    ends = [0, *range(steps % k or k, steps + 1, k)]  # row 0, then rows steps - j k
-    lows = ends[-2::-1]  # the lower row of each step, going backward
+    lows = [*range(steps - k, 0, -k), 0]  # the lower row of each step, going backward
+    ends = [*lows[::-1], steps]  # row 0, then rows steps - j k
     u = np.empty((len(ends), cfg.nx))  # u[j] is row ends[j]
+    u[-1], b, w = sweep_costs(fam, traj, cfg) if costs is None else costs
     controls = np.empty((len(lows), cfg.nx))
     core_lo, core_hi = cfg.core_interval()
     core = (x >= core_lo) & (x <= core_hi)
@@ -288,20 +304,12 @@ def solve_backward(
     n_core = max(int(np.count_nonzero(core)), 1)
 
     with np.errstate(all="ignore"):  # non-finite values are tested for below
-        u[-1] = fam.terminal(x, traj.ensemble(steps))
         g = 1.0 if fam.speed is None else fam.speed(x)  # dx/dt = g(x) v
         step = _exact_minimizer(x, g, k * dt, cfg.v_max)
-        if fam.stacks_laws:  # one drift and one running_potential call on the steps' laws
-            laws = traj.ensemble(lows), traj.velocity_ensemble(lows)
-            b = np.broadcast_to(fam.drift(*laws), (len(lows), 1))
-            costs = zip(b, np.broadcast_to(fam.running_potential(x, *laws), controls.shape))
-        else:
-            laws = ((traj.ensemble(m), traj.velocity_ensemble(m)) for m in lows)
-            costs = ((fam.drift(*law), fam.running_potential(x, *law)) for law in laws)
-        for j, (hi, lo, (b, w)) in enumerate(zip([steps, *lows], lows, costs)):
+        for j, (hi, lo) in enumerate(zip([steps, *lows], lows)):
             if hi - lo != k:  # the last step, to row 0, is shorter
                 step = _exact_minimizer(x, g, (hi - lo) * dt, cfg.v_max)
-            step(u[-1 - j], b, w, u[-2 - j], controls[j])
+            step(u[-1 - j], b[j], w[j], u[-2 - j], controls[j])
         # the latest pinned step is reported: it is the first the backward sweep meets
         frac = np.count_nonzero((np.abs(controls) >= cfg.v_max) & core, axis=1) / n_core
     saturated = np.flatnonzero(frac > SATURATION_FRACTION)

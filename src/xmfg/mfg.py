@@ -38,7 +38,8 @@ from .errors import (
 )
 from .families import HamiltonianFamily
 from .flow import integrate_flow
-from .hjb import GridConfig, RegularityReport, ValueGrid, regularity_report, solve_backward
+from .hjb import GridConfig, RegularityReport, ValueGrid, regularity_report
+from .hjb import solve_backward, sweep_costs
 
 
 __all__ = [
@@ -114,8 +115,8 @@ class MfgSolution:
 
     ``value`` holds every time row.  ``residual_history`` rows are (k,
     ||F(Phi_k) - Phi_k||_inf, trajectory W_q to the previous iterate);
-    ``restarts`` counts safeguard fallbacks.  ``regularity_history`` holds
-    each iteration's :func:`regularity_report` of its evaluation's swept rows.
+    ``restarts`` counts safeguard fallbacks and ``sweeps`` completed sweeps.
+    ``regularity_history`` holds each iteration's :func:`regularity_report` of its swept rows.
     """
 
     value: ValueGrid
@@ -126,6 +127,7 @@ class MfgSolution:
     final_traj_residual: float
     iterations: int
     restarts: int
+    sweeps: int
     regularity_history: list[RegularityReport] = field(default_factory=list)
 
 
@@ -213,18 +215,25 @@ def canonical_grid(
     )
 
 
+def _same_bits(a, b) -> bool:  # on uint64 views, +0 and -0 or two NaN payloads differ
+    return all(np.array_equal(p.view(np.uint64), q.view(np.uint64)) for p, q in zip(a, b))
+
+
 def _compose_once(
-    problem: ProblemSpec, phi: np.ndarray, grid: GridConfig, cfg: SolverConfig
-) -> tuple[ValueGrid, TrajectoryEnsemble]:
-    """F at the profile ``phi`` on the grid's nodes: the flow from
-    P(0) = Phi'(X_0), read off the one-row table of ``phi``, then the sweep."""
+    problem: ProblemSpec, phi: np.ndarray, grid: GridConfig, cfg: SolverConfig, swept=None
+) -> tuple[ValueGrid, TrajectoryEnsemble, tuple]:
+    """F at the profile ``phi`` on the grid's nodes: the flow from P(0) = Phi'(X_0),
+    read off the one-row table of ``phi``, then the sweep, or ``swept[0]`` if the
+    flow's costs are bit for bit ``swept[1]``, those that grid was swept on."""
     x0 = problem.initial
     p0 = ValueGrid(grid, [0.0], phi[None]).gradient_at(x0.samples[:, 0], 0)
     traj = integrate_flow(
         problem.family, x0, p0, problem.horizon, cfg.time_steps, tol=_FLOW_TOL * cfg.tol_traj
     )
-    vg = solve_backward(problem.family, traj, grid)
-    return vg, traj
+    costs = sweep_costs(problem.family, traj, grid)
+    if swept is not None and _same_bits(costs, swept[1]):
+        return swept[0], traj, costs
+    return solve_backward(problem.family, traj, grid, costs), traj, costs
 
 
 def apply_F(problem: ProblemSpec, phi0, cfg: SolverConfig) -> ValueGrid:
@@ -236,8 +245,7 @@ def apply_F(problem: ProblemSpec, phi0, cfg: SolverConfig) -> ValueGrid:
     """
     problem.family._require_running_cost()
     grid = canonical_grid(problem, cfg)
-    vg, _ = _compose_once(problem, np.asarray(phi0(grid.nodes()), dtype=float), grid, cfg)
-    return vg
+    return _compose_once(problem, np.asarray(phi0(grid.nodes()), dtype=float), grid, cfg)[0]
 
 
 def _trajectory_gap(a: TrajectoryEnsemble, b: TrajectoryEnsemble, q: float) -> float:
@@ -299,8 +307,9 @@ def solve_mfg(
     residual ||F(Phi_k) - Phi_k||_inf <= tol_fix and the trajectory residual
     max_t W_q(X_k, X_{k-1}) <= tol_traj; reaching max_outer first returns the
     best iterate with ``converged=False``.  F is deterministic, so an iterate
-    equal to the last one evaluated reuses that flow and sweep.  Only the
-    returned iterate is blended to every time row (:meth:`ValueGrid.dense`).
+    equal to the last one evaluated reuses that flow and sweep, and a flow whose
+    costs are bit for bit the last sweep's reuses that sweep and its report.
+    Only the returned iterate is blended to every time row (:meth:`ValueGrid.dense`).
     """
     fam = problem.family
     fam._require_running_cost()  # before the seed flow of a state-scaled grid
@@ -327,15 +336,17 @@ def solve_mfg(
     extrapolated = False
     restarts = 0
     weight = 1.0  # the mixing weight: 1 until the first rejection, then lam for good
-    k = 0
-    last = None  # (phi, vg, traj, report) of the last evaluation of F, which is deterministic
+    k = sweeps = 0
+    last = None  # (phi, vg, costs, report, traj) of the last evaluation of F, deterministic
 
     while k < cfg.max_outer:
         try:
             if last is None or not np.array_equal(last[0], phi_vals):
-                vg, traj = _compose_once(problem, phi_vals, grid, cfg)
-                last = (phi_vals, vg, traj, regularity_report(vg))
-            _, vg, traj, report = last
+                vg, traj, costs = _compose_once(problem, phi_vals, grid, cfg, last and last[1:3])
+                fresh = last is None or vg is not last[1]
+                sweeps += fresh
+                last = (phi_vals, vg, costs, regularity_report(vg) if fresh else last[3], traj)
+            _, vg, _, report, traj = last
         except _EXTRAPOLATION_FAILURES:
             if not extrapolated:
                 raise
@@ -382,6 +393,7 @@ def solve_mfg(
         final_traj_residual=traj_res,
         iterations=k,
         restarts=restarts,
+        sweeps=sweeps,
         regularity_history=reg_history,
     )
 

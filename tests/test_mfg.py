@@ -486,14 +486,14 @@ def test_rejected_extrapolation_falls_back_to_damped_step(monkeypatch, fault):
 
     def faulty(*args):
         calls.append(args)
-        vg, traj = real(*args)
+        vg, traj, costs = real(*args)
         # calls 1 and 2 evaluate Phi_0 and the unit step Phi_1; the third
         # Phi is the first one extrapolated from a residual difference
         if len(calls) == 3:
             if fault == "raise":
                 raise ControlSaturationError("injected")
             vg.u[0] += 100.0  # residual far above the last accepted one
-        return vg, traj
+        return vg, traj, costs
 
     monkeypatch.setattr(mfg, "_compose_once", faulty)
     sol = solve_mfg(problem, SMALL)
@@ -760,9 +760,9 @@ def record_steps(monkeypatch):
     evaluated, weights = [], []
     compose, anderson = mfg._compose_once, mfg._anderson_step
 
-    def composing(problem, phi, grid, cfg):
+    def composing(problem, phi, grid, cfg, swept=None):
         evaluated.append([phi.copy(), True])
-        out = compose(problem, phi, grid, cfg)
+        out = compose(problem, phi, grid, cfg, swept)
         evaluated[-1][1] = False
         return out
 
